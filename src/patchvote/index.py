@@ -6,6 +6,24 @@ patch into a unit vector stored as f32. Retrieval: Kq query patches
 vote; each patch elects the modal shape among its Kr nearest records,
 and the object-level answer is the majority over patch winners, with
 ties resolved by aggregate similarity then shape id.
+
+Query state: the index is immutable, so what every query needs is
+built once per PatchIndex object, on first use, and reused: a
+C-contiguous f64 copy of the embeddings (the matrix every kNN scores)
+and a map from category to the sorted ids of its records (the subset a
+category-conditioned query searches).
+
+Exact top-k: each query patch is scored with one mat-vec over the
+searched records, so every similarity is the same f64 value a full
+scan gives. np.partition finds the k-th highest similarity, and only
+the records at or above it, every record tied with the k-th included,
+are sorted by (similarity descending, record id ascending). The result
+is the first k of that order, identical to a full sort of all records.
+
+File format (little-endian): magic, version, record count n, dimension
+d, manifest length and UTF-8 JSON manifest, then n packed records of
+shape id, view id and rect x, y, w, h as u32 followed by d f32
+embedding values. Records are read and written as one block.
 """
 
 from __future__ import annotations
@@ -13,10 +31,11 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .config import Config, to_dict
+from .config import Config, from_dict, to_dict
 from .descriptor import PatchRect, content_rect, sample_patches
 from .embed import TowerParams, image_patch_features, shape_patch_features, tower_forward
 from .errors import EmptyIndexError, FormatError, NoRetrievalError, RenderError
@@ -41,6 +60,22 @@ class PatchIndex:
 
     def category_of(self, shape_id: int) -> str:
         return self.manifest["shapes"][str(shape_id)]["category"]
+
+    @cached_property
+    def embeddings_f64(self) -> np.ndarray:
+        """C-contiguous f64 copy of `embeddings`, the matrix kNN scores."""
+        return np.ascontiguousarray(self.embeddings, dtype=np.float64)
+
+    @cached_property
+    def category_records(self) -> dict[str, np.ndarray]:
+        """Category -> sorted ids of the records of its shapes."""
+        shapes: dict[str, list[int]] = {}
+        for sid in np.unique(self.shape_ids).tolist():
+            shapes.setdefault(self.category_of(sid), []).append(sid)
+        return {
+            cat: np.flatnonzero(np.isin(self.shape_ids, sids))
+            for cat, sids in shapes.items()
+        }
 
 
 def derive_seed(base: int, shape_id: int, view_id: int) -> int:
@@ -167,9 +202,17 @@ def knn_query(
     ids = np.arange(len(index)) if subset is None else np.asarray(subset)
     if len(ids) == 0:
         raise EmptyIndexError("no records in the searched subset")
-    emb = index.embeddings[ids].astype(np.float64)
+    emb = index.embeddings_f64 if subset is None else index.embeddings_f64[ids]
     sims = emb @ np.asarray(query, dtype=np.float64)
-    order = np.lexsort((ids, -sims))[:k]
+    neg = -sims
+    keep = np.arange(len(ids))
+    if k < len(ids):
+        # candidates: every record at or above the k-th highest similarity,
+        # ties with it included, so sorting them gives the exact full order;
+        # a NaN compares false and stays too, and sorts last as in a full sort
+        kth = np.partition(neg, k - 1)[k - 1]
+        keep = np.flatnonzero(~(neg > kth))
+    order = keep[np.lexsort((ids[keep], neg[keep]))[:k]]
     return [(int(ids[i]), float(sims[i])) for i in order]
 
 
@@ -219,15 +262,11 @@ def retrieve_shape(
         raise ValueError("kq and kr must be >= 1")
     if len(index) == 0:
         raise EmptyIndexError("index holds no records")
-    cfg = cfg or Config(**index.manifest["config"])
+    cfg = cfg or from_dict(index.manifest["config"])
 
     subset = None
     if category is not None:
-        subset = np.flatnonzero(
-            np.array(
-                [index.category_of(int(s)) == category for s in index.shape_ids]
-            )
-        )
+        subset = index.category_records.get(category, np.empty(0, dtype=np.int64))
     patches = sample_patches(
         query_raster, cfg.patch_fraction, kq, seed, cfg.min_coverage
     )
@@ -282,24 +321,38 @@ def retrieve_shape(
 # index file format
 
 
+def _record_dtype(d: int) -> np.dtype:
+    """One packed on-disk record: 24 bytes of u32 ids and rect, d f32 values."""
+    return np.dtype(
+        [
+            ("shape_id", "<u4"),
+            ("view_id", "<u4"),
+            ("rect", "<u4", (4,)),
+            ("emb", "<f4", (d,)),
+        ]
+    )
+
+
 def save_index(index: PatchIndex, path: str) -> None:
     manifest_blob = json.dumps(index.manifest, sort_keys=True).encode("utf-8")
     n, d = index.embeddings.shape
+    records = np.empty(n, dtype=_record_dtype(d))
+    for name, column in (
+        ("shape_id", index.shape_ids),
+        ("view_id", index.view_ids),
+        ("rect", index.rects),
+    ):
+        column = np.asarray(column)
+        if column.size and (column.min() < 0 or column.max() >= 2**32):
+            raise FormatError(f"{name} outside the u32 range [0, 2**32)")
+        records[name] = column
+    records["emb"] = index.embeddings
     with open(path, "wb") as fh:
         fh.write(INDEX_MAGIC)
         fh.write(struct.pack("<III", INDEX_VERSION, n, d))
         fh.write(struct.pack("<I", len(manifest_blob)))
         fh.write(manifest_blob)
-        for i in range(n):
-            fh.write(
-                struct.pack(
-                    "<II4I",
-                    int(index.shape_ids[i]),
-                    int(index.view_ids[i]),
-                    *(int(v) for v in index.rects[i]),
-                )
-            )
-            fh.write(np.ascontiguousarray(index.embeddings[i], dtype="<f4").tobytes())
+        fh.write(records.tobytes())
 
 
 def load_index(path: str) -> PatchIndex:
@@ -316,29 +369,26 @@ def load_index(path: str) -> PatchIndex:
     offset = 20
     if offset + mlen > len(buf):
         raise FormatError("truncated index manifest")
-    manifest = json.loads(buf[offset : offset + mlen].decode("utf-8"))
+    try:
+        manifest = json.loads(buf[offset : offset + mlen].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise FormatError(f"index manifest is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError("index manifest is not a JSON object")
     offset += mlen
-    rec_size = 24 + 4 * d
-    if len(buf) - offset != n * rec_size:
+    try:
+        dtype = _record_dtype(d)
+    except ValueError as exc:  # d too large for a numpy dtype
+        raise FormatError(f"unsupported embedding dimension {d}") from exc
+    if len(buf) - offset != n * dtype.itemsize:
         raise FormatError(
-            f"index payload size {len(buf) - offset} != expected {n * rec_size}"
+            f"index payload size {len(buf) - offset} != expected {n * dtype.itemsize}"
         )
-    shape_ids = np.empty(n, dtype=np.int64)
-    view_ids = np.empty(n, dtype=np.int64)
-    rects = np.empty((n, 4), dtype=np.int64)
-    embeddings = np.empty((n, d), dtype=np.float32)
-    for i in range(n):
-        vals = struct.unpack_from("<II4I", buf, offset)
-        shape_ids[i] = vals[0]
-        view_ids[i] = vals[1]
-        rects[i] = vals[2:6]
-        offset += 24
-        embeddings[i] = np.frombuffer(buf, dtype="<f4", count=d, offset=offset)
-        offset += 4 * d
+    records = np.frombuffer(buf, dtype=dtype, count=n, offset=offset)
     return PatchIndex(
-        embeddings=embeddings,
-        shape_ids=shape_ids,
-        view_ids=view_ids,
-        rects=rects,
+        embeddings=records["emb"].astype(np.float32),
+        shape_ids=records["shape_id"].astype(np.int64),
+        view_ids=records["view_id"].astype(np.int64),
+        rects=records["rect"].astype(np.int64),
         manifest=manifest,
     )

@@ -1,10 +1,23 @@
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from patchvote.config import Config, to_dict
 from patchvote.embed import Tower, TowerParams, init_params
-from patchvote.errors import EmptyIndexError, FormatError, NoRetrievalError
+from patchvote.errors import (
+    ConfigError,
+    EmptyIndexError,
+    FormatError,
+    NoRetrievalError,
+    PatchVoteError,
+)
 from patchvote.index import (
+    INDEX_MAGIC,
     PatchIndex,
     _elect,
     build_index,
@@ -302,3 +315,203 @@ class TestIndexIO:
         p.write_bytes(p.read_bytes()[:-3])
         with pytest.raises(FormatError):
             load_index(str(p))
+
+
+def reference_knn(index, query, k, subset=None):
+    """Full-sort kNN: every searched record ordered by (-sim, id)."""
+    ids = np.arange(len(index)) if subset is None else np.asarray(subset)
+    emb = index.embeddings[ids].astype(np.float64)
+    sims = emb @ np.asarray(query, dtype=np.float64)
+    order = np.lexsort((ids, -sims))[:k]
+    return [(int(ids[i]), float(sims[i])) for i in order]
+
+
+class TestKnnPartialTopK:
+    def test_k_cuts_through_run_of_ties(self):
+        a, b = unit([1, 0, 0, 0]), unit([1, 1, 0, 0])
+        # records 1..5 tie at the 2nd..6th place; k=3 keeps the two lowest ids
+        idx = micro_index([b, a, b, a, a, a, b], [0, 1, 2, 3, 4, 5, 6])
+        out = knn_query(idx, a, 3)
+        assert [rid for rid, _ in out] == [1, 3, 4]
+        out = knn_query(idx, b, 4)
+        assert [rid for rid, _ in out] == [0, 2, 6, 1]
+
+    def test_unsorted_subset(self):
+        v = unit([1, 2, 0, 0])
+        idx = micro_index(
+            [v, unit([0, 1, 0, 0]), v, v, unit([1, 0, 0, 0])], [0, 1, 2, 3, 4]
+        )
+        out = knn_query(idx, v, 3, subset=np.array([4, 3, 1, 2]))
+        assert [rid for rid, _ in out] == [2, 3, 1]
+        assert out == reference_knn(idx, v, 3, subset=[4, 3, 1, 2])
+
+    @pytest.mark.parametrize("k", [3, 4, 50])
+    def test_k_at_least_subset_size_returns_whole_subset(self, k):
+        idx = micro_index(
+            [unit([1, 0, 0, 0]), unit([1, 1, 0, 0]), unit([0, 1, 0, 0]),
+             unit([1, 0, 0, 1])],
+            [0, 1, 2, 3],
+        )
+        out = knn_query(idx, unit([1, 0, 0, 0]), k, subset=np.array([2, 0, 1]))
+        assert [rid for rid, _ in out] == [0, 1, 2]
+
+    def test_matches_full_sort_reference_with_frequent_ties(self):
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            n = int(rng.integers(1, 120))
+            # small-integer embeddings make exact similarity ties common
+            emb = rng.integers(-2, 3, size=(n, 4)).astype(np.float32)
+            idx = micro_index(emb, rng.integers(0, 5, size=n).tolist())
+            query = rng.integers(-2, 3, size=4).astype(np.float64)
+            k = int(rng.integers(1, n + 3))
+            subset = None
+            if trial % 2:
+                subset = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+            assert knn_query(idx, query, k, subset) == reference_knn(
+                idx, query, k, subset
+            )
+
+    def test_unknown_category_raises_empty_index(self):
+        idx, model, raster, cfg = retrieval_fixture([unit([1, 1, 1, 1])], [0])
+        with pytest.raises(EmptyIndexError):
+            retrieve_shape(
+                idx, raster, raster.mask, model, 2, 1, seed=0, cfg=cfg,
+                category="sofa",
+            )
+
+
+class TestRetrieveConfigFallback:
+    def test_manifest_config_used_when_no_cfg_given(self):
+        idx, model, raster, cfg = retrieval_fixture(
+            [unit([1, 1, 1, 1]), unit([1, 1, 0, 0])], [0, 1]
+        )
+        idx.manifest["config"] = to_dict(cfg)
+        a = retrieve_shape(idx, raster, raster.mask, model, 3, 2, seed=4)
+        b = retrieve_shape(idx, raster, raster.mask, model, 3, 2, seed=4, cfg=cfg)
+        assert a.ranking == b.ranking
+
+    def test_unknown_manifest_config_key_rejected(self):
+        idx, model, raster, _ = retrieval_fixture([unit([1, 1, 1, 1])], [0])
+        idx.manifest["config"]["bogus"] = 1
+        with pytest.raises(ConfigError, match="bogus"):
+            retrieve_shape(idx, raster, raster.mask, model, 1, 1, seed=0)
+
+
+def index_blob(manifest_bytes: bytes) -> bytes:
+    """An index file of no records with the given manifest bytes."""
+    header = INDEX_MAGIC + struct.pack("<IIII", 1, 0, 4, len(manifest_bytes))
+    return header + manifest_bytes
+
+
+def load_blob(blob: bytes) -> PatchIndex:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.p2ci")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return load_index(path)
+
+
+def valid_blob() -> bytes:
+    idx = micro_index(
+        [unit([1, 0, 0, 0]), unit([1, 2, 0, 0]), unit([0, 1, 3, 0])], [0, 1, 1]
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.p2ci")
+        save_index(idx, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+VALID_BLOB = valid_blob()
+
+
+def loads_or_rejects(blob: bytes) -> None:
+    try:
+        idx = load_blob(blob)
+    except PatchVoteError:
+        return
+    assert isinstance(idx, PatchIndex)
+    assert idx.embeddings.shape[0] == len(idx.shape_ids) == len(idx.rects)
+
+
+class TestIndexIOColumnar:
+    @pytest.mark.parametrize(
+        "manifest",
+        [b"\xff\xfe{}", b"{not json", b"[1, 2]", b"3", b""],
+        ids=["not-utf8", "not-json", "list", "number", "empty"],
+    )
+    def test_bad_manifest_is_format_error(self, manifest):
+        with pytest.raises(FormatError, match="manifest"):
+            load_blob(index_blob(manifest))
+
+    def test_empty_index_round_trips(self, tmp_path):
+        idx = micro_index(np.zeros((0, 4)), [])
+        p = tmp_path / "e.p2ci"
+        save_index(idx, str(p))
+        back = load_index(str(p))
+        assert back.embeddings.shape == (0, 4)
+        assert back.manifest == idx.manifest
+
+    def test_loaded_arrays_are_writable_copies(self):
+        back = load_blob(VALID_BLOB)
+        for arr in (back.embeddings, back.shape_ids, back.view_ids, back.rects):
+            assert arr.flags["C_CONTIGUOUS"] and arr.flags["WRITEABLE"]
+        assert back.embeddings.dtype == np.float32
+        assert back.shape_ids.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "field, column, value",
+        [
+            ("shape_id", "shape_ids", -1),
+            ("shape_id", "shape_ids", 2**32),
+            ("view_id", "view_ids", 2**32),
+            ("rect", "rects", -3),
+        ],
+    )
+    def test_save_rejects_values_outside_u32(self, tmp_path, field, column, value):
+        idx = micro_index([unit([1, 0, 0, 0]), unit([0, 1, 0, 0])], [0, 1])
+        arr = getattr(idx, column)
+        arr.flat[-1] = value
+        p = tmp_path / "bad.p2ci"
+        with pytest.raises(FormatError, match=field):
+            save_index(idx, str(p))
+        assert not p.exists()
+
+    def test_u32_extremes_round_trip(self, tmp_path):
+        idx = micro_index([unit([1, 0, 0, 0]), unit([0, 1, 0, 0])], [0, 1])
+        idx.view_ids[1] = 2**32 - 1
+        idx.rects[0] = [0, 2**32 - 1, 7, 2**31]
+        p = tmp_path / "x.p2ci"
+        save_index(idx, str(p))
+        back = load_index(str(p))
+        np.testing.assert_array_equal(back.view_ids, idx.view_ids)
+        np.testing.assert_array_equal(back.rects, idx.rects)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut=st.integers(min_value=0, max_value=len(VALID_BLOB)))
+    def test_fuzz_truncation(self, cut):
+        loads_or_rejects(VALID_BLOB[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        flips=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=len(VALID_BLOB) - 1),
+                st.integers(min_value=0, max_value=7),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_fuzz_bit_flips(self, flips):
+        blob = bytearray(VALID_BLOB)
+        for pos, bit in flips:
+            blob[pos] ^= 1 << bit
+        loads_or_rejects(bytes(blob))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail=st.binary(max_size=256), with_header=st.booleans())
+    @example(tail=struct.pack("<IIII", 1, 0, 2**31, 2) + b"{}", with_header=False)
+    @example(tail=b"", with_header=True)
+    def test_fuzz_random_bytes(self, tail, with_header):
+        loads_or_rejects((INDEX_MAGIC if with_header else b"") + tail)

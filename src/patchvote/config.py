@@ -22,7 +22,7 @@ class Config:
     # contrastive loss
     tau: float = 0.15
     weight_c: float = 24.0
-    # descriptor match thresholds
+    # rect footprint-IoU thresholds for labeling training pairs
     theta_pos: float = 0.4
     theta_neg: float = 0.6
     # patch geometry
@@ -32,9 +32,6 @@ class Config:
     num_views: int = 16
     kq: int = 9
     kr: int = 24
-    # self-similarity histogram
-    hist_bins: int = 16
-    max_pair_samples: int = 64
     # embedding towers
     embed_dim: int = 32
     hidden_dim: int = 64
@@ -63,8 +60,6 @@ _COUNT_FIELDS = (
     "num_views",
     "kq",
     "kr",
-    "hist_bins",
-    "max_pair_samples",
     "embed_dim",
     "hidden_dim",
     "pool_size",
@@ -114,12 +109,31 @@ def validate(cfg: Config) -> list[str]:
     return errors
 
 
+def _type_problems(data: dict) -> list[str]:
+    """An int field takes an int, a float field an int or a float; never a bool."""
+    problems = []
+    for f in fields(Config):
+        if f.name not in data:
+            continue
+        value = data[f.name]
+        kinds = (int, float) if f.type == "float" else (int,)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            wanted = "a number" if f.type == "float" else "an integer"
+            problems.append(f"{f.name}: must be {wanted}, not {type(value).__name__}")
+    return problems
+
+
 def from_dict(data: dict) -> Config:
     """Build a Config from a JSON-style dict, rejecting unknown keys."""
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
     known = {f.name for f in fields(Config)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown key: {unknown[0]}")
+    problems = _type_problems(data)
+    if problems:
+        raise ConfigError("; ".join(problems))
     cfg = Config(**data)
     problems = validate(cfg)
     if problems:
@@ -145,8 +159,6 @@ def load_config(path: str | None = None) -> Config:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
     return from_dict(data)
 
 

@@ -1,27 +1,20 @@
-"""Patch geometry and the normal self-similarity descriptor.
+"""Patch geometry: sampling square patch rects and snapping them to content.
 
-A patch descriptor is a histogram of all pairwise angular distances
-between surface normals inside the patch. Pairwise angles survive rigid
-rotation, which is what lets descriptors computed on differently posed
-renders agree, and the histogram IoU is the match oracle that labels
-training pairs positive or negative.
+Both domains place patches the same way: rects are drawn uniformly over
+a raster, flagged empty where the mask barely covers them, and anchored
+to the centroid of the content they cover. Training pairs are labeled
+elsewhere (see experiment.build_corpus) by the footprint IoU of these
+rects, not by a descriptor of the normals inside them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DescriptorError
 from .render import NormalMap, ShadedRender
-
-
-class MatchLabel(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    EXCLUDED = "excluded"
 
 
 @dataclass
@@ -34,13 +27,6 @@ class PatchRect:
     shape_id: int = -1
     view_id: int = -1
     domain: str = ""
-
-
-@dataclass
-class PatchDescriptor:
-    hist: np.ndarray  # (B,) nonnegative, sums to 1 unless empty
-    sample_count: int
-    empty: bool
 
 
 def patch_side(fraction: float, resolution: int) -> int:
@@ -122,74 +108,3 @@ def content_rect(
         view_id=rect.view_id,
         domain=rect.domain,
     )
-
-
-def stride_subsample(arr: np.ndarray, max_samples: int) -> np.ndarray:
-    """Deterministic evenly spaced subsampling along axis 0."""
-    n = len(arr)
-    if n <= max_samples:
-        return arr
-    idx = np.floor(np.linspace(0, n - 1, max_samples)).astype(np.int64)
-    return arr[idx]
-
-
-def self_similarity_histogram(
-    nmap: NormalMap,
-    rect: PatchRect,
-    bins: int = 16,
-    max_samples: int = 64,
-    min_coverage: float = 0.10,
-) -> PatchDescriptor:
-    """Histogram of pairwise normal angles inside the rect.
-
-    Masked normals are gathered row-major, subsampled to max_samples,
-    and every unordered pair contributes arccos(clamp(dot, -1, 1)),
-    binned uniformly over [0, pi] with pi landing in the last bin.
-    """
-    if bins < 2:
-        raise DescriptorError("bins must be >= 2")
-    sub_mask = nmap.mask[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
-    sub_normals = nmap.normals[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
-    normals = sub_normals[sub_mask].astype(np.float64)
-    area = rect.w * rect.h
-    if len(normals) < max(2, min_coverage * area):
-        return PatchDescriptor(np.zeros(bins), sample_count=len(normals), empty=True)
-    normals = stride_subsample(normals, max_samples)
-    n = len(normals)
-    dots = normals @ normals.T
-    iu = np.triu_indices(n, k=1)
-    angles = np.arccos(np.clip(dots[iu], -1.0, 1.0))
-    idx = np.minimum((angles / (np.pi / bins)).astype(np.int64), bins - 1)
-    hist = np.bincount(idx, minlength=bins).astype(np.float64)
-    hist /= hist.sum()
-    return PatchDescriptor(hist, sample_count=n, empty=False)
-
-
-def histogram_iou(a: PatchDescriptor, b: PatchDescriptor) -> float:
-    if a.empty or b.empty:
-        raise DescriptorError("IoU of an empty descriptor")
-    if len(a.hist) != len(b.hist):
-        raise DescriptorError("histogram bin counts differ")
-    mins = np.minimum(a.hist, b.hist).sum()
-    maxs = np.maximum(a.hist, b.hist).sum()
-    return float(mins / maxs)
-
-
-def label_match(
-    query: PatchDescriptor,
-    candidate: PatchDescriptor,
-    candidate_is_gt_shape: bool,
-    theta_pos: float = 0.4,
-    theta_neg: float = 0.6,
-) -> MatchLabel:
-    """Double-threshold labeling.
-
-    Positives must come from the ground-truth shape AND look alike;
-    negatives must come from another shape AND look sufficiently
-    different. Everything else is excluded: a non-gt patch that happens
-    to look like the query is too similar to punish.
-    """
-    iou = histogram_iou(query, candidate)
-    if candidate_is_gt_shape:
-        return MatchLabel.POSITIVE if iou >= theta_pos else MatchLabel.EXCLUDED
-    return MatchLabel.NEGATIVE if iou <= theta_neg else MatchLabel.EXCLUDED

@@ -224,12 +224,13 @@ def mine_hard_negatives(
 
 @dataclass
 class PatchCorpus:
-    """Descriptor-labeled training data.
+    """Footprint-labeled training data.
 
     Candidate rows are shape-domain patches; per anchor we keep the rows
-    labeled positive and the rows labeled negative by the descriptor
-    oracle. Negatives here are the full per-anchor pool; mining trims
-    them to cfg.negatives_keep each epoch.
+    labeled positive and the rows labeled negative by their rect
+    footprint IoU with the anchor (see experiment.build_corpus).
+    Negatives here are the full per-anchor pool; mining trims them to
+    cfg.negatives_keep each epoch.
     """
 
     anchor_feats: np.ndarray

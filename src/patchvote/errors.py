@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Every error raised by library code derives from PatchVoteError so the CLI
-can turn any failure into a machine-readable error object.
+Every error the package defines derives from PatchVoteError, so callers
+can catch one base class.
 """
 
 
@@ -28,7 +28,7 @@ class RenderError(PatchVoteError):
 
 
 class DescriptorError(PatchVoteError):
-    """Invalid descriptor operation (e.g. IoU of an empty descriptor)."""
+    """Invalid patch geometry (e.g. a patch side below two pixels)."""
 
 
 class ConfigError(PatchVoteError):

@@ -1,33 +1,27 @@
 """End-to-end pipelines over the synthetic benchmarks.
 
 Everything here is orchestration: rendering a benchmark into a training
-corpus, fitting the towers, building the index, scoring queries, and the
-parameter sweeps behind the ablation CSVs. Descriptor labeling follows
-the double-threshold oracle; anchors live in the image domain (shaded
-renders at views nudged off the canonical grid), candidates in the
-shape domain (the same records the index holds, enumerated by the same
-generator).
+corpus, fitting the towers, building the index, scoring queries, and
+the pose experiment. Training pairs are labeled by the double-threshold
+rule on rect footprint IoU (theta_pos, theta_neg); anchors live in the
+image domain (shaded renders at views nudged off the canonical grid),
+candidates in the shape domain (the same records the index holds,
+enumerated by the same generator).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import Config, to_dict
-from .descriptor import (
-    PatchRect,
-    content_rect,
-    sample_patches,
-    self_similarity_histogram,
-)
+from .descriptor import PatchRect, content_rect, sample_patches
 from .embed import (
     PatchCorpus,
     TowerParams,
     image_patch_features,
     init_params,
-    shape_patch_features,
     train,
 )
 from .errors import NoRetrievalError, RenderError, TrainingError
@@ -38,7 +32,7 @@ from .index import (
     enumerate_view_patches,
     retrieve_shape,
 )
-from .metrics import build_report, recall_at_k, rotation_error
+from .metrics import build_report, rotation_error
 from .pose import (
     PoseDataset,
     PoseHeadParams,
@@ -85,42 +79,6 @@ def render_query(mesh, view, cfg: Config, seed: int):
     return shaded, nmap
 
 
-@dataclass
-class CandidateSet:
-    feats: np.ndarray      # (N, 3 * pool^2) float32
-    hists: np.ndarray      # (N, B) float64 descriptor histograms
-    shape_ids: np.ndarray  # (N,) int64
-    view_ids: np.ndarray   # (N,) int64
-    rects: np.ndarray      # (N, 4) int64 rows of (x, y, w, h)
-
-
-def collect_candidates(
-    shapes: dict, views: ViewSet, cfg: Config, patches_per_view: int
-) -> CandidateSet:
-    """Shape-domain records in index order, with descriptors attached."""
-    feats, hists, sids, vids, rects = [], [], [], [], []
-    for sid, vid, nmap, kept in enumerate_view_patches(
-        shapes, views, patches_per_view, cfg
-    ):
-        for r in kept:
-            desc = self_similarity_histogram(
-                nmap, r, cfg.hist_bins, cfg.max_pair_samples, cfg.min_coverage
-            )
-            assert not desc.empty, "non-empty rect produced an empty descriptor"
-            feats.append(shape_patch_features(nmap.normals, r, cfg.pool_size))
-            hists.append(desc.hist)
-            sids.append(sid)
-            vids.append(vid)
-            rects.append((r.x, r.y, r.w, r.h))
-    return CandidateSet(
-        feats=np.asarray(feats, dtype=np.float32),
-        hists=np.asarray(hists, dtype=np.float64),
-        shape_ids=np.asarray(sids, dtype=np.int64),
-        view_ids=np.asarray(vids, dtype=np.int64),
-        rects=np.asarray(rects, dtype=np.int64),
-    )
-
-
 def _rect_iou(rect: PatchRect, rects: np.ndarray) -> np.ndarray:
     """Intersection over union of one rect against (N, 4) rows (x, y, w, h)."""
     x0 = np.maximum(rect.x, rects[:, 0])
@@ -163,9 +121,20 @@ def build_corpus(
     subsample.
     """
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
-    cand = collect_candidates(db, views, cfg, patches_per_view)
-    if len(cand.feats) == 0:
+    blocks = [
+        (
+            feats.astype(np.float32),
+            np.full(len(rects), sid, dtype=np.int64),
+            np.full(len(rects), vid, dtype=np.int64),
+            rects,
+        )
+        for sid, vid, feats, rects in enumerate_view_patches(
+            db, views, patches_per_view, cfg
+        )
+    ]
+    if not blocks:
         raise TrainingError("no shape-domain candidates to train against")
+    cand_feats, cand_sids, cand_vids, cand_rects = map(np.concatenate, zip(*blocks))
     sids_sorted = sorted(db)
     rot_rng = np.random.default_rng(cfg.seed + _ANCHOR_ROT_OFFSET)
     anchor_feats, pos_lists, neg_lists = [], [], []
@@ -215,14 +184,14 @@ def build_corpus(
                 r = content_rect(
                     variants[pi].intensity, variants[pi].mask, r
                 )
-                footprint = _rect_iou(r, cand.rects)
+                footprint = _rect_iou(r, cand_rects)
                 pos = np.flatnonzero(
-                    (cand.shape_ids == sid)
-                    & (cand.view_ids == near_vid)
+                    (cand_sids == sid)
+                    & (cand_vids == near_vid)
                     & (footprint >= cfg.theta_pos)
                 )
                 neg = np.flatnonzero(
-                    (cand.shape_ids != sid) & (footprint <= cfg.theta_neg)
+                    (cand_sids != sid) & (footprint <= cfg.theta_neg)
                 )
                 if len(neg) > cfg.negatives_pool:
                     rng = np.random.default_rng(
@@ -249,7 +218,7 @@ def build_corpus(
         raise TrainingError("corpus has no usable anchors")
     return PatchCorpus(
         anchor_feats=np.asarray(anchor_feats, dtype=np.float32),
-        cand_feats=cand.feats,
+        cand_feats=cand_feats,
         pos_lists=pos_lists,
         neg_lists=neg_lists,
         skipped_anchors=skipped,
@@ -540,58 +509,3 @@ def run_pose_experiment(
         medoids=medoids,
         history=result.history,
     )
-
-
-# ---------------------------------------------------------------------------
-# ablation sweeps
-
-
-def patch_size_sweep(
-    values,
-    seeds,
-    cfg: Config,
-    num_shapes: int,
-    leave_out: float,
-    views_per_query: int,
-    patches_per_view: int = 64,
-    eval_k: int = 5,
-):
-    """Retrain per patch fraction; returns (value, mean recall@eval_k) rows."""
-    rows = []
-    for v in values:
-        recalls = []
-        for s in seeds:
-            c = replace(cfg, patch_fraction=float(v), seed=int(s))
-            report, _, _ = run_retrieval_experiment(
-                c, num_shapes, leave_out, views_per_query, patches_per_view
-            )
-            recalls.append(report.recall[eval_k])
-        rows.append((float(v), float(np.mean(recalls))))
-    return rows
-
-
-def vote_count_sweep(
-    param: str,
-    values,
-    seeds,
-    cfg: Config,
-    num_shapes: int,
-    leave_out: float,
-    views_per_query: int,
-    patches_per_view: int = 64,
-    eval_k: int = 1,
-):
-    """Sweep kq or kr at retrieval time, one trained pipeline per seed."""
-    if param not in ("kq", "kr"):
-        raise ValueError("param must be 'kq' or 'kr'")
-    per_value = {v: [] for v in values}
-    for s in seeds:
-        c = replace(cfg, seed=int(s))
-        bench = generate_benchmark(num_shapes, leave_out, views_per_query, c.seed)
-        pipe = train_pipeline(bench, c, patches_per_view)
-        for v in values:
-            kq = int(v) if param == "kq" else c.kq
-            kr = int(v) if param == "kr" else c.kr
-            results, gts, _ = evaluate_queries(bench, pipe, c, kq=kq, kr=kr)
-            per_value[v].append(recall_at_k(results, gts, eval_k))
-    return [(int(v), float(np.mean(per_value[v]))) for v in values]

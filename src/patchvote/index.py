@@ -90,7 +90,11 @@ def enumerate_view_patches(
     patches_per_view: int,
     cfg: Config,
 ):
-    """Yield (shape_id, view_id, normal map, non-empty rects) per rendered view.
+    """Yield one block of records per rendered view.
+
+    A block is (shape_id, view_id, feats, rects): feats holds the k
+    records' pooled normals, (k, 3 * pool_size**2) f64, and rects their
+    (x, y, w, h) rows, (k, 4) int64.
 
     The single source of record identity: index construction and training
     corpus assembly both consume this, so record ids line up by position.
@@ -126,7 +130,11 @@ def enumerate_view_patches(
                     seen.add((snapped.x, snapped.y))
                     kept.append(snapped)
             if kept:
-                yield sid, vid, nmap, kept
+                feats = np.stack(
+                    [shape_patch_features(nmap.normals, r, cfg.pool_size) for r in kept]
+                )
+                rects = np.array([(r.x, r.y, r.w, r.h) for r in kept], dtype=np.int64)
+                yield sid, vid, feats, rects
 
 
 def build_index(
@@ -137,25 +145,22 @@ def build_index(
     cfg: Config,
     mesh_paths: dict[int, str] | None = None,
 ) -> PatchIndex:
-    """Render, sample, and embed every shape x view into one flat index."""
+    """Render, sample, and embed every shape x view into one flat index.
+
+    Each view's block goes through the shape tower in one pass; blocks
+    are embedded one at a time, so the f64 features of the whole index
+    are never held at once.
+    """
     if not shapes:
         raise EmptyIndexError("no shapes to index")
-    embeddings = []
-    shape_ids = []
-    view_ids = []
-    rects = []
-    for sid, vid, nmap, kept in enumerate_view_patches(
+    embeddings, shape_ids, view_ids, rects = [], [], [], []
+    for sid, vid, feats, view_rects in enumerate_view_patches(
         shapes, views, patches_per_view, cfg
     ):
-        feats = [
-            shape_patch_features(nmap.normals, r, cfg.pool_size) for r in kept
-        ]
-        Y = tower_forward(model.shape, np.stack(feats)).Y
-        embeddings.append(Y.astype(np.float32))
-        for r in kept:
-            shape_ids.append(sid)
-            view_ids.append(vid)
-            rects.append((r.x, r.y, r.w, r.h))
+        embeddings.append(tower_forward(model.shape, feats).Y.astype(np.float32))
+        shape_ids.append(np.full(len(feats), sid, dtype=np.int64))
+        view_ids.append(np.full(len(feats), vid, dtype=np.int64))
+        rects.append(view_rects)
     if not embeddings:
         raise EmptyIndexError("index build produced no records")
     manifest = {
@@ -177,9 +182,9 @@ def build_index(
     }
     return PatchIndex(
         embeddings=np.vstack(embeddings),
-        shape_ids=np.asarray(shape_ids, dtype=np.int64),
-        view_ids=np.asarray(view_ids, dtype=np.int64),
-        rects=np.asarray(rects, dtype=np.int64),
+        shape_ids=np.concatenate(shape_ids),
+        view_ids=np.concatenate(view_ids),
+        rects=np.vstack(rects),
         manifest=manifest,
     )
 

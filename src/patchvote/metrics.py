@@ -105,7 +105,8 @@ def build_report(results, gts, *, query_ids=None, rotation_errors=None,
         ))
     recall = recall_curve(results, gts, max_k)
     vals = sorted(recall.values())
-    assert vals == [recall[k] for k in sorted(recall)], "recall must be monotone in k"
+    if vals != [recall[k] for k in sorted(recall)]:
+        raise ValueError("recall must be monotone in k")
     rot = [r.rotation_error_deg for r in rows if r.rotation_error_deg is not None]
     fsc = [r.fscore for r in rows if r.fscore is not None]
     return MetricsReport(

@@ -250,6 +250,8 @@ def unpack_pose_section(blob: bytes) -> tuple[PoseHeadParams, np.ndarray]:
         raise FormatError("truncated pose section")
     k, d_in = struct.unpack_from("<II", blob, 0)
     offset = 8
+    if offset + k * 32 > len(blob):
+        raise FormatError("truncated pose section medoids")
     medoids = np.frombuffer(blob, dtype="<f8", count=k * 4, offset=offset)
     medoids = medoids.reshape(k, 4).copy()
     offset += k * 32

@@ -299,7 +299,8 @@ def generate_benchmark(
         shared = sum(
             1 for k, v in spec.params.items() if parent.params[k] == v
         )
-        assert shared >= 1, "held-out shape shares no part parameter"
+        if shared < 1:
+            raise SynthError("held-out shape shares no part parameter")
         shapes[sid] = ShapeEntry(
             spec=spec, mesh=generate_shape(spec), parent_id=parent_id
         )

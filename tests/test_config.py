@@ -69,6 +69,34 @@ class TestValidation:
         with pytest.raises(ConfigError, match="hist_bins"):
             from_dict({"hist_bins": 0})
 
+    def test_count_field_zero_rejected_naming_field(self):
+        with pytest.raises(ConfigError, match="kq: must be >= 1"):
+            from_dict({"kq": 0})
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"kq": "9"}, "kq"),
+            ({"tau": "x"}, "tau"),
+            ({"seed": None}, "seed"),
+            ({"kq": 9.0}, "kq"),
+            ({"kr": True}, "kr"),
+            ({"tau": False}, "tau"),
+            ({"theta_pos": [0.4]}, "theta_pos"),
+        ],
+    )
+    def test_wrong_field_type_rejected_naming_field(self, data, field):
+        with pytest.raises(ConfigError, match=f"^{field}: must be"):
+            from_dict(data)
+
+    def test_float_field_takes_an_int(self):
+        cfg = from_dict({"tau": 1, "weight_c": 3})
+        assert cfg.tau == 1 and cfg.weight_c == 3
+
+    def test_non_dict_rejected(self):
+        with pytest.raises(ConfigError, match="object"):
+            from_dict(["kq"])
+
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

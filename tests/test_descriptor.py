@@ -1,19 +1,9 @@
 import numpy as np
 import pytest
 
-from patchvote.descriptor import (
-    MatchLabel,
-    PatchDescriptor,
-    PatchRect,
-    histogram_iou,
-    label_match,
-    patch_side,
-    sample_patches,
-    self_similarity_histogram,
-)
+from patchvote.descriptor import patch_side, sample_patches
 from patchvote.errors import DescriptorError
 from patchvote.render import NormalMap
-from patchvote.views import quat_to_matrix, random_rotations
 
 
 def nmap_from_normals(grid: np.ndarray, mask: np.ndarray | None = None) -> NormalMap:
@@ -21,10 +11,6 @@ def nmap_from_normals(grid: np.ndarray, mask: np.ndarray | None = None) -> Norma
     if mask is None:
         mask = np.ones(grid.shape[:2], dtype=bool)
     return NormalMap(normals=grid, mask=mask)
-
-
-def full_rect(side: int) -> PatchRect:
-    return PatchRect(0, 0, side, side)
 
 
 class TestSamplePatches:
@@ -65,155 +51,3 @@ class TestSamplePatches:
         assert patch_side(1.0 / 3.0, 96) == 32
         assert patch_side(1.0, 96) == 96
         assert patch_side(1.0 / 3.0, 100) == 33
-
-
-class TestSelfSimilarityHistogram:
-    def test_planar_patch_all_mass_in_bin_zero(self):
-        grid = np.zeros((8, 8, 3))
-        grid[:, :, 2] = 1.0
-        d = self_similarity_histogram(nmap_from_normals(grid), full_rect(8))
-        assert not d.empty
-        assert d.hist[0] == pytest.approx(1.0)
-        np.testing.assert_allclose(d.hist[1:], 0.0)
-
-    def test_two_plane_example_twelve_and_sixteen_pairs(self):
-        # 4 normals (0,0,1) and 4 normals (1,0,0): 12 same-plane pairs at
-        # angle 0, 16 cross pairs at 90 degrees -> bin floor(90/11.25) = 8
-        grid = np.zeros((2, 4, 3))
-        grid[0, :, 2] = 1.0
-        grid[1, :, 0] = 1.0
-        d = self_similarity_histogram(
-            nmap_from_normals(grid, np.ones((2, 4), bool)),
-            PatchRect(0, 0, 4, 2),
-            bins=16,
-        )
-        assert d.hist[0] == pytest.approx(12 / 28)
-        assert d.hist[8] == pytest.approx(16 / 28)
-        assert d.hist.sum() == pytest.approx(1.0)
-        others = np.delete(d.hist, [0, 8])
-        np.testing.assert_allclose(others, 0.0)
-
-    def test_rotation_invariance_random_patches(self):
-        bins = 16
-        bin_width = np.pi / bins
-        rng = np.random.default_rng(42)
-        rotations = random_rotations(100, seed=9)
-        checked = 0
-        for trial in range(100):
-            raw = rng.normal(size=(5, 5, 3))
-            raw /= np.linalg.norm(raw, axis=2, keepdims=True)
-            flat = raw.reshape(-1, 3)
-            dots = np.clip(flat @ flat.T, -1, 1)
-            angles = np.arccos(dots[np.triu_indices(len(flat), k=1)])
-            # skip trials with angles near a bin boundary: rotation noise
-            # could legally move those across bins
-            frac = np.abs(angles / bin_width - np.round(angles / bin_width))
-            if (frac * bin_width < 1e-5).any():
-                continue
-            rot = raw @ quat_to_matrix(rotations[trial]).T
-            d0 = self_similarity_histogram(nmap_from_normals(raw), full_rect(5))
-            d1 = self_similarity_histogram(nmap_from_normals(rot), full_rect(5))
-            np.testing.assert_allclose(d0.hist, d1.hist, atol=1e-6)
-            checked += 1
-        assert checked > 50
-
-    def test_empty_when_coverage_below_threshold(self):
-        grid = np.zeros((8, 8, 3))
-        grid[:, :, 2] = 1.0
-        mask = np.zeros((8, 8), bool)
-        mask[0, 0] = True  # 1/64 coverage
-        d = self_similarity_histogram(nmap_from_normals(grid, mask), full_rect(8))
-        assert d.empty
-        np.testing.assert_array_equal(d.hist, 0.0)
-
-    def test_subsampling_caps_sample_count(self):
-        grid = np.zeros((16, 16, 3))
-        grid[:, :, 2] = 1.0
-        d = self_similarity_histogram(
-            nmap_from_normals(grid), full_rect(16), max_samples=64
-        )
-        assert d.sample_count == 64
-
-    def test_determinism_bit_identical(self):
-        rng = np.random.default_rng(5)
-        grid = rng.normal(size=(10, 10, 3))
-        grid /= np.linalg.norm(grid, axis=2, keepdims=True)
-        a = self_similarity_histogram(nmap_from_normals(grid), full_rect(10))
-        b = self_similarity_histogram(nmap_from_normals(grid), full_rect(10))
-        np.testing.assert_array_equal(a.hist, b.hist)
-
-
-def make_desc(hist) -> PatchDescriptor:
-    return PatchDescriptor(np.asarray(hist, dtype=float), sample_count=8, empty=False)
-
-
-class TestHistogramIoU:
-    def test_identical_gives_one(self):
-        a = make_desc([0.25, 0.25, 0.5])
-        assert histogram_iou(a, a) == pytest.approx(1.0)
-
-    def test_disjoint_gives_zero(self):
-        assert histogram_iou(make_desc([1, 0]), make_desc([0, 1])) == 0.0
-
-    def test_hand_computed_example(self):
-        a = make_desc([0.5, 0.5, 0.0])
-        b = make_desc([0.25, 0.5, 0.25])
-        assert histogram_iou(a, b) == pytest.approx(0.6)
-
-    def test_symmetric_and_bounded(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            a = rng.random(16)
-            b = rng.random(16)
-            da = make_desc(a / a.sum())
-            db = make_desc(b / b.sum())
-            assert histogram_iou(da, db) == pytest.approx(histogram_iou(db, da))
-            assert 0.0 <= histogram_iou(da, db) <= 1.0
-
-    def test_empty_rejected(self):
-        empty = PatchDescriptor(np.zeros(16), 0, True)
-        with pytest.raises(DescriptorError, match="empty"):
-            histogram_iou(empty, make_desc(np.ones(16) / 16))
-
-    def test_bin_count_mismatch_rejected(self):
-        with pytest.raises(DescriptorError, match="bin"):
-            histogram_iou(make_desc([1, 0]), make_desc([1, 0, 0]))
-
-
-class TestLabelMatch:
-    def desc_pair_with_iou(self, target: float):
-        # a = [x, 1-x, ...0], b = [1, 0, ...0] has IoU x/(2-x); invert
-        x = 2 * target / (1 + target)
-        a = make_desc([x, 1 - x] + [0.0] * 14)
-        b = make_desc([1.0, 0.0] + [0.0] * 14)
-        return a, b
-
-    def test_similar_gt_is_positive(self):
-        a, b = self.desc_pair_with_iou(0.7)
-        assert label_match(a, b, True) is MatchLabel.POSITIVE
-
-    def test_similar_non_gt_is_excluded(self):
-        a, b = self.desc_pair_with_iou(0.7)
-        assert label_match(a, b, False) is MatchLabel.EXCLUDED
-
-    def test_dissimilar_non_gt_is_negative(self):
-        a, b = self.desc_pair_with_iou(0.5)
-        assert label_match(a, b, False) is MatchLabel.NEGATIVE
-
-    def test_dissimilar_gt_is_excluded(self):
-        a, b = self.desc_pair_with_iou(0.2)
-        assert label_match(a, b, True) is MatchLabel.EXCLUDED
-
-    def test_thresholds_inclusive(self):
-        a, b = self.desc_pair_with_iou(0.37)
-        iou = histogram_iou(a, b)
-        assert label_match(a, b, True, theta_pos=iou) is MatchLabel.POSITIVE
-        assert label_match(a, b, False, theta_neg=iou) is MatchLabel.NEGATIVE
-
-    def test_grid_never_crosses_gt_gate(self):
-        for t in np.arange(0.0, 1.0001, 0.05):
-            a, b = self.desc_pair_with_iou(float(t))
-            gt = label_match(a, b, True)
-            non = label_match(a, b, False)
-            assert gt in (MatchLabel.POSITIVE, MatchLabel.EXCLUDED)
-            assert non in (MatchLabel.NEGATIVE, MatchLabel.EXCLUDED)

@@ -177,3 +177,12 @@ class TestReport:
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_report([[1]], [1, 2])
+
+    def test_non_monotone_recall_raises(self, monkeypatch):
+        # recall_curve is monotone by construction; stand in a broken one to
+        # check that the invariant is a raised error, not a strippable assert
+        import patchvote.metrics as metrics
+
+        monkeypatch.setattr(metrics, "recall_curve", lambda *a: {1: 1.0, 2: 0.5})
+        with pytest.raises(ValueError, match="monotone"):
+            build_report([[1]], [1])

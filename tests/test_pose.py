@@ -1,7 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from patchvote.config import Config
+from patchvote.errors import FormatError, PatchVoteError
 from patchvote.pose import (
     PoseDataset,
     PoseHeadParams,
@@ -233,3 +238,57 @@ class TestPoseSection:
 
         with pytest.raises(FormatError):
             unpack_pose_section(blob[:-4])
+
+
+VALID_SECTION = pack_pose_section(
+    init_pose_head(5, 3, seed=4), random_rotations(3, seed=5)
+)
+
+
+def unpacks_or_rejects(blob: bytes) -> None:
+    try:
+        params, medoids = unpack_pose_section(blob)
+    except PatchVoteError:
+        return
+    k = len(medoids)
+    assert medoids.shape == (k, 4)
+    assert params.Wc.shape[1] == k
+
+
+class TestPoseSectionMalformed:
+    def test_truncated_inside_medoids(self):
+        with pytest.raises(FormatError, match="medoids"):
+            unpack_pose_section(VALID_SECTION[: 8 + 3 * 32 - 1])
+
+    def test_header_claims_more_medoids_than_present(self):
+        blob = struct.pack("<II", 2**31, 5) + VALID_SECTION[8:]
+        with pytest.raises(FormatError):
+            unpack_pose_section(blob)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut=st.integers(min_value=0, max_value=len(VALID_SECTION)))
+    def test_fuzz_truncation(self, cut):
+        unpacks_or_rejects(VALID_SECTION[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        flips=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=len(VALID_SECTION) - 1),
+                st.integers(min_value=0, max_value=7),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_fuzz_bit_flips(self, flips):
+        blob = bytearray(VALID_SECTION)
+        for pos, bit in flips:
+            blob[pos] ^= 1 << bit
+        unpacks_or_rejects(bytes(blob))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail=st.binary(max_size=256), header=st.booleans())
+    @example(tail=b"", header=True)
+    def test_fuzz_random_bytes(self, tail, header):
+        unpacks_or_rejects((VALID_SECTION[:8] if header else b"") + tail)

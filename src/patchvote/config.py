@@ -1,18 +1,21 @@
 """Single authoritative configuration record.
 
 Every pipeline stage reads its knobs from one Config value, and the
-effective config is embedded in index files, model files, and metric
-reports so artifacts stay self-describing. Unknown keys are rejected
-rather than ignored: a typo in an ablation config must fail loudly.
+effective config is embedded in index manifests and metric reports so
+artifacts stay self-describing; a model file carries it only when its
+writer passes a CFG0 section. Unknown keys are rejected rather than
+ignored: a typo in an ablation config must fail loudly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 
-from .errors import ConfigError
+from .artifact import decode_json
+from .errors import ConfigError, FormatError
 
 ENV_CONFIG_PATH = "P2C_CONFIG"
 
@@ -41,9 +44,6 @@ class Config:
     # pose head
     pose_bins: int = 16
     huber_delta: float = 1.0
-    # evaluation
-    fscore_threshold: float = 0.05
-    fscore_samples: int = 10000
     # rendering
     render_resolution: int = 96
     shade_noise: float = 0.02
@@ -66,7 +66,6 @@ _COUNT_FIELDS = (
     "negatives_pool",
     "negatives_keep",
     "pose_bins",
-    "fscore_samples",
     "batch_size",
     "anchor_views",
     "anchors_per_epoch",
@@ -76,7 +75,11 @@ _COUNT_FIELDS = (
 
 def validate(cfg: Config) -> list[str]:
     """Return a list of violation messages, each naming the bad field."""
-    errors = []
+    errors = [
+        f"{name}: must be finite"
+        for name, value in to_dict(cfg).items()
+        if isinstance(value, float) and not math.isfinite(value)
+    ]
     if not cfg.tau > 0:
         errors.append("tau: must be > 0")
     if not cfg.weight_c > 0:
@@ -96,13 +99,11 @@ def validate(cfg: Config) -> list[str]:
         errors.append("negatives_keep: must be <= negatives_pool")
     if not cfg.huber_delta > 0:
         errors.append("huber_delta: must be > 0")
-    if not cfg.fscore_threshold > 0:
-        errors.append("fscore_threshold: must be > 0")
     if cfg.render_resolution < 8:
         errors.append("render_resolution: must be >= 8")
-    if cfg.shade_noise < 0:
+    if not cfg.shade_noise >= 0:
         errors.append("shade_noise: must be >= 0")
-    if cfg.learning_rate < 0:
+    if not cfg.learning_rate >= 0:
         errors.append("learning_rate: must be >= 0")
     if cfg.seed < 0:
         errors.append("seed: must be >= 0")
@@ -151,14 +152,14 @@ def load_config(path: str | None = None) -> Config:
         path = os.environ.get(ENV_CONFIG_PATH)
     if path is None:
         return Config()
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text.strip():
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.strip():
         return Config()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
+        data = decode_json(raw, "config")
+    except FormatError as exc:
+        raise ConfigError(str(exc)) from exc
     return from_dict(data)
 
 

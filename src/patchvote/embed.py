@@ -11,11 +11,11 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifact import Reader, f4, pack
 from .config import Config
 from .errors import FormatError, TrainingError
 
@@ -32,7 +32,10 @@ class Tower:
     b2: np.ndarray  # (d,)
 
     def copy(self) -> "Tower":
-        return Tower(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
+        return Tower(*(a.copy() for a in self.arrays()))
+
+    def arrays(self):
+        return (self.W1, self.b1, self.W2, self.b2)
 
 
 @dataclass
@@ -337,24 +340,6 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
 # model file format
 
 
-def _pack_tower(t: Tower) -> bytes:
-    parts = []
-    for arr in (t.W1, t.b1, t.W2, t.b2):
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return b"".join(parts)
-
-
-def _unpack_tower(buf: bytes, offset: int, d_in: int, h: int, d: int):
-    sizes = [(d_in, h), (h,), (h, d), (d,)]
-    arrays = []
-    for shape in sizes:
-        n = int(np.prod(shape))
-        arr = np.frombuffer(buf, dtype="<f4", count=n, offset=offset)
-        arrays.append(arr.astype(np.float64).reshape(shape))
-        offset += n * 4
-    return Tower(*arrays), offset
-
-
 def save_model(
     params: TowerParams,
     path: str,
@@ -368,44 +353,30 @@ def save_model(
     d_in_image, h = params.image.W1.shape
     d_in_shape = params.shape.W1.shape[0]
     d = params.image.W2.shape[1]
+    blocks = []
+    for tag, payload in (sections or {}).items():
+        if len(tag) != 4:
+            raise FormatError(f"section tag must be 4 bytes, got {tag!r}")
+        blocks.append(pack(tag, (len(payload),), payload))
+    header = (MODEL_VERSION, d_in_image, d_in_shape, h, d)
+    towers = f4(*params.image.arrays(), *params.shape.arrays())
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<IIIII", MODEL_VERSION, d_in_image, d_in_shape, h, d))
-        fh.write(_pack_tower(params.image))
-        fh.write(_pack_tower(params.shape))
-        for tag, payload in (sections or {}).items():
-            if len(tag) != 4:
-                raise FormatError(f"section tag must be 4 bytes, got {tag!r}")
-            fh.write(tag)
-            fh.write(struct.pack("<I", len(payload)))
-            fh.write(payload)
+        fh.write(pack(MODEL_MAGIC, header, *towers, *blocks))
 
 
 def load_model(path: str) -> tuple[TowerParams, dict[bytes, bytes]]:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != MODEL_MAGIC:
-        raise FormatError("not a model file (bad magic)")
-    if len(buf) < 24:
-        raise FormatError("truncated model header")
-    version, d_in_image, d_in_shape, h, d = struct.unpack_from("<IIIII", buf, 4)
+        reader = Reader(fh.read(), "model", MODEL_MAGIC)
+    version, d_in_image, d_in_shape, h, d = reader.u32(5, "header")
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}")
-    offset = 24
-    try:
-        image, offset = _unpack_tower(buf, offset, d_in_image, h, d)
-        shape, offset = _unpack_tower(buf, offset, d_in_shape, h, d)
-    except ValueError as exc:
-        raise FormatError(f"truncated model parameters: {exc}") from exc
+    arrays = reader.f4(
+        [(d_in_image, h), (h,), (h, d), (d,), (d_in_shape, h), (h,), (h, d), (d,)],
+        "parameters",
+    )
     sections: dict[bytes, bytes] = {}
-    while offset < len(buf):
-        if offset + 8 > len(buf):
-            raise FormatError("truncated section header")
-        tag = buf[offset : offset + 4]
-        (length,) = struct.unpack_from("<I", buf, offset + 4)
-        offset += 8
-        if offset + length > len(buf):
-            raise FormatError(f"truncated section {tag!r}")
-        sections[tag] = buf[offset : offset + length]
-        offset += length
-    return TowerParams(image=image, shape=shape), sections
+    while not reader.at_end:
+        tag = reader.take(4, "section header")
+        (length,) = reader.u32(1, "section header")
+        sections[tag] = reader.take(length, f"section {tag!r}")
+    return TowerParams(image=Tower(*arrays[:4]), shape=Tower(*arrays[4:])), sections

@@ -52,4 +52,4 @@ class NoRetrievalError(PatchVoteError):
 
 
 class FormatError(PatchVoteError):
-    """A binary artifact file is malformed or truncated."""
+    """An artifact file, binary or JSON, is malformed or truncated."""

@@ -20,28 +20,28 @@ the records at or above it, every record tied with the k-th included,
 are sorted by (similarity descending, record id ascending). The result
 is the first k of that order, identical to a full sort of all records.
 
-File format (little-endian): magic, version, record count n, dimension
-d, manifest length and UTF-8 JSON manifest, then n packed records of
-shape id, view id and rect x, y, w, h as u32 followed by d f32
-embedding values. Records are read and written as one block.
+File format (little-endian, framed by `artifact`): magic, version,
+record count n, dimension d, manifest length and UTF-8 JSON manifest,
+then n packed records of shape id, view id and rect x, y, w, h as u32
+followed by d f32 embedding values, read and written as one block.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .artifact import Reader, decode_json, pack
 from .config import Config, from_dict, to_dict
 from .descriptor import PatchRect, content_rect, sample_patches
 from .embed import TowerParams, image_patch_features, shape_patch_features, tower_forward
 from .errors import EmptyIndexError, FormatError, NoRetrievalError, RenderError
 from .mesh import TriMesh
 from .render import ShadedRender, rasterize, scene_light
-from .views import ViewSet
+from .views import ViewSet, viewset_doc
 
 INDEX_MAGIC = b"P2CI"
 INDEX_VERSION = 1
@@ -171,12 +171,7 @@ def build_index(
             }
             for sid in sorted(shapes)
         },
-        "views": {
-            "n": len(views.medoids),
-            "medoids": [[float(c) for c in q] for q in views.medoids],
-            "seed": views.seed,
-            "source_size": views.source_size,
-        },
+        "views": viewset_doc(views),
         "config": to_dict(cfg),
         "patches_per_view": patches_per_view,
     }
@@ -352,44 +347,24 @@ def save_index(index: PatchIndex, path: str) -> None:
             raise FormatError(f"{name} outside the u32 range [0, 2**32)")
         records[name] = column
     records["emb"] = index.embeddings
+    header = (INDEX_VERSION, n, d, len(manifest_blob))
     with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(struct.pack("<III", INDEX_VERSION, n, d))
-        fh.write(struct.pack("<I", len(manifest_blob)))
-        fh.write(manifest_blob)
-        fh.write(records.tobytes())
+        fh.write(pack(INDEX_MAGIC, header, manifest_blob, records))
 
 
 def load_index(path: str) -> PatchIndex:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != INDEX_MAGIC:
-        raise FormatError("not an index file (bad magic)")
-    if len(buf) < 20:
-        raise FormatError("truncated index header")
-    version, n, d = struct.unpack_from("<III", buf, 4)
+        reader = Reader(fh.read(), "index", INDEX_MAGIC)
+    version, n, d, mlen = reader.u32(4, "header")
     if version != INDEX_VERSION:
         raise FormatError(f"unsupported index version {version}")
-    (mlen,) = struct.unpack_from("<I", buf, 16)
-    offset = 20
-    if offset + mlen > len(buf):
-        raise FormatError("truncated index manifest")
-    try:
-        manifest = json.loads(buf[offset : offset + mlen].decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-        raise FormatError(f"index manifest is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise FormatError("index manifest is not a JSON object")
-    offset += mlen
+    manifest = decode_json(reader.take(mlen, "manifest"), "index manifest")
     try:
         dtype = _record_dtype(d)
     except ValueError as exc:  # d too large for a numpy dtype
         raise FormatError(f"unsupported embedding dimension {d}") from exc
-    if len(buf) - offset != n * dtype.itemsize:
-        raise FormatError(
-            f"index payload size {len(buf) - offset} != expected {n * dtype.itemsize}"
-        )
-    records = np.frombuffer(buf, dtype=dtype, count=n, offset=offset)
+    records = reader.array(dtype, n, "records")
+    reader.end()
     return PatchIndex(
         embeddings=records["emb"].astype(np.float32),
         shape_ids=records["shape_id"].astype(np.int64),

@@ -10,13 +10,13 @@ SGD as the embedding towers.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifact import Reader, f4, pack
 from .config import Config
-from .errors import FormatError, TrainingError
+from .errors import TrainingError
 from .views import canonical_quat, nearest_medoid, quat_conj, quat_mul
 
 POSE_SECTION = b"POSE"
@@ -238,30 +238,15 @@ def train_pose_head(
 def pack_pose_section(params: PoseHeadParams, medoids: np.ndarray) -> bytes:
     """Serialize head + bins: u32 K, u32 d_in, f64 medoids, f32 weights."""
     d_in, k = params.Wc.shape
-    parts = [struct.pack("<II", k, d_in)]
-    parts.append(np.ascontiguousarray(medoids, dtype="<f8").tobytes())
-    for arr in params.arrays():
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return b"".join(parts)
+    medoids = np.ascontiguousarray(medoids, dtype="<f8")
+    return pack(b"", (k, d_in), medoids, *f4(*params.arrays()))
 
 
 def unpack_pose_section(blob: bytes) -> tuple[PoseHeadParams, np.ndarray]:
-    if len(blob) < 8:
-        raise FormatError("truncated pose section")
-    k, d_in = struct.unpack_from("<II", blob, 0)
-    offset = 8
-    if offset + k * 32 > len(blob):
-        raise FormatError("truncated pose section medoids")
-    medoids = np.frombuffer(blob, dtype="<f8", count=k * 4, offset=offset)
-    medoids = medoids.reshape(k, 4).copy()
-    offset += k * 32
+    reader = Reader(blob, "pose section")
+    k, d_in = reader.u32(2, "header")
+    medoids = reader.array("<f8", k * 4, "medoids").reshape(k, 4).copy()
     shapes = [(d_in, k), (k,), (d_in, 4), (4,), (d_in, 2), (2,)]
-    arrays = []
-    for shape in shapes:
-        n = int(np.prod(shape))
-        if offset + 4 * n > len(blob):
-            raise FormatError("truncated pose section weights")
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset)
-        arrays.append(arr.astype(np.float64).reshape(shape))
-        offset += 4 * n
+    arrays = reader.f4(shapes, "weights")
+    reader.end()
     return PoseHeadParams(*arrays), medoids

@@ -9,26 +9,22 @@ map a lookup of canonical geometry no matter the view.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, RenderError
+from .errors import RenderError
 from .mesh import TriMesh, face_normals
 from .views import quat_to_matrix
 
 MARGIN = 0.05
-
-NMAP_MAGIC = b"NMAP"
-SHAD_MAGIC = b"SHAD"
 
 
 @dataclass
 class NormalMap:
     normals: np.ndarray  # (h, w, 3) float32, canonical-frame unit vectors
     mask: np.ndarray     # (h, w) bool
-    # which triangle won each pixel; diagnostic only, not serialized
+    # which triangle won each pixel; diagnostic only
     tri_ids: np.ndarray | None = None
 
     @property
@@ -174,56 +170,3 @@ def scene_light() -> np.ndarray:
     """
     light = np.array([0.5, 0.8, 0.33])
     return light / np.linalg.norm(light)
-
-
-def write_normal_map(nmap: NormalMap, path: str) -> None:
-    h, w = nmap.mask.shape
-    rec = np.empty((h, w, 4), dtype="<f4")
-    rec[:, :, :3] = nmap.normals
-    rec[:, :, 3] = nmap.mask.astype("<f4")
-    with open(path, "wb") as fh:
-        fh.write(NMAP_MAGIC)
-        fh.write(struct.pack("<II", w, h))
-        fh.write(rec.tobytes())
-
-
-def read_normal_map(path: str) -> NormalMap:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != NMAP_MAGIC:
-        raise FormatError("not a normal-map file (bad magic)")
-    if len(data) < 12:
-        raise FormatError("truncated normal-map header")
-    w, h = struct.unpack_from("<II", data, 4)
-    need = 12 + w * h * 16
-    if len(data) != need:
-        raise FormatError(f"normal-map payload size {len(data)} != expected {need}")
-    rec = np.frombuffer(data, dtype="<f4", offset=12).reshape(h, w, 4)
-    mask = rec[:, :, 3] != 0.0
-    return NormalMap(normals=rec[:, :, :3].copy(), mask=mask)
-
-
-def write_shaded(img: ShadedRender, path: str) -> None:
-    h, w = img.mask.shape
-    rec = np.empty((h, w, 2), dtype="<f4")
-    rec[:, :, 0] = img.intensity
-    rec[:, :, 1] = img.mask.astype("<f4")
-    with open(path, "wb") as fh:
-        fh.write(SHAD_MAGIC)
-        fh.write(struct.pack("<II", w, h))
-        fh.write(rec.tobytes())
-
-
-def read_shaded(path: str) -> ShadedRender:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != SHAD_MAGIC:
-        raise FormatError("not a shaded-render file (bad magic)")
-    if len(data) < 12:
-        raise FormatError("truncated shaded-render header")
-    w, h = struct.unpack_from("<II", data, 4)
-    need = 12 + w * h * 8
-    if len(data) != need:
-        raise FormatError(f"shaded payload size {len(data)} != expected {need}")
-    rec = np.frombuffer(data, dtype="<f4", offset=12).reshape(h, w, 2)
-    return ShadedRender(intensity=rec[:, :, 0].copy(), mask=rec[:, :, 1] != 0.0)

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SynthError
+from .artifact import decode_json, fields
+from .errors import FormatError, SynthError
 from .mesh import TriMesh, normalize_mesh, save_obj
 from .views import default_view_grid, perturb_quat
 
@@ -377,31 +378,35 @@ def load_benchmark(manifest_path: str) -> Benchmark:
     from .mesh import load_obj
 
     root = Path(manifest_path).parent
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = decode_json(Path(manifest_path).read_bytes(), "benchmark manifest")
     shapes = {}
-    for sid_text, info in doc["shapes"].items():
-        sid = int(sid_text)
-        mesh = load_obj(str(root / info["obj"]), category=info["category"])
-        spec = SynthSpec(
-            category=info["category"], params=dict(info["params"]), seed=sid
-        )
-        shapes[sid] = ShapeEntry(
-            spec=spec, mesh=mesh, parent_id=int(info.get("parent", -1))
-        )
-    queries = [
-        Query(
-            shape_id=int(q["shape"]),
-            view_quat=np.asarray(q["view_quat"], dtype=np.float64),
-            aug_seed=int(q["seed"]),
-            leave_out=bool(q["leave_out"]),
-            gt_shape_id=int(q.get("gt_shape", q["shape"])),
-        )
-        for q in doc["queries"]
-    ]
+    with fields("benchmark manifest"):
+        for sid_text, info in doc["shapes"].items():
+            sid, category = int(sid_text), info["category"]
+            try:
+                mesh = load_obj(str(root / info["obj"]), category=category)
+            except OSError as exc:
+                raise FormatError(f"benchmark shape {sid_text}: {exc}") from exc
+            spec = SynthSpec(category=category, params=dict(info["params"]), seed=sid)
+            shapes[sid] = ShapeEntry(
+                spec=spec, mesh=mesh, parent_id=int(info.get("parent", -1))
+            )
+        queries = [
+            Query(
+                shape_id=int(q["shape"]),
+                view_quat=np.asarray(q["view_quat"], dtype=np.float64).reshape(4),
+                aug_seed=int(q["seed"]),
+                leave_out=bool(q["leave_out"]),
+                gt_shape_id=int(q.get("gt_shape", q["shape"])),
+            )
+            for q in doc["queries"]
+        ]
+        database_ids = [int(i) for i in doc["database"]]
+        seed = int(doc.get("seed", 0))
+    unlisted = set(database_ids).union(*((q.shape_id, q.gt_shape_id) for q in queries))
+    unlisted -= set(shapes)
+    if unlisted:
+        raise FormatError(f"benchmark manifest: unlisted shapes {sorted(unlisted)}")
     return Benchmark(
-        shapes=shapes,
-        database_ids=[int(i) for i in doc["database"]],
-        queries=queries,
-        seed=int(doc.get("seed", 0)),
+        shapes=shapes, database_ids=database_ids, queries=queries, seed=seed
     )

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from .artifact import decode_json, fields
 from .errors import FormatError
 
 
@@ -180,26 +182,32 @@ def nearest_medoid(q: np.ndarray, medoids: np.ndarray) -> int:
     return int(np.argmax(dots))  # max |dot| = min geodesic; ties -> lowest index
 
 
-def save_viewset(vs: ViewSet, path: str) -> None:
-    doc = {
+def viewset_doc(vs: ViewSet) -> dict:
+    """A view set as JSON: a view-set file's whole text, an index manifest's views."""
+    return {
         "n": len(vs.medoids),
         "medoids": [[float(c) for c in q] for q in vs.medoids],
         "seed": vs.seed,
         "source_size": vs.source_size,
     }
+
+
+def save_viewset(vs: ViewSet, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(viewset_doc(vs), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_viewset(path: str) -> ViewSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    medoids = np.asarray(doc["medoids"], dtype=np.float64)
-    if medoids.shape != (doc["n"], 4):
+    doc = decode_json(Path(path).read_bytes(), "view set")
+    with fields("view set"):
+        n = doc["n"]
+        medoids = np.asarray(doc["medoids"])
+        vs = ViewSet(
+            medoids=medoids.astype(np.float64),
+            source_size=int(doc.get("source_size", n)),
+            seed=int(doc.get("seed", 0)),
+        )
+    if medoids.dtype.kind not in "iuf" or medoids.shape != (n, 4):
         raise FormatError("view set file inconsistent with its declared n")
-    return ViewSet(
-        medoids=medoids,
-        source_size=int(doc.get("source_size", doc["n"])),
-        seed=int(doc.get("seed", 0)),
-    )
+    return vs

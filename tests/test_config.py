@@ -132,3 +132,41 @@ class TestRoundTrip:
         cfg = load_config(str(p))
         assert cfg.kq == 3
         assert cfg.kr == Config().kr
+
+
+class TestNonFiniteAndEncoding:
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"learning_rate": NaN}', "learning_rate"),
+            ('{"shade_noise": NaN}', "shade_noise"),
+            ('{"shade_noise": Infinity}', "shade_noise"),
+            ('{"tau": Infinity}', "tau"),
+            ('{"weight_c": Infinity}', "weight_c"),
+            ('{"theta_pos": Infinity}', "theta_pos"),
+            ('{"theta_neg": -Infinity}', "theta_neg"),
+            ('{"huber_delta": Infinity}', "huber_delta"),
+            ('{"learning_rate": 1e400}', "learning_rate"),
+        ],
+    )
+    def test_non_finite_float_rejected_naming_field(self, text, field):
+        with pytest.raises(ConfigError, match=f"^{field}: must be"):
+            from_dict(json.loads(text))
+
+    def test_non_finite_config_file_rejected(self, tmp_path):
+        p = tmp_path / "nan.json"
+        p.write_text('{"learning_rate": NaN, "shade_noise": Infinity}')
+        with pytest.raises(ConfigError, match="shade_noise: must be finite; learning"):
+            load_config(str(p))
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b'{"tau": "\xe9"}'])
+    def test_non_utf8_file_is_config_error(self, tmp_path, raw):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(raw)
+        with pytest.raises(ConfigError, match="JSON"):
+            load_config(str(p))
+
+    @pytest.mark.parametrize("key", ["fscore_threshold", "fscore_samples"])
+    def test_removed_fscore_knobs_are_unknown_keys(self, key):
+        with pytest.raises(ConfigError, match=f"unknown key: {key}"):
+            from_dict({key: 1})

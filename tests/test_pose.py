@@ -292,3 +292,7 @@ class TestPoseSectionMalformed:
     @example(tail=b"", header=True)
     def test_fuzz_random_bytes(self, tail, header):
         unpacks_or_rejects((VALID_SECTION[:8] if header else b"") + tail)
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(FormatError, match="trailing"):
+            unpack_pose_section(VALID_SECTION + b"\x00")

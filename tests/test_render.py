@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from patchvote.errors import FormatError, RenderError
+from patchvote.errors import RenderError
 from patchvote.mesh import TriMesh, face_normals, normalize_mesh
 from patchvote.render import (
     NormalMap,
     camera_light_for_view,
     rasterize,
-    read_normal_map,
-    read_shaded,
     shade,
-    write_normal_map,
-    write_shaded,
 )
 from patchvote.views import axis_angle_quat, random_rotations
 
@@ -158,40 +154,3 @@ class TestShade:
         img = shade(nmap, camera_light_for_view(view), 0.0, seed=0)
         np.testing.assert_allclose(img.intensity[img.mask], 1.0, atol=1e-6)
 
-
-class TestRenderIO:
-    def test_normal_map_round_trip(self, tmp_path):
-        nmap = rasterize(unit_cube(), random_rotations(1, seed=1)[0], 32)
-        p = tmp_path / "a.nmap"
-        write_normal_map(nmap, str(p))
-        back = read_normal_map(str(p))
-        np.testing.assert_array_equal(back.normals, nmap.normals)
-        np.testing.assert_array_equal(back.mask, nmap.mask)
-        # second write of the read-back value is byte identical
-        p2 = tmp_path / "b.nmap"
-        write_normal_map(back, str(p2))
-        assert p.read_bytes() == p2.read_bytes()
-
-    def test_shaded_round_trip(self, tmp_path):
-        nmap = rasterize(unit_cube(), IDENTITY, 32)
-        img = shade(nmap, np.array([0.0, 0.0, 1.0]), 0.1, seed=2)
-        p = tmp_path / "a.shad"
-        write_shaded(img, str(p))
-        back = read_shaded(str(p))
-        np.testing.assert_array_equal(back.intensity, img.intensity)
-        np.testing.assert_array_equal(back.mask, img.mask)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "bad.nmap"
-        p.write_bytes(b"XXXX" + b"\x00" * 32)
-        with pytest.raises(FormatError, match="magic"):
-            read_normal_map(str(p))
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        nmap = rasterize(unit_cube(), IDENTITY, 32)
-        p = tmp_path / "t.nmap"
-        write_normal_map(nmap, str(p))
-        data = p.read_bytes()
-        p.write_bytes(data[:-8])
-        with pytest.raises(FormatError, match="size"):
-            read_normal_map(str(p))

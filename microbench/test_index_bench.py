@@ -46,7 +46,7 @@ def index() -> PatchIndex:
             "config": to_dict(CFG),
         },
     )
-    _ = (idx.embeddings_f64, idx.category_records)  # build the cached query state
+    _ = (idx.embeddings_f64, idx.category_embeddings)  # build the cached query state
     return idx
 
 

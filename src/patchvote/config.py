@@ -75,11 +75,13 @@ _COUNT_FIELDS = (
 
 def validate(cfg: Config) -> list[str]:
     """Return a list of violation messages, each naming the bad field."""
-    errors = [
-        f"{name}: must be finite"
-        for name, value in to_dict(cfg).items()
-        if isinstance(value, float) and not math.isfinite(value)
-    ]
+    errors = []
+    for f in fields(Config):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            errors.append(f"{f.name}: must be finite")
+        elif f.type == "float" and isinstance(value, int) and not _fits_float(value):
+            errors.append(f"{f.name}: must fit in a float")
     if not cfg.tau > 0:
         errors.append("tau: must be > 0")
     if not cfg.weight_c > 0:
@@ -108,6 +110,14 @@ def validate(cfg: Config) -> list[str]:
     if cfg.seed < 0:
         errors.append("seed: must be >= 0")
     return errors
+
+
+def _fits_float(value: int) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _type_problems(data: dict) -> list[str]:

@@ -5,13 +5,22 @@ a raster, flagged empty where the mask barely covers them, and anchored
 to the centroid of the content they cover. Training pairs are labeled
 elsewhere (see experiment.build_corpus) by the footprint IoU of these
 rects, not by a descriptor of the normals inside them.
+
+Every step works on all of a view's rects at once: `rect_windows`
+gathers the same-size windows of a raster into one (N, h, w[, C]) stack
+with a single fancy index, and coverage, snapping and pooling (see
+embed) are reductions over that stack. Each window's sum is the same
+sequence of float operations as the sum of the raster slice it copies,
+so the batched results equal a per-rect loop bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DescriptorError
 from .render import NormalMap, ShadedRender
@@ -24,13 +33,37 @@ class PatchRect:
     w: int
     h: int
     empty: bool = False
-    shape_id: int = -1
-    view_id: int = -1
-    domain: str = ""
 
 
 def patch_side(fraction: float, resolution: int) -> int:
     return int(round(fraction * resolution))
+
+
+def rect_windows(raster: np.ndarray, rects: Sequence[PatchRect]) -> np.ndarray:
+    """Copies of the rects' windows of a (H, W) or (H, W, C) raster.
+
+    The rects must share one size (h, w); the result is (N, h, w) or
+    (N, h, w, C), C-contiguous, in the raster's dtype.
+    """
+    if not rects:
+        raise DescriptorError("no rects to gather")
+    xs, ys, h, w = _corners(rects)
+    return _windows(raster, xs, ys, h, w)
+
+
+def _corners(rects: Sequence[PatchRect]):
+    """Top-left corners as int64 arrays plus the one size the rects share."""
+    h, w = rects[0].h, rects[0].w
+    if any(r.h != h or r.w != w for r in rects):
+        raise DescriptorError("rects of one pass must share one size")
+    xs = np.fromiter((r.x for r in rects), dtype=np.int64, count=len(rects))
+    ys = np.fromiter((r.y for r in rects), dtype=np.int64, count=len(rects))
+    return xs, ys, h, w
+
+
+def _windows(raster: np.ndarray, xs: np.ndarray, ys: np.ndarray, h: int, w: int):
+    view = sliding_window_view(raster, (h, w) + raster.shape[2:])
+    return view[ys, xs].reshape((len(xs), h, w) + raster.shape[2:])
 
 
 def sample_patches(
@@ -54,20 +87,20 @@ def sample_patches(
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, w - side + 1, size=count)
     ys = rng.integers(0, h - side + 1, size=count)
-    rects = []
-    for x, y in zip(xs, ys):
-        cov = raster.mask[y : y + side, x : x + side].mean()
-        rects.append(PatchRect(int(x), int(y), side, side, empty=cov < min_coverage))
-    return rects
+    cov = _windows(raster.mask, xs, ys, side, side).mean(axis=(1, 2))
+    return [
+        PatchRect(x, y, side, side, empty=c < min_coverage)
+        for x, y, c in zip(xs.tolist(), ys.tolist(), cov.tolist())
+    ]
 
 
 def content_rect(
     weight: np.ndarray,
     mask: np.ndarray,
-    rect: PatchRect,
+    rects: Sequence[PatchRect],
     iters: int = 3,
-) -> PatchRect:
-    """Snap a rect to the centroid of the content it covers.
+) -> list[PatchRect]:
+    """Snap each rect to the centroid of the content it covers.
 
     Pooled-cell features only match when the pooling grids of the two
     patches sit on the same piece of surface; a few pixels of offset is
@@ -78,33 +111,41 @@ def content_rect(
     caller matches with (intensity on the image side, noiseless
     shading on the shape side) plus a small mask floor so silhouette
     alone attracts the rect even where the surface faces away from the
-    light. Iteration stops at a fixed point or the image border.
+    light. A rect stops at a fixed point, on a window of zero weight or
+    after `iters` moves, and the image border clamps every move.
+
+    The rects must share one size; each iteration gathers the windows
+    of the rects still moving and reduces them together. Returns new
+    rects in input order, with `empty` carried over.
     """
+    rects = list(rects)
+    if not rects:
+        return []
+    xs, ys, h, w = _corners(rects)
     hgt, wid = weight.shape
     w_all = weight * mask + 0.1 * mask
-    x, y = rect.x, rect.y
-    ys, xs = np.mgrid[0 : rect.h, 0 : rect.w]
+    view = sliding_window_view(w_all, (h, w))
+    gy, gx = np.arange(h)[:, None], np.arange(w)
+    moving = np.arange(len(rects))
     for _ in range(iters):
-        sub = w_all[y : y + rect.h, x : x + rect.w]
-        total = sub.sum()
-        if total <= 0:
+        sub = view[ys[moving], xs[moving]]
+        total = sub.sum(axis=(1, 2))
+        live = total > 0
+        if not live.all():
+            moving, sub, total = moving[live], sub[live], total[live]
+        cy = (gy * sub).sum(axis=(1, 2)) / total
+        cx = (gx * sub).sum(axis=(1, 2)) / total
+        nx = np.rint(xs[moving] + cx - (w - 1) / 2.0).astype(np.int64)
+        ny = np.rint(ys[moving] + cy - (h - 1) / 2.0).astype(np.int64)
+        nx = np.minimum(np.maximum(nx, 0), wid - w)
+        ny = np.minimum(np.maximum(ny, 0), hgt - h)
+        moved = (nx != xs[moving]) | (ny != ys[moving])
+        moving = moving[moved]
+        if not len(moving):
             break
-        cy = float((ys * sub).sum() / total)
-        cx = float((xs * sub).sum() / total)
-        nx = int(round(x + cx - (rect.w - 1) / 2.0))
-        ny = int(round(y + cy - (rect.h - 1) / 2.0))
-        nx = min(max(nx, 0), wid - rect.w)
-        ny = min(max(ny, 0), hgt - rect.h)
-        if nx == x and ny == y:
-            break
-        x, y = nx, ny
-    return PatchRect(
-        x,
-        y,
-        rect.w,
-        rect.h,
-        empty=rect.empty,
-        shape_id=rect.shape_id,
-        view_id=rect.view_id,
-        domain=rect.domain,
-    )
+        xs[moving] = nx[moved]
+        ys[moving] = ny[moved]
+    return [
+        PatchRect(x, y, w, h, empty=r.empty)
+        for x, y, r in zip(xs.tolist(), ys.tolist(), rects)
+    ]

@@ -17,6 +17,7 @@ import numpy as np
 
 from .artifact import Reader, f4, pack
 from .config import Config
+from .descriptor import PatchRect, rect_windows
 from .errors import FormatError, TrainingError
 
 MODEL_MAGIC = b"P2CM"
@@ -64,33 +65,46 @@ def init_params(
     return TowerParams(image=tower(d_in_image), shape=tower(d_in_shape))
 
 
-def pool_patch(block: np.ndarray, pool: int) -> np.ndarray:
-    """Average-pool a (h, w) or (h, w, c) block to pool x pool, flattened.
+def _pool_windows(stack: np.ndarray, pool: int) -> np.ndarray:
+    """Average-pool each (h, w) or (h, w, c) block of a stack to pool x pool.
 
     Bin edges come from floor(i * size / pool), so uneven sizes get
-    deterministic, nearly equal bins.
+    deterministic, nearly equal bins. The stack's blocks are summed
+    together, two `reduceat` calls in all, each cell in the same order
+    as a block pooled on its own. Returns (N, pool * pool [* c]) f64.
     """
-    h, w = block.shape[:2]
+    h, w = stack.shape[1:3]
     if h < pool or w < pool:
         raise ValueError(f"patch {h}x{w} smaller than pool size {pool}")
     ye = (np.arange(pool + 1) * h) // pool
     xe = (np.arange(pool + 1) * w) // pool
-    rows = np.add.reduceat(block.astype(np.float64), ye[:-1], axis=0)
-    cells = np.add.reduceat(rows, xe[:-1], axis=1)
+    rows = np.add.reduceat(stack.astype(np.float64), ye[:-1], axis=1)
+    cells = np.add.reduceat(rows, xe[:-1], axis=2)
     counts = np.outer(np.diff(ye), np.diff(xe)).astype(np.float64)
-    if block.ndim == 3:
+    if stack.ndim == 4:
         counts = counts[:, :, None]
-    return (cells / counts).reshape(-1)
+    return (cells / counts).reshape(len(stack), -1)
 
 
-def image_patch_features(intensity: np.ndarray, rect, pool: int) -> np.ndarray:
-    sub = intensity[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
-    return pool_patch(sub, pool)
+def pool_patch(block: np.ndarray, pool: int) -> np.ndarray:
+    """Average-pool one (h, w) or (h, w, c) block to pool x pool, flattened."""
+    return _pool_windows(block[None], pool)[0]
 
 
-def shape_patch_features(normals: np.ndarray, rect, pool: int) -> np.ndarray:
-    sub = normals[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
-    return pool_patch(sub, pool)
+def _rect_features(raster: np.ndarray, rects, pool: int) -> np.ndarray:
+    if isinstance(rects, PatchRect):
+        return _rect_features(raster, [rects], pool)[0]
+    return _pool_windows(rect_windows(raster, rects), pool)
+
+
+def image_patch_features(intensity: np.ndarray, rects, pool: int) -> np.ndarray:
+    """Pooled intensities of one rect, (P*P,), or of same-size rects, (N, P*P)."""
+    return _rect_features(intensity, rects, pool)
+
+
+def shape_patch_features(normals: np.ndarray, rects, pool: int) -> np.ndarray:
+    """Pooled normals of one rect, (3*P*P,), or of same-size rects, (N, 3*P*P)."""
+    return _rect_features(normals, rects, pool)
 
 
 def _normalize_rows(pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

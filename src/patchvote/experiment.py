@@ -181,8 +181,8 @@ def build_corpus(
             for pi, r in enumerate(rects):
                 if r.empty:
                     continue
-                r = content_rect(
-                    variants[pi].intensity, variants[pi].mask, r
+                (r,) = content_rect(
+                    variants[pi].intensity, variants[pi].mask, [r]
                 )
                 footprint = _rect_iou(r, cand_rects)
                 pos = np.flatnonzero(

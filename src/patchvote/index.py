@@ -2,16 +2,21 @@
 
 Build: every database shape is rendered at each canonical view, patch
 rects are sampled, empties dropped, and the shape tower embeds each
-patch into a unit vector stored as f32. Retrieval: Kq query patches
-vote; each patch elects the modal shape among its Kr nearest records,
-and the object-level answer is the majority over patch winners, with
-ties resolved by aggregate similarity then shape id.
+patch into a unit vector stored as f32. Each view is one batched pass:
+its rects are sampled, snapped to content and pooled together (see
+descriptor and embed), as are the at most Kq patches of a query.
+Retrieval: Kq query patches vote; each patch elects the modal shape
+among its Kr nearest records, and the object-level answer is the
+majority over patch winners, with ties resolved by aggregate
+similarity then shape id.
 
 Query state: the index is immutable, so what every query needs is
 built once per PatchIndex object, on first use, and reused: a
-C-contiguous f64 copy of the embeddings (the matrix every kNN scores)
-and a map from category to the sorted ids of its records (the subset a
-category-conditioned query searches).
+C-contiguous f64 copy of the embeddings (the matrix every kNN scores),
+a map from category to the sorted ids of its records (the subset a
+category-conditioned query searches) and one C-contiguous f64 block of
+each category's rows, so a conditioned query's patches score that
+block instead of gathering the category's rows for each patch.
 
 Exact top-k: each query patch is scored with one mat-vec over the
 searched records, so every similarity is the same f64 value a full
@@ -36,7 +41,7 @@ import numpy as np
 
 from .artifact import Reader, decode_json, pack
 from .config import Config, from_dict, to_dict
-from .descriptor import PatchRect, content_rect, sample_patches
+from .descriptor import PatchRect, content_rect, rect_windows, sample_patches
 from .embed import TowerParams, image_patch_features, shape_patch_features, tower_forward
 from .errors import EmptyIndexError, FormatError, NoRetrievalError, RenderError
 from .mesh import TriMesh
@@ -76,6 +81,25 @@ class PatchIndex:
             cat: np.flatnonzero(np.isin(self.shape_ids, sids))
             for cat, sids in shapes.items()
         }
+
+    @cached_property
+    def category_embeddings(self) -> dict[str, np.ndarray]:
+        """Category -> C-contiguous f64 rows of its records, in id order."""
+        return {
+            cat: self.embeddings_f64[ids] for cat, ids in self.category_records.items()
+        }
+
+    def rows_f64(self, ids: np.ndarray) -> np.ndarray:
+        """f64 rows of the records `ids`, C-contiguous.
+
+        A category's own id array from `category_records` (what a
+        conditioned query searches) is served from its cached block;
+        any other subset is gathered on each call.
+        """
+        for cat, records in self.category_records.items():
+            if ids is records:
+                return self.category_embeddings[cat]
+        return self.embeddings_f64[ids]
 
 
 def derive_seed(base: int, shape_id: int, view_id: int) -> int:
@@ -120,19 +144,17 @@ def enumerate_view_patches(
             )
             lambert = np.maximum(0.0, nmap.normals @ light)
             lambert[~nmap.mask] = 0.0
+            snapped = content_rect(
+                lambert, nmap.mask, [r for r in patches if not r.empty]
+            )
             kept = []
             seen = set()
-            for r in patches:
-                if r.empty:
-                    continue
-                snapped = content_rect(lambert, nmap.mask, r)
-                if (snapped.x, snapped.y) not in seen:
-                    seen.add((snapped.x, snapped.y))
-                    kept.append(snapped)
+            for r in snapped:
+                if (r.x, r.y) not in seen:
+                    seen.add((r.x, r.y))
+                    kept.append(r)
             if kept:
-                feats = np.stack(
-                    [shape_patch_features(nmap.normals, r, cfg.pool_size) for r in kept]
-                )
+                feats = shape_patch_features(nmap.normals, kept, cfg.pool_size)
                 rects = np.array([(r.x, r.y, r.w, r.h) for r in kept], dtype=np.int64)
                 yield sid, vid, feats, rects
 
@@ -202,7 +224,7 @@ def knn_query(
     ids = np.arange(len(index)) if subset is None else np.asarray(subset)
     if len(ids) == 0:
         raise EmptyIndexError("no records in the searched subset")
-    emb = index.embeddings_f64 if subset is None else index.embeddings_f64[ids]
+    emb = index.embeddings_f64 if subset is None else index.rows_f64(ids)
     sims = emb @ np.asarray(query, dtype=np.float64)
     neg = -sims
     keep = np.arange(len(ids))
@@ -270,22 +292,16 @@ def retrieve_shape(
     patches = sample_patches(
         query_raster, cfg.patch_fraction, kq, seed, cfg.min_coverage
     )
-    survivors = []
-    for r in patches:
-        overlap = instance_mask[r.y : r.y + r.h, r.x : r.x + r.w].any()
-        if overlap:
-            survivors.append(
-                content_rect(query_raster.intensity, query_raster.mask, r)
-            )
+    overlap = rect_windows(instance_mask, patches).any(axis=(1, 2))
+    survivors = content_rect(
+        query_raster.intensity,
+        query_raster.mask,
+        [r for r, hit in zip(patches, overlap) if hit],
+    )
     if not survivors:
         raise NoRetrievalError("every query patch was excluded")
 
-    feats = np.stack(
-        [
-            image_patch_features(query_raster.intensity, r, cfg.pool_size)
-            for r in survivors
-        ]
-    )
+    feats = image_patch_features(query_raster.intensity, survivors, cfg.pool_size)
     Y = tower_forward(model.image, feats).Y
 
     votes: list[PatchVote] = []

@@ -5,6 +5,13 @@ The view quaternion rotates the mesh itself; larger rotated z means
 closer to the camera, so the z-buffer keeps the maximum. Normals stored
 per pixel are the face normals of the UNROTATED mesh, which makes the
 map a lookup of canonical geometry no matter the view.
+
+Rasterization loops over triangles, each against its clipped bounding
+box. Edge functions are separable in x and y (Pineda, SIGGRAPH 1988):
+each is built from 1D differences vertex - column center and vertex -
+row center, broadcast over the box, which gives every pixel the same
+float operations as evaluating it on a full 2D grid. The per-triangle
+areas and boxes are computed for all triangles in one pass first.
 """
 
 from __future__ import annotations
@@ -83,36 +90,57 @@ def rasterize(mesh: TriMesh, view: np.ndarray, resolution: int) -> NormalMap:
     zbuf = np.full((resolution, resolution), -np.inf)
     tbuf = np.full((resolution, resolution), -1, dtype=np.int64)
 
-    for ti, (a, b, c) in enumerate(mesh.triangles):
-        x0, y0 = px[a], py[a]
-        x1, y1 = px[b], py[b]
-        x2, y2 = px[c], py[c]
-        area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-        if area == 0.0:
-            continue  # edge-on faces cover no pixel centers
-        cmin = max(int(np.floor(min(x0, x1, x2) - 0.5)), 0)
-        cmax = min(int(np.ceil(max(x0, x1, x2) - 0.5)), resolution - 1)
-        rmin = max(int(np.floor(min(y0, y1, y2) - 0.5)), 0)
-        rmax = min(int(np.ceil(max(y0, y1, y2) - 0.5)), resolution - 1)
-        if cmin > cmax or rmin > rmax:
-            continue
-        cols = np.arange(cmin, cmax + 1) + 0.5
-        rows = np.arange(rmin, rmax + 1) + 0.5
-        cgrid, rgrid = np.meshgrid(cols, rows)
-        w0 = (x1 - cgrid) * (y2 - rgrid) - (x2 - cgrid) * (y1 - rgrid)
-        w1 = (x2 - cgrid) * (y0 - rgrid) - (x0 - cgrid) * (y2 - rgrid)
-        w2 = (x0 - cgrid) * (y1 - rgrid) - (x1 - cgrid) * (y0 - rgrid)
-        if area > 0:
-            inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
+    # per-triangle scalars in one pass; edge-on faces (zero area) cover
+    # no pixel centers, and neither does a bbox entirely off the raster
+    tx, ty, tz = px[mesh.triangles], py[mesh.triangles], pz[mesh.triangles]
+    ex, ey = tx - tx[:, :1], ty - ty[:, :1]  # edges from vertex 0
+    area = ex[:, 1] * ey[:, 2] - ex[:, 2] * ey[:, 1]
+    cmin = np.maximum(np.floor(tx.min(axis=1) - 0.5).astype(np.int64), 0)
+    cmax = np.minimum(np.ceil(tx.max(axis=1) - 0.5).astype(np.int64), resolution - 1)
+    rmin = np.maximum(np.floor(ty.min(axis=1) - 0.5).astype(np.int64), 0)
+    rmax = np.minimum(np.ceil(ty.max(axis=1) - 0.5).astype(np.int64), resolution - 1)
+    drawn = np.flatnonzero((area != 0.0) & (cmin <= cmax) & (rmin <= rmax))
+    cols = np.arange(resolution) + 0.5
+    rows = cols[:, None]
+
+    for ti, (x0, x1, x2), (y0, y1, y2), (z0, z1, z2), ar, c0, c1, r0, r1 in zip(
+        drawn.tolist(),
+        tx[drawn].tolist(),
+        ty[drawn].tolist(),
+        tz[drawn].tolist(),
+        area[drawn].tolist(),
+        cmin[drawn].tolist(),
+        cmax[drawn].tolist(),
+        rmin[drawn].tolist(),
+        rmax[drawn].tolist(),
+    ):
+        bc, br = cols[c0 : c1 + 1], rows[r0 : r1 + 1]
+        dx0, dx1, dx2 = x0 - bc, x1 - bc, x2 - bc
+        dy0, dy1, dy2 = y0 - br, y1 - br, y2 - br
+        w0 = dx1 * dy2
+        w0 -= dx2 * dy1
+        w1 = dx2 * dy0
+        w1 -= dx0 * dy2
+        w2 = dx0 * dy1
+        w2 -= dx1 * dy0
+        # inside: all three on the side of the area's sign, zeros included
+        if ar > 0:
+            bound = np.minimum(w0, w1)
+            inside = np.minimum(bound, w2, out=bound) >= 0
         else:
-            inside = (w0 <= 0) & (w1 <= 0) & (w2 <= 0)
+            bound = np.maximum(w0, w1)
+            inside = np.maximum(bound, w2, out=bound) <= 0
         if not inside.any():
             continue
-        z = (w0 * pz[a] + w1 * pz[b] + w2 * pz[c]) / area
-        sub = (slice(rmin, rmax + 1), slice(cmin, cmax + 1))
-        better = inside & (z > zbuf[sub])  # strict: ties keep the lower index
-        zbuf[sub][better] = z[better]
-        tbuf[sub][better] = ti
+        z = w0 * z0
+        z += w1 * z1
+        z += w2 * z2
+        z /= ar
+        zsub = zbuf[r0 : r1 + 1, c0 : c1 + 1]
+        better = z > zsub  # strict: ties keep the lower index
+        better &= inside
+        np.copyto(zsub, z, where=better)
+        np.copyto(tbuf[r0 : r1 + 1, c0 : c1 + 1], ti, where=better)
 
     mask = tbuf >= 0
     if not mask.any():

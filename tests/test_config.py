@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -170,3 +171,21 @@ class TestNonFiniteAndEncoding:
     def test_removed_fscore_knobs_are_unknown_keys(self, key):
         with pytest.raises(ConfigError, match=f"unknown key: {key}"):
             from_dict({key: 1})
+
+
+class TestFloatFieldIntegers:
+    @pytest.mark.parametrize("field", ["tau", "learning_rate", "shade_noise"])
+    def test_integer_beyond_float_range_rejected_naming_field(self, field):
+        text = '{"%s": 1%s}' % (field, "0" * 400)
+        with pytest.raises(ConfigError, match=f"^{field}: must fit in a float$"):
+            from_dict(json.loads(text))
+
+    def test_config_file_with_huge_integer_rejected(self, tmp_path):
+        p = tmp_path / "huge.json"
+        p.write_text('{"weight_c": -1' + "0" * 400 + "}")
+        with pytest.raises(ConfigError, match="^weight_c: must fit in a float; "):
+            load_config(str(p))
+
+    def test_largest_convertible_integer_loads(self):
+        cfg = from_dict({"weight_c": int(sys.float_info.max)})
+        assert float(cfg.weight_c) == sys.float_info.max

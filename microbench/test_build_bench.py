@@ -10,6 +10,11 @@ INDEX_PATCHES_PER_VIEW = 128 rects of side 32 that `enumerate_view_patches`
 samples. `content_rect` snaps the view's non-empty rects on the
 noiseless shading, and `shape_patch_features` pools the snapped rects'
 normals into 16 x 16 cells.
+
+The anchor-view pass is what `build_corpus` runs per anchor view: one
+`shade` call draws a noise variant per non-empty rect of the
+ANCHOR_PATCHES = 8 it samples, one `content_rect` call snaps each rect
+on its own variant, and one `image_patch_features` call pools them.
 """
 
 import numpy as np
@@ -17,13 +22,14 @@ import pytest
 
 from patchvote.config import Config
 from patchvote.descriptor import content_rect, sample_patches
-from patchvote.embed import shape_patch_features
-from patchvote.render import rasterize, scene_light
+from patchvote.embed import image_patch_features, shape_patch_features
+from patchvote.render import rasterize, scene_light, shade
 from patchvote.synth import PARAM_RANGES, SynthSpec, generate_shape
 from patchvote.views import axis_angle_quat
 
 CFG = Config()
 PATCHES_PER_VIEW = 128
+ANCHOR_PATCHES = 8
 VIEW = axis_angle_quat([1, 1, 0], 0.7)
 
 
@@ -64,3 +70,19 @@ def test_content_rect_view(benchmark, view):
 def test_pool_view(benchmark, view):
     nmap, _, snapped, _ = view
     benchmark(shape_patch_features, nmap.normals, snapped, CFG.pool_size)
+
+
+def anchor_view_pass(nmap, rects, seeds):
+    variants = shade(nmap, scene_light(), CFG.shade_noise, seeds).intensity
+    snapped = content_rect(variants, nmap.mask, rects)
+    return image_patch_features(variants, snapped, CFG.pool_size, stacked=True)
+
+
+def test_anchor_view_pass(benchmark, view):
+    nmap = view[0]
+    rects = sample_patches(
+        nmap, CFG.patch_fraction, ANCHOR_PATCHES, 3, CFG.min_coverage
+    )
+    rects = [r for r in rects if not r.empty]
+    seeds = list(range(100, 100 + len(rects)))
+    benchmark(anchor_view_pass, nmap, rects, seeds)

@@ -6,7 +6,10 @@ writes one and `Reader` walks one from the front. A JSON artifact (a
 view set, a benchmark manifest, the index manifest) is one UTF-8 JSON
 object, read by `decode_json`. Every short read, bad magic, trailing
 byte, undecodable document, non-object root and missing or mistyped
-field raises FormatError naming the artifact and the part.
+field raises FormatError naming the artifact and the part, as does a
+NaN or infinity in a float block read by `Reader.f4` or checked by
+`Reader.finite` (the model's tower weights, the pose head's weights
+and its medoids).
 """
 
 from __future__ import annotations
@@ -76,11 +79,19 @@ class Reader:
         return np.frombuffer(self.buf, dtype=dtype, count=count, offset=start)
 
     def f4(self, shapes: Sequence[tuple[int, ...]], part: str) -> list[np.ndarray]:
-        """One <f4 block per shape, each widened to a writable f64 array."""
+        """One finite <f4 block per shape, each widened to a writable f64 array."""
         return [
-            self.array("<f4", math.prod(shape), part).astype(np.float64).reshape(shape)
+            self.finite(self.array("<f4", math.prod(shape), part), part)
+            .astype(np.float64)
+            .reshape(shape)
             for shape in shapes
         ]
+
+    def finite(self, values: np.ndarray, part: str) -> np.ndarray:
+        """The values, if none is NaN or infinite."""
+        if not np.isfinite(values).all():
+            raise FormatError(f"{self.what}: non-finite value in {part}")
+        return values
 
     def end(self) -> None:
         """The artifact must end exactly at the cursor."""

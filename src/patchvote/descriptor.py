@@ -9,7 +9,9 @@ rects, not by a descriptor of the normals inside them.
 Every step works on all of a view's rects at once: `rect_windows`
 gathers the same-size windows of a raster into one (N, h, w[, C]) stack
 with a single fancy index, and coverage, snapping and pooling (see
-embed) are reductions over that stack. Each window's sum is the same
+embed) are reductions over that stack. A rect may also read its own
+layer of a stack of rasters, one per rect (the noise draws of one
+anchor view), through the same gather. Each window's sum is the same
 sequence of float operations as the sum of the raster slice it copies,
 so the batched results equal a per-rect loop bit for bit.
 """
@@ -39,16 +41,20 @@ def patch_side(fraction: float, resolution: int) -> int:
     return int(round(fraction * resolution))
 
 
-def rect_windows(raster: np.ndarray, rects: Sequence[PatchRect]) -> np.ndarray:
+def rect_windows(
+    raster: np.ndarray, rects: Sequence[PatchRect], stacked: bool = False
+) -> np.ndarray:
     """Copies of the rects' windows of a (H, W) or (H, W, C) raster.
 
     The rects must share one size (h, w); the result is (N, h, w) or
-    (N, h, w, C), C-contiguous, in the raster's dtype.
+    (N, h, w, C), C-contiguous, in the raster's dtype. With `stacked`,
+    the raster is an (N, H, W[, C]) stack holding one raster per rect,
+    and window i is cut from raster i.
     """
     if not rects:
         raise DescriptorError("no rects to gather")
     xs, ys, h, w = _corners(rects)
-    return _windows(raster, xs, ys, h, w)
+    return _windows(*_stack(raster, len(rects), stacked), xs, ys, h, w)
 
 
 def _corners(rects: Sequence[PatchRect]):
@@ -61,9 +67,24 @@ def _corners(rects: Sequence[PatchRect]):
     return xs, ys, h, w
 
 
-def _windows(raster: np.ndarray, xs: np.ndarray, ys: np.ndarray, h: int, w: int):
-    view = sliding_window_view(raster, (h, w) + raster.shape[2:])
-    return view[ys, xs].reshape((len(xs), h, w) + raster.shape[2:])
+def _stack(raster: np.ndarray, n: int, stacked: bool):
+    """A raster as a stack of layers, plus the layer each of n rects reads.
+
+    One raster becomes a one-layer stack that every rect reads; a
+    stacked raster must hold one layer per rect.
+    """
+    if not stacked:
+        return raster[None], np.zeros(n, dtype=np.int64)
+    if len(raster) != n:
+        raise DescriptorError(f"stack of {len(raster)} rasters for {n} rects")
+    return raster, np.arange(n)
+
+
+def _windows(stack: np.ndarray, src, xs, ys, h: int, w: int) -> np.ndarray:
+    """The (h, w) windows at corners (xs, ys) of the stack layers src."""
+    tail = stack.shape[3:]
+    view = sliding_window_view(stack, (1, h, w) + tail)
+    return view[src, ys, xs].reshape((len(xs), h, w) + tail)
 
 
 def sample_patches(
@@ -87,7 +108,8 @@ def sample_patches(
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, w - side + 1, size=count)
     ys = rng.integers(0, h - side + 1, size=count)
-    cov = _windows(raster.mask, xs, ys, side, side).mean(axis=(1, 2))
+    cov = _windows(*_stack(raster.mask, count, False), xs, ys, side, side)
+    cov = cov.mean(axis=(1, 2))
     return [
         PatchRect(x, y, side, side, empty=c < min_coverage)
         for x, y, c in zip(xs.tolist(), ys.tolist(), cov.tolist())
@@ -114,21 +136,24 @@ def content_rect(
     light. A rect stops at a fixed point, on a window of zero weight or
     after `iters` moves, and the image border clamps every move.
 
-    The rects must share one size; each iteration gathers the windows
-    of the rects still moving and reduces them together. Returns new
-    rects in input order, with `empty` carried over.
+    The weight is one (H, W) raster, or an (N, H, W) stack holding one
+    raster per rect (the noise draws of one view, say) over the one
+    mask. The rects must share one size; each iteration gathers the
+    windows of the rects still moving and reduces them together.
+    Returns new rects in input order, with `empty` carried over.
     """
     rects = list(rects)
     if not rects:
         return []
     xs, ys, h, w = _corners(rects)
-    hgt, wid = weight.shape
-    w_all = weight * mask + 0.1 * mask
-    view = sliding_window_view(w_all, (h, w))
+    hgt, wid = mask.shape
+    stacked = weight.ndim > mask.ndim
+    w_all, src = _stack(weight * mask + 0.1 * mask, len(rects), stacked)
+    view = sliding_window_view(w_all, (h, w), axis=(1, 2))
     gy, gx = np.arange(h)[:, None], np.arange(w)
     moving = np.arange(len(rects))
     for _ in range(iters):
-        sub = view[ys[moving], xs[moving]]
+        sub = view[src[moving], ys[moving], xs[moving]]
         total = sub.sum(axis=(1, 2))
         live = total > 0
         if not live.all():

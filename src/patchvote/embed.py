@@ -91,15 +91,21 @@ def pool_patch(block: np.ndarray, pool: int) -> np.ndarray:
     return _pool_windows(block[None], pool)[0]
 
 
-def _rect_features(raster: np.ndarray, rects, pool: int) -> np.ndarray:
+def _rect_features(raster: np.ndarray, rects, pool: int, stacked: bool = False):
     if isinstance(rects, PatchRect):
         return _rect_features(raster, [rects], pool)[0]
-    return _pool_windows(rect_windows(raster, rects), pool)
+    return _pool_windows(rect_windows(raster, rects, stacked), pool)
 
 
-def image_patch_features(intensity: np.ndarray, rects, pool: int) -> np.ndarray:
-    """Pooled intensities of one rect, (P*P,), or of same-size rects, (N, P*P)."""
-    return _rect_features(intensity, rects, pool)
+def image_patch_features(
+    intensity: np.ndarray, rects, pool: int, stacked: bool = False
+) -> np.ndarray:
+    """Pooled intensities of one rect, (P*P,), or of same-size rects, (N, P*P).
+
+    With `stacked`, the intensity is an (N, H, W) stack holding one
+    raster per rect, and each rect is pooled from its own layer.
+    """
+    return _rect_features(intensity, rects, pool, stacked)
 
 
 def shape_patch_features(normals: np.ndarray, rects, pool: int) -> np.ndarray:
@@ -221,6 +227,23 @@ def nce_loss_and_grad(
     return loss, grad
 
 
+def _top_k(sims: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k highest sims, by similarity descending then id ascending.
+
+    Exact partial top-k: np.partition finds the k-th highest similarity,
+    and only the entries at or above it, every entry tied with the k-th
+    included, are sorted, so the result is the first k of the full sort.
+    A NaN compares false, stays in the sorted set, and sorts last, as in
+    a full sort.
+    """
+    neg = -sims
+    keep = np.arange(len(ids))
+    if k < len(ids):
+        kth = np.partition(neg, k - 1)[k - 1]
+        keep = np.flatnonzero(~(neg > kth))
+    return keep[np.lexsort((ids[keep], neg[keep]))[:k]]
+
+
 def mine_hard_negatives(
     anchor_embedding: np.ndarray,
     candidate_ids: np.ndarray,
@@ -232,11 +255,11 @@ def mine_hard_negatives(
     Order: similarity descending, then id ascending. Returns everything
     if the pool is smaller than keep.
     """
+    candidate_ids = np.asarray(candidate_ids)
     if len(candidate_ids) == 0:
-        return np.asarray(candidate_ids)
+        return candidate_ids
     sims = candidate_embeddings @ anchor_embedding
-    order = np.lexsort((candidate_ids, -sims))
-    return np.asarray(candidate_ids)[order[:keep]]
+    return candidate_ids[_top_k(sims, candidate_ids, keep)]
 
 
 @dataclass

@@ -27,9 +27,11 @@ from .embed import (
 from .errors import NoRetrievalError, RenderError, TrainingError
 from .index import (
     PatchIndex,
+    Renders,
     build_index,
     derive_seed,
     enumerate_view_patches,
+    render_views,
     retrieve_shape,
 )
 from .metrics import build_report, rotation_error
@@ -79,14 +81,18 @@ def render_query(mesh, view, cfg: Config, seed: int):
     return shaded, nmap
 
 
-def _rect_iou(rect: PatchRect, rects: np.ndarray) -> np.ndarray:
-    """Intersection over union of one rect against (N, 4) rows (x, y, w, h)."""
-    x0 = np.maximum(rect.x, rects[:, 0])
-    y0 = np.maximum(rect.y, rects[:, 1])
-    x1 = np.minimum(rect.x + rect.w, rects[:, 0] + rects[:, 2])
-    y1 = np.minimum(rect.y + rect.h, rects[:, 1] + rects[:, 3])
+def _rect_iou(rects: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """Intersection over union of (k, 4) rows against (M, 4) rows, (k, M).
+
+    Rows are (x, y, w, h).
+    """
+    a, b = rects[:, None, :], cands[None, :, :]
+    x0 = np.maximum(a[..., 0], b[..., 0])
+    y0 = np.maximum(a[..., 1], b[..., 1])
+    x1 = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2])
+    y1 = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3])
     inter = np.maximum(0, x1 - x0) * np.maximum(0, y1 - y0)
-    union = rect.w * rect.h + rects[:, 2] * rects[:, 3] - inter
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
     return inter / union
 
 
@@ -96,6 +102,7 @@ def build_corpus(
     cfg: Config,
     patches_per_view: int,
     anchor_patches: int = 8,
+    renders: Renders | None = None,
 ) -> PatchCorpus:
     """Label image-domain anchors against shape-domain candidates.
 
@@ -119,6 +126,16 @@ def build_corpus(
     same-position patch of a lookalike part is often inseparable.
     Negative pools are capped at cfg.negatives_pool by a seeded
     subsample.
+
+    Candidates are the records of enumerate_view_patches over the
+    canonical views; `renders` (see index.render_views) lets that pass
+    reuse renders made once per pipeline. Each anchor view is one pass:
+    one `shade` call draws the noise variants of its non-empty rects
+    (variant i from its own seed stream), one `content_rect` call snaps
+    every rect on its own variant, one array op gives the footprint IoU
+    of all of them against every candidate, and one
+    `image_patch_features` call pools the anchors that keep a positive
+    and a negative. The result equals labelling one anchor at a time.
     """
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
     blocks = [
@@ -129,7 +146,7 @@ def build_corpus(
             rects,
         )
         for sid, vid, feats, rects in enumerate_view_patches(
-            db, views, patches_per_view, cfg
+            db, views, patches_per_view, cfg, renders
         )
     ]
     if not blocks:
@@ -137,9 +154,10 @@ def build_corpus(
     cand_feats, cand_sids, cand_vids, cand_rects = map(np.concatenate, zip(*blocks))
     sids_sorted = sorted(db)
     rot_rng = np.random.default_rng(cfg.seed + _ANCHOR_ROT_OFFSET)
+    light = scene_light()
     anchor_feats, pos_lists, neg_lists = [], [], []
     skipped = 0
-    for si, sid in enumerate(sids_sorted):
+    for sid in sids_sorted:
         for av in range(cfg.anchor_views):
             base = views.medoids[av % len(views.medoids)]
             rot = perturb_quat(base, QUERY_GAP_MIN, QUERY_GAP_MAX, rot_rng)
@@ -147,52 +165,46 @@ def build_corpus(
                 nmap = rasterize(db[sid], rot, cfg.render_resolution)
             except RenderError:
                 continue
-            shaded = shade(
-                nmap,
-                scene_light(),
-                cfg.shade_noise,
-                derive_seed(cfg.seed + _ANCHOR_NOISE_BASE, sid, av),
-            )
             rects = sample_patches(
-                shaded,
+                nmap,
                 cfg.patch_fraction,
                 anchor_patches,
                 derive_seed(cfg.seed + _ANCHOR_RECT_BASE, sid, av),
                 cfg.min_coverage,
             )
-            variants = [
-                shade(
-                    nmap,
-                    scene_light(),
-                    cfg.shade_noise,
+            live = [pi for pi, r in enumerate(rects) if not r.empty]
+            if not live:
+                continue
+            variants = shade(
+                nmap,
+                light,
+                cfg.shade_noise,
+                [
                     derive_seed(
                         cfg.seed + _ANCHOR_NOISE_BASE,
                         sid,
                         (av + 1) * anchor_patches + pi,
-                    ),
-                )
-                for pi in range(len(rects))
-            ]
+                    )
+                    for pi in live
+                ],
+            ).intensity
+            snapped = content_rect(variants, nmap.mask, [rects[pi] for pi in live])
+            footprint = _rect_iou(
+                np.array([(r.x, r.y, r.w, r.h) for r in snapped], dtype=np.int64),
+                cand_rects,
+            )
             near_vid = int(
                 np.argmin(
                     [quat_geodesic(rot, m) for m in views.medoids]
                 )
             )
-            for pi, r in enumerate(rects):
-                if r.empty:
-                    continue
-                (r,) = content_rect(
-                    variants[pi].intensity, variants[pi].mask, [r]
-                )
-                footprint = _rect_iou(r, cand_rects)
-                pos = np.flatnonzero(
-                    (cand_sids == sid)
-                    & (cand_vids == near_vid)
-                    & (footprint >= cfg.theta_pos)
-                )
-                neg = np.flatnonzero(
-                    (cand_sids != sid) & (footprint <= cfg.theta_neg)
-                )
+            same_view = (cand_sids == sid) & (cand_vids == near_vid)
+            positive = (footprint >= cfg.theta_pos) & same_view
+            negative = (footprint <= cfg.theta_neg) & (cand_sids != sid)
+            kept = []
+            for j, pi in enumerate(live):
+                pos = np.flatnonzero(positive[j])
+                neg = np.flatnonzero(negative[j])
                 if len(neg) > cfg.negatives_pool:
                     rng = np.random.default_rng(
                         derive_seed(
@@ -207,17 +219,22 @@ def build_corpus(
                 if len(pos) == 0 or len(neg) == 0:
                     skipped += 1
                     continue
-                anchor_feats.append(
-                    image_patch_features(
-                        variants[pi].intensity, r, cfg.pool_size
-                    )
-                )
+                kept.append(j)
                 pos_lists.append(pos.astype(np.int64))
                 neg_lists.append(neg.astype(np.int64))
+            if kept:
+                anchor_feats.append(
+                    image_patch_features(
+                        variants[kept],
+                        [snapped[j] for j in kept],
+                        cfg.pool_size,
+                        stacked=True,
+                    )
+                )
     if not anchor_feats:
         raise TrainingError("corpus has no usable anchors")
     return PatchCorpus(
-        anchor_feats=np.asarray(anchor_feats, dtype=np.float32),
+        anchor_feats=np.concatenate(anchor_feats).astype(np.float32),
         cand_feats=cand_feats,
         pos_lists=pos_lists,
         neg_lists=neg_lists,
@@ -349,14 +366,18 @@ def train_pipeline(
 ) -> Pipeline:
     if views is None:
         views = select_views(cfg, view_candidates)
-    corpus = build_corpus(bench, views, cfg, patches_per_view)
-    result = train(corpus, cfg, params=lit_init(cfg, corpus))
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
+    # the corpus and the index both draw records at the canonical views:
+    # render each (shape, view) once and hand both passes the same maps
+    renders = render_views(db, views, cfg.render_resolution)
+    corpus = build_corpus(bench, views, cfg, patches_per_view, renders=renders)
+    result = train(corpus, cfg, params=lit_init(cfg, corpus))
     index_views = augment_views(
         views, index_view_jitter, cfg.seed + _INDEX_JITTER_OFFSET
     )
     index = build_index(
-        db, index_views, result.params, index_patches_per_view, cfg
+        db, index_views, result.params, index_patches_per_view, cfg,
+        renders=renders,
     )
     return Pipeline(
         model=result.params,

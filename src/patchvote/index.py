@@ -5,6 +5,17 @@ rects are sampled, empties dropped, and the shape tower embeds each
 patch into a unit vector stored as f32. Each view is one batched pass:
 its rects are sampled, snapped to content and pooled together (see
 descriptor and embed), as are the at most Kq patches of a query.
+
+Shared renders: the training corpus (experiment.build_corpus) and the
+index draw their shape-domain records at the same canonical views, so
+one pipeline renders each (shape, canonical view) once with
+`render_views` and hands the normal maps to both passes of
+`enumerate_view_patches`. A render is reused only for the identical
+shape and view quaternion; jittered index views render their own. The
+corpus's anchor views are likewise one pass each: one `shade` call
+draws every noise variant, and one snap and one pool call cover all of
+the view's anchors.
+
 Retrieval: Kq query patches vote; each patch elects the modal shape
 among its Kr nearest records, and the object-level answer is the
 majority over patch winners, with ties resolved by aggregate
@@ -24,6 +35,7 @@ scan gives. np.partition finds the k-th highest similarity, and only
 the records at or above it, every record tied with the k-th included,
 are sorted by (similarity descending, record id ascending). The result
 is the first k of that order, identical to a full sort of all records.
+Hard-negative mining in training shares the rule (embed._top_k).
 
 File format (little-endian, framed by `artifact`): magic, version,
 record count n, dimension d, manifest length and UTF-8 JSON manifest,
@@ -42,10 +54,16 @@ import numpy as np
 from .artifact import Reader, decode_json, pack
 from .config import Config, from_dict, to_dict
 from .descriptor import PatchRect, content_rect, rect_windows, sample_patches
-from .embed import TowerParams, image_patch_features, shape_patch_features, tower_forward
+from .embed import (
+    TowerParams,
+    _top_k,
+    image_patch_features,
+    shape_patch_features,
+    tower_forward,
+)
 from .errors import EmptyIndexError, FormatError, NoRetrievalError, RenderError
 from .mesh import TriMesh
-from .render import ShadedRender, rasterize, scene_light
+from .render import NormalMap, ShadedRender, rasterize, scene_light
 from .views import ViewSet, viewset_doc
 
 INDEX_MAGIC = b"P2CI"
@@ -108,11 +126,45 @@ def derive_seed(base: int, shape_id: int, view_id: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+# held renders: (shape id, view quaternion bytes) -> normal map, None if empty
+Renders = dict[tuple[int, bytes], NormalMap | None]
+
+
+def render_views(shapes: dict[int, TriMesh], views: ViewSet, resolution: int) -> Renders:
+    """Normal map of every shape at every view, to share between passes.
+
+    Keyed by (shape id, view quaternion as f64 bytes), so a pass reuses a
+    render only for the identical shape and view. A view with an empty
+    projection maps to None. The held maps keep the normals and the
+    mask only, not the diagnostic triangle ids.
+    """
+    renders: Renders = {}
+    for sid in sorted(shapes):
+        for view in views.medoids:
+            nmap = _render(shapes[sid], view, resolution)
+            renders[_render_key(sid, view)] = (
+                None if nmap is None else NormalMap(normals=nmap.normals, mask=nmap.mask)
+            )
+    return renders
+
+
+def _render_key(sid: int, view: np.ndarray) -> tuple[int, bytes]:
+    return sid, np.asarray(view, dtype=np.float64).tobytes()
+
+
+def _render(mesh: TriMesh, view: np.ndarray, resolution: int) -> NormalMap | None:
+    try:
+        return rasterize(mesh, view, resolution)
+    except RenderError:
+        return None  # a fully empty view costs records, not the build
+
+
 def enumerate_view_patches(
     shapes: dict[int, TriMesh],
     views: ViewSet,
     patches_per_view: int,
     cfg: Config,
+    renders: Renders | None = None,
 ):
     """Yield one block of records per rendered view.
 
@@ -128,15 +180,22 @@ def enumerate_view_patches(
     placement matches what the image domain computes from a photograph
     of the same surface. Rects that collapse onto the same placement
     are deduplicated, so patches_per_view is an upper bound per view.
+
+    A view found in `renders` (see render_views) is not rendered again;
+    any other view is rendered here and not kept.
     """
     light = scene_light()
+    renders = renders or {}
     for sid in sorted(shapes):
         mesh = shapes[sid]
         for vid, view in enumerate(views.medoids):
-            try:
-                nmap = rasterize(mesh, view, cfg.render_resolution)
-            except RenderError:
-                continue  # a fully empty view costs records, not the build
+            key = _render_key(sid, view)
+            if key in renders:
+                nmap = renders[key]
+            else:
+                nmap = _render(mesh, view, cfg.render_resolution)
+            if nmap is None:
+                continue
             patch_seed = derive_seed(cfg.seed, sid, vid)
             patches = sample_patches(
                 nmap, cfg.patch_fraction, patches_per_view, patch_seed,
@@ -166,18 +225,20 @@ def build_index(
     patches_per_view: int,
     cfg: Config,
     mesh_paths: dict[int, str] | None = None,
+    renders: Renders | None = None,
 ) -> PatchIndex:
     """Render, sample, and embed every shape x view into one flat index.
 
     Each view's block goes through the shape tower in one pass; blocks
     are embedded one at a time, so the f64 features of the whole index
-    are never held at once.
+    are never held at once. Views found in `renders` are not rendered
+    again (see enumerate_view_patches).
     """
     if not shapes:
         raise EmptyIndexError("no shapes to index")
     embeddings, shape_ids, view_ids, rects = [], [], [], []
     for sid, vid, feats, view_rects in enumerate_view_patches(
-        shapes, views, patches_per_view, cfg
+        shapes, views, patches_per_view, cfg, renders
     ):
         embeddings.append(tower_forward(model.shape, feats).Y.astype(np.float32))
         shape_ids.append(np.full(len(feats), sid, dtype=np.int64))
@@ -226,16 +287,7 @@ def knn_query(
         raise EmptyIndexError("no records in the searched subset")
     emb = index.embeddings_f64 if subset is None else index.rows_f64(ids)
     sims = emb @ np.asarray(query, dtype=np.float64)
-    neg = -sims
-    keep = np.arange(len(ids))
-    if k < len(ids):
-        # candidates: every record at or above the k-th highest similarity,
-        # ties with it included, so sorting them gives the exact full order;
-        # a NaN compares false and stays too, and sorts last as in a full sort
-        kth = np.partition(neg, k - 1)[k - 1]
-        keep = np.flatnonzero(~(neg > kth))
-    order = keep[np.lexsort((ids[keep], neg[keep]))[:k]]
-    return [(int(ids[i]), float(sims[i])) for i in order]
+    return [(int(ids[i]), float(sims[i])) for i in _top_k(sims, ids, k)]
 
 
 @dataclass

@@ -245,7 +245,8 @@ def pack_pose_section(params: PoseHeadParams, medoids: np.ndarray) -> bytes:
 def unpack_pose_section(blob: bytes) -> tuple[PoseHeadParams, np.ndarray]:
     reader = Reader(blob, "pose section")
     k, d_in = reader.u32(2, "header")
-    medoids = reader.array("<f8", k * 4, "medoids").reshape(k, 4).copy()
+    medoids = reader.finite(reader.array("<f8", k * 4, "medoids"), "medoids")
+    medoids = medoids.reshape(k, 4).copy()
     shapes = [(d_in, k), (k,), (d_in, 4), (4,), (d_in, 2), (2,)]
     arrays = reader.f4(shapes, "weights")
     reader.end()

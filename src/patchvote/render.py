@@ -16,6 +16,7 @@ areas and boxes are computed for all triangles in one pass first.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +46,16 @@ class NormalMap:
 
 @dataclass
 class ShadedRender:
-    intensity: np.ndarray  # (h, w) float32 in [0, 1]
-    mask: np.ndarray       # (h, w) bool
+    intensity: np.ndarray  # (h, w) float32 in [0, 1], or (n, h, w) for n noise draws
+    mask: np.ndarray       # (h, w) bool, shared by every draw
 
     @property
     def height(self) -> int:
-        return self.intensity.shape[0]
+        return self.mask.shape[0]
 
     @property
     def width(self) -> int:
-        return self.intensity.shape[1]
+        return self.mask.shape[1]
 
 
 def rasterize(mesh: TriMesh, view: np.ndarray, resolution: int) -> NormalMap:
@@ -151,7 +152,10 @@ def rasterize(mesh: TriMesh, view: np.ndarray, resolution: int) -> NormalMap:
 
 
 def shade(
-    nmap: NormalMap, light_dir: np.ndarray, noise_sigma: float, seed: int
+    nmap: NormalMap,
+    light_dir: np.ndarray,
+    noise_sigma: float,
+    seed: int | Sequence[int],
 ) -> ShadedRender:
     """Single-directional Lambert shading of the stored normals.
 
@@ -159,20 +163,31 @@ def shade(
     as the stored normals (the pipeline passes the camera light rotated
     into the canonical frame, so this dot product equals the view-space
     one).
+
+    With one seed the intensity is (h, w). With a sequence of n seeds it
+    is an (n, h, w) stack of noise draws of the one view: the Lambert
+    term is computed once and draw i adds the noise of its own stream
+    `seed[i]`, so each layer equals a one-seed call with that seed.
     """
     light = np.asarray(light_dir, dtype=np.float64)
     if abs(np.linalg.norm(light) - 1.0) > 1e-6:
         raise RenderError("light direction is not unit length")
-    if noise_sigma < 0:
+    if not noise_sigma >= 0:
         raise RenderError("noise_sigma must be >= 0")
+    one = np.ndim(seed) == 0
+    seeds = [seed] if one else list(seed)
     lambert = np.maximum(0.0, nmap.normals.astype(np.float64) @ light)
+    draws = np.empty((len(seeds),) + lambert.shape)
+    draws[:] = lambert
     if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        lambert = lambert + rng.normal(0.0, noise_sigma, size=lambert.shape)
-    intensity = np.clip(lambert, 0.0, 1.0)
-    intensity[~nmap.mask] = 0.0
+        for layer, s in zip(draws, seeds):
+            layer += np.random.default_rng(s).normal(0.0, noise_sigma, size=lambert.shape)
+    intensity = np.clip(draws, 0.0, 1.0, out=draws)
+    intensity[:, ~nmap.mask] = 0.0
+    intensity = intensity.astype(np.float32)
     return ShadedRender(
-        intensity=intensity.astype(np.float32), mask=nmap.mask.copy()
+        intensity=intensity[0] if one else intensity,
+        mask=nmap.mask.copy(),
     )
 
 

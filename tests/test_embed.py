@@ -401,3 +401,60 @@ class TestModelIO:
         p.write_bytes(data[:-2])
         with pytest.raises(FormatError, match="section"):
             load_model(str(p))
+
+
+class TestModelRejectsNonFinite:
+    @pytest.mark.parametrize(
+        "tower, name, value",
+        [
+            ("image", "W1", np.nan),
+            ("shape", "b2", np.inf),
+            ("image", "b1", -np.inf),
+            ("shape", "W2", np.nan),
+        ],
+    )
+    def test_nan_or_inf_weight_is_format_error(self, tmp_path, tower, name, value):
+        params = init_params(4, 6, 3, 2, seed=1)
+        getattr(getattr(params, tower), name).flat[0] = value
+        p = tmp_path / "m.bin"
+        save_model(params, str(p))
+        with pytest.raises(FormatError, match="non-finite value in parameters"):
+            load_model(str(p))
+
+
+def lexsort_mining(anchor, ids, embs, keep):
+    """The full-sort miner that the partial top-k replaced."""
+    sims = embs @ anchor
+    order = np.lexsort((ids, -sims))
+    return np.asarray(ids)[order[:keep]]
+
+
+class TestMiningMatchesFullSort:
+    def test_heavy_ties(self):
+        # embeddings drawn from three values, so most similarities tie,
+        # and a boundary tie straddles every keep
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            n = int(rng.integers(1, 80))
+            ids = np.sort(rng.choice(10_000, n, replace=False))
+            embs = rng.choice([-1.0, 0.0, 1.0], size=(n, 3))
+            anchor = rng.choice([-1.0, 0.0, 1.0], size=3)
+            for keep in (1, 2, n // 2 + 1, n - 1, n, n + 5):
+                if keep < 1:
+                    continue
+                got = mine_hard_negatives(anchor, ids, embs, keep)
+                want = lexsort_mining(anchor, ids, embs, keep)
+                assert got.tobytes() == want.tobytes()
+
+    def test_pool_smaller_than_keep_and_unsorted_ids(self):
+        rng = np.random.default_rng(8)
+        ids = rng.permutation(40)[:12]
+        embs = rng.normal(size=(12, 4))
+        anchor = rng.normal(size=4)
+        got = mine_hard_negatives(anchor, ids, embs, 1024)
+        assert got.tobytes() == lexsort_mining(anchor, ids, embs, 1024).tobytes()
+        assert sorted(got.tolist()) == sorted(ids.tolist())
+
+    def test_empty_pool(self):
+        got = mine_hard_negatives(np.ones(2), np.empty(0, np.int64), np.empty((0, 2)), 3)
+        assert got.shape == (0,) and got.dtype == np.int64

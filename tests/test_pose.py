@@ -296,3 +296,19 @@ class TestPoseSectionMalformed:
     def test_trailing_bytes_rejected(self):
         with pytest.raises(FormatError, match="trailing"):
             unpack_pose_section(VALID_SECTION + b"\x00")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_medoid_rejected(self, value):
+        medoids = random_rotations(3, seed=5)
+        medoids[1, 2] = value
+        blob = pack_pose_section(init_pose_head(5, 3, seed=4), medoids)
+        with pytest.raises(FormatError, match="non-finite value in medoids"):
+            unpack_pose_section(blob)
+
+    @pytest.mark.parametrize("name", ["Wc", "bc", "Wq", "bq", "Wt", "bt"])
+    def test_nan_weight_rejected(self, name):
+        head = init_pose_head(5, 3, seed=4)
+        getattr(head, name).flat[-1] = np.nan
+        blob = pack_pose_section(head, random_rotations(3, seed=5))
+        with pytest.raises(FormatError, match="non-finite value in weights"):
+            unpack_pose_section(blob)

@@ -144,6 +144,25 @@ class TestShade:
         assert a.intensity.min() >= 0.0
         assert a.intensity.max() <= 1.0
 
+    def test_nan_noise_sigma_rejected(self):
+        with pytest.raises(RenderError, match="noise_sigma"):
+            shade(self.flat_nmap(), np.array([0.0, 0.0, 1.0]), float("nan"), seed=0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_seed_list_stacks_one_draw_per_seed(self, sigma):
+        nmap = rasterize(unit_cube(), random_rotations(1, seed=5)[0], 48)
+        light = np.array([0.0, 0.6, 0.8])
+        seeds = [11, 4, 11, 2**40]
+        stack = shade(nmap, light, sigma, seeds)
+        assert stack.intensity.shape == (4, 48, 48)
+        assert stack.intensity.dtype == np.float32
+        assert (stack.height, stack.width) == (48, 48)
+        np.testing.assert_array_equal(stack.mask, nmap.mask)
+        for layer, s in zip(stack.intensity, seeds):
+            one = shade(nmap, light, sigma, s)
+            assert layer.tobytes() == one.intensity.tobytes()
+        assert shade(nmap, light, sigma, []).intensity.shape == (0, 48, 48)
+
     def test_non_unit_light_rejected(self):
         with pytest.raises(RenderError, match="light"):
             shade(self.flat_nmap(), np.array([0.0, 0.0, 2.0]), 0.0, seed=0)

@@ -398,3 +398,73 @@ def test_index_view_pass_matches_per_rect_loops(renders):
         got = shape_patch_features(nmap.normals, snapped, 16)
         want = np.stack([oracle_features(nmap.normals, r, 16) for r in want_rects])
         assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# stacks: one raster per rect, as the corpus's anchor views pass them
+
+
+class TestStackedRastersMatchPerRectCalls:
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_anchor_view_pass(self, renders, noise):
+        """Snap and pool of one stack equal one call per rect on its layer."""
+        for i, (nmap, _) in enumerate(renders):
+            rects = [r for r in sample_patches(nmap, 1.0 / 3.0, 12, seed=i) if not r.empty]
+            seeds = [1000 * i + j for j in range(len(rects))]
+            stack = shade(nmap, scene_light(), noise, seeds).intensity
+            snapped = content_rect(stack, nmap.mask, rects)
+            per_rect = [content_rect(layer, nmap.mask, [r])[0]
+                        for layer, r in zip(stack, rects)]
+            want = [oracle_content_rect(layer, nmap.mask, r)
+                    for layer, r in zip(stack, rects)]
+            assert same_rects(snapped, per_rect) and same_rects(snapped, want)
+            got = image_patch_features(stack, snapped, 16, stacked=True)
+            one = np.stack([image_patch_features(layer, r, 16)
+                            for layer, r in zip(stack, snapped)])
+            assert got.tobytes() == one.tobytes()
+            assert got.tobytes() == np.stack(
+                [oracle_features(layer, r, 16) for layer, r in zip(stack, snapped)]
+            ).tobytes()
+
+    def test_layers_steer_their_own_rect(self):
+        # the same rect on three layers: content at its left edge, at
+        # its right edge, nowhere (the mask floor alone keeps it still)
+        mask = np.ones((32, 32), dtype=bool)
+        stack = np.zeros((3, 32, 32), dtype=np.float32)
+        stack[0, :, 10:13] = 1.0
+        stack[1, :, 19:22] = 1.0
+        rects = [PatchRect(10, 8, 12, 12)] * 3
+        got = content_rect(stack, mask, rects)
+        assert same_rects(got, [oracle_content_rect(s, mask, r)
+                                for s, r in zip(stack, rects)])
+        assert got[0].x < 10 < got[1].x and got[2].x == 10
+
+    @pytest.mark.parametrize("iters", [1, 2, 4])
+    def test_iteration_cap_and_zero_weight(self, iters):
+        rng = np.random.default_rng(iters)
+        mask = np.zeros((48, 48), dtype=bool)
+        mask[20:, 20:] = True
+        stack = np.exp(rng.normal(size=(6, 48, 48)) * 3.0)
+        stack[2] = 0.0
+        rects = [PatchRect(int(x), int(y), 14, 14)
+                 for x, y in rng.integers(0, 48 - 14 + 1, size=(6, 2))]
+        rects[0] = PatchRect(0, 0, 14, 14)  # off the mask: zero weight
+        got = content_rect(stack, mask, rects, iters=iters)
+        want = [oracle_content_rect(s, mask, r, iters) for s, r in zip(stack, rects)]
+        assert same_rects(got, want)
+
+    def test_stacked_windows_with_channels(self):
+        stack = np.arange(2 * 5 * 6 * 3, dtype=np.float32).reshape(2, 5, 6, 3)
+        rects = [PatchRect(1, 2, 4, 3), PatchRect(0, 0, 4, 3)]
+        win = rect_windows(stack, rects, stacked=True)
+        assert win.shape == (2, 3, 4, 3) and win.flags.c_contiguous
+        np.testing.assert_array_equal(win[0], stack[0, 2:5, 1:5])
+        np.testing.assert_array_equal(win[1], stack[1, 0:3, 0:4])
+
+    def test_stack_must_hold_one_layer_per_rect(self):
+        rects = [PatchRect(0, 0, 4, 4)] * 3
+        stack = np.ones((2, 8, 8))
+        with pytest.raises(DescriptorError, match="stack of 2 rasters for 3 rects"):
+            content_rect(stack, np.ones((8, 8), bool), rects)
+        with pytest.raises(DescriptorError, match="stack of 2 rasters for 3 rects"):
+            image_patch_features(stack, rects, 2, stacked=True)

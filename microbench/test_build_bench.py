@@ -9,7 +9,10 @@ mid-range parameters at 96 px under the default Config, with the
 INDEX_PATCHES_PER_VIEW = 128 rects of side 32 that `enumerate_view_patches`
 samples. `content_rect` snaps the view's non-empty rects on the
 noiseless shading, and `shape_patch_features` pools the snapped rects'
-normals into 16 x 16 cells.
+normals into 16 x 16 cells. Two more pooling cases steer the kernel
+through its other branches on the same rects: one 32 px bin per rect
+(the eight-accumulator sum) and 5 x 5 cells of uneven 6 and 7 px bins
+(two widths, each gathered).
 
 The anchor-view pass is what `build_corpus` runs per anchor view: one
 `shade` call draws a noise variant per non-empty rect of the
@@ -70,6 +73,12 @@ def test_content_rect_view(benchmark, view):
 def test_pool_view(benchmark, view):
     nmap, _, snapped, _ = view
     benchmark(shape_patch_features, nmap.normals, snapped, CFG.pool_size)
+
+
+@pytest.mark.parametrize("pool", [1, 5], ids=["wide-bins", "uneven-bins"])
+def test_pool_view_other_bins(benchmark, view, pool):
+    nmap, _, snapped, _ = view
+    benchmark(shape_patch_features, nmap.normals, snapped, pool)
 
 
 def anchor_view_pass(nmap, rects, seeds):

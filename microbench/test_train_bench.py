@@ -1,0 +1,52 @@
+"""Micro-benchmark of one training epoch: `train` with epochs=1.
+
+Run from the repository root, next to the index benchmarks:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest microbench -q
+
+The corpus has the perfbench size under the default Config: 713 anchors
+of pool_size**2 = 256 f32 intensities, 4,906 candidates of 3 * 256 = 768
+f32 normal components, 1 to 24 positives per anchor (the bench corpus
+has 1 to 41, median 12) and 3,900 negatives disjoint from them (the
+bench corpus has 3,662 to 4,096). Values are seeded uniform draws, so
+mining and the loss do the bench's work on different numbers. One epoch
+draws anchors_per_epoch = 512 anchors, mines negatives_keep = 1,024 for
+each, and takes 8 SGD steps of batch_size = 64.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from patchvote.config import Config
+from patchvote.embed import PatchCorpus, init_params, train
+
+CFG = replace(Config(), epochs=1)
+ANCHORS = 713
+CANDIDATES = 4906
+NEGATIVES = 3900
+
+
+@pytest.fixture(scope="module")
+def corpus() -> PatchCorpus:
+    rng = np.random.default_rng(0)
+    p2 = CFG.pool_size**2
+    pos_lists, neg_lists = [], []
+    for n_pos in rng.integers(1, 25, size=ANCHORS):
+        ids = rng.permutation(CANDIDATES)
+        pos_lists.append(np.sort(ids[:n_pos]))
+        neg_lists.append(np.sort(ids[n_pos : n_pos + NEGATIVES]))
+    return PatchCorpus(
+        anchor_feats=rng.random((ANCHORS, p2), dtype=np.float32),
+        cand_feats=rng.random((CANDIDATES, 3 * p2), dtype=np.float32),
+        pos_lists=pos_lists,
+        neg_lists=neg_lists,
+    )
+
+
+def test_train_epoch(benchmark, corpus):
+    p2 = CFG.pool_size**2
+    params = init_params(p2, 3 * p2, CFG.hidden_dim, CFG.embed_dim, seed=0)
+    # train updates the params it is given: each round starts from a copy
+    benchmark(lambda: train(corpus, CFG, params.copy()))

@@ -9,7 +9,7 @@ byte, undecodable document, non-object root and missing or mistyped
 field raises FormatError naming the artifact and the part, as does a
 NaN or infinity in a float block read by `Reader.f4` or checked by
 `Reader.finite` (the model's tower weights, the pose head's weights
-and its medoids).
+and its medoids, the index's embeddings).
 """
 
 from __future__ import annotations

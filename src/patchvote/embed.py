@@ -12,6 +12,7 @@ finite differences in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,30 +66,95 @@ def init_params(
     return TowerParams(image=tower(d_in_image), shape=tower(d_in_shape))
 
 
+def _pairwise(terms: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """numpy's pairwise sum of terms[:, :, lo:lo + n] over axis 2, n >= 1.
+
+    The order is numpy's for a reduction over one strided run: fewer than
+    8 terms are added in sequence; up to 128 go through eight strided
+    accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and
+    the tail of fewer than 8 is added in sequence; more are split at
+    n // 2 rounded down to a multiple of 8, each half summed this way.
+    Sums are f64 whatever the terms' dtype; a single term comes back as is.
+    """
+    if n == 1:
+        return terms[:, :, lo]
+    if n < 8:
+        total = np.add(terms[:, :, lo], terms[:, :, lo + 1], dtype=np.float64)
+        for i in range(lo + 2, lo + n):
+            total += terms[:, :, i]
+        return total
+    if n <= 128:
+        end = lo + n - n % 8
+        acc = terms[:, :, lo : lo + 8].astype(np.float64)
+        for i in range(lo + 8, end, 8):
+            acc += terms[:, :, i : i + 8]
+        r = [acc[:, :, k] for k in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            total += terms[:, :, i]
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _pairwise(terms, lo, half) + _pairwise(terms, lo + half, n - half)
+
+
+def _bin_cells(terms: np.ndarray) -> np.ndarray:
+    """Each bin of an (M, bins, width, ...) stack of terms: its first term
+    plus the pairwise sum of the rest, in f64."""
+    width = terms.shape[2]
+    if width == 1:
+        return terms[:, :, 0].astype(np.float64)
+    return np.add(terms[:, :, 0], _pairwise(terms, 1, width - 1), dtype=np.float64)
+
+
+def _bin_sums(a: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Sums of a (M, L, ...) stack over the bins [edges[i], edges[i+1]) of axis 1.
+
+    Each cell is its bin's first element plus the pairwise sum of the
+    rest, numpy's order for an add reduction started at each edge. Bins
+    of floor(i * L / P) edges come in at most two widths. Equal widths
+    are summed from a view of `a`; otherwise the bins of each width are
+    gathered into one stack of terms and summed together.
+    """
+    m, size = a.shape[:2]
+    bins = len(edges) - 1
+    narrow = size // bins
+    if narrow * bins == size:
+        return _bin_cells(a.reshape((m, bins, narrow) + a.shape[2:]))
+    out = np.empty((m, bins) + a.shape[2:])
+    wide = np.diff(edges) > narrow
+    for width, which in ((narrow, np.flatnonzero(~wide)), (narrow + 1, np.flatnonzero(wide))):
+        out[:, which] = _bin_cells(a[:, edges[which, None] + np.arange(width)])
+    return out
+
+
 def _pool_windows(stack: np.ndarray, pool: int) -> np.ndarray:
     """Average-pool each (h, w) or (h, w, c) block of a stack to pool x pool.
 
     Bin edges come from floor(i * size / pool), so uneven sizes get
-    deterministic, nearly equal bins. The stack's blocks are summed
-    together, two `reduceat` calls in all, each cell in the same order
-    as a block pooled on its own. Returns (N, pool * pool [* c]) f64.
+    deterministic, nearly equal bins. Rows are binned first, for every
+    channel at once, then columns, one channel at a time so that every
+    add runs over long strided runs. Returns (N, pool * pool [* c]) f64.
+
+    Order contract: every cell is bit for bit what `np.add.reduceat`
+    gives over the block's rows and then its columns in f64, the block
+    pooled on its own; `_bin_sums` encodes numpy's summation order, and
+    the oracle tests check each of its branches against live reduceat.
     """
     h, w = stack.shape[1:3]
     if h < pool or w < pool:
         raise ValueError(f"patch {h}x{w} smaller than pool size {pool}")
     ye = (np.arange(pool + 1) * h) // pool
     xe = (np.arange(pool + 1) * w) // pool
-    rows = np.add.reduceat(stack.astype(np.float64), ye[:-1], axis=1)
-    cells = np.add.reduceat(rows, xe[:-1], axis=2)
+    n = len(stack)
+    channels = stack.shape[3] if stack.ndim == 4 else 1
+    rows = _bin_sums(stack.reshape(n, h, w * channels), ye)
+    rows = rows.reshape(n * pool, w, channels)
     counts = np.outer(np.diff(ye), np.diff(xe)).astype(np.float64)
-    if stack.ndim == 4:
-        counts = counts[:, :, None]
-    return (cells / counts).reshape(len(stack), -1)
-
-
-def pool_patch(block: np.ndarray, pool: int) -> np.ndarray:
-    """Average-pool one (h, w) or (h, w, c) block to pool x pool, flattened."""
-    return _pool_windows(block[None], pool)[0]
+    out = np.empty((n, pool, pool, channels))
+    for c in range(channels):
+        cells = _bin_sums(rows[:, :, c], xe)
+        np.divide(cells.reshape(n, pool, pool), counts, out=out[..., c])
+    return out.reshape(n, -1)
 
 
 def _rect_features(raster: np.ndarray, rects, pool: int, stacked: bool = False):
@@ -280,10 +346,25 @@ class PatchCorpus:
     skipped_anchors: int = 0  # anchors dropped at build time
 
 
+class EpochStats(NamedTuple):
+    """One training epoch: its loss and the health of its epoch-start embeddings.
+
+    The cosines are those mining sees: the epoch's anchors against the
+    candidates, both embedded with the parameters the epoch starts from.
+    """
+
+    epoch: int
+    loss: float  # mean loss per anchor over the epoch's batches
+    skipped: int  # anchors without positives or negatives, build-time skips included
+    pos_cos: float  # mean cosine over every (anchor, positive) pair
+    hard_neg_cos: float  # mean over anchors of the cosine to its hardest mined negative
+    pos_beats_neg: float  # share of anchors whose best positive beats that negative
+
+
 @dataclass
 class TrainResult:
     params: TowerParams
-    history: list[tuple[int, float, int]] = field(default_factory=list)
+    history: list[EpochStats] = field(default_factory=list)
 
 
 def _sgd_step(params: TowerParams, grad: TowerParams, lr: float) -> None:
@@ -292,6 +373,21 @@ def _sgd_step(params: TowerParams, grad: TowerParams, lr: float) -> None:
         tower.b1 -= lr * g.b1
         tower.W2 -= lr * g.W2
         tower.b2 -= lr * g.b2
+
+
+def _health(
+    anchor_y: np.ndarray, cand_y: np.ndarray, pos: list[np.ndarray], mined: list[np.ndarray]
+) -> tuple[float, float, float]:
+    """(pos_cos, hard_neg_cos, pos_beats_neg) of EpochStats, anchor k = row k.
+
+    Each list holds one id array per anchor, mined ones hardest first.
+    """
+    owner = np.repeat(np.arange(len(pos)), [len(p) for p in pos])
+    cos = np.einsum("ij,ij->i", cand_y[np.concatenate(pos)], anchor_y[owner])
+    best = np.full(len(pos), -np.inf)
+    np.maximum.at(best, owner, cos)
+    hard = np.einsum("ij,ij->i", cand_y[[m[0] for m in mined]], anchor_y)
+    return float(cos.mean()), float(hard.mean()), float(np.mean(best > hard))
 
 
 def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -> TrainResult:
@@ -308,6 +404,7 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
     best-aligned correspondence dominates and the loosely-overlapping
     ones fade without needing to win on their own.
     Anchors left without positives or negatives are skipped and counted.
+    Each epoch appends one EpochStats row to the history.
     """
     A = len(corpus.anchor_feats)
     if A == 0:
@@ -321,7 +418,7 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
             seed=cfg.seed,
         )
     rng = np.random.default_rng(cfg.seed + 1)
-    history: list[tuple[int, float, int]] = []
+    history: list[EpochStats] = []
 
     eligible = np.array(
         [
@@ -335,40 +432,44 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
     if len(eligible) == 0:
         raise TrainingError("all anchors skipped: nothing to train on")
 
+    # a batch's candidate rows are the marked ids in ascending order, and
+    # slot maps each of them to its row in the batch; both are reused
+    mark = np.zeros(len(corpus.cand_feats), dtype=bool)
+    slot = np.zeros(len(corpus.cand_feats), dtype=np.intp)
     for epoch in range(cfg.epochs):
         if len(eligible) > cfg.anchors_per_epoch:
             sel = rng.choice(eligible, cfg.anchors_per_epoch, replace=False)
         else:
             sel = eligible.copy()
         rng.shuffle(sel)
-        atrace = tower_forward(params.image, corpus.anchor_feats[sel])
-        ctrace = tower_forward(params.shape, corpus.cand_feats)
-        mined: dict[int, np.ndarray] = {}
+        anchor_y = tower_forward(params.image, corpus.anchor_feats[sel]).Y
+        cand_y = tower_forward(params.shape, corpus.cand_feats).Y
+        pos = [corpus.pos_lists[i] for i in sel]
+        mined = []
         for k, i in enumerate(sel):
             neg = corpus.neg_lists[i]
-            mined[int(i)] = mine_hard_negatives(
-                atrace.Y[k], neg, ctrace.Y[neg], cfg.negatives_keep
+            mined.append(
+                mine_hard_negatives(anchor_y[k], neg, cand_y[neg], cfg.negatives_keep)
             )
+        health = _health(anchor_y, cand_y, pos, mined)
 
         total = 0.0
         for start in range(0, len(sel), cfg.batch_size):
-            chunk = [int(i) for i in sel[start : start + cfg.batch_size]]
-            rows = np.unique(
-                np.concatenate([corpus.pos_lists[i] for i in chunk]
-                               + [mined[i] for i in chunk])
-            )
+            end = start + cfg.batch_size
+            mark[np.concatenate(pos[start:end] + mined[start:end])] = True
+            rows = np.flatnonzero(mark)
+            mark[rows] = False
+            slot[rows] = np.arange(len(rows))
             batch = TrainingBatch(
-                anchor_feats=corpus.anchor_feats[chunk],
+                anchor_feats=corpus.anchor_feats[sel[start:end]],
                 cand_feats=corpus.cand_feats[rows],
-                pos_ids=[
-                    np.searchsorted(rows, corpus.pos_lists[i]) for i in chunk
-                ],
-                neg_ids=[np.searchsorted(rows, mined[i]) for i in chunk],
+                pos_ids=[slot[p] for p in pos[start:end]],
+                neg_ids=[slot[m] for m in mined[start:end]],
             )
             loss, grad = nce_loss_and_grad(params, batch, cfg)
             total += loss
-            _sgd_step(params, grad, cfg.learning_rate / len(chunk))
-        history.append((epoch, total / len(sel), skipped))
+            _sgd_step(params, grad, cfg.learning_rate / len(batch.anchor_feats))
+        history.append(EpochStats(epoch, total / len(sel), skipped, *health))
 
     return TrainResult(params=params, history=history)
 

@@ -434,7 +434,7 @@ def load_index(path: str) -> PatchIndex:
     records = reader.array(dtype, n, "records")
     reader.end()
     return PatchIndex(
-        embeddings=records["emb"].astype(np.float32),
+        embeddings=reader.finite(records["emb"].astype(np.float32), "records"),
         shape_ids=records["shape_id"].astype(np.int64),
         view_ids=records["view_id"].astype(np.int64),
         rects=records["rect"].astype(np.int64),

@@ -5,18 +5,20 @@ import pytest
 from mpmath import mp
 
 from patchvote.config import Config
+from patchvote.descriptor import PatchRect
 from patchvote.embed import (
     PatchCorpus,
     Tower,
     TowerParams,
     TrainingBatch,
     embed_forward,
+    image_patch_features,
     init_params,
     load_model,
     mine_hard_negatives,
     nce_loss_and_grad,
-    pool_patch,
     save_model,
+    shape_patch_features,
     tower_forward,
     train,
 )
@@ -310,6 +312,31 @@ class TestTrain:
         epochs = [row[0] for row in result.history]
         assert epochs == [0, 1, 2, 3]
 
+    def test_history_health_from_epoch_start_embeddings(self):
+        corpus = tiny_corpus(np.random.default_rng(6))
+        # disjoint labels, as build_corpus gives them: no positive can tie
+        # with a negative, so the last bit decides no win
+        corpus.neg_lists = [np.setdiff1d(np.arange(10), p) for p in corpus.pos_lists]
+        cfg = self.cfg(epochs=2)
+        start = init_params(6, 9, 5, 4, seed=cfg.seed)
+        after_one = train(corpus, replace(cfg, epochs=1), start.copy()).params
+        result = train(corpus, cfg, start.copy())
+        assert result.history[0] != result.history[1]
+        for row, params in zip(result.history, (start, after_one)):
+            A = tower_forward(params.image, corpus.anchor_feats).Y
+            C = tower_forward(params.shape, corpus.cand_feats).Y
+            pos_cos, hard, wins = [], [], 0
+            for a, pos, neg in zip(A, corpus.pos_lists, corpus.neg_lists):
+                hardest = mine_hard_negatives(a, neg, C[neg], cfg.negatives_keep)[0]
+                sims = C[pos] @ a
+                pos_cos.extend(sims)
+                hard.append(C[hardest] @ a)
+                wins += sims.max() > hard[-1]
+            assert row.loss == row[1]
+            assert row.pos_cos == pytest.approx(np.mean(pos_cos), rel=1e-12)
+            assert row.hard_neg_cos == pytest.approx(np.mean(hard), rel=1e-12)
+            assert row.pos_beats_neg == wins / len(A)
+
     def test_anchors_without_labels_skipped_and_counted(self):
         rng = np.random.default_rng(4)
         corpus = tiny_corpus(rng, n_anchors=4)
@@ -337,26 +364,32 @@ class TestTrain:
 
 
 class TestPooling:
+    """Pooling of one full-window rect, through the patch-feature functions."""
+
     def test_exact_block_average(self):
         base = np.arange(256, dtype=float).reshape(16, 16)
         block = np.kron(base, np.ones((2, 2)))
-        np.testing.assert_array_equal(pool_patch(block, 16), base.ravel())
+        got = image_patch_features(block, PatchRect(0, 0, 32, 32), 16)
+        np.testing.assert_array_equal(got, base.ravel())
 
     def test_three_channel(self):
         base = np.arange(48, dtype=float).reshape(4, 4, 3)
         block = np.repeat(np.repeat(base, 3, axis=0), 3, axis=1)
-        np.testing.assert_allclose(pool_patch(block, 4), base.ravel())
+        got = shape_patch_features(block, PatchRect(0, 0, 12, 12), 4)
+        np.testing.assert_allclose(got, base.ravel())
 
     def test_uneven_bins(self):
         block = np.arange(25, dtype=float).reshape(5, 5)
-        out = pool_patch(block, 2).reshape(2, 2)
+        out = image_patch_features(block, PatchRect(0, 0, 5, 5), 2).reshape(2, 2)
         # rows split 2/3, cols split 2/3
         assert out[0, 0] == pytest.approx(block[:2, :2].mean())
         assert out[1, 1] == pytest.approx(block[2:, 2:].mean())
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
-            pool_patch(np.zeros((3, 3)), 4)
+            image_patch_features(np.zeros((3, 3)), PatchRect(0, 0, 3, 3), 4)
+        with pytest.raises(ValueError):
+            shape_patch_features(np.zeros((3, 3, 3)), PatchRect(0, 0, 3, 3), 4)
 
 
 class TestModelIO:

@@ -477,6 +477,15 @@ class TestIndexIOColumnar:
             save_index(idx, str(p))
         assert not p.exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embedding_rejected(self, tmp_path, value):
+        idx = micro_index([unit([1, 0, 0, 0]), unit([0, 1, 0, 0])], [0, 1])
+        idx.embeddings[1, 2] = value
+        p = tmp_path / "nf.p2ci"
+        save_index(idx, str(p))
+        with pytest.raises(FormatError, match="index: non-finite value in records"):
+            load_index(str(p))
+
     def test_u32_extremes_round_trip(self, tmp_path):
         idx = micro_index([unit([1, 0, 0, 0]), unit([0, 1, 0, 0])], [0, 1])
         idx.view_ids[1] = 2**32 - 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from patchvote.descriptor import PatchRect, content_rect, rect_windows, sample_patches
-from patchvote.embed import image_patch_features, pool_patch, shape_patch_features
+from patchvote.embed import image_patch_features, shape_patch_features
 from patchvote.errors import DescriptorError
 from patchvote.mesh import TriMesh, face_normals
 from patchvote.render import MARGIN, NormalMap, rasterize, scene_light, shade
@@ -329,11 +329,25 @@ class TestContentRectMatchesPerRectSnap:
 # pooling
 
 
+# Window sizes that steer the pooling kernel through each branch of
+# numpy's pairwise sum, as (h, w, pool): bins of width 2 (one added term,
+# where signed zeros show), 8/9 and 16/17 (the edges of the
+# eight-accumulator branch), 129/130 (its last width and the first
+# halved one), 200 and 300 (halved), and mixed floor/ceil widths
+# (17/18 by 4/5 and, at 300 x 7, 150 by 3/4).
+BRANCH_CASES = [(32, 32, 16), (9, 8, 1), (17, 16, 1), (129, 130, 1),
+                (200, 200, 1), (300, 7, 2), (70, 19, 4)]
+
+
 class TestPoolingMatchesPerBlockReduceat:
     @pytest.mark.parametrize(
         "side, pool",
         [(32, 16), (32, 8), (33, 16), (31, 5), (17, 4), (96, 16), (96, 4), (50, 3),
-         (16, 16)],
+         (16, 16),
+         # bins of width 8, 9, 16 and 17 bound the eight-accumulator branch;
+         # a 96 px bin fills its accumulators from eleven blocks of eight,
+         # and 90 px at pool 7 mixes widths 12 and 13
+         (32, 4), (36, 4), (64, 4), (68, 4), (96, 1), (90, 7)],
     )
     def test_stacked_rects(self, renders, side, pool):
         for i, (nmap, shaded) in enumerate(renders[:4]):
@@ -347,7 +361,8 @@ class TestPoolingMatchesPerBlockReduceat:
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
-    @pytest.mark.parametrize("h, w, pool", [(96, 96, 16), (29, 23, 4), (12, 40, 3)])
+    @pytest.mark.parametrize("h, w, pool", [(96, 96, 16), (29, 23, 4), (12, 40, 3),
+                                            *BRANCH_CASES])
     def test_cancellation_prone_values(self, n, h, w, pool):
         # magnitudes 1e-8..1e16 with both signs and signed zeros make any
         # change in summation order show in the bits
@@ -374,7 +389,26 @@ class TestPoolingMatchesPerBlockReduceat:
         got = shape_patch_features(nmap.normals, r, 16)
         assert got.tobytes() == oracle_features(nmap.normals, r, 16).tobytes()
         block = nmap.normals[5:38, 9:40]
-        assert pool_patch(block, 5).tobytes() == oracle_pool(block, 5).tobytes()
+        got = shape_patch_features(block, PatchRect(0, 0, 31, 33), 5)
+        assert got.tobytes() == oracle_pool(block, 5).tobytes()
+
+    @pytest.mark.parametrize("h, w, pool", BRANCH_CASES)
+    def test_float32_rasters(self, h, w, pool):
+        # f32 terms are widened before any add; zeros of both signs, and
+        # mostly negative ones, give bins whose sum must stay -0.0
+        rng = np.random.default_rng(h * w + pool)
+        for c in (None, 3):
+            shape = (2, h + 1, w + 2) + (() if c is None else (c,))
+            sign = rng.choice([-1.0, 1.0], size=shape)
+            stack = (sign * 10.0 ** rng.integers(-8, 17, size=shape)).astype(np.float32)
+            stack[rng.random(shape) < 0.4] = -0.0
+            stack[rng.random(shape) < 0.05] = 0.0
+            features = image_patch_features if c is None else shape_patch_features
+            for layer in stack:
+                rects = [PatchRect(0, 0, w, h), PatchRect(2, 1, w, h), PatchRect(1, 0, w, h)]
+                got = features(layer, rects, pool)
+                want = np.stack([oracle_features(layer, r, pool) for r in rects])
+                assert got.tobytes() == want.tobytes()
 
     def test_windows_are_copies_in_raster_layout(self):
         raster = np.arange(5 * 6 * 3, dtype=np.float32).reshape(5, 6, 3)

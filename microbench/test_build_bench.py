@@ -84,7 +84,7 @@ def test_pool_view_other_bins(benchmark, view, pool):
 def anchor_view_pass(nmap, rects, seeds):
     variants = shade(nmap, scene_light(), CFG.shade_noise, seeds).intensity
     snapped = content_rect(variants, nmap.mask, rects)
-    return image_patch_features(variants, snapped, CFG.pool_size, stacked=True)
+    return image_patch_features(variants, snapped, CFG.pool_size)
 
 
 def test_anchor_view_pass(benchmark, view):

@@ -159,19 +159,18 @@ def _pool_windows(stack: np.ndarray, pool: int) -> np.ndarray:
 
 def _rect_features(raster: np.ndarray, rects, pool: int, stacked: bool = False):
     if isinstance(rects, PatchRect):
-        return _rect_features(raster, [rects], pool)[0]
+        return _rect_features(raster, [rects], pool, stacked)[0]
     return _pool_windows(rect_windows(raster, rects, stacked), pool)
 
 
-def image_patch_features(
-    intensity: np.ndarray, rects, pool: int, stacked: bool = False
-) -> np.ndarray:
+def image_patch_features(intensity: np.ndarray, rects, pool: int) -> np.ndarray:
     """Pooled intensities of one rect, (P*P,), or of same-size rects, (N, P*P).
 
-    With `stacked`, the intensity is an (N, H, W) stack holding one
-    raster per rect, and each rect is pooled from its own layer.
+    An intensity is single-channel, so a 3-D one is an (N, H, W) stack
+    holding one raster per rect, and each rect is pooled from its own
+    layer.
     """
-    return _rect_features(intensity, rects, pool, stacked)
+    return _rect_features(intensity, rects, pool, stacked=intensity.ndim == 3)
 
 
 def shape_patch_features(normals: np.ndarray, rects, pool: int) -> np.ndarray:
@@ -212,11 +211,6 @@ def tower_forward(t: Tower, X: np.ndarray) -> TowerTrace:
     pre2 = h1 @ t.W2 + t.b2
     Y, pre2 = _normalize_rows(pre2)
     return TowerTrace(X=X, pre1=pre1, h1=h1, pre2=pre2, Y=Y)
-
-
-def embed_forward(params: TowerParams, tower: str, x: np.ndarray) -> np.ndarray:
-    t = params.image if tower == "image" else params.shape
-    return tower_forward(t, x).Y[0]
 
 
 def tower_backward(t: Tower, trace: TowerTrace, dY: np.ndarray) -> Tower:

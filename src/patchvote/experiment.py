@@ -38,7 +38,6 @@ from .metrics import build_report, rotation_error
 from .pose import (
     PoseDataset,
     PoseHeadParams,
-    PosePrediction,
     assign_rotation_bin,
     compose_rotation,
     pose_forward,
@@ -228,7 +227,6 @@ def build_corpus(
                         variants[kept],
                         [snapped[j] for j in kept],
                         cfg.pool_size,
-                        stacked=True,
                     )
                 )
     if not anchor_feats:
@@ -248,7 +246,6 @@ class Pipeline:
     views: ViewSet
     index: PatchIndex
     history: list
-    corpus_skipped: int
 
 
 _INDEX_JITTER_OFFSET = 29
@@ -384,7 +381,6 @@ def train_pipeline(
         views=views,
         index=index,
         history=result.history,
-        corpus_skipped=corpus.skipped_anchors,
     )
 
 
@@ -509,18 +505,14 @@ def run_pose_experiment(
     result = train_pose_head(
         train_ds, cfg, epochs=epochs, learning_rate=learning_rate
     )
-    logits, offs, _, trs = pose_forward(result.params, eval_ds.features)
+    logits, offs, _, _ = pose_forward(result.params, eval_ds.features)
     pred_bins = logits.argmax(axis=1)
     accuracy = float(np.mean(pred_bins == eval_ds.gt_bins))
     errors = np.empty(len(eval_rots))
     radii = np.empty(len(eval_rots))
     for i, rot in enumerate(eval_rots):
-        pred = PosePrediction(
-            bin_logits=logits[i],
-            offset=canonical_quat(offs[i]),
-            translation=trs[i],
-        )
-        errors[i] = rotation_error(compose_rotation(medoids, pred), rot)
+        composed = compose_rotation(medoids, pred_bins[i], canonical_quat(offs[i]))
+        errors[i] = rotation_error(composed, rot)
         radii[i] = np.degrees(quat_geodesic(rot, medoids[eval_ds.gt_bins[i]]))
     return PoseEvaluation(
         bin_accuracy=accuracy,

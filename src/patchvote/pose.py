@@ -39,17 +39,6 @@ class PoseHeadParams:
         return (self.Wc, self.bc, self.Wq, self.bq, self.Wt, self.bt)
 
 
-@dataclass
-class PosePrediction:
-    bin_logits: np.ndarray  # (K,)
-    offset: np.ndarray      # unit quaternion (4,)
-    translation: np.ndarray  # (2,)
-
-    @property
-    def bin_index(self) -> int:
-        return int(np.argmax(self.bin_logits))
-
-
 def init_pose_head(d_in: int, k: int, seed: int) -> PoseHeadParams:
     rng = np.random.default_rng(seed)
     s = np.sqrt(1.0 / d_in)
@@ -83,8 +72,11 @@ def assign_rotation_bin(
     return idx, residual
 
 
-def compose_rotation(medoids: np.ndarray, pred: PosePrediction) -> np.ndarray:
-    return canonical_quat(quat_mul(pred.offset, medoids[pred.bin_index]))
+def compose_rotation(
+    medoids: np.ndarray, bin_index: int, offset: np.ndarray
+) -> np.ndarray:
+    """The rotation offset (x) medoid of a predicted bin and offset."""
+    return canonical_quat(quat_mul(offset, medoids[bin_index]))
 
 
 def _normalize_quat_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,35 +97,6 @@ def pose_forward(params: PoseHeadParams, X: np.ndarray):
     offsets, raw_q = _normalize_quat_rows(raw_q)
     trans = X @ params.Wt + params.bt
     return logits, offsets, raw_q, trans
-
-
-def predict_pose(
-    params: PoseHeadParams, medoids: np.ndarray, features: np.ndarray
-) -> PosePrediction:
-    logits, offsets, _, trans = pose_forward(params, features)
-    return PosePrediction(
-        bin_logits=logits[0],
-        offset=canonical_quat(offsets[0]),
-        translation=trans[0],
-    )
-
-
-def pose_losses(
-    pred: PosePrediction,
-    gt_bin: int,
-    gt_offset: np.ndarray,
-    gt_translation: np.ndarray,
-    delta: float = 1.0,
-) -> tuple[float, float, float]:
-    """(cross-entropy, offset Huber, translation Huber) for one sample."""
-    z = pred.bin_logits - pred.bin_logits.max()
-    ce = float(np.log(np.exp(z).sum()) - z[gt_bin])
-    q = pred.offset
-    if float(np.dot(q, gt_offset)) < 0:
-        q = -q
-    off = float(huber(q - gt_offset, delta).sum())
-    tr = float(huber(pred.translation - np.asarray(gt_translation), delta).sum())
-    return ce, off, tr
 
 
 @dataclass
@@ -200,7 +163,6 @@ def pose_loss_and_grad(
 def train_pose_head(
     data: PoseDataset,
     cfg: Config,
-    d_in: int | None = None,
     epochs: int | None = None,
     learning_rate: float | None = None,
 ) -> PoseTrainResult:
@@ -208,10 +170,8 @@ def train_pose_head(
     N = len(data.features)
     if N == 0:
         raise TrainingError("empty pose dataset")
-    d_in = d_in or data.features.shape[1]
-    k = int(data.gt_bins.max()) + 1 if len(data.gt_bins) else cfg.pose_bins
-    k = max(k, cfg.pose_bins)
-    params = init_pose_head(d_in, k, seed=cfg.seed)
+    k = max(int(data.gt_bins.max()) + 1, cfg.pose_bins)
+    params = init_pose_head(data.features.shape[1], k, seed=cfg.seed)
     epochs = cfg.epochs if epochs is None else epochs
     lr = cfg.learning_rate if learning_rate is None else learning_rate
     rng = np.random.default_rng(cfg.seed + 2)

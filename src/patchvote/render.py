@@ -191,18 +191,6 @@ def shade(
     )
 
 
-def camera_light_for_view(view: np.ndarray) -> np.ndarray:
-    """Headlight at the camera, expressed in the canonical frame.
-
-    The camera looks down -z, so the light direction toward the camera is
-    +z in view space; rotating it back by the inverse view gives the
-    vector to dot against canonical-frame normals.
-    """
-    return quat_to_matrix(np.asarray(view, dtype=np.float64)).T @ np.array(
-        [0.0, 0.0, 1.0]
-    )
-
-
 def scene_light() -> np.ndarray:
     """Benchmark light, fixed in the canonical frame.
 

@@ -62,11 +62,6 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
-def rotate_vectors(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply the rotation to row vectors v (n, 3)."""
-    return np.asarray(v, dtype=np.float64) @ quat_to_matrix(q).T
-
-
 def axis_angle_quat(axis, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=np.float64)
     axis = axis / np.linalg.norm(axis)

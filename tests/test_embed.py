@@ -11,7 +11,6 @@ from patchvote.embed import (
     Tower,
     TowerParams,
     TrainingBatch,
-    embed_forward,
     image_patch_features,
     init_params,
     load_model,
@@ -48,9 +47,9 @@ class TestForward:
         params = init_params(8, 12, 6, 4, seed=0)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            y = embed_forward(params, "image", rng.normal(size=8))
+            y = tower_forward(params.image, rng.normal(size=8)).Y[0]
             assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-6)
-            y = embed_forward(params, "shape", rng.normal(size=12))
+            y = tower_forward(params.shape, rng.normal(size=12)).Y[0]
             assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-6)
 
     def test_constant_map_returns_e1(self):
@@ -60,29 +59,27 @@ class TestForward:
             W2=np.zeros((3, 4)),
             b2=np.array([1.0, 0.0, 0.0, 0.0]),
         )
-        params = TowerParams(image=t, shape=t)
         for x in (np.zeros(5), np.ones(5), np.arange(5.0)):
             np.testing.assert_allclose(
-                embed_forward(params, "image", x), [1, 0, 0, 0], atol=1e-12
+                tower_forward(t, x).Y[0], [1, 0, 0, 0], atol=1e-12
             )
 
     def test_zero_prenorm_epsilon_rule(self):
         t = Tower(W1=np.zeros((4, 3)), b1=np.zeros(3), W2=np.zeros((3, 2)), b2=np.zeros(2))
-        params = TowerParams(image=t, shape=t)
-        y = embed_forward(params, "image", np.ones(4))
+        y = tower_forward(t, np.ones(4)).Y[0]
         np.testing.assert_allclose(y, [1.0, 0.0], atol=1e-12)
 
     def test_purity(self):
         params = init_params(6, 6, 4, 3, seed=2)
         x = np.random.default_rng(3).normal(size=6)
         np.testing.assert_array_equal(
-            embed_forward(params, "image", x), embed_forward(params, "image", x)
+            tower_forward(params.image, x).Y[0], tower_forward(params.image, x).Y[0]
         )
 
     def test_dimension_mismatch(self):
         params = init_params(6, 9, 4, 3, seed=2)
         with pytest.raises(ValueError, match="d_in"):
-            embed_forward(params, "image", np.zeros(7))
+            tower_forward(params.image, np.zeros(7))
 
 
 class TestLossOracle:

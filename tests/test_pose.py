@@ -10,15 +10,13 @@ from patchvote.errors import FormatError, PatchVoteError
 from patchvote.pose import (
     PoseDataset,
     PoseHeadParams,
-    PosePrediction,
     assign_rotation_bin,
     compose_rotation,
     huber,
     init_pose_head,
     pack_pose_section,
+    pose_forward,
     pose_loss_and_grad,
-    pose_losses,
-    predict_pose,
     train_pose_head,
     unpack_pose_section,
 )
@@ -81,81 +79,91 @@ class TestAssignBin:
         medoids = random_rotations(16, seed=1)
         for q in random_rotations(50, seed=2):
             idx, residual = assign_rotation_bin(medoids, q)
-            pred = PosePrediction(
-                bin_logits=np.eye(16)[idx], offset=residual, translation=np.zeros(2)
-            )
-            back = compose_rotation(medoids, pred)
+            back = compose_rotation(medoids, idx, residual)
             assert quat_geodesic(back, q) < 1e-6
 
 
+def fixed_head(logits, offset, trans, d_in=6):
+    """A head whose outputs are its biases, whatever the features."""
+    k = len(logits)
+    return PoseHeadParams(
+        Wc=np.zeros((d_in, k)),
+        bc=np.asarray(logits, dtype=float),
+        Wq=np.zeros((d_in, 4)),
+        bq=np.asarray(offset, dtype=float),
+        Wt=np.zeros((d_in, 2)),
+        bt=np.asarray(trans, dtype=float),
+    )
+
+
+def one_sample_loss(logits, offset, trans, gt_bin, gt_offset, gt_trans):
+    """The batched pose loss of a fixed head on a one-sample batch."""
+    data = PoseDataset(
+        features=np.zeros((1, 6)),
+        gt_bins=np.array([gt_bin]),
+        gt_offsets=np.asarray(gt_offset, dtype=float)[None],
+        gt_translations=np.asarray(gt_trans, dtype=float)[None],
+    )
+    loss, _ = pose_loss_and_grad(fixed_head(logits, offset, trans), data, 1.0)
+    return loss
+
+
+def predict(head, medoids):
+    """Bin and composed rotation of one sample, as run_pose_experiment reads them."""
+    logits, offsets, _, _ = pose_forward(head, np.zeros(6))
+    b = int(logits[0].argmax())
+    return b, compose_rotation(medoids, b, canonical_quat(offsets[0]))
+
+
 class TestPoseLosses:
+    # the offset and translation terms are zero where the prediction
+    # matches, so each check isolates the term it names
     def test_uniform_logits_ce_is_ln_k(self):
         for k in (2, 8, 16):
-            pred = PosePrediction(np.zeros(k), IDENTITY.copy(), np.zeros(2))
-            ce, _, _ = pose_losses(pred, 0, IDENTITY, np.zeros(2))
-            assert ce == pytest.approx(np.log(k))
+            loss = one_sample_loss(np.zeros(k), IDENTITY, np.zeros(2), 0, IDENTITY, np.zeros(2))
+            assert loss == pytest.approx(np.log(k))
 
     def test_perfect_prediction_zero_regression_loss(self):
         off = axis_angle_quat([1, 0, 0], 0.3)
-        pred = PosePrediction(np.array([9.0, 0.0]), off, np.array([0.1, -0.2]))
-        _, off_loss, tr_loss = pose_losses(pred, 0, off, np.array([0.1, -0.2]))
-        assert off_loss == pytest.approx(0.0, abs=1e-15)
-        assert tr_loss == pytest.approx(0.0, abs=1e-15)
+        trans = np.array([0.1, -0.2])
+        loss = one_sample_loss(np.array([9.0, 0.0]), off, trans, 0, off, trans)
+        # both Huber terms are nonnegative, so each is within the bound
+        assert loss - np.logaddexp(0.0, -9.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_sign_alignment(self):
         off = axis_angle_quat([0, 1, 0], 0.8)
         gt = axis_angle_quat([0, 1, 0], 0.5)
-        a = pose_losses(
-            PosePrediction(np.zeros(4), off, np.zeros(2)), 0, gt, np.zeros(2)
-        )
-        b = pose_losses(
-            PosePrediction(np.zeros(4), -off, np.zeros(2)), 0, gt, np.zeros(2)
-        )
-        assert a[1] == pytest.approx(b[1])
+        a = one_sample_loss(np.zeros(4), off, np.zeros(2), 0, gt, np.zeros(2))
+        b = one_sample_loss(np.zeros(4), -off, np.zeros(2), 0, gt, np.zeros(2))
+        # the other terms match exactly, so the totals must too
+        assert a == b
 
     def test_huber_values_in_offset_loss(self):
         # offset differing by 0.5 in one component, quadratic branch
         gt = IDENTITY
-        q = canonical_quat([1.0, 0.0, 0.0, 0.0])
         pred_q = canonical_quat([np.sqrt(0.75), 0.5, 0.0, 0.0])
-        pred = PosePrediction(np.zeros(2), pred_q, np.zeros(2))
-        _, off_loss, _ = pose_losses(pred, 0, gt, np.zeros(2))
+        loss = one_sample_loss(np.zeros(2), pred_q, np.zeros(2), 0, gt, np.zeros(2))
         expect = huber(pred_q[0] - 1.0, 1.0) + huber(0.5, 1.0)
-        assert off_loss == pytest.approx(float(expect))
+        assert loss - np.log(2.0) == pytest.approx(float(expect))
 
 
 class TestPredict:
-    def head_with(self, logits, offset, trans, d_in=6):
-        k = len(logits)
-        return PoseHeadParams(
-            Wc=np.zeros((d_in, k)),
-            bc=np.asarray(logits, dtype=float),
-            Wq=np.zeros((d_in, 4)),
-            bq=np.asarray(offset, dtype=float),
-            Wt=np.zeros((d_in, 2)),
-            bt=np.asarray(trans, dtype=float),
-        )
-
     def test_identity_offset_returns_medoid(self):
         medoids = random_rotations(4, seed=3)
-        head = self.head_with([0, 9, 0, 0], [1, 0, 0, 0], [0, 0])
-        pred = predict_pose(head, medoids, np.zeros(6))
-        assert pred.bin_index == 1
-        rot = compose_rotation(medoids, pred)
+        b, rot = predict(fixed_head([0, 9, 0, 0], [1, 0, 0, 0], [0, 0]), medoids)
+        assert b == 1
         assert quat_geodesic(rot, medoids[1]) < 1e-9
 
     def test_argmax_bin_scale_invariant(self):
         medoids = random_rotations(3, seed=4)
         for scale in (1.0, 10.0, 0.01):
-            head = self.head_with(np.array([1.0, 3.0, 2.0]) * scale, [1, 0, 0, 0], [0, 0])
-            assert predict_pose(head, medoids, np.zeros(6)).bin_index == 1
+            head = fixed_head(np.array([1.0, 3.0, 2.0]) * scale, [1, 0, 0, 0], [0, 0])
+            assert predict(head, medoids)[0] == 1
 
     def test_offsets_compose_about_shared_axis(self):
         medoids = np.stack([axis_angle_quat([0, 0, 1], np.pi / 2)])
         off = axis_angle_quat([0, 0, 1], np.deg2rad(5))
-        head = self.head_with([1.0], off, [0, 0])
-        pred = predict_pose(head, medoids, np.zeros(6))
-        rot = compose_rotation(medoids, pred)
+        _, rot = predict(fixed_head([1.0], off, [0, 0]), medoids)
         expect = axis_angle_quat([0, 0, 1], np.deg2rad(95))
         assert quat_geodesic(rot, expect) < 1e-9
 

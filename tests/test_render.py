@@ -5,11 +5,10 @@ from patchvote.errors import RenderError
 from patchvote.mesh import TriMesh, face_normals, normalize_mesh
 from patchvote.render import (
     NormalMap,
-    camera_light_for_view,
     rasterize,
     shade,
 )
-from patchvote.views import axis_angle_quat, random_rotations
+from patchvote.views import axis_angle_quat, quat_to_matrix, random_rotations
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -170,6 +169,9 @@ class TestShade:
     def test_camera_headlight_lights_facing_face(self):
         view = axis_angle_quat([0, 1, 0], -np.pi / 2)
         nmap = rasterize(unit_cube(), view, 48)
-        img = shade(nmap, camera_light_for_view(view), 0.0, seed=0)
+        # the camera looks down -z: the light toward it is +z in view
+        # space, rotated back to the canonical frame by the inverse view
+        headlight = quat_to_matrix(view).T @ np.array([0.0, 0.0, 1.0])
+        img = shade(nmap, headlight, 0.0, seed=0)
         np.testing.assert_allclose(img.intensity[img.mask], 1.0, atol=1e-6)
 

@@ -372,10 +372,11 @@ class TestPoolingMatchesPerBlockReduceat:
             sign = rng.choice([-1.0, 1.0], size=shape)
             raster = sign * 10.0 ** rng.integers(-8, 17, size=shape)
             raster[rng.random(shape) < 0.1] = -0.0
+            features = image_patch_features if c is None else shape_patch_features
             for layer in raster:
                 rects = [PatchRect(int(x), int(y), w, h)
                          for x, y in zip(rng.integers(0, 3, n), rng.integers(0, 2, n))]
-                got = image_patch_features(layer, rects, pool)
+                got = features(layer, rects, pool)
                 want = np.stack([oracle_features(layer, r, pool) for r in rects])
                 assert got.tobytes() == want.tobytes()
 
@@ -452,7 +453,7 @@ class TestStackedRastersMatchPerRectCalls:
             want = [oracle_content_rect(layer, nmap.mask, r)
                     for layer, r in zip(stack, rects)]
             assert same_rects(snapped, per_rect) and same_rects(snapped, want)
-            got = image_patch_features(stack, snapped, 16, stacked=True)
+            got = image_patch_features(stack, snapped, 16)
             one = np.stack([image_patch_features(layer, r, 16)
                             for layer, r in zip(stack, snapped)])
             assert got.tobytes() == one.tobytes()
@@ -487,6 +488,19 @@ class TestStackedRastersMatchPerRectCalls:
         want = [oracle_content_rect(s, mask, r, iters) for s, r in zip(stack, rects)]
         assert same_rects(got, want)
 
+    def test_three_dim_intensity_is_a_stack(self):
+        # an intensity has one channel, so 20 layers are 20 rasters, one
+        # per rect, not one 20-channel raster
+        stack = np.random.default_rng(5).random((20, 48, 48)).astype(np.float32)
+        rects = [PatchRect(i, 2 * i, 8, 8) for i in range(20)]
+        got = image_patch_features(stack, rects, 4)
+        assert got.shape == (20, 16)
+        assert got.tobytes() == np.stack(
+            [oracle_features(layer, r, 4) for layer, r in zip(stack, rects)]
+        ).tobytes()
+        one = image_patch_features(stack[:1], rects[0], 4)
+        assert one.tobytes() == got[0].tobytes()
+
     def test_stacked_windows_with_channels(self):
         stack = np.arange(2 * 5 * 6 * 3, dtype=np.float32).reshape(2, 5, 6, 3)
         rects = [PatchRect(1, 2, 4, 3), PatchRect(0, 0, 4, 3)]
@@ -501,4 +515,4 @@ class TestStackedRastersMatchPerRectCalls:
         with pytest.raises(DescriptorError, match="stack of 2 rasters for 3 rects"):
             content_rect(stack, np.ones((8, 8), bool), rects)
         with pytest.raises(DescriptorError, match="stack of 2 rasters for 3 rects"):
-            image_patch_features(stack, rects, 2, stacked=True)
+            image_patch_features(stack, rects, 2)

@@ -48,7 +48,6 @@ from .synth import QUERY_GAP_MAX, QUERY_GAP_MIN, Benchmark, generate_benchmark
 from .views import (
     ViewSet,
     canonical_quat,
-    default_view_grid,
     kmedoids,
     perturb_quat,
     quat_geodesic,
@@ -66,11 +65,21 @@ _POSE_MEDOID_OFFSET = 13
 _POSE_TRAIN_OFFSET = 17
 _POSE_EVAL_OFFSET = 19
 
+# uniform rotations the canonical grid's cfg.num_views medoids are chosen from
+_VIEW_POOL = 256
+# patches sampled per anchor view in the training corpus
+_ANCHOR_PATCHES = 8
 
-def select_views(cfg: Config, candidates: int = 256) -> ViewSet:
-    return default_view_grid(
-        cfg.num_views, cfg.seed + _VIEW_SELECT_OFFSET, candidates
-    )
+
+def select_views(cfg: Config) -> ViewSet:
+    """The canonical view grid: k-medoids over a pool of uniform rotations.
+
+    The one place the grid is decided: the index, the training corpus and
+    the benchmark's query offsets (generate_benchmark's base_views) all
+    take it from here.
+    """
+    seed = cfg.seed + _VIEW_SELECT_OFFSET
+    return kmedoids(random_rotations(_VIEW_POOL, seed), cfg.num_views, seed)
 
 
 def render_query(mesh, view, cfg: Config, seed: int):
@@ -100,7 +109,6 @@ def build_corpus(
     views: ViewSet,
     cfg: Config,
     patches_per_view: int,
-    anchor_patches: int = 8,
     renders: Renders | None = None,
 ) -> PatchCorpus:
     """Label image-domain anchors against shape-domain candidates.
@@ -167,7 +175,7 @@ def build_corpus(
             rects = sample_patches(
                 nmap,
                 cfg.patch_fraction,
-                anchor_patches,
+                _ANCHOR_PATCHES,
                 derive_seed(cfg.seed + _ANCHOR_RECT_BASE, sid, av),
                 cfg.min_coverage,
             )
@@ -182,7 +190,7 @@ def build_corpus(
                     derive_seed(
                         cfg.seed + _ANCHOR_NOISE_BASE,
                         sid,
-                        (av + 1) * anchor_patches + pi,
+                        (av + 1) * _ANCHOR_PATCHES + pi,
                     )
                     for pi in live
                 ],
@@ -209,7 +217,7 @@ def build_corpus(
                         derive_seed(
                             cfg.seed + _NEG_SUBSAMPLE_BASE,
                             sid,
-                            av * anchor_patches + pi,
+                            av * _ANCHOR_PATCHES + pi,
                         )
                     )
                     neg = np.sort(
@@ -280,7 +288,7 @@ _LIT_INIT_OFFSET = 23
 _LIT_INIT_SIGMA = 1.0
 
 
-def lit_init(cfg: Config, corpus: PatchCorpus | None = None) -> TowerParams:
+def lit_init(cfg: Config, corpus: PatchCorpus) -> TowerParams:
     """Initial towers that agree through the rendering physics.
 
     Two facts shape the construction. First, a rendered pixel is
@@ -305,9 +313,9 @@ def lit_init(cfg: Config, corpus: PatchCorpus | None = None) -> TowerParams:
     Blurred intensities share a big all-positive mean component, and a
     linear projection of vectors in a tight cone lands in a tight cone:
     left alone, every embedding would sit at cosine one from every
-    other and the loss would see no spread. When a corpus is given, the
-    shared output bias is set to subtract the mean hidden response, so
-    the normalize step measures each patch's deviation from average
+    other and the loss would see no spread. The shared output bias is
+    therefore set to subtract the corpus's mean hidden response, so the
+    normalize step measures each patch's deviation from average
     rather than its share of the common brightness.
     """
     pool = cfg.pool_size
@@ -341,14 +349,12 @@ def lit_init(cfg: Config, corpus: PatchCorpus | None = None) -> TowerParams:
     params.shape.W1 = W1s
     params.shape.b1 = params.image.b1.copy()
     params.shape.W2 = params.image.W2.copy()
-    params.shape.b2 = params.image.b2.copy()
-    if corpus is not None:
-        h_img = np.maximum(0.0, corpus.anchor_feats.astype(np.float64) @ W1)
-        h_shp = np.maximum(0.0, corpus.cand_feats.astype(np.float64) @ W1s)
-        h_bar = 0.5 * (h_img.mean(axis=0) + h_shp.mean(axis=0))
-        center = -(h_bar @ params.image.W2)
-        params.image.b2 = center.copy()
-        params.shape.b2 = center.copy()
+    h_img = np.maximum(0.0, corpus.anchor_feats.astype(np.float64) @ W1)
+    h_shp = np.maximum(0.0, corpus.cand_feats.astype(np.float64) @ W1s)
+    h_bar = 0.5 * (h_img.mean(axis=0) + h_shp.mean(axis=0))
+    center = -(h_bar @ params.image.W2)
+    params.image.b2 = center.copy()
+    params.shape.b2 = center.copy()
     return params
 
 
@@ -356,13 +362,12 @@ def train_pipeline(
     bench: Benchmark,
     cfg: Config,
     patches_per_view: int = 64,
-    view_candidates: int = 256,
     views: ViewSet | None = None,
     index_view_jitter: int = 3,
     index_patches_per_view: int = 256,
 ) -> Pipeline:
     if views is None:
-        views = select_views(cfg, view_candidates)
+        views = select_views(cfg)
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
     # the corpus and the index both draw records at the canonical views:
     # render each (shape, view) once and hand both passes the same maps
@@ -384,16 +389,8 @@ def train_pipeline(
     )
 
 
-def evaluate_queries(
-    bench: Benchmark,
-    pipe: Pipeline,
-    cfg: Config,
-    kq: int | None = None,
-    kr: int | None = None,
-):
+def evaluate_queries(bench: Benchmark, pipe: Pipeline, cfg: Config):
     """Score every benchmark query; a fully excluded query scores a miss."""
-    kq = cfg.kq if kq is None else kq
-    kr = cfg.kr if kr is None else kr
     results, gts, qids = [], [], []
     for qi, q in enumerate(bench.queries):
         entry = bench.shapes[q.shape_id]
@@ -401,7 +398,7 @@ def evaluate_queries(
         try:
             res = retrieve_shape(
                 pipe.index, shaded, shaded.mask, pipe.model,
-                kq, kr, seed=q.aug_seed + 1, cfg=cfg,
+                cfg.kq, cfg.kr, seed=q.aug_seed + 1, cfg=cfg,
                 category=entry.spec.category,
             )
         except NoRetrievalError:
@@ -418,17 +415,13 @@ def run_retrieval_experiment(
     leave_out: float = 0.0,
     views_per_query: int = 5,
     patches_per_view: int = 64,
-    view_candidates: int = 256,
-    kq: int | None = None,
-    kr: int | None = None,
 ):
-    views = select_views(cfg, view_candidates)
+    views = select_views(cfg)
     bench = generate_benchmark(
-        num_shapes, leave_out, views_per_query, cfg.seed,
-        base_views=views.medoids,
+        num_shapes, leave_out, views_per_query, cfg.seed, views.medoids
     )
-    pipe = train_pipeline(bench, cfg, patches_per_view, view_candidates, views)
-    results, gts, qids = evaluate_queries(bench, pipe, cfg, kq, kr)
+    pipe = train_pipeline(bench, cfg, patches_per_view, views)
+    results, gts, qids = evaluate_queries(bench, pipe, cfg)
     report = build_report(results, gts, query_ids=qids, config=to_dict(cfg))
     return report, pipe, bench
 
@@ -486,8 +479,6 @@ def run_pose_experiment(
     cfg: Config,
     train_per_shape: int = 24,
     eval_per_shape: int = 8,
-    epochs: int | None = None,
-    learning_rate: float | None = None,
 ) -> PoseEvaluation:
     medoid_set = kmedoids(
         random_rotations(256, cfg.seed + _POSE_MEDOID_OFFSET),
@@ -502,9 +493,7 @@ def run_pose_experiment(
     eval_ds, eval_rots = pose_samples(
         db, cfg, medoids, eval_per_shape, cfg.seed + _POSE_EVAL_OFFSET
     )
-    result = train_pose_head(
-        train_ds, cfg, epochs=epochs, learning_rate=learning_rate
-    )
+    result = train_pose_head(train_ds, cfg)
     logits, offs, _, _ = pose_forward(result.params, eval_ds.features)
     pred_bins = logits.argmax(axis=1)
     accuracy = float(np.mean(pred_bins == eval_ds.gt_bins))

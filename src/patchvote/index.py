@@ -46,14 +46,14 @@ followed by d f32 embedding values, read and written as one block.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .artifact import Reader, decode_json, pack
 from .config import Config, from_dict, to_dict
-from .descriptor import PatchRect, content_rect, rect_windows, sample_patches
+from .descriptor import content_rect, rect_windows, sample_patches
 from .embed import (
     TowerParams,
     _top_k,
@@ -173,7 +173,14 @@ def enumerate_view_patches(
     (x, y, w, h) rows, (k, 4) int64.
 
     The single source of record identity: index construction and training
-    corpus assembly both consume this, so record ids line up by position.
+    corpus assembly both consume this, so two passes given the same views
+    and patches_per_view yield the same records in the same order.
+    train_pipeline gives them different ones: the corpus draws
+    patches_per_view (64 by default) per canonical view, the index
+    index_patches_per_view (256 by default) per canonical or jittered
+    view (experiment.augment_views), so a corpus candidate's position is
+    not an index record id.
+
     Views with an empty projection are skipped, as are empty patches.
     Every rect is anchored to its content centroid before use (see
     content_rect), with the noiseless shading as the weight so the
@@ -291,18 +298,9 @@ def knn_query(
 
 
 @dataclass
-class PatchVote:
-    rect: PatchRect
-    winner: int
-    best_similarity: float
-    neighbors: list[tuple[int, float]]
-
-
-@dataclass
 class RetrievalResult:
     ranking: list[tuple[int, int, float]]  # (shape_id, votes, aggregate)
-    patch_votes: list[PatchVote] = field(default_factory=list)
-    excluded_patches: int = 0
+    excluded_patches: int
 
     def ranked_ids(self) -> list[int]:
         return [sid for sid, _, _ in self.ranking]
@@ -356,21 +354,15 @@ def retrieve_shape(
     feats = image_patch_features(query_raster.intensity, survivors, cfg.pool_size)
     Y = tower_forward(model.image, feats).Y
 
-    votes: list[PatchVote] = []
-    seen_shapes: set[int] = set()
-    for r, y in zip(survivors, Y):
-        neighbors = knn_query(index, y, kr, subset=subset)
-        winner, best = _elect(neighbors, index.shape_ids)
-        votes.append(
-            PatchVote(rect=r, winner=winner, best_similarity=best, neighbors=neighbors)
-        )
-        seen_shapes.update(int(index.shape_ids[rid]) for rid, _ in neighbors)
-
     counts: dict[int, int] = {}
     aggregates: dict[int, float] = {}
-    for v in votes:
-        counts[v.winner] = counts.get(v.winner, 0) + 1
-        aggregates[v.winner] = aggregates.get(v.winner, 0.0) + v.best_similarity
+    seen_shapes: set[int] = set()
+    for y in Y:
+        neighbors = knn_query(index, y, kr, subset=subset)
+        winner, best = _elect(neighbors, index.shape_ids)
+        counts[winner] = counts.get(winner, 0) + 1
+        aggregates[winner] = aggregates.get(winner, 0.0) + best
+        seen_shapes.update(int(index.shape_ids[rid]) for rid, _ in neighbors)
     for sid in seen_shapes:
         counts.setdefault(sid, 0)
         aggregates.setdefault(sid, 0.0)
@@ -379,9 +371,7 @@ def retrieve_shape(
         key=lambda row: (-row[1], -row[2], row[0]),
     )
     return RetrievalResult(
-        ranking=ranking,
-        patch_votes=votes,
-        excluded_patches=len(patches) - len(survivors),
+        ranking=ranking, excluded_patches=len(patches) - len(survivors)
     )
 
 

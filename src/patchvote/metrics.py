@@ -32,8 +32,8 @@ def recall_at_k(results, gts, k):
     return hits / len(results)
 
 
-def recall_curve(results, gts, max_k=MAX_RECALL_K):
-    return {k: recall_at_k(results, gts, k) for k in range(1, max_k + 1)}
+def recall_curve(results, gts):
+    return {k: recall_at_k(results, gts, k) for k in range(1, MAX_RECALL_K + 1)}
 
 
 def mesh_fscore(pred, gt, threshold=0.05, samples=10000, seed=0):
@@ -77,8 +77,7 @@ class MetricsReport:
     config: dict = field(default_factory=dict)
 
 
-def build_report(results, gts, *, query_ids=None, fscores=None, config=None,
-                 max_k=MAX_RECALL_K):
+def build_report(results, gts, *, query_ids=None, fscores=None, config=None):
     if len(results) != len(gts):
         raise ValueError(
             f"results ({len(results)}) and gts ({len(gts)}) length mismatch"
@@ -94,11 +93,11 @@ def build_report(results, gts, *, query_ids=None, fscores=None, config=None,
         rows.append(QueryRow(
             query_id=int(query_ids[i]),
             gt_shape=gt,
-            ranked=ranked[:max_k],
+            ranked=ranked[:MAX_RECALL_K],
             gt_rank=rank,
             fscore=None if fscores is None else fscores[i],
         ))
-    recall = recall_curve(results, gts, max_k)
+    recall = recall_curve(results, gts)
     vals = sorted(recall.values())
     if vals != [recall[k] for k in sorted(recall)]:
         raise ValueError("recall must be monotone in k")

@@ -16,11 +16,11 @@ import numpy as np
 
 from .artifact import Reader, f4, pack
 from .config import Config
+from .embed import _normalize_rows
 from .errors import TrainingError
 from .views import canonical_quat, nearest_medoid, quat_conj, quat_mul
 
 POSE_SECTION = b"POSE"
-NORM_EPS = 1e-8
 
 
 @dataclass
@@ -79,22 +79,12 @@ def compose_rotation(
     return canonical_quat(quat_mul(offset, medoids[bin_index]))
 
 
-def _normalize_quat_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    raw = raw.copy()
-    norms = np.linalg.norm(raw, axis=1)
-    tiny = norms < NORM_EPS
-    if tiny.any():
-        raw[tiny, 0] += NORM_EPS
-        norms = np.linalg.norm(raw, axis=1)
-    return raw / norms[:, None], raw
-
-
 def pose_forward(params: PoseHeadParams, X: np.ndarray):
     """Raw head outputs for a feature batch: logits, unit offsets, translations."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     logits = X @ params.Wc + params.bc
     raw_q = X @ params.Wq + params.bq
-    offsets, raw_q = _normalize_quat_rows(raw_q)
+    offsets, raw_q = _normalize_rows(raw_q)
     trans = X @ params.Wt + params.bt
     return logits, offsets, raw_q, trans
 
@@ -160,23 +150,16 @@ def pose_loss_and_grad(
     return total, grad
 
 
-def train_pose_head(
-    data: PoseDataset,
-    cfg: Config,
-    epochs: int | None = None,
-    learning_rate: float | None = None,
-) -> PoseTrainResult:
+def train_pose_head(data: PoseDataset, cfg: Config) -> PoseTrainResult:
     """Mini-batch SGD on the combined pose loss; seed-deterministic."""
     N = len(data.features)
     if N == 0:
         raise TrainingError("empty pose dataset")
     k = max(int(data.gt_bins.max()) + 1, cfg.pose_bins)
     params = init_pose_head(data.features.shape[1], k, seed=cfg.seed)
-    epochs = cfg.epochs if epochs is None else epochs
-    lr = cfg.learning_rate if learning_rate is None else learning_rate
     rng = np.random.default_rng(cfg.seed + 2)
     history = []
-    for epoch in range(epochs):
+    for epoch in range(cfg.epochs):
         perm = rng.permutation(N)
         total = 0.0
         for start in range(0, N, cfg.batch_size):
@@ -190,7 +173,7 @@ def train_pose_head(
             loss, grad = pose_loss_and_grad(params, batch, cfg.huber_delta)
             total += loss * len(idx)
             for arr, g in zip(params.arrays(), grad.arrays()):
-                arr -= lr * g
+                arr -= cfg.learning_rate * g
         history.append((epoch, total / N))
     return PoseTrainResult(params=params, history=history)
 

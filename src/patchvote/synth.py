@@ -12,7 +12,7 @@ the database.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .artifact import decode_json, fields
 from .errors import FormatError, SynthError
 from .mesh import TriMesh, normalize_mesh, save_obj
-from .views import default_view_grid, perturb_quat
+from .views import perturb_quat
 
 CATEGORIES = ("chair", "table", "cabinet")
 
@@ -31,12 +31,8 @@ CATEGORIES = ("chair", "table", "cabinet")
 QUERY_GAP_MIN = np.radians(3.0)
 QUERY_GAP_MAX = np.radians(10.0)
 
-# Standalone benchmarks derive the canonical grid themselves; the seed
-# offset and pool size mirror the retrieval pipeline's view selection so
-# both paths agree on the grid for a given seed.
-_VIEW_GRID_OFFSET = 11
-_VIEW_GRID_POOL = 256
-_VIEW_GRID_SIZE = 16
+# distinct values drawn per continuous parameter, one per equal sub-interval
+_POOL_VALUES = 3
 
 # parameter name -> (low, high); drawer_count is an integer-valued param
 PARAM_RANGES: dict[str, dict[str, tuple[float, float]]] = {
@@ -95,9 +91,6 @@ class Benchmark:
     database_ids: list[int]
     queries: list[Query]
     seed: int = 0
-
-    def categories(self) -> dict[int, str]:
-        return {sid: e.spec.category for sid, e in self.shapes.items()}
 
 
 _BOX_QUADS = (
@@ -204,7 +197,7 @@ def generate_shape(spec: SynthSpec) -> TriMesh:
     return normalize_mesh(mesh)
 
 
-def _build_pools(seed: int, values_per_param: int = 3) -> dict:
+def _build_pools(seed: int) -> dict:
     """Small per-parameter value pools; sharing falls out of reuse."""
     rng = np.random.default_rng(seed)
     pools: dict[str, dict[str, np.ndarray]] = {}
@@ -216,8 +209,8 @@ def _build_pools(seed: int, values_per_param: int = 3) -> dict:
             else:
                 # One draw per equal sub-interval keeps the pool values far
                 # apart, so instances built from them stay visually distinct.
-                strata = np.arange(values_per_param) + rng.random(values_per_param)
-                vals = lo + (hi - lo) * strata / values_per_param
+                strata = np.arange(_POOL_VALUES) + rng.random(_POOL_VALUES)
+                vals = lo + (hi - lo) * strata / _POOL_VALUES
                 pools[cat][name] = np.round(vals, 4)
     return pools
 
@@ -238,7 +231,7 @@ def generate_benchmark(
     leave_out_fraction: float,
     views_per_query: int,
     seed: int,
-    base_views: np.ndarray | None = None,
+    base_views: np.ndarray,
 ) -> Benchmark:
     """Database + queries with controlled part sharing.
 
@@ -247,9 +240,9 @@ def generate_benchmark(
     for their queries. Every shape, held out or not, contributes
     views_per_query query views, each drawn uniformly from a band of
     rotations offset from the canonical grid (see QUERY_GAP_MIN/MAX), so
-    no query view coincides with a canonical one. base_views overrides
-    the grid the offsets are measured from; by default the grid matches
-    the one the retrieval pipeline selects for this seed.
+    no query view coincides with a canonical one. base_views, (n, 4)
+    quaternions, is that grid: pass the medoids the retrieval pipeline
+    indexes (experiment.select_views), so queries sit just off its views.
     """
     if num_shapes < 4:
         raise SynthError("num_shapes must be >= 4")
@@ -306,10 +299,6 @@ def generate_benchmark(
             spec=spec, mesh=generate_shape(spec), parent_id=parent_id
         )
 
-    if base_views is None:
-        base_views = default_view_grid(
-            _VIEW_GRID_SIZE, seed + _VIEW_GRID_OFFSET, _VIEW_GRID_POOL
-        ).medoids
     base_views = np.asarray(base_views, dtype=np.float64)
     if base_views.ndim != 2 or base_views.shape[1] != 4 or len(base_views) == 0:
         raise SynthError("base_views must be a non-empty (n, 4) array")

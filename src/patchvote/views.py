@@ -89,11 +89,6 @@ def perturb_quat(base: np.ndarray, lo: float, hi: float, rng) -> np.ndarray:
     return canonical_quat(quat_mul(delta, np.asarray(base, dtype=np.float64)))
 
 
-def default_view_grid(n: int, seed: int, candidates: int = 256) -> "ViewSet":
-    """The canonical view grid: k-medoids over a pool of uniform rotations."""
-    return kmedoids(random_rotations(candidates, seed), n, seed)
-
-
 def pairwise_geodesic(points: np.ndarray) -> np.ndarray:
     dots = np.abs(points @ points.T)
     np.clip(dots, -1.0, 1.0, out=dots)
@@ -121,7 +116,10 @@ class ViewSet:
         return len(self.medoids)
 
 
-def kmedoids(points: np.ndarray, k: int, seed: int, max_iters: int = 50) -> ViewSet:
+_KMEDOIDS_MAX_ITERS = 50
+
+
+def kmedoids(points: np.ndarray, k: int, seed: int) -> ViewSet:
     """Cluster rotations: greedy farthest-point init, then Voronoi iteration.
 
     Each iteration reassigns points to their nearest medoid and replaces
@@ -147,7 +145,7 @@ def kmedoids(points: np.ndarray, k: int, seed: int, max_iters: int = 50) -> View
 
     medoid_idx = np.array(sorted(medoids))
     cost_history: list[float] = []
-    for _ in range(max_iters):
+    for _ in range(_KMEDOIDS_MAX_ITERS):
         assign = np.argmin(dist[:, medoid_idx], axis=1)
         cost = float(dist[np.arange(n), medoid_idx[assign]].sum())
         cost_history.append(cost)

@@ -306,7 +306,8 @@ class TestBenchmarkReaderFuzz:
     @pytest.fixture(scope="class")
     def bench_dir(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("bench")
-        save_benchmark(generate_benchmark(4, 0.0, 1, seed=2), str(root))
+        bench = generate_benchmark(4, 0.0, 1, 2, random_rotations(4, seed=2))
+        save_benchmark(bench, str(root))
         return root
 
     @pytest.fixture(scope="class")

@@ -1,8 +1,13 @@
+import importlib
+import inspect
 import json
+import pkgutil
 import sys
+from dataclasses import fields
 
 import pytest
 
+import patchvote
 from patchvote.config import (
     Config,
     dumps_canonical,
@@ -189,3 +194,28 @@ class TestFloatFieldIntegers:
     def test_largest_convertible_integer_loads(self):
         cfg = from_dict({"weight_c": int(sys.float_info.max)})
         assert float(cfg.weight_c) == sys.float_info.max
+
+
+class TestOneHomePerSetting:
+    # retrieve_shape serves a loaded index: its cfg may be None (then it
+    # reads the index manifest's), and the benchmark passes the vote
+    # widths kq and kr positionally
+    ALLOWED = frozenset({"retrieve_shape"})
+
+    def test_no_function_taking_cfg_shadows_a_field(self):
+        """A setting is read from cfg, not overridden by a parameter.
+
+        `seed` is exempt: as a parameter it names a sampling stream
+        derived from cfg.seed, not the run's seed.
+        """
+        settings = {f.name for f in fields(Config)} - {"seed"}
+        shadowing = []
+        for info in pkgutil.iter_modules(patchvote.__path__):
+            module = importlib.import_module(f"patchvote.{info.name}")
+            for name, fn in inspect.getmembers(module, inspect.isfunction):
+                if name.startswith("_") or fn.__module__ != module.__name__:
+                    continue
+                params = set(inspect.signature(fn).parameters)
+                if "cfg" in params and params & settings and name not in self.ALLOWED:
+                    shadowing.append(f"{info.name}.{name}: {sorted(params & settings)}")
+        assert shadowing == [], f"parameters shadowing Config fields: {shadowing}"

@@ -17,6 +17,7 @@ from patchvote.embed import (
 from patchvote.errors import RenderError
 from patchvote.experiment import (
     _ANCHOR_NOISE_BASE,
+    _ANCHOR_PATCHES,
     _ANCHOR_RECT_BASE,
     _ANCHOR_ROT_OFFSET,
     _INDEX_JITTER_OFFSET,
@@ -26,7 +27,6 @@ from patchvote.experiment import (
     lit_init,
     run_pose_experiment,
     run_retrieval_experiment,
-    select_views,
     train_pipeline,
 )
 from patchvote.index import (
@@ -38,7 +38,7 @@ from patchvote.index import (
 )
 from patchvote.render import rasterize, scene_light, shade
 from patchvote.synth import QUERY_GAP_MAX, QUERY_GAP_MIN, generate_benchmark
-from patchvote.views import perturb_quat, quat_geodesic
+from patchvote.views import kmedoids, perturb_quat, quat_geodesic, random_rotations
 
 PATCHES_PER_VIEW = 6
 
@@ -58,9 +58,10 @@ TINY = Config(
 @pytest.fixture(scope="module")
 def tiny():
     cfg = TINY
-    views = select_views(cfg, candidates=32)
+    # select_views' grid over a pool of 32 rotations, not 256
+    views = kmedoids(random_rotations(32, 11), 4, 11)
     # 4 shapes with one held out: a database of 3 (chair, table, cabinet)
-    bench = generate_benchmark(4, 0.25, 1, seed=0, base_views=views.medoids)
+    bench = generate_benchmark(4, 0.25, 1, 0, views.medoids)
     return cfg, views, bench
 
 
@@ -106,8 +107,8 @@ class TestCorpusMatchesIndex:
 class TestPoseExperiment:
     def run(self, bench):
         return run_pose_experiment(
-            bench, TINY, train_per_shape=3, eval_per_shape=2,
-            epochs=3, learning_rate=0.1,
+            bench, replace(TINY, epochs=3, learning_rate=0.1),
+            train_per_shape=3, eval_per_shape=2,
         )
 
     def test_smoke_bounded_finite_repeatable(self, tiny):
@@ -140,7 +141,7 @@ def oracle_rect_iou(rect, rects):
     return inter / union
 
 
-def oracle_build_corpus(bench, views, cfg, patches_per_view, anchor_patches=8):
+def oracle_build_corpus(bench, views, cfg, patches_per_view):
     """The earlier build_corpus, one shade, snap, IoU and pool call per anchor.
 
     Kept verbatim apart from names; also returns how often the paths
@@ -176,7 +177,7 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view, anchor_patches=8):
                 derive_seed(cfg.seed + _ANCHOR_NOISE_BASE, sid, av),
             )
             rects = sample_patches(
-                shaded, cfg.patch_fraction, anchor_patches,
+                shaded, cfg.patch_fraction, _ANCHOR_PATCHES,
                 derive_seed(cfg.seed + _ANCHOR_RECT_BASE, sid, av),
                 cfg.min_coverage,
             )
@@ -185,7 +186,7 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view, anchor_patches=8):
                     nmap, scene_light(), cfg.shade_noise,
                     derive_seed(
                         cfg.seed + _ANCHOR_NOISE_BASE, sid,
-                        (av + 1) * anchor_patches + pi,
+                        (av + 1) * _ANCHOR_PATCHES + pi,
                     ),
                 )
                 for pi in range(len(rects))
@@ -207,7 +208,7 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view, anchor_patches=8):
                     stats["subsampled"] += 1
                     rng = np.random.default_rng(
                         derive_seed(
-                            cfg.seed + _NEG_SUBSAMPLE_BASE, sid, av * anchor_patches + pi
+                            cfg.seed + _NEG_SUBSAMPLE_BASE, sid, av * _ANCHOR_PATCHES + pi
                         )
                     )
                     neg = np.sort(rng.choice(neg, cfg.negatives_pool, replace=False))
@@ -260,10 +261,10 @@ class TestCorpusMatchesPerAnchorLoop:
     def test_stressed(self, tiny, noise):
         _, views, bench = tiny
         cfg = replace(STRESSED, shade_noise=noise)
-        want, stats = oracle_build_corpus(bench, views, cfg, 12, anchor_patches=10)
+        want, stats = oracle_build_corpus(bench, views, cfg, 12)
         assert stats["empty"] > 0 and stats["subsampled"] > 0
         assert want.skipped_anchors > 0 and len(want.anchor_feats) > 0
-        got = build_corpus(bench, views, cfg, 12, anchor_patches=10)
+        got = build_corpus(bench, views, cfg, 12)
         assert_same_corpus(got, want)
 
     def test_shared_renders_change_nothing(self, tiny):
@@ -313,18 +314,33 @@ class TestPipelineRendersOnce:
         assert len(rendered) == len(set(rendered)) == n_db * n_views * (1 + 3)
 
 
-class TestRetrievalExperiment:
-    def run(self):
-        cfg = replace(TINY, epochs=2, kq=4, kr=6)
-        return run_retrieval_experiment(
-            cfg, num_shapes=4, leave_out=0.25, views_per_query=1,
-            patches_per_view=PATCHES_PER_VIEW, view_candidates=32,
-        )
+def run_tiny_retrieval():
+    cfg = replace(TINY, epochs=2, kq=4, kr=6)
+    return run_retrieval_experiment(
+        cfg, num_shapes=4, leave_out=0.25, views_per_query=1,
+        patches_per_view=PATCHES_PER_VIEW,
+    )
 
-    def test_smoke_bounded_and_repeatable(self):
-        report, pipe, bench = self.run()
+
+@pytest.fixture(scope="module")
+def tiny_retrieval():
+    return run_tiny_retrieval()
+
+
+class TestRetrievalExperiment:
+    def test_smoke_bounded_and_repeatable(self, tiny_retrieval):
+        report, pipe, bench = tiny_retrieval
         assert len(report.rows) == len(bench.queries) == 4
         assert report.recall and all(0.0 <= r <= 1.0 for r in report.recall.values())
         assert len(pipe.index) > 0
-        again, _, _ = self.run()
+        again, _, _ = run_tiny_retrieval()
         assert again == report
+
+    def test_queries_sit_just_off_the_pipeline_grid(self, tiny_retrieval):
+        """The benchmark offsets its queries from the grid the pipeline indexes."""
+        _, pipe, bench = tiny_retrieval
+        assert len(pipe.views) == TINY.num_views
+        for q in bench.queries:
+            gaps = [quat_geodesic(q.view_quat, m) for m in pipe.views.medoids]
+            assert min(gaps) <= QUERY_GAP_MAX + 1e-9
+            assert min(gaps) > 0.0

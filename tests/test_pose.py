@@ -213,17 +213,17 @@ class TestPoseTraining:
     def test_loss_decreases(self):
         rng = np.random.default_rng(5)
         data = random_pose_dataset(rng, n=40, d_in=8, k=3)
-        cfg = Config(batch_size=16, seed=0)
-        result = train_pose_head(data, cfg, epochs=30, learning_rate=0.2)
+        cfg = Config(batch_size=16, seed=0, epochs=30, learning_rate=0.2)
+        result = train_pose_head(data, cfg)
         losses = [row[1] for row in result.history]
         assert losses[-1] < losses[0]
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         data = random_pose_dataset(rng, n=20, d_in=6, k=3)
-        cfg = Config(batch_size=8, seed=1)
-        a = train_pose_head(data, cfg, epochs=5, learning_rate=0.1)
-        b = train_pose_head(data, cfg, epochs=5, learning_rate=0.1)
+        cfg = Config(batch_size=8, seed=1, epochs=5, learning_rate=0.1)
+        a = train_pose_head(data, cfg)
+        b = train_pose_head(data, cfg)
         assert a.history == b.history
 
 

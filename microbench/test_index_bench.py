@@ -42,7 +42,7 @@ def index() -> PatchIndex:
         view_ids=rng.integers(0, CFG.num_views, size=RECORDS),
         rects=rng.integers(0, CFG.render_resolution, size=(RECORDS, 4)),
         manifest={
-            "shapes": {str(s): {"category": c, "obj": ""} for s, c in CATEGORIES.items()},
+            "shapes": {str(s): {"category": c} for s, c in CATEGORIES.items()},
             "config": to_dict(CFG),
         },
     )

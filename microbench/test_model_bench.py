@@ -6,8 +6,7 @@ Run from the repository root, next to the index benchmarks:
 
 The towers have the perfbench sizes under the default Config: the image
 tower maps pool_size**2 = 256 inputs and the shape tower 3 * 256 = 768
-through hidden_dim = 64 to embed_dim = 32. The file carries no extra
-section, as the perfbench build writes it.
+through hidden_dim = 64 to embed_dim = 32.
 """
 
 import pytest

@@ -1,15 +1,14 @@
 """How every artifact file is framed, and how a malformed one is rejected.
 
-A binary artifact (the P2CI index, the P2CM model, its POSE section) is
-a magic, little-endian u32 header fields, then payload blocks: `pack`
-writes one and `Reader` walks one from the front. A JSON artifact (a
-view set, a benchmark manifest, the index manifest) is one UTF-8 JSON
-object, read by `decode_json`. Every short read, bad magic, trailing
-byte, undecodable document, non-object root and missing or mistyped
-field raises FormatError naming the artifact and the part, as does a
-NaN or infinity in a float block read by `Reader.f4` or checked by
-`Reader.finite` (the model's tower weights, the pose head's weights
-and its medoids, the index's embeddings).
+A binary artifact (the P2CI index, the P2CM model) is a magic,
+little-endian u32 header fields, then payload blocks: `pack` writes one
+and `Reader` walks one from the front. A JSON document (the index
+manifest, a config file) is one UTF-8 JSON object, read by
+`decode_json`. Every short read, bad magic, trailing byte, undecodable
+document, non-object root and missing or mistyped field raises
+FormatError naming the artifact and the part, as does a NaN or infinity
+in a float block read by `Reader.f4` or checked by `Reader.finite` (the
+model's tower weights, the index's embeddings).
 """
 
 from __future__ import annotations
@@ -60,10 +59,6 @@ class Reader:
         self.pos = start + size
         return start
 
-    @property
-    def at_end(self) -> bool:
-        return self.pos == len(self.buf)
-
     def u32(self, count: int, part: str) -> tuple[int, ...]:
         start = self._advance(4 * count, part)
         return struct.unpack_from(f"<{count}I", self.buf, start)
@@ -95,7 +90,7 @@ class Reader:
 
     def end(self) -> None:
         """The artifact must end exactly at the cursor."""
-        if not self.at_end:
+        if self.pos != len(self.buf):
             raise FormatError(f"{self.what}: {len(self.buf) - self.pos} trailing bytes")
 
 

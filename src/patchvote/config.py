@@ -2,9 +2,10 @@
 
 Every pipeline stage reads its knobs from one Config value, and the
 effective config is embedded in index manifests and metric reports so
-artifacts stay self-describing; a model file carries it only when its
-writer passes a CFG0 section. Unknown keys are rejected rather than
-ignored: a typo in an ablation config must fail loudly.
+artifacts stay self-describing; a model file holds only tower weights,
+and the index built with it carries its config. Unknown keys are
+rejected rather than ignored: a typo in an ablation config must fail
+loudly.
 """
 
 from __future__ import annotations

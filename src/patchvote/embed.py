@@ -472,31 +472,18 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
 # model file format
 
 
-def save_model(
-    params: TowerParams,
-    path: str,
-    sections: dict[bytes, bytes] | None = None,
-) -> None:
-    """Write the two towers, then optional tagged sections.
-
-    Each extra section is a 4-byte tag, u32 payload length, payload.
-    Known tags: CFG0 (canonical config JSON), POSE (pose head blob).
-    """
+def save_model(params: TowerParams, path: str) -> None:
+    """Write the image tower, then the shape tower, as f32 blocks."""
     d_in_image, h = params.image.W1.shape
     d_in_shape = params.shape.W1.shape[0]
     d = params.image.W2.shape[1]
-    blocks = []
-    for tag, payload in (sections or {}).items():
-        if len(tag) != 4:
-            raise FormatError(f"section tag must be 4 bytes, got {tag!r}")
-        blocks.append(pack(tag, (len(payload),), payload))
     header = (MODEL_VERSION, d_in_image, d_in_shape, h, d)
     towers = f4(*params.image.arrays(), *params.shape.arrays())
     with open(path, "wb") as fh:
-        fh.write(pack(MODEL_MAGIC, header, *towers, *blocks))
+        fh.write(pack(MODEL_MAGIC, header, *towers))
 
 
-def load_model(path: str) -> tuple[TowerParams, dict[bytes, bytes]]:
+def load_model(path: str) -> tuple[TowerParams, dict]:
     with open(path, "rb") as fh:
         reader = Reader(fh.read(), "model", MODEL_MAGIC)
     version, d_in_image, d_in_shape, h, d = reader.u32(5, "header")
@@ -506,9 +493,6 @@ def load_model(path: str) -> tuple[TowerParams, dict[bytes, bytes]]:
         [(d_in_image, h), (h,), (h, d), (d,), (d_in_shape, h), (h,), (h, d), (d,)],
         "parameters",
     )
-    sections: dict[bytes, bytes] = {}
-    while not reader.at_end:
-        tag = reader.take(4, "section header")
-        (length,) = reader.u32(1, "section header")
-        sections[tag] = reader.take(length, f"section {tag!r}")
-    return TowerParams(image=Tower(*arrays[:4]), shape=Tower(*arrays[4:])), sections
+    reader.end()
+    # the empty dict keeps the (model, sections) pair perfbench/workloads.py unpacks
+    return TowerParams(image=Tower(*arrays[:4]), shape=Tower(*arrays[4:])), {}

@@ -361,13 +361,11 @@ def lit_init(cfg: Config, corpus: PatchCorpus) -> TowerParams:
 def train_pipeline(
     bench: Benchmark,
     cfg: Config,
+    views: ViewSet,
     patches_per_view: int = 64,
-    views: ViewSet | None = None,
     index_view_jitter: int = 3,
     index_patches_per_view: int = 256,
 ) -> Pipeline:
-    if views is None:
-        views = select_views(cfg)
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
     # the corpus and the index both draw records at the canonical views:
     # render each (shape, view) once and hand both passes the same maps
@@ -420,7 +418,7 @@ def run_retrieval_experiment(
     bench = generate_benchmark(
         num_shapes, leave_out, views_per_query, cfg.seed, views.medoids
     )
-    pipe = train_pipeline(bench, cfg, patches_per_view, views)
+    pipe = train_pipeline(bench, cfg, views, patches_per_view)
     results, gts, qids = evaluate_queries(bench, pipe, cfg)
     report = build_report(results, gts, query_ids=qids, config=to_dict(cfg))
     return report, pipe, bench

@@ -51,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .artifact import Reader, decode_json, pack
+from .artifact import Reader, decode_json, fields, pack
 from .config import Config, from_dict, to_dict
 from .descriptor import content_rect, rect_windows, sample_patches
 from .embed import (
@@ -82,7 +82,12 @@ class PatchIndex:
         return len(self.embeddings)
 
     def category_of(self, shape_id: int) -> str:
-        return self.manifest["shapes"][str(shape_id)]["category"]
+        """The shape's category as the manifest records it, a str."""
+        with fields("index manifest"):
+            category = self.manifest["shapes"][str(shape_id)]["category"]
+        if not isinstance(category, str):
+            raise FormatError(f"index manifest: shape {shape_id} category is not a str")
+        return category
 
     @cached_property
     def embeddings_f64(self) -> np.ndarray:
@@ -231,7 +236,6 @@ def build_index(
     model: TowerParams,
     patches_per_view: int,
     cfg: Config,
-    mesh_paths: dict[int, str] | None = None,
     renders: Renders | None = None,
 ) -> PatchIndex:
     """Render, sample, and embed every shape x view into one flat index.
@@ -255,11 +259,7 @@ def build_index(
         raise EmptyIndexError("index build produced no records")
     manifest = {
         "shapes": {
-            str(sid): {
-                "category": shapes[sid].category,
-                "obj": (mesh_paths or {}).get(sid, ""),
-            }
-            for sid in sorted(shapes)
+            str(sid): {"category": shapes[sid].category} for sid in sorted(shapes)
         },
         "views": viewset_doc(views),
         "config": to_dict(cfg),
@@ -334,7 +334,9 @@ def retrieve_shape(
         raise ValueError("kq and kr must be >= 1")
     if len(index) == 0:
         raise EmptyIndexError("index holds no records")
-    cfg = cfg or from_dict(index.manifest["config"])
+    if cfg is None:
+        with fields("index manifest"):
+            cfg = from_dict(index.manifest["config"])
 
     subset = None
     if category is not None:

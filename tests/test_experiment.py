@@ -302,7 +302,7 @@ class TestPipelineRendersOnce:
 
         monkeypatch.setattr(index_module, "rasterize", counting)
         pipe = train_pipeline(
-            bench, cfg, PATCHES_PER_VIEW, views=views, index_view_jitter=3,
+            bench, cfg, views, PATCHES_PER_VIEW, index_view_jitter=3,
             index_patches_per_view=16,
         )
         path = tmp_path / "shared.p2ci"

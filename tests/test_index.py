@@ -66,7 +66,7 @@ def micro_index(embeddings, shape_ids, d=4, categories=None):
     cats = categories or {}
     manifest = {
         "shapes": {
-            str(s): {"category": cats.get(int(s), "chair"), "obj": ""}
+            str(s): {"category": cats.get(int(s), "chair")}
             for s in sorted(set(shape_ids))
         },
         "views": {"n": 1, "medoids": [[1, 0, 0, 0]], "seed": 0, "source_size": 1},
@@ -396,11 +396,18 @@ class TestRetrieveConfigFallback:
         with pytest.raises(ConfigError, match="bogus"):
             retrieve_shape(idx, raster, raster.mask, model, 1, 1, seed=0)
 
+    def test_missing_manifest_config_is_format_error(self):
+        idx, model, raster, _ = retrieval_fixture([unit([1, 1, 1, 1])], [0])
+        del idx.manifest["config"]
+        with pytest.raises(FormatError, match="index manifest"):
+            retrieve_shape(idx, raster, raster.mask, model, 1, 1, seed=0)
+
 
 def index_blob(manifest_bytes: bytes) -> bytes:
-    """An index file of no records with the given manifest bytes."""
-    header = INDEX_MAGIC + struct.pack("<IIII", 1, 0, 4, len(manifest_bytes))
-    return header + manifest_bytes
+    """An index file of one record, of shape 3, with the given manifest bytes."""
+    header = INDEX_MAGIC + struct.pack("<IIII", 1, 1, 4, len(manifest_bytes))
+    record = struct.pack("<6I4f", 3, 0, 0, 0, 4, 4, 1, 0, 0, 0)
+    return header + manifest_bytes + record
 
 
 def load_blob(blob: bytes) -> PatchIndex:
@@ -428,21 +435,31 @@ VALID_BLOB = valid_blob()
 def loads_or_rejects(blob: bytes) -> None:
     try:
         idx = load_blob(blob)
+        categories = idx.category_records
     except PatchVoteError:
         return
     assert isinstance(idx, PatchIndex)
     assert idx.embeddings.shape[0] == len(idx.shape_ids) == len(idx.rects)
+    assert all(isinstance(cat, str) for cat in categories)
 
 
 class TestIndexIOColumnar:
     @pytest.mark.parametrize(
         "manifest",
-        [b"\xff\xfe{}", b"{not json", b"[1, 2]", b"3", b""],
-        ids=["not-utf8", "not-json", "list", "number", "empty"],
+        [
+            b"\xff\xfe{}", b"{not json", b"[1, 2]", b"3", b"",
+            b"{}", b'{"shapes": {}}', b'{"shapes": {"3": 5}}',
+            b'{"shapes": {"3": {"category": 5}}}',
+        ],
+        ids=[
+            "not-utf8", "not-json", "list", "number", "empty",
+            "no-shapes", "shape-unlisted", "shape-not-object", "category-not-str",
+        ],
     )
     def test_bad_manifest_is_format_error(self, manifest):
+        """Rejected at load, or when the first conditioned query reads it."""
         with pytest.raises(FormatError, match="manifest"):
-            load_blob(index_blob(manifest))
+            load_blob(index_blob(manifest)).category_records
 
     def test_empty_index_round_trips(self, tmp_path):
         idx = micro_index(np.zeros((0, 4)), [])

@@ -1,14 +1,15 @@
 """How every artifact file is framed, and how a malformed one is rejected.
 
-A binary artifact (the P2CI index, the P2CM model) is a magic,
-little-endian u32 header fields, then payload blocks: `pack` writes one
-and `Reader` walks one from the front. A JSON document (the index
-manifest, a config file) is one UTF-8 JSON object, read by
-`decode_json`. Every short read, bad magic, trailing byte, undecodable
-document, non-object root and missing or mistyped field raises
-FormatError naming the artifact and the part, as does a NaN or infinity
-in a float block read by `Reader.f4` or checked by `Reader.finite` (the
-model's tower weights, the index's embeddings).
+A binary artifact (the P2CI index, the P2CM model, a POSE section) is
+a magic, little-endian u32 header fields, then payload blocks: `pack`
+writes one and `Reader` walks one from the front. A JSON document (a
+view set, a benchmark manifest, the index manifest, a config file) is
+one UTF-8 JSON object, read by `decode_json`. Every short read, bad
+magic, trailing byte, undecodable document, non-object root and missing
+or mistyped field raises FormatError naming the artifact and the part,
+as does a NaN or infinity in a float block read by `Reader.f4` or
+checked by `Reader.finite` (the model's tower weights, the pose head's
+weights and its medoids, the index's embeddings).
 """
 
 from __future__ import annotations

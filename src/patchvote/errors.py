@@ -9,6 +9,16 @@ class PatchVoteError(Exception):
     """Base class for all package errors."""
 
 
+class ObjParseError(PatchVoteError):
+    """Malformed OBJ input; carries the offending 1-based line number."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
 class MeshError(PatchVoteError):
     """Degenerate or otherwise unusable mesh geometry."""
 

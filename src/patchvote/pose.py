@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifact import Reader, f4, pack
 from .config import Config
 from .embed import _normalize_rows
 from .errors import TrainingError
@@ -173,3 +174,21 @@ def train_pose_head(data: PoseDataset, cfg: Config) -> PoseTrainResult:
                 arr -= cfg.learning_rate * g
         history.append((epoch, total / N))
     return PoseTrainResult(params=params, history=history)
+
+
+def pack_pose_section(params: PoseHeadParams, medoids: np.ndarray) -> bytes:
+    """Serialize head + bins: u32 K, u32 d_in, f64 medoids, f32 weights."""
+    d_in, k = params.Wc.shape
+    medoids = np.ascontiguousarray(medoids, dtype="<f8")
+    return pack(b"", (k, d_in), medoids, *f4(*params.arrays()))
+
+
+def unpack_pose_section(blob: bytes) -> tuple[PoseHeadParams, np.ndarray]:
+    reader = Reader(blob, "pose section")
+    k, d_in = reader.u32(2, "header")
+    medoids = reader.finite(reader.array("<f8", k * 4, "medoids"), "medoids")
+    medoids = medoids.reshape(k, 4).copy()
+    shapes = [(d_in, k), (k,), (d_in, 4), (4,), (d_in, 2), (2,)]
+    arrays = reader.f4(shapes, "weights")
+    reader.end()
+    return PoseHeadParams(*arrays), medoids

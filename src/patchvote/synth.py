@@ -11,12 +11,15 @@ the database.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import SynthError
-from .mesh import TriMesh, normalize_mesh
+from .artifact import decode_json, fields
+from .errors import FormatError, SynthError
+from .mesh import TriMesh, normalize_mesh, save_obj
 from .views import perturb_quat
 
 CATEGORIES = ("chair", "table", "cabinet")
@@ -87,6 +90,7 @@ class Benchmark:
     shapes: dict[int, ShapeEntry]
     database_ids: list[int]
     queries: list[Query]
+    seed: int = 0
 
 
 _BOX_QUADS = (
@@ -317,4 +321,81 @@ def generate_benchmark(
                 )
             )
             qi += 1
-    return Benchmark(shapes=shapes, database_ids=database_ids, queries=queries)
+    return Benchmark(
+        shapes=shapes, database_ids=database_ids, queries=queries, seed=seed
+    )
+
+
+def save_benchmark(bench: Benchmark, out_dir: str) -> str:
+    """Materialize meshes as OBJ plus a manifest JSON; returns manifest path."""
+    root = Path(out_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    shape_docs = {}
+    for sid in sorted(bench.shapes):
+        entry = bench.shapes[sid]
+        obj_name = f"shape_{sid:04d}.obj"
+        save_obj(entry.mesh, str(root / obj_name))
+        shape_docs[str(sid)] = {
+            "category": entry.spec.category,
+            "obj": obj_name,
+            "params": entry.spec.params,
+            "parent": entry.parent_id,
+        }
+    doc = {
+        "seed": bench.seed,
+        "database": bench.database_ids,
+        "shapes": shape_docs,
+        "queries": [
+            {
+                "shape": q.shape_id,
+                "view_quat": [float(c) for c in q.view_quat],
+                "seed": q.aug_seed,
+                "leave_out": q.leave_out,
+                "gt_shape": q.gt_shape_id,
+            }
+            for q in bench.queries
+        ],
+    }
+    manifest = root / "benchmark.json"
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return str(manifest)
+
+
+def load_benchmark(manifest_path: str) -> Benchmark:
+    from .mesh import load_obj
+
+    root = Path(manifest_path).parent
+    doc = decode_json(Path(manifest_path).read_bytes(), "benchmark manifest")
+    shapes = {}
+    with fields("benchmark manifest"):
+        for sid_text, info in doc["shapes"].items():
+            sid, category = int(sid_text), info["category"]
+            try:
+                mesh = load_obj(str(root / info["obj"]), category=category)
+            except OSError as exc:
+                raise FormatError(f"benchmark shape {sid_text}: {exc}") from exc
+            spec = SynthSpec(category=category, params=dict(info["params"]), seed=sid)
+            shapes[sid] = ShapeEntry(
+                spec=spec, mesh=mesh, parent_id=int(info.get("parent", -1))
+            )
+        queries = [
+            Query(
+                shape_id=int(q["shape"]),
+                view_quat=np.asarray(q["view_quat"], dtype=np.float64).reshape(4),
+                aug_seed=int(q["seed"]),
+                leave_out=bool(q["leave_out"]),
+                gt_shape_id=int(q.get("gt_shape", q["shape"])),
+            )
+            for q in doc["queries"]
+        ]
+        database_ids = [int(i) for i in doc["database"]]
+        seed = int(doc.get("seed", 0))
+    unlisted = set(database_ids).union(*((q.shape_id, q.gt_shape_id) for q in queries))
+    unlisted -= set(shapes)
+    if unlisted:
+        raise FormatError(f"benchmark manifest: unlisted shapes {sorted(unlisted)}")
+    return Benchmark(
+        shapes=shapes, database_ids=database_ids, queries=queries, seed=seed
+    )

@@ -1,8 +1,9 @@
-"""Artifact framing, and fuzzing of the model and config readers.
+"""Artifact framing, and fuzzing of the model, view set, config and benchmark readers.
 
 Every fuzzed input must either load into a well-formed object or raise
 a PatchVoteError subclass; any other exception fails the test. The index
-reader is fuzzed the same way in test_index.py.
+and pose-section readers are fuzzed the same way in test_index.py and
+test_pose.py.
 """
 
 import json
@@ -23,6 +24,19 @@ from patchvote.embed import (
     save_model,
 )
 from patchvote.errors import FormatError, PatchVoteError
+from patchvote.synth import (
+    Benchmark,
+    generate_benchmark,
+    load_benchmark,
+    save_benchmark,
+)
+from patchvote.views import (
+    ViewSet,
+    kmedoids,
+    load_viewset,
+    random_rotations,
+    save_viewset,
+)
 
 
 class TestFraming:
@@ -142,7 +156,8 @@ class TestModelReaderFuzz:
     def blob(self, workdir):
         return valid_model(workdir)
 
-    def test_trailing_bytes_rejected(self, workdir, blob):
+    def test_trailing_partial_section_header(self, workdir, blob):
+        """The model ends at its towers, so a tagged section's start is trailing bytes."""
         with pytest.raises(FormatError, match="trailing bytes"):
             load_model(write(workdir / "m.p2cm", blob + b"TAG"))
 
@@ -164,6 +179,68 @@ class TestModelReaderFuzz:
     def test_fuzz_random_bytes(self, workdir, tail, with_magic):
         blob = (MODEL_MAGIC if with_magic else b"") + tail
         model_loads_or_rejects(write(workdir / "fz.p2cm", blob))
+
+
+# ---------------------------------------------------------------------------
+# view set
+
+
+def viewset_loads_or_rejects(path: str) -> None:
+    try:
+        vs = load_viewset(path)
+    except PatchVoteError:
+        return
+    assert isinstance(vs, ViewSet)
+    assert vs.medoids.dtype == np.float64 and vs.medoids.shape == (len(vs), 4)
+    assert isinstance(vs.seed, int) and isinstance(vs.source_size, int)
+
+
+class TestViewSetReaderFuzz:
+    @pytest.fixture(scope="class")
+    def blob(self, workdir):
+        p = workdir / "valid_views.json"
+        save_viewset(kmedoids(random_rotations(12, seed=4), k=3, seed=1), str(p))
+        return p.read_bytes()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {"n": 1, "medoids": [[1, 0, 0, "x"]]},
+            {"n": 1, "medoids": [[1, 0, 0, None]]},
+            {"n": 1, "medoids": [[1, 0, 0]]},
+            {"n": 2, "medoids": [[1, 0, 0, 0], [1, 0]]},
+            {"medoids": [[1, 0, 0, 0]]},
+            {"n": 1, "medoids": [[1, 0, 0, 0]], "seed": "s"},
+            {"n": 1, "medoids": [[1, 0, 0, 0]], "seed": 1e400},
+            {"n": 1, "medoids": [[1, 0, 0, 0]], "source_size": [3]},
+        ],
+        ids=[
+            "list-root", "string-medoid", "null-medoid", "short-row", "ragged",
+            "no-n", "string-seed", "infinite-seed", "list-source-size",
+        ],
+    )
+    def test_malformed_document_is_format_error(self, workdir, doc):
+        text = json.dumps(doc).replace("Infinity", "1e400")
+        with pytest.raises(FormatError, match="view set"):
+            load_viewset(write(workdir / "bad_views.json", text.encode()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut=st.floats(min_value=0.0, max_value=1.0))
+    def test_fuzz_truncation(self, workdir, blob, cut):
+        data = blob[: int(cut * len(blob))]
+        viewset_loads_or_rejects(write(workdir / "fz_views.json", data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(flips=FLIPS)
+    def test_fuzz_bit_flips(self, workdir, blob, flips):
+        data = flip_bits(blob, flips)
+        viewset_loads_or_rejects(write(workdir / "fz_views.json", data))
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=RANDOM_BYTES_OR_DOCUMENTS)
+    def test_fuzz_random_bytes_and_documents(self, workdir, raw):
+        viewset_loads_or_rejects(write(workdir / "fz_views.json", raw))
 
 
 # ---------------------------------------------------------------------------
@@ -198,3 +275,69 @@ class TestConfigReaderFuzz:
     @given(raw=RANDOM_BYTES_OR_DOCUMENTS)
     def test_fuzz_random_bytes_and_documents(self, workdir, raw):
         config_loads_or_rejects(write(workdir / "fz.json", raw))
+
+
+# ---------------------------------------------------------------------------
+# benchmark manifest
+
+
+def benchmark_loads_or_rejects(path: str) -> None:
+    try:
+        bench = load_benchmark(path)
+    except PatchVoteError:
+        return
+    assert isinstance(bench, Benchmark)
+    for q in bench.queries:
+        assert q.view_quat.shape == (4,)
+        assert q.shape_id in bench.shapes and q.gt_shape_id in bench.shapes
+    assert set(bench.database_ids) <= set(bench.shapes)
+
+
+class TestBenchmarkReaderFuzz:
+    """Corrupted manifests beside the valid OBJ files they name."""
+
+    @pytest.fixture(scope="class")
+    def bench_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("bench")
+        bench = generate_benchmark(4, 0.0, 1, 2, random_rotations(4, seed=2))
+        save_benchmark(bench, str(root))
+        return root
+
+    @pytest.fixture(scope="class")
+    def blob(self, bench_dir):
+        return (bench_dir / "benchmark.json").read_bytes()
+
+    def test_missing_obj_names_the_shape(self, bench_dir, blob):
+        doc = json.loads(blob)
+        doc["shapes"]["1"]["obj"] = "shape_9999.obj"
+        path = write(bench_dir / "bad.json", json.dumps(doc).encode())
+        with pytest.raises(FormatError, match="shape 1.*shape_9999.obj"):
+            load_benchmark(path)
+
+    def test_unlisted_database_shape_rejected(self, bench_dir, blob):
+        doc = json.loads(blob)
+        doc["database"].append(42)
+        path = write(bench_dir / "bad.json", json.dumps(doc).encode())
+        with pytest.raises(FormatError, match="unlisted shapes \\[42\\]"):
+            load_benchmark(path)
+
+    def test_non_utf8_manifest_is_format_error(self, bench_dir, blob):
+        path = write(bench_dir / "bad.json", b"\xff" + blob)
+        with pytest.raises(FormatError, match="benchmark manifest"):
+            load_benchmark(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cut=st.floats(min_value=0.0, max_value=1.0))
+    def test_fuzz_truncation(self, bench_dir, blob, cut):
+        data = blob[: int(cut * len(blob))]
+        benchmark_loads_or_rejects(write(bench_dir / "fz.json", data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(flips=FLIPS)
+    def test_fuzz_bit_flips(self, bench_dir, blob, flips):
+        benchmark_loads_or_rejects(write(bench_dir / "fz.json", flip_bits(blob, flips)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=RANDOM_BYTES_OR_DOCUMENTS)
+    def test_fuzz_random_bytes_and_documents(self, bench_dir, raw):
+        benchmark_loads_or_rejects(write(bench_dir / "fz.json", raw))

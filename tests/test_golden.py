@@ -14,9 +14,11 @@ import numpy as np
 
 from patchvote.embed import Tower, TowerParams, load_model, save_model
 from patchvote.index import PatchIndex, load_index, save_index
+from patchvote.pose import PoseHeadParams, pack_pose_section, unpack_pose_section
 
 INDEX_SHA256 = "f89c53280fc922cf9301fa06ef73489972186b4f0b82d992a6bd14a468fb51e3"
 MODEL_SHA256 = "2a70c9b07534d43d778b04ca00325fb548d7866b5f9f3defc86339b47a8638a5"
+POSE_SHA256 = "972d677a181ad9de695cf8e8969d682dc163515dbff2a8d8034649844d00e781"
 
 
 def ramp(shape, start=0.0):
@@ -55,6 +57,22 @@ def golden_towers() -> TowerParams:
     return TowerParams(image=tower(4, 0.5), shape=tower(6, -0.5))
 
 
+def golden_pose_head() -> tuple[PoseHeadParams, np.ndarray]:
+    d_in, k = 5, 3
+    params = PoseHeadParams(
+        Wc=ramp((d_in, k), 0.125),
+        bc=ramp((k,)),
+        Wq=ramp((d_in, 4), -0.25),
+        bq=ramp((4,), 0.5),
+        Wt=ramp((d_in, 2)),
+        bt=ramp((2,), -1.0),
+    )
+    medoids = np.array(
+        [[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5], [0.0, 0.6, 0.0, 0.8]]
+    )
+    return params, medoids
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -79,3 +97,12 @@ class TestGoldenLayouts:
         back, _ = load_model(str(p))
         np.testing.assert_array_equal(back.shape.W1, towers.shape.W1)
         np.testing.assert_array_equal(back.image.b2, towers.image.b2)
+
+    def test_pose_blob_bytes(self):
+        params, medoids = golden_pose_head()
+        blob = pack_pose_section(params, medoids)
+        assert sha256(blob) == POSE_SHA256
+        back, back_medoids = unpack_pose_section(blob)
+        np.testing.assert_array_equal(back_medoids, medoids)
+        for a, b in zip(back.arrays(), params.arrays()):
+            np.testing.assert_array_equal(a, b)

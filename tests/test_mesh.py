@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from patchvote.errors import MeshError
+from patchvote.errors import MeshError, ObjParseError
 from patchvote.mesh import (
     TriMesh,
     face_areas,
     face_normals,
+    load_obj,
     normalize_mesh,
+    parse_obj,
     sample_surface_points,
+    save_obj,
 )
+
+MINIMAL = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+
 
 def cube_mesh(lo=0.0, hi=2.0):
     """Axis-aligned cube between lo and hi on every axis, 12 triangles."""
@@ -25,6 +31,74 @@ def cube_mesh(lo=0.0, hi=2.0):
         tris.append((a, b, c))
         tris.append((a, c, d))
     return TriMesh(verts, np.array(tris))
+
+
+class TestParseObj:
+    def test_minimal_valid_file(self):
+        mesh = parse_obj(MINIMAL)
+        assert len(mesh.vertices) == 3
+        assert len(mesh.triangles) == 1
+        np.testing.assert_array_equal(mesh.triangles[0], [0, 1, 2])
+
+    def test_quad_fan_triangulated(self):
+        text = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n"
+        mesh = parse_obj(text)
+        np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2], [0, 2, 3]])
+
+    def test_negative_relative_indices(self):
+        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n"
+        mesh = parse_obj(text)
+        np.testing.assert_array_equal(mesh.triangles[0], [0, 1, 2])
+
+    def test_slash_components_ignored(self):
+        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1//1 2/1/1 3//1\n"
+        mesh = parse_obj(text)
+        np.testing.assert_array_equal(mesh.triangles[0], [0, 1, 2])
+
+    def test_comments_and_blank_lines_skipped(self):
+        text = "# header\n\n" + MINIMAL
+        assert len(parse_obj(text).triangles) == 1
+
+    def test_face_index_out_of_range_reports_line(self):
+        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n"
+        with pytest.raises(ObjParseError, match="line 4"):
+            parse_obj(text)
+
+    def test_index_zero_rejected(self):
+        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n"
+        with pytest.raises(ObjParseError):
+            parse_obj(text)
+
+    def test_malformed_vertex_reports_line(self):
+        with pytest.raises(ObjParseError, match="line 2"):
+            parse_obj("v 0 0 0\nv 1 xyz 0\nv 0 1 0\nf 1 2 3\n")
+
+    def test_short_vertex_line(self):
+        with pytest.raises(ObjParseError, match="line 1"):
+            parse_obj("v 0 0\n")
+
+    def test_zero_faces_rejected(self):
+        with pytest.raises(ObjParseError, match="no faces"):
+            parse_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
+
+    def test_face_with_two_vertices_rejected(self):
+        with pytest.raises(ObjParseError, match="line 3"):
+            parse_obj("v 0 0 0\nv 1 0 0\nf 1 2\n")
+
+    def test_bytes_input(self):
+        mesh = parse_obj(MINIMAL.encode())
+        assert len(mesh.vertices) == 3
+
+    def test_fan_count_property(self):
+        # an n-gon face yields n-2 triangles
+        rng = np.random.default_rng(42)
+        for n in range(3, 9):
+            angles = np.sort(rng.uniform(0, 2 * np.pi, n))
+            lines = [f"v {np.cos(a)} {np.sin(a)} 0" for a in angles]
+            lines.append("f " + " ".join(str(i + 1) for i in range(n)))
+            mesh = parse_obj("\n".join(lines))
+            assert len(mesh.triangles) == n - 2
+            assert len(mesh.vertices) == n
 
 
 class TestNormalize:
@@ -80,7 +154,7 @@ class TestNormalsAndAreas:
 
 class TestSampling:
     def test_single_triangle_all_ids_zero(self):
-        mesh = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+        mesh = parse_obj(MINIMAL)
         s = sample_surface_points(mesh, 50, seed=0)
         assert np.all(s.triangle_ids == 0)
         assert len(s) == 50
@@ -122,3 +196,13 @@ class TestSampling:
         verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
         with pytest.raises(MeshError, match="area"):
             sample_surface_points(TriMesh(verts, np.array([[0, 1, 2]])), 10, seed=0)
+
+
+class TestObjRoundTrip:
+    def test_save_load(self, tmp_path):
+        mesh = normalize_mesh(cube_mesh())
+        path = tmp_path / "cube.obj"
+        save_obj(mesh, str(path))
+        back = load_obj(str(path))
+        np.testing.assert_allclose(back.vertices, mesh.vertices, atol=1e-9)
+        np.testing.assert_array_equal(back.triangles, mesh.triangles)

@@ -1,7 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from patchvote.config import Config
+from patchvote.errors import FormatError, PatchVoteError
 from patchvote.pose import (
     PoseDataset,
     PoseHeadParams,
@@ -9,9 +14,11 @@ from patchvote.pose import (
     compose_rotation,
     huber,
     init_pose_head,
+    pack_pose_section,
     pose_forward,
     pose_loss_and_grad,
     train_pose_head,
+    unpack_pose_section,
 )
 from patchvote.views import (
     axis_angle_quat,
@@ -218,3 +225,98 @@ class TestPoseTraining:
         a = train_pose_head(data, cfg)
         b = train_pose_head(data, cfg)
         assert a.history == b.history
+
+
+class TestPoseSection:
+    def test_round_trip(self):
+        params = init_pose_head(10, 6, seed=2)
+        medoids = random_rotations(6, seed=3)
+        blob = pack_pose_section(params, medoids)
+        back, med_back = unpack_pose_section(blob)
+        np.testing.assert_array_equal(med_back, medoids)
+        for a, b in zip(params.arrays(), back.arrays()):
+            np.testing.assert_allclose(a, b, atol=1e-6)
+        # repack of the unpacked values is byte identical
+        assert pack_pose_section(back, med_back) == blob
+
+    def test_truncation_rejected(self):
+        params = init_pose_head(4, 3, seed=0)
+        blob = pack_pose_section(params, random_rotations(3, seed=1))
+        from patchvote.errors import FormatError
+
+        with pytest.raises(FormatError):
+            unpack_pose_section(blob[:-4])
+
+
+VALID_SECTION = pack_pose_section(
+    init_pose_head(5, 3, seed=4), random_rotations(3, seed=5)
+)
+
+
+def unpacks_or_rejects(blob: bytes) -> None:
+    try:
+        params, medoids = unpack_pose_section(blob)
+    except PatchVoteError:
+        return
+    k = len(medoids)
+    assert medoids.shape == (k, 4)
+    assert params.Wc.shape[1] == k
+
+
+class TestPoseSectionMalformed:
+    def test_truncated_inside_medoids(self):
+        with pytest.raises(FormatError, match="medoids"):
+            unpack_pose_section(VALID_SECTION[: 8 + 3 * 32 - 1])
+
+    def test_header_claims_more_medoids_than_present(self):
+        blob = struct.pack("<II", 2**31, 5) + VALID_SECTION[8:]
+        with pytest.raises(FormatError):
+            unpack_pose_section(blob)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut=st.integers(min_value=0, max_value=len(VALID_SECTION)))
+    def test_fuzz_truncation(self, cut):
+        unpacks_or_rejects(VALID_SECTION[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        flips=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=len(VALID_SECTION) - 1),
+                st.integers(min_value=0, max_value=7),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_fuzz_bit_flips(self, flips):
+        blob = bytearray(VALID_SECTION)
+        for pos, bit in flips:
+            blob[pos] ^= 1 << bit
+        unpacks_or_rejects(bytes(blob))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail=st.binary(max_size=256), header=st.booleans())
+    @example(tail=b"", header=True)
+    def test_fuzz_random_bytes(self, tail, header):
+        unpacks_or_rejects((VALID_SECTION[:8] if header else b"") + tail)
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(FormatError, match="trailing"):
+            unpack_pose_section(VALID_SECTION + b"\x00")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_medoid_rejected(self, value):
+        medoids = random_rotations(3, seed=5)
+        medoids[1, 2] = value
+        blob = pack_pose_section(init_pose_head(5, 3, seed=4), medoids)
+        with pytest.raises(FormatError, match="non-finite value in medoids"):
+            unpack_pose_section(blob)
+
+    @pytest.mark.parametrize("name", ["Wc", "bc", "Wq", "bq", "Wt", "bt"])
+    def test_nan_weight_rejected(self, name):
+        head = init_pose_head(5, 3, seed=4)
+        getattr(head, name).flat[-1] = np.nan
+        blob = pack_pose_section(head, random_rotations(3, seed=5))
+        with pytest.raises(FormatError, match="non-finite value in weights"):
+            unpack_pose_section(blob)

@@ -21,6 +21,13 @@ ENTRY_POINTS = frozenset({
     "run_pose_experiment",
     # the shape metric, for the held-out F-score still to be reported
     "mesh_fscore",
+    # artifact readers and writers the robustness checks cover
+    "pack_pose_section",
+    "unpack_pose_section",
+    "save_viewset",
+    "load_viewset",
+    "save_benchmark",
+    "load_benchmark",
 })
 
 

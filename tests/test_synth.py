@@ -7,6 +7,8 @@ from patchvote.synth import (
     SynthSpec,
     generate_benchmark,
     generate_shape,
+    load_benchmark,
+    save_benchmark,
 )
 from patchvote.views import random_rotations
 
@@ -145,3 +147,31 @@ class TestGenerateBenchmark:
     def test_empty_database_rejected(self):
         with pytest.raises(SynthError, match="empty database"):
             generate_benchmark(4, 0.9, 1, 0, GRID)
+
+
+class TestBenchmarkIO:
+    def test_manifest_round_trip(self, tmp_path):
+        bench = generate_benchmark(8, 0.25, 2, 6, GRID)
+        manifest = save_benchmark(bench, str(tmp_path))
+        back = load_benchmark(manifest)
+        assert back.database_ids == bench.database_ids
+        assert len(back.queries) == len(bench.queries)
+        for qa, qb in zip(bench.queries, back.queries):
+            assert qa.shape_id == qb.shape_id
+            assert qa.leave_out == qb.leave_out
+            assert qa.gt_shape_id == qb.gt_shape_id
+            np.testing.assert_allclose(qa.view_quat, qb.view_quat, atol=1e-12)
+        for sid in bench.shapes:
+            np.testing.assert_allclose(
+                back.shapes[sid].mesh.vertices,
+                bench.shapes[sid].mesh.vertices,
+                atol=1e-8,
+            )
+            assert back.shapes[sid].spec.category == bench.shapes[sid].spec.category
+
+    def test_manifest_deterministic_bytes(self, tmp_path):
+        b1 = generate_benchmark(6, 0.0, 1, 7, GRID)
+        b2 = generate_benchmark(6, 0.0, 1, 7, GRID)
+        p1 = save_benchmark(b1, str(tmp_path / "a"))
+        p2 = save_benchmark(b2, str(tmp_path / "b"))
+        assert open(p1, "rb").read() == open(p2, "rb").read()

@@ -5,6 +5,7 @@ from patchvote.views import (
     axis_angle_quat,
     canonical_quat,
     kmedoids,
+    load_viewset,
     nearest_medoid,
     pairwise_geodesic,
     quat_conj,
@@ -12,6 +13,7 @@ from patchvote.views import (
     quat_mul,
     quat_to_matrix,
     random_rotations,
+    save_viewset,
 )
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -158,7 +160,17 @@ class TestKMedoids:
             kmedoids(self.four_rotations(), k=5, seed=0)
 
 
-class TestRandomRotations:
+class TestViewSetIO:
+    def test_round_trip(self, tmp_path):
+        pts = random_rotations(40, seed=6)
+        vs = kmedoids(pts, k=6, seed=3)
+        p = tmp_path / "views.json"
+        save_viewset(vs, str(p))
+        back = load_viewset(str(p))
+        np.testing.assert_allclose(back.medoids, vs.medoids, atol=1e-15)
+        assert back.source_size == 40
+        assert back.seed == 3
+
     def test_random_rotations_seeded(self):
         np.testing.assert_array_equal(
             random_rotations(10, seed=1), random_rotations(10, seed=1)

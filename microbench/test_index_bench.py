@@ -46,7 +46,8 @@ def index() -> PatchIndex:
             "config": to_dict(CFG),
         },
     )
-    _ = (idx.embeddings_f64, idx.category_embeddings)  # build the cached query state
+    for category in (None, *sorted(set(CATEGORIES.values()))):
+        idx.scope(category)  # build the cached query state
     return idx
 
 
@@ -70,9 +71,8 @@ def test_knn_query_full(benchmark, index):
     benchmark(knn_query, index, unit_query(1), CFG.kr)
 
 
-def test_knn_query_category_subset(benchmark, index):
-    subset = index.category_records["table"]
-    benchmark(knn_query, index, unit_query(2), CFG.kr, subset)
+def test_knn_query_category(benchmark, index):
+    benchmark(knn_query, index, unit_query(2), CFG.kr, category="table")
 
 
 @pytest.mark.parametrize("category", [None, "chair"], ids=["all", "chair"])

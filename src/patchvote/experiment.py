@@ -49,6 +49,7 @@ from .views import (
     ViewSet,
     canonical_quat,
     kmedoids,
+    nearest_medoid,
     perturb_quat,
     quat_geodesic,
     random_rotations,
@@ -200,11 +201,7 @@ def build_corpus(
                 np.array([(r.x, r.y, r.w, r.h) for r in snapped], dtype=np.int64),
                 cand_rects,
             )
-            near_vid = int(
-                np.argmin(
-                    [quat_geodesic(rot, m) for m in views.medoids]
-                )
-            )
+            near_vid = nearest_medoid(rot, views.medoids)
             same_view = (cand_sids == sid) & (cand_vids == near_vid)
             positive = (footprint >= cfg.theta_pos) & same_view
             negative = (footprint <= cfg.theta_neg) & (cand_sids != sid)
@@ -280,7 +277,6 @@ def augment_views(views: ViewSet, extra_per_view: int, seed: int) -> ViewSet:
         medoids=np.asarray(med, dtype=np.float64),
         source_size=views.source_size,
         seed=views.seed,
-        cost_history=list(views.cost_history),
     )
 
 

@@ -19,15 +19,19 @@ the view's anchors.
 Retrieval: Kq query patches vote; each patch elects the modal shape
 among its Kr nearest records, and the object-level answer is the
 majority over patch winners, with ties resolved by aggregate
-similarity then shape id.
+similarity then shape id. The vote is array code: the patches'
+neighbours stack into (P, Kr) shape-id and similarity arrays, every
+patch's winner comes from one `bincount` of votes and one of summed
+similarity, and the ranking from one `bincount` of winners and one
+`lexsort`. A weighted `bincount` adds in input order, so every sum is
+the same f64 value a sequential sum in neighbour or patch order gives.
 
 Query state: the index is immutable, so what every query needs is
-built once per PatchIndex object, on first use, and reused: a
-C-contiguous f64 copy of the embeddings (the matrix every kNN scores),
-a map from category to the sorted ids of its records (the subset a
-category-conditioned query searches) and one C-contiguous f64 block of
-each category's rows, so a conditioned query's patches score that
-block instead of gathering the category's rows for each patch.
+built once per PatchIndex object, on first use, and reused: one map
+from a search scope (a category, or None for the whole index) to its
+record ids and a C-contiguous f64 block of their rows. A conditioned
+query's patches score its category's block instead of gathering the
+category's rows for each patch.
 
 Exact top-k: each query patch is scored with one mat-vec over the
 searched records, so every similarity is the same f64 value a full
@@ -90,11 +94,6 @@ class PatchIndex:
         return category
 
     @cached_property
-    def embeddings_f64(self) -> np.ndarray:
-        """C-contiguous f64 copy of `embeddings`, the matrix kNN scores."""
-        return np.ascontiguousarray(self.embeddings, dtype=np.float64)
-
-    @cached_property
     def category_records(self) -> dict[str, np.ndarray]:
         """Category -> sorted ids of the records of its shapes."""
         shapes: dict[str, list[int]] = {}
@@ -106,23 +105,26 @@ class PatchIndex:
         }
 
     @cached_property
-    def category_embeddings(self) -> dict[str, np.ndarray]:
-        """Category -> C-contiguous f64 rows of its records, in id order."""
-        return {
-            cat: self.embeddings_f64[ids] for cat, ids in self.category_records.items()
-        }
+    def _scopes(self) -> dict[str | None, tuple[np.ndarray, np.ndarray]]:
+        return {}
 
-    def rows_f64(self, ids: np.ndarray) -> np.ndarray:
-        """f64 rows of the records `ids`, C-contiguous.
+    def scope(self, category: str | None) -> tuple[np.ndarray, np.ndarray]:
+        """Record ids a query of `category` searches and their f64 rows.
 
-        A category's own id array from `category_records` (what a
-        conditioned query searches) is served from its cached block;
-        any other subset is gathered on each call.
+        None is the whole index. The rows are a C-contiguous f64 block in
+        id order, built on first use and cached.
         """
-        for cat, records in self.category_records.items():
-            if ids is records:
-                return self.category_embeddings[cat]
-        return self.embeddings_f64[ids]
+        scope = self._scopes.get(category)
+        if scope is None:
+            if category is None:
+                ids = np.arange(len(self))
+            elif category in self.category_records:
+                ids = self.category_records[category]
+            else:
+                raise EmptyIndexError(f"no records of category {category!r}")
+            rows = np.ascontiguousarray(self.embeddings[ids], dtype=np.float64)
+            scope = self._scopes[category] = (ids, rows)
+        return scope
 
 
 def derive_seed(base: int, shape_id: int, view_id: int) -> int:
@@ -278,23 +280,22 @@ def knn_query(
     index: PatchIndex,
     query: np.ndarray,
     k: int,
-    subset: np.ndarray | None = None,
-) -> list[tuple[int, float]]:
+    category: str | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k by cosine similarity; ties break to the lower record id.
 
-    `subset` restricts the search to the given record ids (used for
-    category-conditioned retrieval).
+    Returns the record ids and their similarities, best first. A
+    `category` restricts the search to the records of its shapes
+    (category-conditioned retrieval); None searches the whole index.
     """
     if len(index) == 0:
         raise EmptyIndexError("index holds no records")
     if k < 1:
         raise ValueError("k must be >= 1")
-    ids = np.arange(len(index)) if subset is None else np.asarray(subset)
-    if len(ids) == 0:
-        raise EmptyIndexError("no records in the searched subset")
-    emb = index.embeddings_f64 if subset is None else index.rows_f64(ids)
-    sims = emb @ np.asarray(query, dtype=np.float64)
-    return [(int(ids[i]), float(sims[i])) for i in _top_k(sims, ids, k)]
+    ids, rows = index.scope(category)
+    sims = rows @ np.asarray(query, dtype=np.float64)
+    top = _top_k(sims, ids, k)
+    return ids[top], sims[top]
 
 
 @dataclass
@@ -306,16 +307,32 @@ class RetrievalResult:
         return [sid for sid, _, _ in self.ranking]
 
 
-def _elect(neighbors: list[tuple[int, float]], shape_ids: np.ndarray):
-    """Modal shape among the neighbors; ties by summed sim then lower id."""
-    tally: dict[int, list[float]] = {}
-    for rid, sim in neighbors:
-        tally.setdefault(int(shape_ids[rid]), []).append(sim)
-    best = max(
-        tally.items(), key=lambda kv: (len(kv[1]), sum(kv[1]), -kv[0])
-    )
-    winner = best[0]
-    return winner, max(best[1])
+def _tally(neighbor_shapes: np.ndarray, sims: np.ndarray) -> list[tuple[int, int, float]]:
+    """Ranking of a vote: (shape id, votes, aggregate) rows, best first.
+
+    Row p of the (P, Kr) arrays holds patch p's neighbours in order.
+    Each patch elects the shape with the most neighbours, then the
+    largest similarity summed in neighbour order, then the lower id; the
+    winner gains one vote and its best neighbour's similarity. Every
+    shape among the neighbours is ranked, by votes, then aggregate
+    (both descending), then id.
+    """
+    shapes, col = np.unique(neighbor_shapes, return_inverse=True)
+    col = col.reshape(sims.shape)  # column of each neighbour's shape in `shapes`
+    P, m = len(sims), len(shapes)
+    cell = (np.arange(P)[:, None] * m + col).ravel()
+    counts = np.bincount(cell, minlength=P * m).reshape(P, m)
+    summed = np.bincount(cell, sims.ravel(), minlength=P * m).reshape(P, m)
+    modal = counts == counts.max(axis=1, keepdims=True)
+    # argmax takes the first maximum: the lowest id among full ties
+    winner = np.argmax(np.where(modal, summed, -np.inf), axis=1)
+    best = np.where(col == winner[:, None], sims, -np.inf).max(axis=1)
+    votes = np.bincount(winner, minlength=m)
+    aggregate = np.bincount(winner, best, minlength=m)
+    order = np.lexsort((shapes, -aggregate, -votes))
+    return list(zip(
+        shapes[order].tolist(), votes[order].tolist(), aggregate[order].tolist()
+    ))
 
 
 def retrieve_shape(
@@ -338,9 +355,6 @@ def retrieve_shape(
         with fields("index manifest"):
             cfg = from_dict(index.manifest["config"])
 
-    subset = None
-    if category is not None:
-        subset = index.category_records.get(category, np.empty(0, dtype=np.int64))
     patches = sample_patches(
         query_raster, cfg.patch_fraction, kq, seed, cfg.min_coverage
     )
@@ -356,22 +370,10 @@ def retrieve_shape(
     feats = image_patch_features(query_raster.intensity, survivors, cfg.pool_size)
     Y = tower_forward(model.image, feats).Y
 
-    counts: dict[int, int] = {}
-    aggregates: dict[int, float] = {}
-    seen_shapes: set[int] = set()
-    for y in Y:
-        neighbors = knn_query(index, y, kr, subset=subset)
-        winner, best = _elect(neighbors, index.shape_ids)
-        counts[winner] = counts.get(winner, 0) + 1
-        aggregates[winner] = aggregates.get(winner, 0.0) + best
-        seen_shapes.update(int(index.shape_ids[rid]) for rid, _ in neighbors)
-    for sid in seen_shapes:
-        counts.setdefault(sid, 0)
-        aggregates.setdefault(sid, 0.0)
-    ranking = sorted(
-        ((sid, n, aggregates[sid]) for sid, n in counts.items()),
-        key=lambda row: (-row[1], -row[2], row[0]),
-    )
+    # one mat-vec per patch; every patch searches the same scope, so all
+    # neighbour lists have the same length
+    ids, sims = zip(*(knn_query(index, y, kr, category=category) for y in Y))
+    ranking = _tally(index.shape_ids[np.stack(ids)], np.stack(sims))
     return RetrievalResult(
         ranking=ranking, excluded_patches=len(patches) - len(survivors)
     )

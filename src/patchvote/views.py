@@ -8,7 +8,7 @@ the double cover never produces two encodings of one rotation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +110,6 @@ class ViewSet:
     medoids: np.ndarray  # (n, 4) canonical unit quaternions
     source_size: int
     seed: int = 0
-    cost_history: list[float] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.medoids)
@@ -144,11 +143,8 @@ def kmedoids(points: np.ndarray, k: int, seed: int) -> ViewSet:
         np.minimum(min_d, dist[far], out=min_d)
 
     medoid_idx = np.array(sorted(medoids))
-    cost_history: list[float] = []
     for _ in range(_KMEDOIDS_MAX_ITERS):
         assign = np.argmin(dist[:, medoid_idx], axis=1)
-        cost = float(dist[np.arange(n), medoid_idx[assign]].sum())
-        cost_history.append(cost)
         new_idx = medoid_idx.copy()
         for ci in range(k):
             members = np.flatnonzero(assign == ci)
@@ -158,15 +154,7 @@ def kmedoids(points: np.ndarray, k: int, seed: int) -> ViewSet:
         if np.array_equal(new_idx, medoid_idx):
             break
         medoid_idx = new_idx
-
-    assign = np.argmin(dist[:, medoid_idx], axis=1)
-    cost_history.append(float(dist[np.arange(n), medoid_idx[assign]].sum()))
-    return ViewSet(
-        medoids=points[medoid_idx].copy(),
-        source_size=n,
-        seed=seed,
-        cost_history=cost_history,
-    )
+    return ViewSet(medoids=points[medoid_idx].copy(), source_size=n, seed=seed)
 
 
 def nearest_medoid(q: np.ndarray, medoids: np.ndarray) -> int:

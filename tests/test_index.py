@@ -19,7 +19,7 @@ from patchvote.errors import (
 from patchvote.index import (
     INDEX_MAGIC,
     PatchIndex,
-    _elect,
+    _tally,
     build_index,
     derive_seed,
     knn_query,
@@ -139,50 +139,113 @@ class TestBuildIndex:
         assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
 
 
+# every micro_index record's shape is a "chair" unless categories say
+# otherwise, so these searches give the same answer for both scopes
+WHOLE_AND_CHAIR = (None, "chair")
+
+
 class TestKnn:
     def test_exact_match_first(self):
         idx = micro_index([unit([1, 0, 0, 0]), unit([0, 1, 0, 0])], [0, 1])
-        out = knn_query(idx, unit([1, 0, 0, 0]), 1)
-        assert out[0][0] == 0
-        assert out[0][1] == pytest.approx(1.0)
+        for category in WHOLE_AND_CHAIR:
+            ids, sims = knn_query(idx, unit([1, 0, 0, 0]), 1, category=category)
+            assert ids.tolist() == [0]
+            assert sims[0] == pytest.approx(1.0)
 
     def test_k_exceeding_size_returns_all_sorted(self):
         idx = micro_index(
             [unit([1, 0, 0, 0]), unit([1, 1, 0, 0]), unit([0, 1, 0, 0])], [0, 1, 2]
         )
-        out = knn_query(idx, unit([1, 0, 0, 0]), 10)
-        assert [rid for rid, _ in out] == [0, 1, 2]
-        sims = [s for _, s in out]
-        assert sims == sorted(sims, reverse=True)
+        for category in WHOLE_AND_CHAIR:
+            ids, sims = knn_query(idx, unit([1, 0, 0, 0]), 10, category=category)
+            assert ids.tolist() == [0, 1, 2]
+            assert sims.tolist() == sorted(sims.tolist(), reverse=True)
 
     def test_identical_embeddings_tie_to_lower_id(self):
         v = unit([1, 2, 0, 0])
         idx = micro_index([v, v, v], [0, 1, 2])
-        out = knn_query(idx, v, 2)
-        assert [rid for rid, _ in out] == [0, 1]
+        for category in WHOLE_AND_CHAIR:
+            ids, _ = knn_query(idx, v, 2, category=category)
+            assert ids.tolist() == [0, 1]
 
     def test_empty_index_rejected(self):
         idx = micro_index(np.zeros((0, 4)), [])
-        with pytest.raises(EmptyIndexError):
-            knn_query(idx, unit([1, 0, 0, 0]), 1)
+        for category in WHOLE_AND_CHAIR:
+            with pytest.raises(EmptyIndexError):
+                knn_query(idx, unit([1, 0, 0, 0]), 1, category=category)
+
+    def test_scope_rows_are_cached_f64_of_its_records(self):
+        idx = micro_index(
+            [unit([1, 0, 0, 0]), unit([0, 1, 0, 0]), unit([1, 1, 1, 0])],
+            [0, 1, 2],
+            categories={1: "table"},
+        )
+        for category, want in ((None, [0, 1, 2]), ("chair", [0, 2]), ("table", [1])):
+            ids, rows = idx.scope(category)
+            assert ids.tolist() == want
+            assert rows.dtype == np.float64 and rows.flags.c_contiguous
+            np.testing.assert_array_equal(rows, idx.embeddings[want])
+            assert idx.scope(category)[1] is rows
+
+
+def reference_tally(neighbor_shapes, sims):
+    """The dict-of-lists vote `_tally` replaced, kept as its oracle."""
+    counts, aggregates, seen = {}, {}, set()
+    for row_shapes, row_sims in zip(neighbor_shapes.tolist(), sims.tolist()):
+        tally = {}
+        for sid, sim in zip(row_shapes, row_sims):
+            tally.setdefault(sid, []).append(sim)
+        winner, won = max(tally.items(), key=lambda kv: (len(kv[1]), sum(kv[1]), -kv[0]))
+        counts[winner] = counts.get(winner, 0) + 1
+        aggregates[winner] = aggregates.get(winner, 0.0) + max(won)
+        seen.update(row_shapes)
+    for sid in seen:
+        counts.setdefault(sid, 0)
+        aggregates.setdefault(sid, 0.0)
+    return sorted(
+        ((sid, n, aggregates[sid]) for sid, n in counts.items()),
+        key=lambda row: (-row[1], -row[2], row[0]),
+    )
 
 
 class TestElect:
+    """A patch's election, seen through the ranking of a one-patch vote."""
+
     def test_modal_shape_wins(self):
-        shape_ids = np.array([5, 5, 7])
-        winner, best = _elect([(0, 0.5), (1, 0.6), (2, 0.9)], shape_ids)
-        assert winner == 5
-        assert best == 0.6
+        ranking = _tally(np.array([[5, 5, 7]]), np.array([[0.5, 0.6, 0.9]]))
+        assert ranking == [(5, 1, 0.6), (7, 0, 0.0)]  # the winner's best neighbour
 
     def test_tie_higher_summed_similarity(self):
-        shape_ids = np.array([1, 2])
-        winner, _ = _elect([(0, 0.4), (1, 0.7)], shape_ids)
-        assert winner == 2
+        ranking = _tally(np.array([[1, 2]]), np.array([[0.4, 0.7]]))
+        assert ranking[0][0] == 2
 
     def test_full_tie_lower_shape_id(self):
-        shape_ids = np.array([3, 9])
-        winner, _ = _elect([(0, 0.5), (1, 0.5)], shape_ids)
-        assert winner == 3
+        ranking = _tally(np.array([[3, 9]]), np.array([[0.5, 0.5]]))
+        assert ranking[0][0] == 3
+
+    def test_similarity_sums_add_in_neighbour_order(self):
+        """Shape 1's similarities 1, e x 8 sum to exactly 1 + 8e, but added
+        in neighbour order each e rounds away and the sum stays 1, below
+        shape 2's 1 + 4e; any other order lets shape 1 win the tie."""
+        e = 2.0**-53
+        shapes = np.array([[2] + [1] + [1] * 8 + [2] * 8])
+        sims = np.array([[1 + 4 * e] + [1.0] + [e] * 8 + [0.0] * 8])
+        assert _tally(shapes, sims)[0][0] == 2
+
+    @pytest.mark.parametrize("sims_kind", ["small-int", "f64"])
+    def test_matches_dict_tally(self, sims_kind):
+        """Small-integer similarities make vote and sum ties common; random
+        f64 ones make the summation order show in the aggregates."""
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            P, K = int(rng.integers(1, 17)), int(rng.integers(1, 25))
+            pool = np.sort(rng.choice(1000, int(rng.integers(1, 5)), replace=False))
+            shapes = pool[rng.integers(0, len(pool), size=(P, K))]
+            if sims_kind == "small-int":
+                sims = rng.integers(-2, 3, size=(P, K)).astype(np.float64)
+            else:
+                sims = rng.uniform(-1.0, 1.0, size=(P, K)) * 10.0 ** rng.uniform(-3, 3)
+            assert _tally(shapes, sims) == reference_tally(shapes, sims)
 
 
 def identity_image_tower(d_in=4):
@@ -317,13 +380,22 @@ class TestIndexIO:
             load_index(str(p))
 
 
-def reference_knn(index, query, k, subset=None):
+def reference_knn(index, query, k, category=None):
     """Full-sort kNN: every searched record ordered by (-sim, id)."""
-    ids = np.arange(len(index)) if subset is None else np.asarray(subset)
+    shapes = index.manifest["shapes"]
+    ids = np.array([
+        rid for rid, sid in enumerate(index.shape_ids.tolist())
+        if category is None or shapes[str(sid)]["category"] == category
+    ], dtype=np.int64)
     emb = index.embeddings[ids].astype(np.float64)
     sims = emb @ np.asarray(query, dtype=np.float64)
     order = np.lexsort((ids, -sims))[:k]
-    return [(int(ids[i]), float(sims[i])) for i in order]
+    return ids[order].tolist(), sims[order].tolist()
+
+
+def knn_lists(index, query, k, category=None):
+    ids, sims = knn_query(index, query, k, category=category)
+    return ids.tolist(), sims.tolist()
 
 
 class TestKnnPartialTopK:
@@ -331,19 +403,11 @@ class TestKnnPartialTopK:
         a, b = unit([1, 0, 0, 0]), unit([1, 1, 0, 0])
         # records 1..5 tie at the 2nd..6th place; k=3 keeps the two lowest ids
         idx = micro_index([b, a, b, a, a, a, b], [0, 1, 2, 3, 4, 5, 6])
-        out = knn_query(idx, a, 3)
-        assert [rid for rid, _ in out] == [1, 3, 4]
-        out = knn_query(idx, b, 4)
-        assert [rid for rid, _ in out] == [0, 2, 6, 1]
-
-    def test_unsorted_subset(self):
-        v = unit([1, 2, 0, 0])
-        idx = micro_index(
-            [v, unit([0, 1, 0, 0]), v, v, unit([1, 0, 0, 0])], [0, 1, 2, 3, 4]
-        )
-        out = knn_query(idx, v, 3, subset=np.array([4, 3, 1, 2]))
-        assert [rid for rid, _ in out] == [2, 3, 1]
-        assert out == reference_knn(idx, v, 3, subset=[4, 3, 1, 2])
+        for category in WHOLE_AND_CHAIR:
+            ids, _ = knn_query(idx, a, 3, category=category)
+            assert ids.tolist() == [1, 3, 4]
+            ids, _ = knn_query(idx, b, 4, category=category)
+            assert ids.tolist() == [0, 2, 6, 1]
 
     @pytest.mark.parametrize("k", [3, 4, 50])
     def test_k_at_least_subset_size_returns_whole_subset(self, k):
@@ -351,28 +415,32 @@ class TestKnnPartialTopK:
             [unit([1, 0, 0, 0]), unit([1, 1, 0, 0]), unit([0, 1, 0, 0]),
              unit([1, 0, 0, 1])],
             [0, 1, 2, 3],
+            categories={3: "table"},
         )
-        out = knn_query(idx, unit([1, 0, 0, 0]), k, subset=np.array([2, 0, 1]))
-        assert [rid for rid, _ in out] == [0, 1, 2]
+        ids, _ = knn_query(idx, unit([1, 0, 0, 0]), k, category="chair")
+        assert ids.tolist() == [0, 1, 2]
 
     def test_matches_full_sort_reference_with_frequent_ties(self):
         rng = np.random.default_rng(11)
-        for trial in range(60):
+        for _ in range(60):
             n = int(rng.integers(1, 120))
             # small-integer embeddings make exact similarity ties common
             emb = rng.integers(-2, 3, size=(n, 4)).astype(np.float32)
-            idx = micro_index(emb, rng.integers(0, 5, size=n).tolist())
+            shape_ids = rng.integers(0, 5, size=n).tolist()
+            names = ["chair", "table", "cabinet"]
+            categories = {s: names[int(rng.integers(3))] for s in set(shape_ids)}
+            idx = micro_index(emb, shape_ids, categories=categories)
             query = rng.integers(-2, 3, size=4).astype(np.float64)
             k = int(rng.integers(1, n + 3))
-            subset = None
-            if trial % 2:
-                subset = rng.permutation(n)[: int(rng.integers(1, n + 1))]
-            assert knn_query(idx, query, k, subset) == reference_knn(
-                idx, query, k, subset
-            )
+            for category in [None, *sorted(set(categories.values()))]:
+                assert knn_lists(idx, query, k, category) == reference_knn(
+                    idx, query, k, category
+                )
 
     def test_unknown_category_raises_empty_index(self):
         idx, model, raster, cfg = retrieval_fixture([unit([1, 1, 1, 1])], [0])
+        with pytest.raises(EmptyIndexError):
+            knn_query(idx, unit([1, 1, 1, 1]), 1, category="sofa")
         with pytest.raises(EmptyIndexError):
             retrieve_shape(
                 idx, raster, raster.mask, model, 2, 1, seed=0, cfg=cfg,

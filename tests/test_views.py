@@ -95,6 +95,17 @@ class TestGeodesic:
         assert d.max() <= np.pi + 1e-12
 
 
+def medoid_columns(pts, medoids):
+    """Index in pts of each medoid; kmedoids returns copies of its points."""
+    return [int(np.flatnonzero(np.all(pts == m, axis=1))[0]) for m in medoids]
+
+
+def clustering_cost(pts, medoids):
+    """Summed geodesic distance from every point to its nearest medoid."""
+    dist = pairwise_geodesic(pts)
+    return float(dist[:, medoid_columns(pts, medoids)].min(axis=1).sum())
+
+
 class TestKMedoids:
     def four_rotations(self):
         degs = [0.0, 1.0, 90.0, 91.0]
@@ -109,7 +120,8 @@ class TestKMedoids:
         ids = {nearest_medoid(pts[i], vs.medoids) for i in (0, 1)}
         ids_hi = {nearest_medoid(pts[i], vs.medoids) for i in (2, 3)}
         assert ids.isdisjoint(ids_hi)
-        assert vs.cost_history[-1] == pytest.approx(2 * np.deg2rad(1.0), abs=1e-9)
+        cost = clustering_cost(pts, vs.medoids)
+        assert cost == pytest.approx(2 * np.deg2rad(1.0), abs=1e-9)
 
     def test_optimal_cost_matches_exhaustive_search(self):
         pts = self.four_rotations()
@@ -120,12 +132,12 @@ class TestKMedoids:
             for j in range(i + 1, 4)
         )
         vs = kmedoids(pts, k=2, seed=3)
-        assert vs.cost_history[-1] == pytest.approx(best, abs=1e-12)
+        assert clustering_cost(pts, vs.medoids) == pytest.approx(best, abs=1e-12)
 
     def test_k_equals_n(self):
         pts = self.four_rotations()
         vs = kmedoids(pts, k=4, seed=1)
-        assert vs.cost_history[-1] == 0.0
+        assert clustering_cost(pts, vs.medoids) == 0.0
         got = {tuple(np.round(m, 9)) for m in vs.medoids}
         want = {tuple(np.round(p, 9)) for p in pts}
         assert got == want
@@ -136,11 +148,19 @@ class TestKMedoids:
         b = kmedoids(pts, k=8, seed=7)
         np.testing.assert_array_equal(a.medoids, b.medoids)
 
-    def test_cost_non_increasing(self):
+    def test_each_medoid_minimises_its_cluster_cost(self):
+        """Every medoid has the least summed distance within its own
+        Voronoi cluster, so no medoid swap inside a cluster lowers the cost."""
         pts = random_rotations(128, seed=4)
         vs = kmedoids(pts, k=10, seed=0)
-        hist = np.array(vs.cost_history)
-        assert np.all(np.diff(hist) <= 1e-12)
+        dist = pairwise_geodesic(pts)
+        cols = medoid_columns(pts, vs.medoids)
+        assign = np.argmin(dist[:, cols], axis=1)
+        for ci, medoid in enumerate(cols):
+            members = np.flatnonzero(assign == ci)
+            within = dist[np.ix_(members, members)].sum(axis=0)
+            assert medoid in members
+            assert within[members.tolist().index(medoid)] <= within.min() + 1e-12
 
     def test_medoids_are_members(self):
         pts = random_rotations(100, seed=8)

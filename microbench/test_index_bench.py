@@ -11,9 +11,11 @@ compare against the last saved run. The directory sits outside
 
 The index is the size of the perfbench one (8,825 records of d=32 over
 six shapes in three categories) with seeded random unit embeddings, and
-the query is a shaded render of one synthetic chair. Every benchmark
-runs after the index's cached query state is built, as a served index
-has it after its first query.
+the query is a shaded render of one synthetic chair. The kNN
+benchmarks score one unit query and one (Kq, d) block of them, as
+retrieve_shape sends a query's patches, against the whole index and
+against one category. Every benchmark runs after the index's cached
+query state is built, as a served index has it after its first query.
 """
 
 import numpy as np
@@ -73,6 +75,18 @@ def test_knn_query_full(benchmark, index):
 
 def test_knn_query_category(benchmark, index):
     benchmark(knn_query, index, unit_query(2), CFG.kr, category="table")
+
+
+def query_block(seed: int) -> np.ndarray:
+    return np.stack([unit_query(seed * CFG.kq + p) for p in range(CFG.kq)])
+
+
+def test_knn_query_block_full(benchmark, index):
+    benchmark(knn_query, index, query_block(1), CFG.kr)
+
+
+def test_knn_query_block_category(benchmark, index):
+    benchmark(knn_query, index, query_block(2), CFG.kr, category="table")
 
 
 @pytest.mark.parametrize("category", [None, "chair"], ids=["all", "chair"])

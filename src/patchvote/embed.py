@@ -288,20 +288,35 @@ def nce_loss_and_grad(
 
 
 def _top_k(sims: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k highest sims, by similarity descending then id ascending.
+    """Positions of each row's k highest sims, by similarity descending then id ascending.
 
-    Exact partial top-k: np.partition finds the k-th highest similarity,
-    and only the entries at or above it, every entry tied with the k-th
-    included, are sorted, so the result is the first k of the full sort.
-    A NaN compares false, stays in the sorted set, and sorts last, as in
-    a full sort.
+    `sims` is one row (n,) or a block of rows (P, n) scored against the
+    same n `ids`; the result is (k',) or (P, k') positions along the last
+    axis, with k' = min(k, n).
+
+    Exact partial top-k, once for the whole block: np.partition finds
+    each row's k-th highest similarity, and only the entries at or above
+    it, every entry tied with the k-th included, are sorted by (row,
+    similarity descending, id ascending). Each row takes its first k of
+    that order, the first k of the row's full sort. A NaN compares false,
+    stays in the sorted set, and sorts last, as in a full sort.
     """
-    neg = -sims
-    keep = np.arange(len(ids))
-    if k < len(ids):
-        kth = np.partition(neg, k - 1)[k - 1]
-        keep = np.flatnonzero(~(neg > kth))
-    return keep[np.lexsort((ids[keep], neg[keep]))[:k]]
+    neg = -np.atleast_2d(sims)
+    P, n = neg.shape
+    k = min(k, n)
+    if k < n:
+        kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+        flat = np.flatnonzero(~(neg > kth))
+    else:
+        flat = np.arange(P * n)
+    row, col = np.divmod(flat, n)  # ascending, so each row's entries are one run
+    order = np.lexsort((ids[col], neg.ravel()[flat], row))
+    # every row keeps at least k entries; row p's run starts after the
+    # entries kept in the rows before it
+    counts = np.bincount(row, minlength=P)
+    start = np.cumsum(counts) - counts
+    top = col[order][start[:, None] + np.arange(k)]
+    return top.reshape(np.shape(sims)[:-1] + (k,))
 
 
 def mine_hard_negatives(

@@ -29,17 +29,26 @@ the same f64 value a sequential sum in neighbour or patch order gives.
 Query state: the index is immutable, so what every query needs is
 built once per PatchIndex object, on first use, and reused: one map
 from a search scope (a category, or None for the whole index) to its
-record ids and a C-contiguous f64 block of their rows. A conditioned
-query's patches score its category's block instead of gathering the
-category's rows for each patch.
+record ids and a C-contiguous f64 block of their rows. A query's
+patches are scored together against its scope's rows, read in place: a
+conditioned query reads its category's rows and gathers nothing.
 
-Exact top-k: each query patch is scored with one mat-vec over the
-searched records, so every similarity is the same f64 value a full
-scan gives. np.partition finds the k-th highest similarity, and only
-the records at or above it, every record tied with the k-th included,
-are sorted by (similarity descending, record id ascending). The result
-is the first k of that order, identical to a full sort of all records.
-Hard-negative mining in training shares the rule (embed._top_k).
+Exact top-k: a query's patches are scored as one (P, d) block with one
+matrix product against the searched rows, and a one-row block is
+scored as two, so every similarity comes from gemm. Against the
+C-contiguous (n, d) rows a scope holds, the OpenBLAS that numpy wheels
+ship sums each gemm entry's d products in an order that does not
+depend on the product's other rows or columns, so a record scores the
+same f64 value in its category's search as in the whole index's, and a
+patch the same in a block of any size as alone; tests/test_index.py
+holds both. gemv does not: over a category's rows it rounds many
+records apart from gemv over the whole index. The top-k then runs once
+per block: np.partition finds each row's k-th highest similarity, and
+only the entries at or above it, every entry tied with the k-th
+included, are sorted by (row, similarity descending, record id
+ascending). Each row is the first k of its order, identical to a full
+sort of all records. Hard-negative mining in training shares the rule
+(embed._top_k), with one mat-vec per anchor.
 
 File format (little-endian, framed by `artifact`): magic, version,
 record count n, dimension d, manifest length and UTF-8 JSON manifest,
@@ -284,18 +293,26 @@ def knn_query(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k by cosine similarity; ties break to the lower record id.
 
-    Returns the record ids and their similarities, best first. A
-    `category` restricts the search to the records of its shapes
-    (category-conditioned retrieval); None searches the whole index.
+    `query` is one embedding (d,) or a block of them (P, d). Returns the
+    record ids and their similarities, best first: (k,) arrays for one
+    embedding, (P, k) for a block, fewer than k columns when the search
+    holds fewer records. A `category` restricts the search to the
+    records of its shapes (category-conditioned retrieval); None
+    searches the whole index.
     """
     if len(index) == 0:
         raise EmptyIndexError("index holds no records")
     if k < 1:
         raise ValueError("k must be >= 1")
     ids, rows = index.scope(category)
-    sims = rows @ np.asarray(query, dtype=np.float64)
+    query = np.asarray(query, dtype=np.float64)
+    block = np.atleast_2d(query)
+    # numpy scores a one-row product with gemv, whose sums can round
+    # apart from gemm's; a doubled row keeps every product on gemm
+    scored = np.vstack((block, block)) if len(block) == 1 else block
+    sims = (scored @ rows.T)[: len(block)].reshape(query.shape[:-1] + (len(ids),))
     top = _top_k(sims, ids, k)
-    return ids[top], sims[top]
+    return ids[top], np.take_along_axis(sims, top, axis=-1)
 
 
 @dataclass
@@ -370,10 +387,10 @@ def retrieve_shape(
     feats = image_patch_features(query_raster.intensity, survivors, cfg.pool_size)
     Y = tower_forward(model.image, feats).Y
 
-    # one mat-vec per patch; every patch searches the same scope, so all
-    # neighbour lists have the same length
-    ids, sims = zip(*(knn_query(index, y, kr, category=category) for y in Y))
-    ranking = _tally(index.shape_ids[np.stack(ids)], np.stack(sims))
+    # all patches search the same scope as one (P, d) block: one product,
+    # one top-k, and each patch's similarities are the bits it gets alone
+    ids, sims = knn_query(index, Y, kr, category=category)
+    ranking = _tally(index.shape_ids[ids], sims)
     return RetrievalResult(
         ranking=ranking, excluded_patches=len(patches) - len(survivors)
     )

@@ -475,6 +475,19 @@ class TestMiningMatchesFullSort:
         assert got.tobytes() == lexsort_mining(anchor, ids, embs, 1024).tobytes()
         assert sorted(got.tolist()) == sorted(ids.tolist())
 
+    def test_nan_similarity_sorts_last(self):
+        # NaN candidates rank after every number, in id order among
+        # themselves, as np.lexsort((ids, -sims)) puts them
+        rng = np.random.default_rng(9)
+        ids = rng.permutation(30)[:14]
+        embs = rng.choice([-1.0, 0.0, 1.0], size=(14, 3))
+        embs[[1, 4, 11]] = np.nan
+        anchor = rng.choice([-1.0, 1.0], size=3)
+        for keep in range(1, 16):
+            got = mine_hard_negatives(anchor, ids, embs, keep)
+            assert got.tobytes() == lexsort_mining(anchor, ids, embs, keep).tobytes()
+        assert set(got[-3:].tolist()) == set(ids[[1, 4, 11]].tolist())
+
     def test_empty_pool(self):
         got = mine_hard_negatives(np.ones(2), np.empty(0, np.int64), np.empty((0, 2)), 3)
         assert got.shape == (0,) and got.dtype == np.int64

@@ -417,8 +417,13 @@ class TestKnnPartialTopK:
             [0, 1, 2, 3],
             categories={3: "table"},
         )
-        ids, _ = knn_query(idx, unit([1, 0, 0, 0]), k, category="chair")
+        ids, sims = knn_query(idx, unit([1, 0, 0, 0]), k, category="chair")
         assert ids.tolist() == [0, 1, 2]
+        assert ids.shape == sims.shape == (3,)
+        block = np.stack([unit([1, 0, 0, 0]), unit([0, 1, 0, 0])])
+        ids, sims = knn_query(idx, block, k, category="chair")
+        assert ids.shape == sims.shape == (2, 3)
+        assert ids.tolist() == [[0, 1, 2], [2, 1, 0]]
 
     def test_matches_full_sort_reference_with_frequent_ties(self):
         rng = np.random.default_rng(11)
@@ -430,12 +435,35 @@ class TestKnnPartialTopK:
             names = ["chair", "table", "cabinet"]
             categories = {s: names[int(rng.integers(3))] for s in set(shape_ids)}
             idx = micro_index(emb, shape_ids, categories=categories)
-            query = rng.integers(-2, 3, size=4).astype(np.float64)
+            P = int(rng.integers(1, 10))
+            block = rng.integers(-2, 3, size=(P, 4)).astype(np.float64)
             k = int(rng.integers(1, n + 3))
             for category in [None, *sorted(set(categories.values()))]:
-                assert knn_lists(idx, query, k, category) == reference_knn(
-                    idx, query, k, category
-                )
+                # each row is checked on its own: its k-th place often
+                # cuts through a run of ties that other rows do not share
+                want = [reference_knn(idx, q, k, category) for q in block]
+                ids, sims = knn_query(idx, block, k, category=category)
+                assert ids.shape == sims.shape == (P, len(want[0][0]))
+                assert list(zip(ids.tolist(), sims.tolist())) == want
+                assert knn_lists(idx, block[0], k, category) == want[0]
+
+    def test_nan_similarity_sorts_last(self):
+        """A record whose similarity is NaN ranks after every number, in
+        id order among NaNs, as np.lexsort((ids, -sims)) puts it; a NaN
+        query row ranks every record by id and leaves the other rows be."""
+        rng = np.random.default_rng(12)
+        emb = rng.integers(-2, 3, size=(12, 4)).astype(np.float32)
+        emb[[2, 5, 9]] = np.nan
+        idx = micro_index(emb, list(range(12)))
+        block = rng.integers(-2, 3, size=(4, 4)).astype(np.float64)
+        block[2] = np.nan
+        for k in range(1, 14):
+            ids, sims = knn_query(idx, block, k)
+            for p, q in enumerate(block):
+                want_ids, want_sims = reference_knn(idx, q, k)
+                assert ids[p].tolist() == want_ids
+                np.testing.assert_array_equal(sims[p], want_sims)
+            assert ids[2].tolist() == list(range(min(k, 12)))
 
     def test_unknown_category_raises_empty_index(self):
         idx, model, raster, cfg = retrieval_fixture([unit([1, 1, 1, 1])], [0])
@@ -609,3 +637,52 @@ class TestIndexIOColumnar:
     @example(tail=b"", with_header=True)
     def test_fuzz_random_bytes(self, tail, with_header):
         loads_or_rejects((INDEX_MAGIC if with_header else b"") + tail)
+
+
+def contract_index(n=2400, d=32, seed=0):
+    """Seeded unit rows of nine shapes; shape s is of category s mod 3 and
+    every record's shape is drawn at random, so the categories interleave."""
+    rng = np.random.default_rng(seed)
+    emb = rng.normal(size=(n, d))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    names = ("chair", "table", "cabinet")
+    return micro_index(
+        emb, rng.integers(0, 9, size=n).tolist(), d=d,
+        categories={s: names[s % 3] for s in range(9)},
+    )
+
+
+def unit_rows(rng, P, d):
+    Y = rng.normal(size=(P, d))
+    return Y / np.linalg.norm(Y, axis=1, keepdims=True)
+
+
+class TestKnnBlockContract:
+    """Every similarity is the f64 value the whole-index search scores,
+    whatever the search's scope and however many patches share its block."""
+
+    def test_category_search_scores_records_as_whole_index(self):
+        idx = contract_index()
+        rng = np.random.default_rng(1)
+        for P in range(1, 10):
+            Y = unit_rows(rng, P, 32)
+            ids, sims = knn_query(idx, Y, len(idx))
+            whole = np.empty((P, len(idx)))
+            np.put_along_axis(whole, ids, sims, axis=1)
+            for category in ("chair", "table", "cabinet"):
+                n = len(idx.scope(category)[0])
+                cids, csims = knn_query(idx, Y, n, category=category)
+                assert cids.shape == (P, n)
+                assert csims.tobytes() == np.take_along_axis(whole, cids, axis=1).tobytes()
+
+    def test_row_in_block_scores_as_alone(self):
+        idx = contract_index()
+        Y = unit_rows(np.random.default_rng(2), 9, 32)
+        for category in (None, "chair", "table", "cabinet"):
+            n = len(idx.scope(category)[0])
+            ids, sims = knn_query(idx, Y, n, category=category)
+            for p in range(9):
+                for alone in (Y[p], Y[p : p + 1]):
+                    alone_ids, alone_sims = knn_query(idx, alone, n, category=category)
+                    assert alone_ids.reshape(-1).tolist() == ids[p].tolist()
+                    assert alone_sims.reshape(-1).tobytes() == sims[p].tobytes()

@@ -7,15 +7,15 @@ Run from the repository root, next to the index benchmarks:
 The view is what perfbench's build renders: one synthetic chair of
 mid-range parameters at 96 px under the default Config, with the
 INDEX_PATCHES_PER_VIEW = 128 rects of side 32 that `enumerate_view_patches`
-samples. `content_rect` snaps the view's non-empty rects on the
-noiseless shading, and `shape_patch_features` pools the snapped rects'
-normals into 16 x 16 cells. Two more pooling cases steer the kernel
+samples. `content_rect` snaps the view's rects that meet the coverage
+floor on the noiseless shading, and `shape_patch_features` pools the
+snapped rects' normals into 16 x 16 cells. Two more pooling cases steer the kernel
 through its other branches on the same rects: one 32 px bin per rect
 (the eight-accumulator sum) and 5 x 5 cells of uneven 6 and 7 px bins
 (two widths, each gathered).
 
 The anchor-view pass is what `build_corpus` runs per anchor view: one
-`shade` call draws a noise variant per non-empty rect of the
+`shade` call draws a noise variant per covered rect of the
 ANCHOR_PATCHES = 8 it samples, one `content_rect` call snaps each rect
 on its own variant, and one `image_patch_features` call pools them.
 """
@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from patchvote.config import Config
-from patchvote.descriptor import content_rect, sample_patches
+from patchvote.descriptor import content_rect, coverage, sample_patches
 from patchvote.embed import image_patch_features, shape_patch_features
 from patchvote.render import rasterize, scene_light, shade
 from patchvote.synth import PARAM_RANGES, SynthSpec, generate_shape
@@ -47,10 +47,8 @@ def view(mesh):
     nmap = rasterize(mesh, VIEW, CFG.render_resolution)
     lambert = np.maximum(0.0, nmap.normals @ scene_light())
     lambert[~nmap.mask] = 0.0
-    rects = sample_patches(
-        nmap, CFG.patch_fraction, PATCHES_PER_VIEW, 7, CFG.min_coverage
-    )
-    kept = [r for r in rects if not r.empty]
+    rects = sample_patches(nmap, CFG.patch_fraction, PATCHES_PER_VIEW, 7)
+    kept = rects[coverage(nmap.mask, rects) >= CFG.min_coverage]
     return nmap, lambert, content_rect(lambert, nmap.mask, kept), kept
 
 
@@ -60,9 +58,7 @@ def test_rasterize(benchmark, mesh):
 
 def test_sample_patches(benchmark, view):
     nmap = view[0]
-    benchmark(
-        sample_patches, nmap, CFG.patch_fraction, PATCHES_PER_VIEW, 7, CFG.min_coverage
-    )
+    benchmark(sample_patches, nmap, CFG.patch_fraction, PATCHES_PER_VIEW, 7)
 
 
 def test_content_rect_view(benchmark, view):
@@ -89,9 +85,7 @@ def anchor_view_pass(nmap, rects, seeds):
 
 def test_anchor_view_pass(benchmark, view):
     nmap = view[0]
-    rects = sample_patches(
-        nmap, CFG.patch_fraction, ANCHOR_PATCHES, 3, CFG.min_coverage
-    )
-    rects = [r for r in rects if not r.empty]
+    rects = sample_patches(nmap, CFG.patch_fraction, ANCHOR_PATCHES, 3)
+    rects = rects[coverage(nmap.mask, rects) >= CFG.min_coverage]
     seeds = list(range(100, 100 + len(rects)))
     benchmark(anchor_view_pass, nmap, rects, seeds)

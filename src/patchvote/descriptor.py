@@ -1,10 +1,12 @@
 """Patch geometry: sampling square patch rects and snapping them to content.
 
-Both domains place patches the same way: rects are drawn uniformly over
-a raster, flagged empty where the mask barely covers them, and anchored
-to the centroid of the content they cover. Training pairs are labeled
-elsewhere (see experiment.build_corpus) by the footprint IoU of these
-rects, not by a descriptor of the normals inside them.
+A block of rects is one (N, 4) int64 array of (x, y, w, h) rows, from
+sampling to the index record (PatchIndex.rects). Both domains place
+patches the same way: rects are drawn uniformly over a raster, measured
+for mask `coverage`, and anchored to the centroid of the content they
+cover. Training pairs are labeled elsewhere (see
+experiment.build_corpus) by the footprint IoU of these rects, not by a
+descriptor of the normals inside them.
 
 Every step works on all of a view's rects at once: `rect_windows`
 gathers the same-size windows of a raster into one (N, h, w[, C]) stack
@@ -18,9 +20,6 @@ so the batched results equal a per-rect loop bit for bit.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -28,43 +27,38 @@ from .errors import DescriptorError
 from .render import NormalMap, ShadedRender
 
 
-@dataclass
-class PatchRect:
-    x: int
-    y: int
-    w: int
-    h: int
-    empty: bool = False
-
-
 def patch_side(fraction: float, resolution: int) -> int:
     return int(round(fraction * resolution))
 
 
 def rect_windows(
-    raster: np.ndarray, rects: Sequence[PatchRect], stacked: bool = False
+    raster: np.ndarray, rects: np.ndarray, stacked: bool = False
 ) -> np.ndarray:
-    """Copies of the rects' windows of a (H, W) or (H, W, C) raster.
+    """Copies of the windows of (N, 4) rects in a (H, W) or (H, W, C) raster.
 
-    The rects must share one size (h, w); the result is (N, h, w) or
+    The rects must share one size (w, h); the result is (N, h, w) or
     (N, h, w, C), C-contiguous, in the raster's dtype. With `stacked`,
     the raster is an (N, H, W[, C]) stack holding one raster per rect,
     and window i is cut from raster i.
     """
-    if not rects:
+    h, w = _size(rects)
+    stack, src = _stack(raster, len(rects), stacked)
+    return _windows(stack, src, rects[:, 0], rects[:, 1], h, w)
+
+
+def coverage(mask: np.ndarray, rects: np.ndarray) -> np.ndarray:
+    """The fraction of each rect's pixels on the (H, W) mask, (N,) f64."""
+    return rect_windows(mask, rects).mean(axis=(1, 2))
+
+
+def _size(rects: np.ndarray) -> tuple[int, int]:
+    """The one (h, w) the rects of a block share."""
+    if not len(rects):
         raise DescriptorError("no rects to gather")
-    xs, ys, h, w = _corners(rects)
-    return _windows(*_stack(raster, len(rects), stacked), xs, ys, h, w)
-
-
-def _corners(rects: Sequence[PatchRect]):
-    """Top-left corners as int64 arrays plus the one size the rects share."""
-    h, w = rects[0].h, rects[0].w
-    if any(r.h != h or r.w != w for r in rects):
+    w, h = rects[0, 2:].tolist()
+    if (rects[:, 2] != w).any() or (rects[:, 3] != h).any():
         raise DescriptorError("rects of one pass must share one size")
-    xs = np.fromiter((r.x for r in rects), dtype=np.int64, count=len(rects))
-    ys = np.fromiter((r.y for r in rects), dtype=np.int64, count=len(rects))
-    return xs, ys, h, w
+    return h, w
 
 
 def _stack(raster: np.ndarray, n: int, stacked: bool):
@@ -88,16 +82,12 @@ def _windows(stack: np.ndarray, src, xs, ys, h: int, w: int) -> np.ndarray:
 
 
 def sample_patches(
-    raster: NormalMap | ShadedRender,
-    fraction: float,
-    count: int,
-    seed: int,
-    min_coverage: float = 0.10,
-) -> list[PatchRect]:
-    """Draw square patch rects uniformly over valid top-left positions.
+    raster: NormalMap | ShadedRender, fraction: float, count: int, seed: int
+) -> np.ndarray:
+    """Draw `count` square rects uniformly over valid top-left positions.
 
-    Rects whose mask coverage falls below min_coverage are flagged empty
-    rather than dropped, so callers can account for exclusions.
+    Returns every rect drawn, (count, 4) int64 rows of (x, y, w, h), in
+    draw order; callers choose which to keep (see `coverage`).
     """
     h, w = raster.mask.shape
     side = patch_side(fraction, min(h, w))
@@ -106,22 +96,15 @@ def sample_patches(
     if side > min(h, w):
         raise DescriptorError("patch larger than raster")
     rng = np.random.default_rng(seed)
-    xs = rng.integers(0, w - side + 1, size=count)
-    ys = rng.integers(0, h - side + 1, size=count)
-    cov = _windows(*_stack(raster.mask, count, False), xs, ys, side, side)
-    cov = cov.mean(axis=(1, 2))
-    return [
-        PatchRect(x, y, side, side, empty=c < min_coverage)
-        for x, y, c in zip(xs.tolist(), ys.tolist(), cov.tolist())
-    ]
+    rects = np.full((count, 4), side, dtype=np.int64)
+    rects[:, 0] = rng.integers(0, w - side + 1, size=count)
+    rects[:, 1] = rng.integers(0, h - side + 1, size=count)
+    return rects
 
 
 def content_rect(
-    weight: np.ndarray,
-    mask: np.ndarray,
-    rects: Sequence[PatchRect],
-    iters: int = 3,
-) -> list[PatchRect]:
+    weight: np.ndarray, mask: np.ndarray, rects: np.ndarray, iters: int = 3
+) -> np.ndarray:
     """Snap each rect to the centroid of the content it covers.
 
     Pooled-cell features only match when the pooling grids of the two
@@ -138,20 +121,22 @@ def content_rect(
 
     The weight is one (H, W) raster, or an (N, H, W) stack holding one
     raster per rect (the noise draws of one view, say) over the one
-    mask. The rects must share one size; each iteration gathers the
-    windows of the rects still moving and reduces them together.
-    Returns new rects in input order, with `empty` carried over.
+    mask. The (N, 4) rects must share one size; each iteration gathers
+    the windows of the rects still moving and reduces them together.
+    Returns the snapped rects as a new (N, 4) int64 array in input
+    order; no rects give an empty one.
     """
-    rects = list(rects)
-    if not rects:
-        return []
-    xs, ys, h, w = _corners(rects)
+    out = np.array(rects, dtype=np.int64)
+    if not len(out):
+        return out
+    h, w = _size(out)
+    xs, ys = out[:, 0], out[:, 1]
     hgt, wid = mask.shape
     stacked = weight.ndim > mask.ndim
-    w_all, src = _stack(weight * mask + 0.1 * mask, len(rects), stacked)
+    w_all, src = _stack(weight * mask + 0.1 * mask, len(out), stacked)
     view = sliding_window_view(w_all, (h, w), axis=(1, 2))
     gy, gx = np.arange(h)[:, None], np.arange(w)
-    moving = np.arange(len(rects))
+    moving = np.arange(len(out))
     for _ in range(iters):
         sub = view[src[moving], ys[moving], xs[moving]]
         total = sub.sum(axis=(1, 2))
@@ -170,7 +155,4 @@ def content_rect(
             break
         xs[moving] = nx[moved]
         ys[moving] = ny[moved]
-    return [
-        PatchRect(x, y, w, h, empty=r.empty)
-        for x, y, r in zip(xs.tolist(), ys.tolist(), rects)
-    ]
+    return out

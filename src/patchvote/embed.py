@@ -18,7 +18,7 @@ import numpy as np
 
 from .artifact import Reader, f4, pack
 from .config import Config
-from .descriptor import PatchRect, rect_windows
+from .descriptor import rect_windows
 from .errors import FormatError, TrainingError
 
 MODEL_MAGIC = b"P2CM"
@@ -157,25 +157,23 @@ def _pool_windows(stack: np.ndarray, pool: int) -> np.ndarray:
     return out.reshape(n, -1)
 
 
-def _rect_features(raster: np.ndarray, rects, pool: int, stacked: bool = False):
-    if isinstance(rects, PatchRect):
-        return _rect_features(raster, [rects], pool, stacked)[0]
-    return _pool_windows(rect_windows(raster, rects, stacked), pool)
-
-
-def image_patch_features(intensity: np.ndarray, rects, pool: int) -> np.ndarray:
-    """Pooled intensities of one rect, (P*P,), or of same-size rects, (N, P*P).
+def image_patch_features(
+    intensity: np.ndarray, rects: np.ndarray, pool: int
+) -> np.ndarray:
+    """Pooled intensities of (N, 4) same-size rects, (N, pool * pool) f64.
 
     An intensity is single-channel, so a 3-D one is an (N, H, W) stack
     holding one raster per rect, and each rect is pooled from its own
     layer.
     """
-    return _rect_features(intensity, rects, pool, stacked=intensity.ndim == 3)
+    return _pool_windows(rect_windows(intensity, rects, intensity.ndim == 3), pool)
 
 
-def shape_patch_features(normals: np.ndarray, rects, pool: int) -> np.ndarray:
-    """Pooled normals of one rect, (3*P*P,), or of same-size rects, (N, 3*P*P)."""
-    return _rect_features(normals, rects, pool)
+def shape_patch_features(
+    normals: np.ndarray, rects: np.ndarray, pool: int
+) -> np.ndarray:
+    """Pooled normals of (N, 4) same-size rects, (N, 3 * pool * pool) f64."""
+    return _pool_windows(rect_windows(normals, rects), pool)
 
 
 def _normalize_rows(pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, to_dict
-from .descriptor import PatchRect, content_rect, sample_patches
+from .descriptor import content_rect, coverage, sample_patches
 from .embed import (
     PatchCorpus,
     TowerParams,
@@ -138,12 +138,13 @@ def build_corpus(
     Candidates are the records of enumerate_view_patches over the
     canonical views; `renders` (see index.render_views) lets that pass
     reuse renders made once per pipeline. Each anchor view is one pass:
-    one `shade` call draws the noise variants of its non-empty rects
-    (variant i from its own seed stream), one `content_rect` call snaps
-    every rect on its own variant, one array op gives the footprint IoU
-    of all of them against every candidate, and one
-    `image_patch_features` call pools the anchors that keep a positive
-    and a negative. The result equals labelling one anchor at a time.
+    one `shade` call draws the noise variants of its rects that meet
+    cfg.min_coverage (variant i from its own seed stream), one
+    `content_rect` call snaps every rect on its own variant, one array
+    op gives the footprint IoU of all of them against every candidate,
+    and one `image_patch_features` call pools the anchors that keep a
+    positive and a negative. The result equals labelling one anchor at
+    a time.
     """
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
     blocks = [
@@ -178,10 +179,9 @@ def build_corpus(
                 cfg.patch_fraction,
                 _ANCHOR_PATCHES,
                 derive_seed(cfg.seed + _ANCHOR_RECT_BASE, sid, av),
-                cfg.min_coverage,
             )
-            live = [pi for pi, r in enumerate(rects) if not r.empty]
-            if not live:
+            live = np.flatnonzero(coverage(nmap.mask, rects) >= cfg.min_coverage)
+            if not len(live):
                 continue
             variants = shade(
                 nmap,
@@ -193,20 +193,17 @@ def build_corpus(
                         sid,
                         (av + 1) * _ANCHOR_PATCHES + pi,
                     )
-                    for pi in live
+                    for pi in live.tolist()
                 ],
             ).intensity
-            snapped = content_rect(variants, nmap.mask, [rects[pi] for pi in live])
-            footprint = _rect_iou(
-                np.array([(r.x, r.y, r.w, r.h) for r in snapped], dtype=np.int64),
-                cand_rects,
-            )
+            snapped = content_rect(variants, nmap.mask, rects[live])
+            footprint = _rect_iou(snapped, cand_rects)
             near_vid = nearest_medoid(rot, views.medoids)
             same_view = (cand_sids == sid) & (cand_vids == near_vid)
             positive = (footprint >= cfg.theta_pos) & same_view
             negative = (footprint <= cfg.theta_neg) & (cand_sids != sid)
             kept = []
-            for j, pi in enumerate(live):
+            for j, pi in enumerate(live.tolist()):
                 pos = np.flatnonzero(positive[j])
                 neg = np.flatnonzero(negative[j])
                 if len(neg) > cfg.negatives_pool:
@@ -228,11 +225,7 @@ def build_corpus(
                 neg_lists.append(neg.astype(np.int64))
             if kept:
                 anchor_feats.append(
-                    image_patch_features(
-                        variants[kept],
-                        [snapped[j] for j in kept],
-                        cfg.pool_size,
-                    )
+                    image_patch_features(variants[kept], snapped[kept], cfg.pool_size)
                 )
     if not anchor_feats:
         raise TrainingError("corpus has no usable anchors")
@@ -431,7 +424,7 @@ def pose_samples(
     sids = sorted(shapes)
     rots = random_rotations(len(sids) * per_shape, seed)
     res = cfg.render_resolution
-    rect = PatchRect(0, 0, res, res)
+    whole = np.array([[0, 0, res, res]])
     n = len(rots)
     feats = np.empty((n, cfg.pool_size * cfg.pool_size), dtype=np.float64)
     bins = np.empty(n, dtype=np.int64)
@@ -446,7 +439,7 @@ def pose_samples(
                 nmap, scene_light(), cfg.shade_noise,
                 derive_seed(seed, sid, j),
             )
-            feats[idx] = image_patch_features(shaded.intensity, rect, cfg.pool_size)
+            feats[idx] = image_patch_features(shaded.intensity, whole, cfg.pool_size)[0]
             b, resid = assign_rotation_bin(medoids, rot)
             bins[idx] = b
             offsets[idx] = resid

@@ -1,10 +1,11 @@
 """Immutable patch database and two-stage majority-vote retrieval.
 
 Build: every database shape is rendered at each canonical view, patch
-rects are sampled, empties dropped, and the shape tower embeds each
-patch into a unit vector stored as f32. Each view is one batched pass:
-its rects are sampled, snapped to content and pooled together (see
-descriptor and embed), as are the at most Kq patches of a query.
+rects are sampled, those under the coverage floor dropped, and the
+shape tower embeds each patch into a unit vector stored as f32. Each
+view is one batched pass: its rects are sampled, snapped to content
+and pooled together (see descriptor and embed), as are the at most Kq
+patches of a query.
 
 Shared renders: the training corpus (experiment.build_corpus) and the
 index draw their shape-domain records at the same canonical views, so
@@ -66,7 +67,7 @@ import numpy as np
 
 from .artifact import Reader, decode_json, fields, pack
 from .config import Config, from_dict, to_dict
-from .descriptor import content_rect, rect_windows, sample_patches
+from .descriptor import content_rect, coverage, rect_windows, sample_patches
 from .embed import (
     TowerParams,
     _top_k,
@@ -197,12 +198,14 @@ def enumerate_view_patches(
     view (experiment.augment_views), so a corpus candidate's position is
     not an index record id.
 
-    Views with an empty projection are skipped, as are empty patches.
-    Every rect is anchored to its content centroid before use (see
-    content_rect), with the noiseless shading as the weight so the
-    placement matches what the image domain computes from a photograph
-    of the same surface. Rects that collapse onto the same placement
-    are deduplicated, so patches_per_view is an upper bound per view.
+    Views with an empty projection are skipped, as are rects whose mask
+    coverage is below cfg.min_coverage. Every rect is anchored to its
+    content centroid before use (see content_rect), with the noiseless
+    shading as the weight so the placement matches what the image
+    domain computes from a photograph of the same surface. Rects that
+    collapse onto one snapped corner are deduplicated, keeping the
+    first in sample order, so patches_per_view is an upper bound per
+    view.
 
     A view found in `renders` (see render_views) is not rendered again;
     any other view is rendered here and not kept.
@@ -219,26 +222,21 @@ def enumerate_view_patches(
                 nmap = _render(mesh, view, cfg.render_resolution)
             if nmap is None:
                 continue
-            patch_seed = derive_seed(cfg.seed, sid, vid)
-            patches = sample_patches(
-                nmap, cfg.patch_fraction, patches_per_view, patch_seed,
-                cfg.min_coverage,
+            rects = sample_patches(
+                nmap, cfg.patch_fraction, patches_per_view,
+                derive_seed(cfg.seed, sid, vid),
             )
+            rects = rects[coverage(nmap.mask, rects) >= cfg.min_coverage]
+            if not len(rects):
+                continue
             lambert = np.maximum(0.0, nmap.normals @ light)
             lambert[~nmap.mask] = 0.0
-            snapped = content_rect(
-                lambert, nmap.mask, [r for r in patches if not r.empty]
-            )
-            kept = []
-            seen = set()
-            for r in snapped:
-                if (r.x, r.y) not in seen:
-                    seen.add((r.x, r.y))
-                    kept.append(r)
-            if kept:
-                feats = shape_patch_features(nmap.normals, kept, cfg.pool_size)
-                rects = np.array([(r.x, r.y, r.w, r.h) for r in kept], dtype=np.int64)
-                yield sid, vid, feats, rects
+            rects = content_rect(lambert, nmap.mask, rects)
+            # the first rect at each snapped corner, in sample order
+            _, first = np.unique(rects[:, :2], axis=0, return_index=True)
+            rects = rects[np.sort(first)]
+            feats = shape_patch_features(nmap.normals, rects, cfg.pool_size)
+            yield sid, vid, feats, rects
 
 
 def build_index(
@@ -363,7 +361,13 @@ def retrieve_shape(
     cfg: Config | None = None,
     category: str | None = None,
 ) -> RetrievalResult:
-    """Two-stage majority vote over Kq query patches and Kr neighbors each."""
+    """Two-stage majority vote over Kq query patches and Kr neighbors each.
+
+    A query patch votes when any of its pixels lies on the instance
+    mask; `excluded_patches` counts only the patches off it. Unlike the
+    index build, retrieval applies no coverage floor, so a patch that
+    barely touches the instance still votes.
+    """
     if kq < 1 or kr < 1:
         raise ValueError("kq and kr must be >= 1")
     if len(index) == 0:
@@ -372,16 +376,12 @@ def retrieve_shape(
         with fields("index manifest"):
             cfg = from_dict(index.manifest["config"])
 
-    patches = sample_patches(
-        query_raster, cfg.patch_fraction, kq, seed, cfg.min_coverage
-    )
+    patches = sample_patches(query_raster, cfg.patch_fraction, kq, seed)
     overlap = rect_windows(instance_mask, patches).any(axis=(1, 2))
     survivors = content_rect(
-        query_raster.intensity,
-        query_raster.mask,
-        [r for r, hit in zip(patches, overlap) if hit],
+        query_raster.intensity, query_raster.mask, patches[overlap]
     )
-    if not survivors:
+    if not len(survivors):
         raise NoRetrievalError("every query patch was excluded")
 
     feats = image_patch_features(query_raster.intensity, survivors, cfg.pool_size)

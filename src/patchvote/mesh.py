@@ -7,6 +7,7 @@ used everywhere downstream is bbox-centered with longest extent 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,10 +48,15 @@ def parse_obj(data: bytes | str, category: str = "") -> TriMesh:
     Polygonal faces are fan-triangulated from their first vertex.
     Negative face indices are resolved relative to the vertices defined
     so far, per the OBJ convention. vt/vn components of face tokens are
-    ignored. Errors carry the 1-based line number.
+    ignored. Input must be UTF-8 and coordinates finite. Errors carry
+    the 1-based line number.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ObjParseError(f"not UTF-8: {exc.reason}", line) from None
     vertices: list[tuple[float, float, float]] = []
     triangles: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
@@ -66,6 +72,8 @@ def parse_obj(data: bytes | str, category: str = "") -> TriMesh:
                 xyz = tuple(float(t) for t in tokens[1:4])
             except ValueError:
                 raise ObjParseError(f"bad vertex coordinate in {line!r}", lineno)
+            if not all(math.isfinite(c) for c in xyz):
+                raise ObjParseError(f"non-finite vertex coordinate in {line!r}", lineno)
             vertices.append(xyz)
         elif tag == "f":
             if len(tokens) < 4:

@@ -12,6 +12,7 @@ the database.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -363,6 +364,10 @@ def save_benchmark(bench: Benchmark, out_dir: str) -> str:
     return str(manifest)
 
 
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def load_benchmark(manifest_path: str) -> Benchmark:
     from .mesh import load_obj
 
@@ -376,7 +381,12 @@ def load_benchmark(manifest_path: str) -> Benchmark:
                 mesh = load_obj(str(root / info["obj"]), category=category)
             except OSError as exc:
                 raise FormatError(f"benchmark shape {sid_text}: {exc}") from exc
-            spec = SynthSpec(category=category, params=dict(info["params"]), seed=sid)
+            params = dict(info["params"])
+            if not all(map(_finite_number, params.values())):
+                raise FormatError(
+                    f"benchmark shape {sid_text}: a parameter is not a finite number"
+                )
+            spec = SynthSpec(category=category, params=params, seed=sid)
             shapes[sid] = ShapeEntry(
                 spec=spec, mesh=mesh, parent_id=int(info.get("parent", -1))
             )
@@ -392,6 +402,8 @@ def load_benchmark(manifest_path: str) -> Benchmark:
         ]
         database_ids = [int(i) for i in doc["database"]]
         seed = int(doc.get("seed", 0))
+    if not all(np.isfinite(q.view_quat).all() for q in queries):
+        raise FormatError("benchmark manifest: non-finite query view_quat")
     unlisted = set(database_ids).union(*((q.shape_id, q.gt_shape_id) for q in queries))
     unlisted -= set(shapes)
     if unlisted:

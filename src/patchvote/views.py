@@ -191,4 +191,6 @@ def load_viewset(path: str) -> ViewSet:
         )
     if medoids.dtype.kind not in "iuf" or medoids.shape != (n, 4):
         raise FormatError("view set file inconsistent with its declared n")
+    if not np.isfinite(vs.medoids).all():
+        raise FormatError("view set holds a non-finite medoid")
     return vs

@@ -192,6 +192,7 @@ def viewset_loads_or_rejects(path: str) -> None:
         return
     assert isinstance(vs, ViewSet)
     assert vs.medoids.dtype == np.float64 and vs.medoids.shape == (len(vs), 4)
+    assert np.isfinite(vs.medoids).all()
     assert isinstance(vs.seed, int) and isinstance(vs.source_size, int)
 
 
@@ -214,10 +215,13 @@ class TestViewSetReaderFuzz:
             {"n": 1, "medoids": [[1, 0, 0, 0]], "seed": "s"},
             {"n": 1, "medoids": [[1, 0, 0, 0]], "seed": 1e400},
             {"n": 1, "medoids": [[1, 0, 0, 0]], "source_size": [3]},
+            {"n": 1, "medoids": [[float("nan"), 0, 0, 0]]},
+            {"n": 2, "medoids": [[1, 0, 0, 0], [0, 1e400, 0, 0]]},
         ],
         ids=[
             "list-root", "string-medoid", "null-medoid", "short-row", "ragged",
             "no-n", "string-seed", "infinite-seed", "list-source-size",
+            "nan-medoid", "infinite-medoid",
         ],
     )
     def test_malformed_document_is_format_error(self, workdir, doc):
@@ -288,7 +292,7 @@ def benchmark_loads_or_rejects(path: str) -> None:
         return
     assert isinstance(bench, Benchmark)
     for q in bench.queries:
-        assert q.view_quat.shape == (4,)
+        assert q.view_quat.shape == (4,) and np.isfinite(q.view_quat).all()
         assert q.shape_id in bench.shapes and q.gt_shape_id in bench.shapes
     assert set(bench.database_ids) <= set(bench.shapes)
 
@@ -319,6 +323,27 @@ class TestBenchmarkReaderFuzz:
         doc["database"].append(42)
         path = write(bench_dir / "bad.json", json.dumps(doc).encode())
         with pytest.raises(FormatError, match="unlisted shapes \\[42\\]"):
+            load_benchmark(path)
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [("quat", float("nan")), ("quat", 1e400), ("param", 1e400),
+         ("param", float("nan")), ("param", "0.5")],
+        ids=["nan-view-quat", "infinite-view-quat", "infinite-param", "nan-param",
+             "string-param"],
+    )
+    def test_non_finite_value_is_format_error(self, bench_dir, blob, where, value):
+        doc = json.loads(blob)
+        if where == "quat":
+            doc["queries"][0]["view_quat"][2] = value
+            match = "view_quat"
+        else:
+            params = doc["shapes"]["1"]["params"]
+            params[sorted(params)[0]] = value
+            match = "shape 1: a parameter is not a finite number"
+        text = json.dumps(doc).replace("Infinity", "1e400")
+        path = write(bench_dir / "bad.json", text.encode())
+        with pytest.raises(FormatError, match=match):
             load_benchmark(path)
 
     def test_non_utf8_manifest_is_format_error(self, bench_dir, blob):

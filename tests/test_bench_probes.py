@@ -3,7 +3,8 @@
 perfbench/workloads.py attaches probes to package boundaries; each one
 reads the arguments or the result of a call. A change to a signature or
 a result type a probe reads breaks the probe only inside a traced
-benchmark run, so this runs the probes over retrieval on a micro index.
+benchmark run, so this runs the probes over an index build and over
+retrieval on a micro index.
 """
 
 import sys
@@ -12,7 +13,11 @@ from pathlib import Path
 import numpy as np
 
 import patchvote.index
-from test_index import retrieval_fixture, unit
+from patchvote.config import Config
+from patchvote.embed import init_params
+from patchvote.mesh import TriMesh
+from patchvote.views import ViewSet, axis_angle_quat
+from test_index import IDENTITY, retrieval_fixture, unit, unit_cube
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracer import Tracer  # noqa: E402
@@ -38,3 +43,30 @@ def test_probes_run_over_retrieval():
     assert tracer.counts["embed.tower_forward.rows"] > 0
     assert len(tracer.samples["vote_margin"]) == 2
     assert np.isfinite(tracer.root_seconds())
+
+
+def test_probes_run_over_an_index_build():
+    # a triangle seen face-on leaves rects below the coverage floor, and
+    # seen edge-on renders nothing; a cube fills every view
+    verts = np.array([[-0.5, -0.5, 0.0], [0.5, -0.5, 0.0], [0.0, 0.5, 0.0]])
+    shapes = {
+        0: TriMesh(verts, np.array([[0, 1, 2]]), category="chair"),
+        1: unit_cube(),
+    }
+    views = ViewSet(
+        medoids=np.stack([IDENTITY, axis_angle_quat([0, 1, 0], np.pi / 2)]),
+        source_size=2,
+    )
+    model = init_params(64, 192, 8, 6, seed=0)
+    tracer = Tracer(probes=PROBES)
+    with tracer:
+        idx = patchvote.index.build_index(
+            shapes, views, model, 16, Config(render_resolution=48, pool_size=8)
+        )
+    # the edge-on triangle is the one error, and it is not a probe's
+    assert dict(tracer.errors) == {"render.rasterize.RenderError": 1}
+    rendered = tracer.calls["render.rasterize"] - 1
+    assert rendered == 3
+    # the probe counts every rect drawn, kept or not
+    assert tracer.counts["index.sampled_rects"] == rendered * 16
+    assert tracer.counts["index.records"] == len(idx) < rendered * 16

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from patchvote.descriptor import patch_side, sample_patches
+from patchvote.descriptor import coverage, patch_side, sample_patches
 from patchvote.errors import DescriptorError
 from patchvote.render import NormalMap
 
@@ -21,27 +21,28 @@ class TestSamplePatches:
 
     def test_third_fraction_gives_32px_patches(self):
         rects = sample_patches(self.raster(96), 1.0 / 3.0, 20, seed=0)
-        assert all(r.w == 32 and r.h == 32 for r in rects)
+        assert rects.shape == (20, 4) and rects.dtype == np.int64
+        assert (rects[:, 2:] == 32).all()
 
     def test_full_fraction_single_position(self):
         rects = sample_patches(self.raster(96), 1.0, 5, seed=1)
-        assert all((r.x, r.y, r.w, r.h) == (0, 0, 96, 96) for r in rects)
+        assert rects.tolist() == [[0, 0, 96, 96]] * 5
 
     def test_unmasked_region_flagged_empty(self):
         raster = self.raster(96)
         raster.mask[:, :] = False
         rects = sample_patches(raster, 1.0 / 3.0, 10, seed=2)
-        assert all(r.empty for r in rects)
+        assert len(rects) == 10
+        assert (coverage(raster.mask, rects) == 0.0).all()
 
     def test_rects_inside_raster(self):
         rects = sample_patches(self.raster(96), 1.0 / 3.0, 200, seed=3)
-        for r in rects:
-            assert 0 <= r.x <= 64 and 0 <= r.y <= 64
+        assert ((0 <= rects[:, :2]) & (rects[:, :2] <= 64)).all()
 
     def test_deterministic(self):
         a = sample_patches(self.raster(), 1.0 / 3.0, 50, seed=7)
         b = sample_patches(self.raster(), 1.0 / 3.0, 50, seed=7)
-        assert [(r.x, r.y) for r in a] == [(r.x, r.y) for r in b]
+        np.testing.assert_array_equal(a, b)
 
     def test_tiny_patch_rejected(self):
         with pytest.raises(DescriptorError):

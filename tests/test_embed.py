@@ -5,7 +5,6 @@ import pytest
 from mpmath import mp
 
 from patchvote.config import Config
-from patchvote.descriptor import PatchRect
 from patchvote.embed import (
     PatchCorpus,
     Tower,
@@ -366,27 +365,27 @@ class TestPooling:
     def test_exact_block_average(self):
         base = np.arange(256, dtype=float).reshape(16, 16)
         block = np.kron(base, np.ones((2, 2)))
-        got = image_patch_features(block, PatchRect(0, 0, 32, 32), 16)
-        np.testing.assert_array_equal(got, base.ravel())
+        got = image_patch_features(block, np.array([[0, 0, 32, 32]]), 16)
+        np.testing.assert_array_equal(got, base.reshape(1, -1))
 
     def test_three_channel(self):
         base = np.arange(48, dtype=float).reshape(4, 4, 3)
         block = np.repeat(np.repeat(base, 3, axis=0), 3, axis=1)
-        got = shape_patch_features(block, PatchRect(0, 0, 12, 12), 4)
-        np.testing.assert_allclose(got, base.ravel())
+        got = shape_patch_features(block, np.array([[0, 0, 12, 12]]), 4)
+        np.testing.assert_allclose(got, base.reshape(1, -1))
 
     def test_uneven_bins(self):
         block = np.arange(25, dtype=float).reshape(5, 5)
-        out = image_patch_features(block, PatchRect(0, 0, 5, 5), 2).reshape(2, 2)
+        out = image_patch_features(block, np.array([[0, 0, 5, 5]]), 2).reshape(2, 2)
         # rows split 2/3, cols split 2/3
         assert out[0, 0] == pytest.approx(block[:2, :2].mean())
         assert out[1, 1] == pytest.approx(block[2:, 2:].mean())
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
-            image_patch_features(np.zeros((3, 3)), PatchRect(0, 0, 3, 3), 4)
+            image_patch_features(np.zeros((3, 3)), np.array([[0, 0, 3, 3]]), 4)
         with pytest.raises(ValueError):
-            shape_patch_features(np.zeros((3, 3, 3)), PatchRect(0, 0, 3, 3), 4)
+            shape_patch_features(np.zeros((3, 3, 3)), np.array([[0, 0, 3, 3]]), 4)
 
 
 class TestModelIO:

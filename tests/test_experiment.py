@@ -6,7 +6,7 @@ import pytest
 
 from patchvote import index as index_module
 from patchvote.config import Config
-from patchvote.descriptor import PatchRect, content_rect, sample_patches
+from patchvote.descriptor import content_rect, coverage, sample_patches
 from patchvote.embed import (
     PatchCorpus,
     image_patch_features,
@@ -78,18 +78,18 @@ class TestCorpusMatchesIndex:
         assert len(corpus.cand_feats) == len(idx) > 0
         assert corpus.cand_feats.dtype == np.float32
         nmaps = {}
-        for row, (sid, vid, (x, y, w, h)) in enumerate(
-            zip(idx.shape_ids.tolist(), idx.view_ids.tolist(), idx.rects.tolist())
+        for row, (sid, vid) in enumerate(
+            zip(idx.shape_ids.tolist(), idx.view_ids.tolist())
         ):
             if (sid, vid) not in nmaps:
                 nmaps[sid, vid] = rasterize(
                     db[sid], views.medoids[vid], cfg.render_resolution
                 )
             feats = shape_patch_features(
-                nmaps[sid, vid].normals, PatchRect(x, y, w, h), cfg.pool_size
+                nmaps[sid, vid].normals, idx.rects[row : row + 1], cfg.pool_size
             )
             np.testing.assert_array_equal(
-                corpus.cand_feats[row], feats.astype(np.float32)
+                corpus.cand_feats[row], feats[0].astype(np.float32)
             )
 
     def test_labels_index_candidate_rows(self, tiny):
@@ -132,12 +132,13 @@ class TestPoseExperiment:
 
 
 def oracle_rect_iou(rect, rects):
-    x0 = np.maximum(rect.x, rects[:, 0])
-    y0 = np.maximum(rect.y, rects[:, 1])
-    x1 = np.minimum(rect.x + rect.w, rects[:, 0] + rects[:, 2])
-    y1 = np.minimum(rect.y + rect.h, rects[:, 1] + rects[:, 3])
+    x, y, w, h = rect
+    x0 = np.maximum(x, rects[:, 0])
+    y0 = np.maximum(y, rects[:, 1])
+    x1 = np.minimum(x + w, rects[:, 0] + rects[:, 2])
+    y1 = np.minimum(y + h, rects[:, 1] + rects[:, 3])
     inter = np.maximum(0, x1 - x0) * np.maximum(0, y1 - y0)
-    union = rect.w * rect.h + rects[:, 2] * rects[:, 3] - inter
+    union = w * h + rects[:, 2] * rects[:, 3] - inter
     return inter / union
 
 
@@ -179,8 +180,8 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view):
             rects = sample_patches(
                 shaded, cfg.patch_fraction, _ANCHOR_PATCHES,
                 derive_seed(cfg.seed + _ANCHOR_RECT_BASE, sid, av),
-                cfg.min_coverage,
             )
+            cov = coverage(shaded.mask, rects)
             variants = [
                 shade(
                     nmap, scene_light(), cfg.shade_noise,
@@ -193,10 +194,10 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view):
             ]
             near_vid = int(np.argmin([quat_geodesic(rot, m) for m in views.medoids]))
             for pi, r in enumerate(rects):
-                if r.empty:
+                if cov[pi] < cfg.min_coverage:
                     stats["empty"] += 1
                     continue
-                (r,) = content_rect(variants[pi].intensity, variants[pi].mask, [r])
+                (r,) = content_rect(variants[pi].intensity, variants[pi].mask, r[None])
                 footprint = oracle_rect_iou(r, cand_rects)
                 pos = np.flatnonzero(
                     (cand_sids == sid)
@@ -216,7 +217,9 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view):
                     skipped += 1
                     continue
                 anchor_feats.append(
-                    image_patch_features(variants[pi].intensity, r, cfg.pool_size)
+                    image_patch_features(
+                        variants[pi].intensity, r[None], cfg.pool_size
+                    )[0]
                 )
                 pos_lists.append(pos.astype(np.int64))
                 neg_lists.append(neg.astype(np.int64))
@@ -243,8 +246,8 @@ def assert_same_corpus(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-# small pools, strict positives and a high coverage floor: anchors are
-# flagged empty, skipped for want of a positive, and subsampled
+# small pools, strict positives and a high coverage floor: anchors fall
+# below the floor, are skipped for want of a positive, and subsampled
 STRESSED = replace(
     TINY, min_coverage=0.45, theta_pos=0.6, negatives_pool=6, negatives_keep=3,
     anchor_views=5,

@@ -85,6 +85,19 @@ class TestParseObj:
         with pytest.raises(ObjParseError, match="line 3"):
             parse_obj("v 0 0 0\nv 1 0 0\nf 1 2\n")
 
+    def test_undecodable_bytes_report_line(self):
+        with pytest.raises(ObjParseError, match="line 1: not UTF-8"):
+            parse_obj(b"\xff\xfe")
+        with pytest.raises(ObjParseError, match="line 3: not UTF-8"):
+            parse_obj(b"v 0 0 0\nv 1 0 0\nv 0 \xff 0\nf 1 2 3\n")
+
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf", "1e999", "-1e999", "NaN"])
+    def test_non_finite_vertex_reports_line(self, coord):
+        text = f"v 0 0 0\nv 1 0 0\nv 0 {coord} 0\nf 1 2 3\n"
+        with pytest.raises(ObjParseError, match="line 3: non-finite") as info:
+            parse_obj(text)
+        assert info.value.line == 3
+
     def test_bytes_input(self):
         mesh = parse_obj(MINIMAL.encode())
         assert len(mesh.vertices) == 3

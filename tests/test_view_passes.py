@@ -1,22 +1,26 @@
 """The per-view batched passes against the per-rect and meshgrid loops they replaced.
 
 Each oracle below is the earlier implementation, kept verbatim apart
-from names: a rasterizer that evaluates edge functions on a meshgrid of
-each triangle's box, a snap of one rect at a time, a per-block pooler
-and a per-rect coverage loop. The batched code must reproduce them bit
-for bit, on seeded random box meshes and views and on the edge cases
-that steer their control flow.
+from names and from reading a rect as one (x, y, w, h) row of an int64
+array: a rasterizer that evaluates edge functions on a meshgrid of each
+triangle's box, a snap of one rect at a time, a per-block pooler, a
+per-rect coverage loop and the index's dedup by a set of the corners
+seen so far. The batched code must reproduce them bit for bit, on
+seeded random box meshes and views and on the edge cases that steer
+their control flow.
 """
 
 import numpy as np
 import pytest
 
-from patchvote.descriptor import PatchRect, content_rect, rect_windows, sample_patches
+from patchvote.config import Config
+from patchvote.descriptor import content_rect, coverage, rect_windows, sample_patches
 from patchvote.embed import image_patch_features, shape_patch_features
+from patchvote.index import derive_seed, enumerate_view_patches
 from patchvote.errors import DescriptorError
 from patchvote.mesh import TriMesh, face_normals
 from patchvote.render import MARGIN, NormalMap, rasterize, scene_light, shade
-from patchvote.views import quat_to_matrix, random_rotations
+from patchvote.views import ViewSet, quat_to_matrix, random_rotations
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -75,23 +79,23 @@ def oracle_content_rect(weight, mask, rect, iters=3):
     """One rect at a time, sums over strided slices of the weight."""
     hgt, wid = weight.shape
     w_all = weight * mask + 0.1 * mask
-    x, y = rect.x, rect.y
-    ys, xs = np.mgrid[0 : rect.h, 0 : rect.w]
+    x, y, w, h = rect.tolist()
+    ys, xs = np.mgrid[0:h, 0:w]
     for _ in range(iters):
-        sub = w_all[y : y + rect.h, x : x + rect.w]
+        sub = w_all[y : y + h, x : x + w]
         total = sub.sum()
         if total <= 0:
             break
         cy = float((ys * sub).sum() / total)
         cx = float((xs * sub).sum() / total)
-        nx = int(round(x + cx - (rect.w - 1) / 2.0))
-        ny = int(round(y + cy - (rect.h - 1) / 2.0))
-        nx = min(max(nx, 0), wid - rect.w)
-        ny = min(max(ny, 0), hgt - rect.h)
+        nx = int(round(x + cx - (w - 1) / 2.0))
+        ny = int(round(y + cy - (h - 1) / 2.0))
+        nx = min(max(nx, 0), wid - w)
+        ny = min(max(ny, 0), hgt - h)
         if nx == x and ny == y:
             break
         x, y = nx, ny
-    return PatchRect(x, y, rect.w, rect.h, empty=rect.empty)
+    return np.array([x, y, w, h])
 
 
 def oracle_pool(block, pool):
@@ -108,11 +112,23 @@ def oracle_pool(block, pool):
 
 
 def oracle_features(raster, rect, pool):
-    return oracle_pool(raster[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w], pool)
+    x, y, w, h = rect.tolist()
+    return oracle_pool(raster[y : y + h, x : x + w], pool)
 
 
 def oracle_coverage(mask, rect):
-    return mask[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w].mean()
+    x, y, w, h = rect.tolist()
+    return mask[y : y + h, x : x + w].mean()
+
+
+def oracle_dedup(rects):
+    """The first rect at each corner, by a set of the corners seen so far."""
+    kept, seen = [], set()
+    for r in rects:
+        if (r[0], r[1]) not in seen:
+            seen.add((r[0], r[1]))
+            kept.append(r)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +176,20 @@ def snap_weight(nmap):
     return lam
 
 
-def same_rects(a, b):
-    return [(r.x, r.y, r.w, r.h, bool(r.empty)) for r in a] == [
-        (r.x, r.y, r.w, r.h, bool(r.empty)) for r in b
-    ]
+def same_rects(got, want):
+    """An (N, 4) int64 block equal to a list of oracle rows."""
+    want = np.array(want, dtype=np.int64).reshape(-1, 4)
+    return got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def rects_at(corners, w, h):
+    """(N, 4) rects of one size at (N, 2) corners."""
+    corners = np.asarray(corners, dtype=np.int64).reshape(-1, 2)
+    return np.column_stack([corners, np.full((len(corners), 2), (w, h))])
+
+
+def covered(mask, rects, floor=Config().min_coverage):
+    return rects[coverage(mask, rects) >= floor]
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +253,25 @@ class TestSamplePatchesMatchesPerRectCoverage:
     @pytest.mark.parametrize("fraction", [1.0 / 3.0, 0.2, 1.0])
     def test_coverage_flags(self, renders, fraction):
         for i, (nmap, _) in enumerate(renders):
-            rects = sample_patches(nmap, fraction, 64, seed=i, min_coverage=0.3)
-            side = rects[0].w
+            rects = sample_patches(nmap, fraction, 64, seed=i)
+            side = int(rects[0, 2])
             rng = np.random.default_rng(i)
             xs = rng.integers(0, 96 - side + 1, size=64)
             ys = rng.integers(0, 96 - side + 1, size=64)
-            assert [(r.x, r.y) for r in rects] == list(zip(xs.tolist(), ys.tolist()))
-            assert [r.empty for r in rects] == [
-                bool(oracle_coverage(nmap.mask, r) < 0.3) for r in rects
-            ]
+            assert same_rects(rects, rects_at(np.column_stack([xs, ys]), side, side))
+            cov = coverage(nmap.mask, rects)
+            want = [oracle_coverage(nmap.mask, r) for r in rects]
+            assert cov.tobytes() == np.array(want).tobytes()
+            assert ((cov < 0.3) == (np.array(want) < 0.3)).all()
 
     def test_coverage_exactly_at_the_threshold(self):
         # the left 8 columns covered: a 32 px rect at x = 0 covers 0.25
         mask = np.zeros((96, 96), dtype=bool)
         mask[:, :8] = True
         raster = NormalMap(normals=np.zeros((96, 96, 3), np.float32), mask=mask)
-        rects = sample_patches(raster, 1.0 / 3.0, 400, seed=1, min_coverage=0.25)
+        rects = sample_patches(raster, 1.0 / 3.0, 400, seed=1)
         assert any(oracle_coverage(mask, r) == 0.25 for r in rects)
-        assert [r.empty for r in rects] == [
+        assert list(coverage(mask, rects) < 0.25) == [
             bool(oracle_coverage(mask, r) < 0.25) for r in rects
         ]
 
@@ -252,8 +279,7 @@ class TestSamplePatchesMatchesPerRectCoverage:
 class TestContentRectMatchesPerRectSnap:
     def test_shape_and_image_weights(self, renders):
         for i, (nmap, shaded) in enumerate(renders):
-            rects = sample_patches(nmap, 1.0 / 3.0, 128, seed=i)
-            rects = [r for r in rects if not r.empty]
+            rects = covered(nmap.mask, sample_patches(nmap, 1.0 / 3.0, 128, seed=i))
             for weight, mask in ((snap_weight(nmap), nmap.mask),
                                  (shaded.intensity, shaded.mask)):
                 got = content_rect(weight, mask, rects)
@@ -263,8 +289,8 @@ class TestContentRectMatchesPerRectSnap:
     def test_rects_at_the_border(self, renders):
         nmap, shaded = renders[0]
         side, last = 32, 96 - 32
-        rects = [PatchRect(x, y, side, side) for x in (0, 1, last - 1, last)
-                 for y in (0, 1, last - 1, last)]
+        rects = rects_at([(x, y) for x in (0, 1, last - 1, last)
+                          for y in (0, 1, last - 1, last)], side, side)
         # a bright strip along each edge pulls the rects into the clamp
         weight = np.zeros((96, 96))
         weight[:, :2] = weight[:, -2:] = weight[:2, :] = weight[-2:, :] = 1.0
@@ -272,32 +298,32 @@ class TestContentRectMatchesPerRectSnap:
         for w, m in ((weight, mask), (shaded.intensity, shaded.mask)):
             got = content_rect(w, m, rects)
             assert same_rects(got, [oracle_content_rect(w, m, r) for r in rects])
-            assert all(0 <= r.x <= last and 0 <= r.y <= last for r in got)
+            assert ((0 <= got[:, :2]) & (got[:, :2] <= last)).all()
 
     def test_window_with_zero_weight_stays(self):
         mask = np.zeros((64, 64), dtype=bool)
         mask[40:, 40:] = True
         weight = np.ones((64, 64))
-        rects = [PatchRect(0, 0, 16, 16), PatchRect(30, 30, 16, 16),
-                 PatchRect(5, 20, 16, 16, empty=True)]
+        rects = rects_at([(0, 0), (30, 30), (5, 20)], 16, 16)
         got = content_rect(weight, mask, rects)
         assert same_rects(got, [oracle_content_rect(weight, mask, r) for r in rects])
-        assert (got[0].x, got[0].y) == (0, 0)
-        assert (got[1].x, got[1].y) != (30, 30)
-        assert got[2].empty
+        assert tuple(got[0, :2]) == (0, 0)
+        assert tuple(got[1, :2]) != (30, 30)
+        # the snap writes a new block and leaves its input as it was
+        assert same_rects(rects, rects_at([(0, 0), (30, 30), (5, 20)], 16, 16))
 
     def test_rects_that_hit_the_iteration_cap(self):
         # a steep ramp keeps pulling every rect right until the border
         weight = np.tile(np.exp(np.arange(96) / 4.0), (96, 1))
         mask = np.ones((96, 96), dtype=bool)
-        rects = [PatchRect(x, 10, 24, 24) for x in range(0, 40, 3)]
+        rects = rects_at([(x, 10) for x in range(0, 40, 3)], 24, 24)
         for iters in (1, 2, 3, 4):
             got = content_rect(weight, mask, rects, iters=iters)
             want = [oracle_content_rect(weight, mask, r, iters) for r in rects]
             assert same_rects(got, want)
         three = content_rect(weight, mask, rects, iters=3)
         four = content_rect(weight, mask, rects, iters=4)
-        assert any(a.x != b.x for a, b in zip(three, four))
+        assert (three[:, 0] != four[:, 0]).any()
 
     def test_half_pixel_ties_round_to_even(self):
         # all content in column 1 of a 4 px rect puts the snapped corner
@@ -306,23 +332,24 @@ class TestContentRectMatchesPerRectSnap:
             weight = np.zeros((16, 16))
             weight[:, x + 1] = 1.0
             mask = weight > 0
-            rect = PatchRect(x, 6, 4, 4)
-            got = content_rect(weight, mask, [rect], iters=1)
-            assert same_rects(got, [oracle_content_rect(weight, mask, rect, 1)])
-            assert (got[0].x, got[0].y) == (round(x - 0.5), 6)
+            rect = rects_at([(x, 6)], 4, 4)
+            got = content_rect(weight, mask, rect, iters=1)
+            assert same_rects(got, [oracle_content_rect(weight, mask, rect[0], 1)])
+            assert tuple(got[0, :2]) == (round(x - 0.5), 6)
 
     def test_one_rect_and_no_rects(self, renders):
         nmap, shaded = renders[1]
-        r = next(r for r in sample_patches(nmap, 1.0 / 3.0, 32, seed=5) if not r.empty)
-        (got,) = content_rect(shaded.intensity, shaded.mask, [r])
-        want = oracle_content_rect(shaded.intensity, shaded.mask, r)
-        assert same_rects([got], [want])
-        assert content_rect(shaded.intensity, shaded.mask, []) == []
+        r = covered(nmap.mask, sample_patches(nmap, 1.0 / 3.0, 32, seed=5))[:1]
+        got = content_rect(shaded.intensity, shaded.mask, r)
+        want = oracle_content_rect(shaded.intensity, shaded.mask, r[0])
+        assert same_rects(got, [want])
+        none = content_rect(shaded.intensity, shaded.mask, np.empty((0, 4), np.int64))
+        assert none.shape == (0, 4) and none.dtype == np.int64
 
     def test_mixed_sizes_rejected(self):
         with pytest.raises(DescriptorError, match="one size"):
             content_rect(np.ones((8, 8)), np.ones((8, 8), bool),
-                         [PatchRect(0, 0, 4, 4), PatchRect(0, 0, 3, 4)])
+                         np.array([[0, 0, 4, 4], [0, 0, 3, 4]]))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +379,7 @@ class TestPoolingMatchesPerBlockReduceat:
     def test_stacked_rects(self, renders, side, pool):
         for i, (nmap, shaded) in enumerate(renders[:4]):
             rng = np.random.default_rng(i)
-            rects = [PatchRect(int(x), int(y), side, side)
-                     for x, y in rng.integers(0, 96 - side + 1, size=(40, 2))]
+            rects = rects_at(rng.integers(0, 96 - side + 1, size=(40, 2)), side, side)
             for raster, features in ((nmap.normals, shape_patch_features),
                                      (shaded.intensity, image_patch_features)):
                 got = features(raster, rects, pool)
@@ -374,24 +400,24 @@ class TestPoolingMatchesPerBlockReduceat:
             raster[rng.random(shape) < 0.1] = -0.0
             features = image_patch_features if c is None else shape_patch_features
             for layer in raster:
-                rects = [PatchRect(int(x), int(y), w, h)
-                         for x, y in zip(rng.integers(0, 3, n), rng.integers(0, 2, n))]
+                corners = zip(rng.integers(0, 3, n), rng.integers(0, 2, n))
+                rects = rects_at(list(corners), w, h)
                 got = features(layer, rects, pool)
                 want = np.stack([oracle_features(layer, r, pool) for r in rects])
                 assert got.tobytes() == want.tobytes()
 
     def test_single_rect_gives_one_row(self, renders):
         nmap, shaded = renders[2]
-        r = PatchRect(0, 0, 96, 96)
+        r = rects_at([(0, 0)], 96, 96)
         # the pose features: one 96 px rect in bins of width 6
         got = image_patch_features(shaded.intensity, r, 16)
-        assert got.shape == (256,)
-        assert got.tobytes() == oracle_features(shaded.intensity, r, 16).tobytes()
+        assert got.shape == (1, 256)
+        assert got[0].tobytes() == oracle_features(shaded.intensity, r[0], 16).tobytes()
         got = shape_patch_features(nmap.normals, r, 16)
-        assert got.tobytes() == oracle_features(nmap.normals, r, 16).tobytes()
+        assert got[0].tobytes() == oracle_features(nmap.normals, r[0], 16).tobytes()
         block = nmap.normals[5:38, 9:40]
-        got = shape_patch_features(block, PatchRect(0, 0, 31, 33), 5)
-        assert got.tobytes() == oracle_pool(block, 5).tobytes()
+        got = shape_patch_features(block, rects_at([(0, 0)], 31, 33), 5)
+        assert got[0].tobytes() == oracle_pool(block, 5).tobytes()
 
     @pytest.mark.parametrize("h, w, pool", BRANCH_CASES)
     def test_float32_rasters(self, h, w, pool):
@@ -406,14 +432,14 @@ class TestPoolingMatchesPerBlockReduceat:
             stack[rng.random(shape) < 0.05] = 0.0
             features = image_patch_features if c is None else shape_patch_features
             for layer in stack:
-                rects = [PatchRect(0, 0, w, h), PatchRect(2, 1, w, h), PatchRect(1, 0, w, h)]
+                rects = rects_at([(0, 0), (2, 1), (1, 0)], w, h)
                 got = features(layer, rects, pool)
                 want = np.stack([oracle_features(layer, r, pool) for r in rects])
                 assert got.tobytes() == want.tobytes()
 
     def test_windows_are_copies_in_raster_layout(self):
         raster = np.arange(5 * 6 * 3, dtype=np.float32).reshape(5, 6, 3)
-        rects = [PatchRect(1, 2, 4, 3), PatchRect(0, 0, 4, 3)]
+        rects = rects_at([(1, 2), (0, 0)], 4, 3)
         win = rect_windows(raster, rects)
         assert win.shape == (2, 3, 4, 3) and win.flags.c_contiguous
         np.testing.assert_array_equal(win[0], raster[2:5, 1:5])
@@ -426,13 +452,41 @@ def test_index_view_pass_matches_per_rect_loops(renders):
     """The index's per-view pass, end to end: snap then pool each view."""
     for i, (nmap, _) in enumerate(renders):
         weight = snap_weight(nmap)
-        rects = [r for r in sample_patches(nmap, 1.0 / 3.0, 128, seed=i) if not r.empty]
+        rects = covered(nmap.mask, sample_patches(nmap, 1.0 / 3.0, 128, seed=i))
         snapped = content_rect(weight, nmap.mask, rects)
         want_rects = [oracle_content_rect(weight, nmap.mask, r) for r in rects]
         assert same_rects(snapped, want_rects)
         got = shape_patch_features(nmap.normals, snapped, 16)
         want = np.stack([oracle_features(nmap.normals, r, 16) for r in want_rects])
         assert got.tobytes() == want.tobytes()
+
+
+def test_enumerate_view_patches_matches_per_rect_loops():
+    """The index's records against coverage, snap and dedup one rect at a time.
+
+    Many of a view's 128 snapped rects collapse onto a corner another
+    rect reached first; the records keep the first of each, in sample
+    order, which is not the order of their corners.
+    """
+    cfg = Config()
+    mesh = random_box_mesh(np.random.default_rng(5), 4)
+    views = ViewSet(medoids=random_rotations(2, 9), source_size=2)
+    blocks = list(enumerate_view_patches({3: mesh}, views, 128, cfg))
+    assert [(sid, vid) for sid, vid, _, _ in blocks] == [(3, 0), (3, 1)]
+    for _, vid, feats, rects in blocks:
+        nmap = rasterize(mesh, views.medoids[vid], cfg.render_resolution)
+        drawn = sample_patches(
+            nmap, cfg.patch_fraction, 128, derive_seed(cfg.seed, 3, vid)
+        )
+        live = [r for r in drawn if oracle_coverage(nmap.mask, r) >= cfg.min_coverage]
+        snapped = [oracle_content_rect(snap_weight(nmap), nmap.mask, r) for r in live]
+        want = oracle_dedup(snapped)
+        assert len(want) < len(snapped)
+        assert same_rects(rects, want)
+        assert not same_rects(rects, sorted(want, key=lambda r: (r[0], r[1])))
+        assert feats.tobytes() == np.stack(
+            [oracle_features(nmap.normals, r, cfg.pool_size) for r in want]
+        ).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +498,17 @@ class TestStackedRastersMatchPerRectCalls:
     def test_anchor_view_pass(self, renders, noise):
         """Snap and pool of one stack equal one call per rect on its layer."""
         for i, (nmap, _) in enumerate(renders):
-            rects = [r for r in sample_patches(nmap, 1.0 / 3.0, 12, seed=i) if not r.empty]
+            rects = covered(nmap.mask, sample_patches(nmap, 1.0 / 3.0, 12, seed=i))
             seeds = [1000 * i + j for j in range(len(rects))]
             stack = shade(nmap, scene_light(), noise, seeds).intensity
             snapped = content_rect(stack, nmap.mask, rects)
-            per_rect = [content_rect(layer, nmap.mask, [r])[0]
+            per_rect = [content_rect(layer, nmap.mask, r[None])[0]
                         for layer, r in zip(stack, rects)]
             want = [oracle_content_rect(layer, nmap.mask, r)
                     for layer, r in zip(stack, rects)]
             assert same_rects(snapped, per_rect) and same_rects(snapped, want)
             got = image_patch_features(stack, snapped, 16)
-            one = np.stack([image_patch_features(layer, r, 16)
+            one = np.stack([image_patch_features(layer, r[None], 16)[0]
                             for layer, r in zip(stack, snapped)])
             assert got.tobytes() == one.tobytes()
             assert got.tobytes() == np.stack(
@@ -468,11 +522,11 @@ class TestStackedRastersMatchPerRectCalls:
         stack = np.zeros((3, 32, 32), dtype=np.float32)
         stack[0, :, 10:13] = 1.0
         stack[1, :, 19:22] = 1.0
-        rects = [PatchRect(10, 8, 12, 12)] * 3
+        rects = rects_at([(10, 8)] * 3, 12, 12)
         got = content_rect(stack, mask, rects)
         assert same_rects(got, [oracle_content_rect(s, mask, r)
                                 for s, r in zip(stack, rects)])
-        assert got[0].x < 10 < got[1].x and got[2].x == 10
+        assert got[0, 0] < 10 < got[1, 0] and got[2, 0] == 10
 
     @pytest.mark.parametrize("iters", [1, 2, 4])
     def test_iteration_cap_and_zero_weight(self, iters):
@@ -481,9 +535,8 @@ class TestStackedRastersMatchPerRectCalls:
         mask[20:, 20:] = True
         stack = np.exp(rng.normal(size=(6, 48, 48)) * 3.0)
         stack[2] = 0.0
-        rects = [PatchRect(int(x), int(y), 14, 14)
-                 for x, y in rng.integers(0, 48 - 14 + 1, size=(6, 2))]
-        rects[0] = PatchRect(0, 0, 14, 14)  # off the mask: zero weight
+        rects = rects_at(rng.integers(0, 48 - 14 + 1, size=(6, 2)), 14, 14)
+        rects[0] = (0, 0, 14, 14)  # off the mask: zero weight
         got = content_rect(stack, mask, rects, iters=iters)
         want = [oracle_content_rect(s, mask, r, iters) for s, r in zip(stack, rects)]
         assert same_rects(got, want)
@@ -492,25 +545,25 @@ class TestStackedRastersMatchPerRectCalls:
         # an intensity has one channel, so 20 layers are 20 rasters, one
         # per rect, not one 20-channel raster
         stack = np.random.default_rng(5).random((20, 48, 48)).astype(np.float32)
-        rects = [PatchRect(i, 2 * i, 8, 8) for i in range(20)]
+        rects = rects_at([(i, 2 * i) for i in range(20)], 8, 8)
         got = image_patch_features(stack, rects, 4)
         assert got.shape == (20, 16)
         assert got.tobytes() == np.stack(
             [oracle_features(layer, r, 4) for layer, r in zip(stack, rects)]
         ).tobytes()
-        one = image_patch_features(stack[:1], rects[0], 4)
-        assert one.tobytes() == got[0].tobytes()
+        one = image_patch_features(stack[:1], rects[:1], 4)
+        assert one.tobytes() == got[:1].tobytes()
 
     def test_stacked_windows_with_channels(self):
         stack = np.arange(2 * 5 * 6 * 3, dtype=np.float32).reshape(2, 5, 6, 3)
-        rects = [PatchRect(1, 2, 4, 3), PatchRect(0, 0, 4, 3)]
+        rects = rects_at([(1, 2), (0, 0)], 4, 3)
         win = rect_windows(stack, rects, stacked=True)
         assert win.shape == (2, 3, 4, 3) and win.flags.c_contiguous
         np.testing.assert_array_equal(win[0], stack[0, 2:5, 1:5])
         np.testing.assert_array_equal(win[1], stack[1, 0:3, 0:4])
 
     def test_stack_must_hold_one_layer_per_rect(self):
-        rects = [PatchRect(0, 0, 4, 4)] * 3
+        rects = rects_at([(0, 0)] * 3, 4, 4)
         stack = np.ones((2, 8, 8))
         with pytest.raises(DescriptorError, match="stack of 2 rasters for 3 rects"):
             content_rect(stack, np.ones((8, 8), bool), rects)

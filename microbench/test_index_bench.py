@@ -14,15 +14,17 @@ six shapes in three categories) with seeded random unit embeddings, and
 the query is a shaded render of one synthetic chair. The kNN
 benchmarks score one unit query and one (Kq, d) block of them, as
 retrieve_shape sends a query's patches, against the whole index and
-against one category. Every benchmark runs after the index's cached
-query state is built, as a served index has it after its first query.
+against one category; the top-k benchmarks time only the selection of
+Kr neighbours from such a block's (Kq, n) similarities. Every benchmark
+runs after the index's cached query state is built, as a served index
+has it after its first query.
 """
 
 import numpy as np
 import pytest
 
 from patchvote.config import Config, to_dict
-from patchvote.embed import init_params
+from patchvote.embed import _top_k, init_params
 from patchvote.experiment import render_query
 from patchvote.index import PatchIndex, knn_query, load_index, retrieve_shape, save_index
 from patchvote.synth import PARAM_RANGES, SynthSpec, generate_shape
@@ -87,6 +89,13 @@ def test_knn_query_block_full(benchmark, index):
 
 def test_knn_query_block_category(benchmark, index):
     benchmark(knn_query, index, query_block(2), CFG.kr, category="table")
+
+
+@pytest.mark.parametrize("category", [None, "table"], ids=["all", "table"])
+def test_top_k_block(benchmark, index, category):
+    ids, rows = index.scope(category)
+    sims = query_block(3) @ rows.T
+    benchmark(_top_k, sims, ids, CFG.kr)
 
 
 @pytest.mark.parametrize("category", [None, "chair"], ids=["all", "chair"])

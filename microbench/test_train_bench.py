@@ -1,4 +1,5 @@
-"""Micro-benchmark of one training epoch: `train` with epochs=1.
+"""Micro-benchmarks of training: one epoch (`train` with epochs=1) and
+one anchor's hard-negative mining.
 
 Run from the repository root, next to the index benchmarks:
 
@@ -11,7 +12,9 @@ has 1 to 41, median 12) and 3,900 negatives disjoint from them (the
 bench corpus has 3,662 to 4,096). Values are seeded uniform draws, so
 mining and the loss do the bench's work on different numbers. One epoch
 draws anchors_per_epoch = 512 anchors, mines negatives_keep = 1,024 for
-each, and takes 8 SGD steps of batch_size = 64.
+each, and takes 8 SGD steps of batch_size = 64. The mining benchmark
+times one such selection alone: the negatives_keep = 1,024 best of one
+anchor's 3,900 similarities.
 """
 
 from dataclasses import replace
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 from patchvote.config import Config
-from patchvote.embed import PatchCorpus, init_params, train
+from patchvote.embed import PatchCorpus, _top_k, init_params, train
 
 CFG = replace(Config(), epochs=1)
 ANCHORS = 713
@@ -50,3 +53,10 @@ def test_train_epoch(benchmark, corpus):
     params = init_params(p2, 3 * p2, CFG.hidden_dim, CFG.embed_dim, seed=0)
     # train updates the params it is given: each round starts from a copy
     benchmark(lambda: train(corpus, CFG, params.copy()))
+
+
+def test_mining_top_k(benchmark):
+    rng = np.random.default_rng(1)
+    ids = np.sort(rng.choice(CANDIDATES, NEGATIVES, replace=False))
+    sims = rng.uniform(-1.0, 1.0, size=NEGATIVES)
+    benchmark(_top_k, sims, ids, CFG.negatives_keep)

@@ -10,10 +10,11 @@ descriptor of the normals inside them.
 
 Every step works on all of a view's rects at once: `rect_windows`
 gathers the same-size windows of a raster into one (N, h, w[, C]) stack
-with a single fancy index, and coverage, snapping and pooling (see
-embed) are reductions over that stack. A rect may also read its own
-layer of a stack of rasters, one per rect (the noise draws of one
-anchor view), through the same gather. Each window's sum is the same
+with a single fancy index into a read-only view of every window, made
+by one `as_strided` call that copies no pixel, and coverage, snapping
+and pooling (see embed) are reductions over that stack. A rect may also
+read its own layer of a stack of rasters, one per rect (the noise draws
+of one anchor view), through the same gather. Each window's sum is the same
 sequence of float operations as the sum of the raster slice it copies,
 so the batched results equal a per-rect loop bit for bit.
 """
@@ -21,7 +22,7 @@ so the batched results equal a per-rect loop bit for bit.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DescriptorError
 from .render import NormalMap, ShadedRender
@@ -37,13 +38,14 @@ def rect_windows(
     """Copies of the windows of (N, 4) rects in a (H, W) or (H, W, C) raster.
 
     The rects must share one size (w, h); the result is (N, h, w) or
-    (N, h, w, C), C-contiguous, in the raster's dtype. With `stacked`,
+    (N, h, w, C) in the raster's dtype, C-contiguous unless the raster
+    stores its axes out of order (a transpose, say). With `stacked`,
     the raster is an (N, H, W[, C]) stack holding one raster per rect,
     and window i is cut from raster i.
     """
     h, w = _size(rects)
     stack, src = _stack(raster, len(rects), stacked)
-    return _windows(stack, src, rects[:, 0], rects[:, 1], h, w)
+    return _window_view(stack, h, w)[src, rects[:, 1], rects[:, 0]]
 
 
 def coverage(mask: np.ndarray, rects: np.ndarray) -> np.ndarray:
@@ -74,11 +76,22 @@ def _stack(raster: np.ndarray, n: int, stacked: bool):
     return raster, np.arange(n)
 
 
-def _windows(stack: np.ndarray, src, xs, ys, h: int, w: int) -> np.ndarray:
-    """The (h, w) windows at corners (xs, ys) of the stack layers src."""
-    tail = stack.shape[3:]
-    view = sliding_window_view(stack, (1, h, w) + tail)
-    return view[src, ys, xs].reshape((len(xs), h, w) + tail)
+def _window_view(stack: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Every (h, w) window of an (L, H, W[, C]) stack, as a read-only view.
+
+    View[l, y, x] is the window of layer l with top-left corner (x, y):
+    shape (L, H - h + 1, W - w + 1, h, w[, C]), no pixel copied. The
+    window axes reuse the row and column strides, so the view reads any
+    strided stack, a slice included.
+    """
+    L, H, W = stack.shape[:3]
+    s_l, s_h, s_w = stack.strides[:3]
+    return as_strided(
+        stack,
+        shape=(L, H - h + 1, W - w + 1, h, w) + stack.shape[3:],
+        strides=(s_l, s_h, s_w, s_h, s_w) + stack.strides[3:],
+        writeable=False,
+    )
 
 
 def sample_patches(
@@ -134,7 +147,7 @@ def content_rect(
     hgt, wid = mask.shape
     stacked = weight.ndim > mask.ndim
     w_all, src = _stack(weight * mask + 0.1 * mask, len(out), stacked)
-    view = sliding_window_view(w_all, (h, w), axis=(1, 2))
+    view = _window_view(w_all, h, w)
     gy, gx = np.arange(h)[:, None], np.arange(w)
     moving = np.arange(len(out))
     for _ in range(iters):

@@ -24,6 +24,7 @@ from .errors import FormatError, TrainingError
 MODEL_MAGIC = b"P2CM"
 MODEL_VERSION = 1
 NORM_EPS = 1e-8
+TOPK_GROUP = 64  # entries per strided group of the top-k cut (see _top_k)
 
 
 @dataclass
@@ -292,23 +293,38 @@ def _top_k(sims: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     same n `ids`; the result is (k',) or (P, k') positions along the last
     axis, with k' = min(k, n).
 
-    Exact partial top-k, once for the whole block: np.partition finds
-    each row's k-th highest similarity, and only the entries at or above
-    it, every entry tied with the k-th included, are sorted by (row,
-    similarity descending, id ascending). Each row takes its first k of
-    that order, the first k of the row's full sort. A NaN compares false,
-    stays in the sorted set, and sorts last, as in a full sort.
+    Exact partial top-k, once for the whole block. A cut value per row
+    comes first: column j of the first TOPK_GROUP * g columns joins the
+    strided group j mod g, g = n // TOPK_GROUP, and np.partition finds
+    the k-th highest of the g group maxima. Each of the k best groups
+    holds an entry at least that high, so the cut is at or below the
+    row's own k-th highest similarity; the up to TOPK_GROUP - 1 columns
+    past the groups are only filtered. When g <= k the cut is the row's
+    k-th highest itself, partitioned from the whole row. Every entry not
+    below the cut, every tie included, is then sorted by (row,
+    similarity descending, id ascending), and each row takes its first k
+    of that order, the first k of the row's full sort. A NaN compares
+    false, so it stays in the sorted set and sorts last, as in a full
+    sort; a group holding one has a NaN maximum, which partitions last,
+    and a row with fewer than k groups free of NaN gets a NaN cut and
+    keeps every entry.
     """
-    neg = -np.atleast_2d(sims)
-    P, n = neg.shape
+    block = np.atleast_2d(sims)
+    P, n = block.shape
     k = min(k, n)
     if k < n:
-        kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
-        flat = np.flatnonzero(~(neg > kth))
+        g = n // TOPK_GROUP
+        if g > k:
+            grouped = block[:, : g * TOPK_GROUP].reshape(P, TOPK_GROUP, g)
+            candidates = grouped.max(axis=1)
+        else:
+            candidates = block
+        cut = -np.partition(-candidates, k - 1, axis=1)[:, k - 1 : k]
+        flat = np.flatnonzero(~(block < cut))
     else:
         flat = np.arange(P * n)
     row, col = np.divmod(flat, n)  # ascending, so each row's entries are one run
-    order = np.lexsort((ids[col], neg.ravel()[flat], row))
+    order = np.lexsort((ids[col], -block.ravel()[flat], row))
     # every row keeps at least k entries; row p's run starts after the
     # entries kept in the rows before it
     counts = np.bincount(row, minlength=P)

@@ -44,12 +44,17 @@ same f64 value in its category's search as in the whole index's, and a
 patch the same in a block of any size as alone; tests/test_index.py
 holds both. gemv does not: over a category's rows it rounds many
 records apart from gemv over the whole index. The top-k then runs once
-per block: np.partition finds each row's k-th highest similarity, and
-only the entries at or above it, every entry tied with the k-th
-included, are sorted by (row, similarity descending, record id
-ascending). Each row is the first k of its order, identical to a full
-sort of all records. Hard-negative mining in training shares the rule
-(embed._top_k), with one mat-vec per anchor.
+per block (embed._top_k). Each row's records split into strided groups
+of 64, and np.partition over the group maxima alone finds a cut: the
+k-th highest group maximum. The k best groups each hold a record at
+least that similar, so the cut never exceeds the row's k-th highest
+similarity. Only the entries not below the cut, every entry tied with
+the k-th included, are sorted by (row, similarity descending, record id
+ascending), and each row is the first k of its order, identical to a
+full sort of all records. A NaN similarity stays past the cut and sorts
+last, as in a full sort. With no more groups than k the whole row is
+partitioned instead, as in hard-negative mining, which shares the rule
+with one mat-vec per anchor and keeps 1,024 of about 3,900 candidates.
 
 File format (little-endian, framed by `artifact`): magic, version,
 record count n, dimension d, manifest length and UTF-8 JSON manifest,

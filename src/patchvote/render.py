@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import RenderError
 from .mesh import TriMesh, face_normals
-from .views import quat_to_matrix
+from .views import off_unit, quat_to_matrix
 
 MARGIN = 0.05
 
@@ -68,7 +68,7 @@ def rasterize(mesh: TriMesh, view: np.ndarray, resolution: int) -> NormalMap:
     if resolution < 8:
         raise RenderError(f"resolution must be >= 8, got {resolution}")
     view = np.asarray(view, dtype=np.float64)
-    if abs(np.linalg.norm(view) - 1.0) > 1e-6:
+    if off_unit(view):
         raise RenderError("view quaternion is not unit length")
 
     rotated = mesh.vertices @ quat_to_matrix(view).T

@@ -21,7 +21,7 @@ import numpy as np
 from .artifact import decode_json, fields
 from .errors import FormatError, SynthError
 from .mesh import TriMesh, normalize_mesh, save_obj
-from .views import perturb_quat
+from .views import off_unit, perturb_quat
 
 CATEGORIES = ("chair", "table", "cabinet")
 
@@ -404,6 +404,8 @@ def load_benchmark(manifest_path: str) -> Benchmark:
         seed = int(doc.get("seed", 0))
     if not all(np.isfinite(q.view_quat).all() for q in queries):
         raise FormatError("benchmark manifest: non-finite query view_quat")
+    if any(off_unit(q.view_quat) for q in queries):
+        raise FormatError("benchmark manifest: query view_quat is not a unit quaternion")
     unlisted = set(database_ids).union(*((q.shape_id, q.gt_shape_id) for q in queries))
     unlisted -= set(shapes)
     if unlisted:

@@ -17,6 +17,15 @@ from .artifact import decode_json, fields
 from .errors import FormatError
 
 
+UNIT_TOL = 1e-6  # how far a rotation quaternion's norm may sit from 1
+
+
+def off_unit(q: np.ndarray) -> np.ndarray:
+    """Whether each quaternion along the last axis has a norm off 1 by
+    more than UNIT_TOL; a NaN norm counts as off."""
+    return ~(np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= UNIT_TOL)
+
+
 def canonical_quat(q: np.ndarray) -> np.ndarray:
     """Normalize to unit length and fix the double-cover sign."""
     q = np.asarray(q, dtype=np.float64)
@@ -193,4 +202,6 @@ def load_viewset(path: str) -> ViewSet:
         raise FormatError("view set file inconsistent with its declared n")
     if not np.isfinite(vs.medoids).all():
         raise FormatError("view set holds a non-finite medoid")
+    if off_unit(vs.medoids).any():
+        raise FormatError("view set holds a medoid that is not a unit quaternion")
     return vs

@@ -34,6 +34,7 @@ from patchvote.views import (
     ViewSet,
     kmedoids,
     load_viewset,
+    off_unit,
     random_rotations,
     save_viewset,
 )
@@ -192,7 +193,7 @@ def viewset_loads_or_rejects(path: str) -> None:
         return
     assert isinstance(vs, ViewSet)
     assert vs.medoids.dtype == np.float64 and vs.medoids.shape == (len(vs), 4)
-    assert np.isfinite(vs.medoids).all()
+    assert np.isfinite(vs.medoids).all() and not off_unit(vs.medoids).any()
     assert isinstance(vs.seed, int) and isinstance(vs.source_size, int)
 
 
@@ -217,17 +218,25 @@ class TestViewSetReaderFuzz:
             {"n": 1, "medoids": [[1, 0, 0, 0]], "source_size": [3]},
             {"n": 1, "medoids": [[float("nan"), 0, 0, 0]]},
             {"n": 2, "medoids": [[1, 0, 0, 0], [0, 1e400, 0, 0]]},
+            {"n": 1, "medoids": [[0, 0, 0, 0]]},
+            {"n": 2, "medoids": [[1, 0, 0, 0], [0, 0, 1.00001, 0]]},
         ],
         ids=[
             "list-root", "string-medoid", "null-medoid", "short-row", "ragged",
             "no-n", "string-seed", "infinite-seed", "list-source-size",
-            "nan-medoid", "infinite-medoid",
+            "nan-medoid", "infinite-medoid", "zero-medoid", "long-medoid",
         ],
     )
     def test_malformed_document_is_format_error(self, workdir, doc):
         text = json.dumps(doc).replace("Infinity", "1e400")
         with pytest.raises(FormatError, match="view set"):
             load_viewset(write(workdir / "bad_views.json", text.encode()))
+
+    def test_medoid_norm_within_tolerance_loads(self, workdir):
+        """A norm off 1 by up to 1e-6, the tolerance rasterize takes, loads."""
+        doc = {"n": 2, "medoids": [[1 + 9e-7, 0, 0, 0], [0, 0.6, 0.8, 0]]}
+        vs = load_viewset(write(workdir / "near_unit.json", json.dumps(doc).encode()))
+        assert vs.medoids[0, 0] == 1 + 9e-7
 
     @settings(max_examples=150, deadline=None)
     @given(cut=st.floats(min_value=0.0, max_value=1.0))
@@ -293,6 +302,7 @@ def benchmark_loads_or_rejects(path: str) -> None:
     assert isinstance(bench, Benchmark)
     for q in bench.queries:
         assert q.view_quat.shape == (4,) and np.isfinite(q.view_quat).all()
+        assert not off_unit(q.view_quat)
         assert q.shape_id in bench.shapes and q.gt_shape_id in bench.shapes
     assert set(bench.database_ids) <= set(bench.shapes)
 
@@ -345,6 +355,23 @@ class TestBenchmarkReaderFuzz:
         path = write(bench_dir / "bad.json", text.encode())
         with pytest.raises(FormatError, match=match):
             load_benchmark(path)
+
+    @pytest.mark.parametrize(
+        "quat", [[0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5 + 3e-6], [2, 0, 0, 0]],
+        ids=["zero", "just-off", "double"],
+    )
+    def test_view_quat_off_unit_is_format_error(self, bench_dir, blob, quat):
+        doc = json.loads(blob)
+        doc["queries"][-1]["view_quat"] = quat
+        path = write(bench_dir / "bad.json", json.dumps(doc).encode())
+        with pytest.raises(FormatError, match="view_quat is not a unit quaternion"):
+            load_benchmark(path)
+
+    def test_view_quat_within_tolerance_loads(self, bench_dir, blob):
+        doc = json.loads(blob)
+        doc["queries"][0]["view_quat"] = [0.5, 0.5, 0.5, 0.5 + 9e-7]
+        path = write(bench_dir / "near_unit.json", json.dumps(doc).encode())
+        assert load_benchmark(path).queries[0].view_quat[3] == 0.5 + 9e-7
 
     def test_non_utf8_manifest_is_format_error(self, bench_dir, blob):
         path = write(bench_dir / "bad.json", b"\xff" + blob)

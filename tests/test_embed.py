@@ -487,6 +487,19 @@ class TestMiningMatchesFullSort:
             assert got.tobytes() == lexsort_mining(anchor, ids, embs, keep).tobytes()
         assert set(got[-3:].tolist()) == set(ids[[1, 4, 11]].tolist())
 
+    @pytest.mark.parametrize("keep", [24, 1024])
+    def test_mining_sized_pool(self, keep):
+        """A pool of the bench corpus's size: keep=24 takes the group-max
+        cut, keep=1024 (negatives_keep) partitions the whole row."""
+        rng = np.random.default_rng(keep)
+        n = 3900
+        ids = np.sort(rng.choice(10_000, n, replace=False))
+        embs = rng.choice([-1.0, 0.0, 1.0], size=(n, 3))
+        embs[rng.choice(n, 40, replace=False)] = np.nan
+        anchor = rng.choice([-1.0, 0.0, 1.0], size=3)
+        got = mine_hard_negatives(anchor, ids, embs, keep)
+        assert got.tobytes() == lexsort_mining(anchor, ids, embs, keep).tobytes()
+
     def test_empty_pool(self):
         got = mine_hard_negatives(np.ones(2), np.empty(0, np.int64), np.empty((0, 2)), 3)
         assert got.shape == (0,) and got.dtype == np.int64

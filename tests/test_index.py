@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patchvote.config import Config, to_dict
-from patchvote.embed import Tower, TowerParams, init_params
+from patchvote.embed import TOPK_GROUP, Tower, TowerParams, _top_k, init_params
 from patchvote.errors import (
     ConfigError,
     EmptyIndexError,
@@ -474,6 +474,128 @@ class TestKnnPartialTopK:
                 idx, raster, raster.mask, model, 2, 1, seed=0, cfg=cfg,
                 category="sofa",
             )
+
+
+@pytest.fixture
+def partition_widths(monkeypatch):
+    """The last-axis length of every np.partition input, in call order."""
+    widths = []
+    partition = np.partition
+
+    def spy(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return partition(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", spy)
+    return widths
+
+
+def integer_index(rng, n, d=4, spread=2, shapes=6):
+    """n records of small-integer embeddings, so every similarity is exact
+    and many tie; shapes spread over the three categories."""
+    emb = rng.integers(-spread, spread + 1, size=(n, d)).astype(np.float32)
+    shape_ids = np.sort(rng.integers(0, shapes, size=n))
+    names = ["chair", "table", "cabinet"]
+    categories = {s: names[s % 3] for s in range(shapes)}
+    return micro_index(emb, shape_ids.tolist(), d=d, categories=categories)
+
+
+def assert_knn_matches_reference(idx, block, k, category=None):
+    ids, sims = knn_query(idx, block, k, category=category)
+    for p, q in enumerate(block):
+        want_ids, want_sims = reference_knn(idx, q, k, category)
+        assert ids[p].tolist() == want_ids
+        np.testing.assert_array_equal(sims[p], want_sims)
+
+
+class TestKnnGroupCut:
+    """Indexes large enough for the top-k cut from strided group maxima
+    (n // TOPK_GROUP > k), each row checked against the full sort."""
+
+    @pytest.mark.parametrize("spread", [2, 20])
+    def test_ties_at_the_cut_in_every_scope(self, spread, partition_widths):
+        rng = np.random.default_rng(40 + spread)
+        for _ in range(4):
+            n = int(rng.integers(2000, 6000))
+            d = 4 if spread == 2 else 8
+            idx = integer_index(rng, n, d=d, spread=spread)
+            block = rng.integers(-spread, spread + 1, size=(9, d)).astype(np.float64)
+            for k in (1, 24, 60):
+                for category in (None, "chair", "table", "cabinet"):
+                    assert_knn_matches_reference(idx, block, k, category)
+            assert n // TOPK_GROUP in partition_widths  # the whole index took the cut
+
+    def test_top_k_inside_one_strided_group(self, partition_widths):
+        rng = np.random.default_rng(43)
+        g, k = 100, 24
+        n = TOPK_GROUP * g + 17
+        emb = rng.integers(-2, 3, size=(n, 4)).astype(np.float32)
+        members = 37 + g * np.arange(TOPK_GROUP)  # group 37: columns j = 37 mod g
+        emb[members, 0] = 10 + np.arange(TOPK_GROUP) % 5
+        idx = micro_index(emb, [0] * n)
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+        assert_knn_matches_reference(idx, np.stack([q, -q, q]), k)
+        ids, _ = knn_query(idx, q, k)
+        assert set(ids.tolist()) <= set(members.tolist())
+        assert partition_widths[-1] == g
+
+    def test_nan_records_and_nan_query_row(self):
+        rng = np.random.default_rng(44)
+        n = 3000
+        idx = integer_index(rng, n)
+        idx.embeddings[rng.choice(n, 60, replace=False)] = np.nan
+        block = rng.integers(-2, 3, size=(5, 4)).astype(np.float64)
+        block[3] = np.nan
+        for k in (1, 24, 100):
+            for category in (None, "chair"):
+                assert_knn_matches_reference(idx, block, k, category)
+            ids, _ = knn_query(idx, block, k)
+            assert ids[3].tolist() == list(range(k))
+
+    def test_fewer_groups_free_of_nan_than_k(self, partition_widths):
+        """A row whose NaN-free groups number fewer than k gets a NaN cut
+        and keeps every entry; the result is still the full sort's."""
+        rng = np.random.default_rng(45)
+        g, k = 50, 24
+        n = TOPK_GROUP * g
+        emb = rng.integers(-2, 3, size=(n, 4)).astype(np.float32)
+        emb[np.arange(31)] = np.nan  # one NaN in each of groups 0..30
+        idx = micro_index(emb, [0] * n)
+        block = rng.integers(-2, 3, size=(3, 4)).astype(np.float64)
+        assert_knn_matches_reference(idx, block, k)
+        assert partition_widths[-1] == g
+
+    @pytest.mark.parametrize(
+        "n, width",
+        [
+            (TOPK_GROUP * 24, TOPK_GROUP * 24),
+            (TOPK_GROUP * 25 - 1, TOPK_GROUP * 25 - 1),
+            (TOPK_GROUP * 25, 25),
+        ],
+        ids=["groups-eq-k", "groups-eq-k-last", "groups-eq-k-plus-1"],
+    )
+    def test_group_count_at_k_boundary(self, n, width, partition_widths):
+        """n // TOPK_GROUP == k partitions the whole row; one group more
+        partitions the group maxima."""
+        rng = np.random.default_rng(n)
+        idx = integer_index(rng, n)
+        block = rng.integers(-2, 3, size=(4, 4)).astype(np.float64)
+        assert_knn_matches_reference(idx, block, 24)
+        assert partition_widths == [width]
+
+    def test_one_row_and_block_inputs(self):
+        rng = np.random.default_rng(46)
+        n = 4100
+        ids = np.sort(rng.choice(50_000, n, replace=False))
+        block = rng.integers(-3, 4, size=(7, n)).astype(np.float64)
+        block[2, ::97] = np.nan
+        for k in (1, 24, 64, 65, n - 1):
+            got = _top_k(block, ids, k)
+            assert got.shape == (7, k)
+            for p, row in enumerate(block):
+                want = np.lexsort((ids, -row))[:k]
+                assert got[p].tolist() == want.tolist()
+                assert _top_k(row, ids, k).tolist() == want.tolist()
 
 
 class TestRetrieveConfigFallback:

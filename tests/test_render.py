@@ -94,6 +94,13 @@ class TestRasterize:
         with pytest.raises(RenderError, match="unit"):
             rasterize(unit_cube(), np.array([1.0, 1.0, 0.0, 0.0]), 64)
 
+    @pytest.mark.parametrize(
+        "view", [[0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]], ids=["zero", "nan"]
+    )
+    def test_zero_and_nan_views_rejected(self, view):
+        with pytest.raises(RenderError, match="unit"):
+            rasterize(unit_cube(), np.array(view), 64)
+
     def test_tiny_resolution_rejected(self):
         with pytest.raises(RenderError, match="resolution"):
             rasterize(unit_cube(), IDENTITY, 4)

@@ -67,7 +67,8 @@ def query():
 
 
 def unit_query(seed: int) -> np.ndarray:
-    v = np.random.default_rng(seed).normal(size=CFG.embed_dim)
+    """One unit embedding as a (1, d) block."""
+    v = np.random.default_rng(seed).normal(size=(1, CFG.embed_dim))
     return v / np.linalg.norm(v)
 
 
@@ -80,7 +81,7 @@ def test_knn_query_category(benchmark, index):
 
 
 def query_block(seed: int) -> np.ndarray:
-    return np.stack([unit_query(seed * CFG.kq + p) for p in range(CFG.kq)])
+    return np.vstack([unit_query(seed * CFG.kq + p) for p in range(CFG.kq)])
 
 
 def test_knn_query_block_full(benchmark, index):

@@ -58,5 +58,5 @@ def test_train_epoch(benchmark, corpus):
 def test_mining_top_k(benchmark):
     rng = np.random.default_rng(1)
     ids = np.sort(rng.choice(CANDIDATES, NEGATIVES, replace=False))
-    sims = rng.uniform(-1.0, 1.0, size=NEGATIVES)
+    sims = rng.uniform(-1.0, 1.0, size=(1, NEGATIVES))
     benchmark(_top_k, sims, ids, CFG.negatives_keep)

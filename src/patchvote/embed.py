@@ -289,9 +289,8 @@ def nce_loss_and_grad(
 def _top_k(sims: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     """Positions of each row's k highest sims, by similarity descending then id ascending.
 
-    `sims` is one row (n,) or a block of rows (P, n) scored against the
-    same n `ids`; the result is (k',) or (P, k') positions along the last
-    axis, with k' = min(k, n).
+    `sims` is a block of rows (P, n) scored against the same n `ids`;
+    the result is (P, k') positions along each row, k' = min(k, n).
 
     Exact partial top-k, once for the whole block. A cut value per row
     comes first: column j of the first TOPK_GROUP * g columns joins the
@@ -309,28 +308,26 @@ def _top_k(sims: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     and a row with fewer than k groups free of NaN gets a NaN cut and
     keeps every entry.
     """
-    block = np.atleast_2d(sims)
-    P, n = block.shape
+    P, n = sims.shape
     k = min(k, n)
     if k < n:
         g = n // TOPK_GROUP
         if g > k:
-            grouped = block[:, : g * TOPK_GROUP].reshape(P, TOPK_GROUP, g)
+            grouped = sims[:, : g * TOPK_GROUP].reshape(P, TOPK_GROUP, g)
             candidates = grouped.max(axis=1)
         else:
-            candidates = block
+            candidates = sims
         cut = -np.partition(-candidates, k - 1, axis=1)[:, k - 1 : k]
-        flat = np.flatnonzero(~(block < cut))
+        flat = np.flatnonzero(~(sims < cut))
     else:
         flat = np.arange(P * n)
     row, col = np.divmod(flat, n)  # ascending, so each row's entries are one run
-    order = np.lexsort((ids[col], -block.ravel()[flat], row))
+    order = np.lexsort((ids[col], -sims.ravel()[flat], row))
     # every row keeps at least k entries; row p's run starts after the
     # entries kept in the rows before it
     counts = np.bincount(row, minlength=P)
     start = np.cumsum(counts) - counts
-    top = col[order][start[:, None] + np.arange(k)]
-    return top.reshape(np.shape(sims)[:-1] + (k,))
+    return col[order][start[:, None] + np.arange(k)]
 
 
 def mine_hard_negatives(
@@ -348,7 +345,7 @@ def mine_hard_negatives(
     if len(candidate_ids) == 0:
         return candidate_ids
     sims = candidate_embeddings @ anchor_embedding
-    return candidate_ids[_top_k(sims, candidate_ids, keep)]
+    return candidate_ids[_top_k(sims[None], candidate_ids, keep)[0]]
 
 
 @dataclass

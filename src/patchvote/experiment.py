@@ -378,8 +378,8 @@ def train_pipeline(
 
 def evaluate_queries(bench: Benchmark, pipe: Pipeline, cfg: Config):
     """Score every benchmark query; a fully excluded query scores a miss."""
-    results, gts, qids = [], [], []
-    for qi, q in enumerate(bench.queries):
+    results, gts = [], []
+    for q in bench.queries:
         entry = bench.shapes[q.shape_id]
         shaded, _ = render_query(entry.mesh, q.view_quat, cfg, q.aug_seed)
         try:
@@ -392,8 +392,7 @@ def evaluate_queries(bench: Benchmark, pipe: Pipeline, cfg: Config):
             res = []
         results.append(res)
         gts.append(q.gt_shape_id)
-        qids.append(qi)
-    return results, gts, qids
+    return results, gts
 
 
 def run_retrieval_experiment(
@@ -408,8 +407,8 @@ def run_retrieval_experiment(
         num_shapes, leave_out, views_per_query, cfg.seed, views.medoids
     )
     pipe = train_pipeline(bench, cfg, views, patches_per_view)
-    results, gts, qids = evaluate_queries(bench, pipe, cfg)
-    report = build_report(results, gts, query_ids=qids, config=to_dict(cfg))
+    results, gts = evaluate_queries(bench, pipe, cfg)
+    report = build_report(results, gts, config=to_dict(cfg))
     return report, pipe, bench
 
 

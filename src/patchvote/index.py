@@ -296,26 +296,26 @@ def knn_query(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k by cosine similarity; ties break to the lower record id.
 
-    `query` is one embedding (d,) or a block of them (P, d). Returns the
-    record ids and their similarities, best first: (k,) arrays for one
-    embedding, (P, k) for a block, fewer than k columns when the search
-    holds fewer records. A `category` restricts the search to the
-    records of its shapes (category-conditioned retrieval); None
-    searches the whole index.
+    `query` is a block of P embeddings (P, d). Returns the record ids
+    and their similarities, best first, as (P, k) arrays, fewer than k
+    columns when the search holds fewer records. A `category` restricts
+    the search to the records of its shapes (category-conditioned
+    retrieval); None searches the whole index.
     """
     if len(index) == 0:
         raise EmptyIndexError("index holds no records")
     if k < 1:
         raise ValueError("k must be >= 1")
+    block = np.asarray(query, dtype=np.float64)
+    if block.ndim != 2:
+        raise ValueError(f"query must be a (P, d) block, not shape {block.shape}")
     ids, rows = index.scope(category)
-    query = np.asarray(query, dtype=np.float64)
-    block = np.atleast_2d(query)
     # numpy scores a one-row product with gemv, whose sums can round
     # apart from gemm's; a doubled row keeps every product on gemm
     scored = np.vstack((block, block)) if len(block) == 1 else block
-    sims = (scored @ rows.T)[: len(block)].reshape(query.shape[:-1] + (len(ids),))
+    sims = (scored @ rows.T)[: len(block)]
     top = _top_k(sims, ids, k)
-    return ids[top], np.take_along_axis(sims, top, axis=-1)
+    return ids[top], np.take_along_axis(sims, top, axis=1)
 
 
 @dataclass
@@ -371,7 +371,9 @@ def retrieve_shape(
     A query patch votes when any of its pixels lies on the instance
     mask; `excluded_patches` counts only the patches off it. Unlike the
     index build, retrieval applies no coverage floor, so a patch that
-    barely touches the instance still votes.
+    barely touches the instance still votes. A model whose image tower
+    does not take the config's pooled features, or does not embed to the
+    index's dimension, is a FormatError.
     """
     if kq < 1 or kr < 1:
         raise ValueError("kq and kr must be >= 1")
@@ -380,6 +382,17 @@ def retrieve_shape(
     if cfg is None:
         with fields("index manifest"):
             cfg = from_dict(index.manifest["config"])
+    d_in, d = model.image.W1.shape[0], model.image.W2.shape[1]
+    if d_in != cfg.pool_size**2:
+        raise FormatError(
+            f"model image tower takes {d_in} features, but pool_size "
+            f"{cfg.pool_size} pools {cfg.pool_size**2}"
+        )
+    if d != index.embeddings.shape[1]:
+        raise FormatError(
+            f"model embeds to d={d}, but the index holds "
+            f"d={index.embeddings.shape[1]}"
+        )
 
     patches = sample_patches(query_raster, cfg.patch_fraction, kq, seed)
     overlap = rect_windows(instance_mask, patches).any(axis=(1, 2))

@@ -1,4 +1,4 @@
-"""Triangle mesh ingestion: OBJ parsing, canonical normalization, sampling.
+"""Triangle meshes: canonical normalization and surface sampling.
 
 Meshes are kept as plain numpy arrays. Vertices are float64 (V, 3),
 triangles are int64 (F, 3) with 0-based indices. The canonical frame
@@ -7,12 +7,11 @@ used everywhere downstream is bbox-centered with longest extent 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MeshError, ObjParseError
+from .errors import MeshError
 
 
 @dataclass
@@ -40,77 +39,6 @@ class SurfaceSamples:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-
-def parse_obj(data: bytes | str, category: str = "") -> TriMesh:
-    """Parse the {v, f, vn, comment} subset of Wavefront OBJ.
-
-    Polygonal faces are fan-triangulated from their first vertex.
-    Negative face indices are resolved relative to the vertices defined
-    so far, per the OBJ convention. vt/vn components of face tokens are
-    ignored. Input must be UTF-8 and coordinates finite. Errors carry
-    the 1-based line number.
-    """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise ObjParseError(f"not UTF-8: {exc.reason}", line) from None
-    vertices: list[tuple[float, float, float]] = []
-    triangles: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        tag = tokens[0]
-        if tag == "v":
-            if len(tokens) < 4:
-                raise ObjParseError("vertex needs 3 coordinates", lineno)
-            try:
-                xyz = tuple(float(t) for t in tokens[1:4])
-            except ValueError:
-                raise ObjParseError(f"bad vertex coordinate in {line!r}", lineno)
-            if not all(math.isfinite(c) for c in xyz):
-                raise ObjParseError(f"non-finite vertex coordinate in {line!r}", lineno)
-            vertices.append(xyz)
-        elif tag == "f":
-            if len(tokens) < 4:
-                raise ObjParseError("face needs at least 3 vertices", lineno)
-            idx = []
-            for tok in tokens[1:]:
-                head = tok.split("/")[0]
-                try:
-                    ref = int(head)
-                except ValueError:
-                    raise ObjParseError(f"bad face index {tok!r}", lineno)
-                if ref < 0:
-                    ref = len(vertices) + ref  # relative to vertices so far
-                else:
-                    ref = ref - 1
-                if not 0 <= ref < len(vertices):
-                    raise ObjParseError(f"face index {tok!r} out of range", lineno)
-                idx.append(ref)
-            for i in range(1, len(idx) - 1):
-                triangles.append((idx[0], idx[i], idx[i + 1]))
-        # vn, vt, and any other directives carry no geometry we use
-    if not triangles:
-        raise ObjParseError("no faces found")
-    return TriMesh(np.array(vertices), np.array(triangles), category=category)
-
-
-def load_obj(path: str, category: str = "") -> TriMesh:
-    with open(path, "rb") as fh:
-        return parse_obj(fh.read(), category=category)
-
-
-def save_obj(mesh: TriMesh, path: str) -> None:
-    """Emit geometry-only OBJ (1-based indices) for inspection."""
-    lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in mesh.vertices]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def bounds(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:

@@ -77,21 +77,18 @@ class MetricsReport:
     config: dict = field(default_factory=dict)
 
 
-def build_report(results, gts, *, query_ids=None, fscores=None, config=None):
+def build_report(results, gts, *, fscores=None, config=None):
     if len(results) != len(gts):
         raise ValueError(
             f"results ({len(results)}) and gts ({len(gts)}) length mismatch"
         )
-    n = len(results)
-    if query_ids is None:
-        query_ids = list(range(n))
     rows = []
-    for i in range(n):
+    for i in range(len(results)):
         ranked = _ranked(results[i])
         gt = int(gts[i])
         rank = ranked.index(gt) + 1 if gt in ranked else -1
         rows.append(QueryRow(
-            query_id=int(query_ids[i]),
+            query_id=i,
             gt_shape=gt,
             ranked=ranked[:MAX_RECALL_K],
             gt_rank=rank,

@@ -30,9 +30,6 @@ class PoseHeadParams:
     Wt: np.ndarray  # (d_in, 2) translation ratios
     bt: np.ndarray
 
-    def copy(self) -> "PoseHeadParams":
-        return PoseHeadParams(*(a.copy() for a in self.arrays()))
-
     def arrays(self):
         return (self.Wc, self.bc, self.Wq, self.bq, self.Wt, self.bt)
 

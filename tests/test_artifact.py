@@ -1,4 +1,4 @@
-"""Artifact framing, and fuzzing of the model, view set, config and benchmark readers.
+"""Artifact framing, and fuzzing of the model, view set and config readers.
 
 Every fuzzed input must either load into a well-formed object or raise
 a PatchVoteError subclass; any other exception fails the test. The index
@@ -24,12 +24,6 @@ from patchvote.embed import (
     save_model,
 )
 from patchvote.errors import FormatError, PatchVoteError
-from patchvote.synth import (
-    Benchmark,
-    generate_benchmark,
-    load_benchmark,
-    save_benchmark,
-)
 from patchvote.views import (
     ViewSet,
     kmedoids,
@@ -220,11 +214,14 @@ class TestViewSetReaderFuzz:
             {"n": 2, "medoids": [[1, 0, 0, 0], [0, 1e400, 0, 0]]},
             {"n": 1, "medoids": [[0, 0, 0, 0]]},
             {"n": 2, "medoids": [[1, 0, 0, 0], [0, 0, 1.00001, 0]]},
+            {"n": 1, "medoids": [[0.5, 0.5, 0.5, 0.5 + 3e-6]]},
+            {"n": 1, "medoids": [[2, 0, 0, 0]]},
         ],
         ids=[
             "list-root", "string-medoid", "null-medoid", "short-row", "ragged",
             "no-n", "string-seed", "infinite-seed", "list-source-size",
             "nan-medoid", "infinite-medoid", "zero-medoid", "long-medoid",
+            "just-off-medoid", "double-medoid",
         ],
     )
     def test_malformed_document_is_format_error(self, workdir, doc):
@@ -288,108 +285,3 @@ class TestConfigReaderFuzz:
     @given(raw=RANDOM_BYTES_OR_DOCUMENTS)
     def test_fuzz_random_bytes_and_documents(self, workdir, raw):
         config_loads_or_rejects(write(workdir / "fz.json", raw))
-
-
-# ---------------------------------------------------------------------------
-# benchmark manifest
-
-
-def benchmark_loads_or_rejects(path: str) -> None:
-    try:
-        bench = load_benchmark(path)
-    except PatchVoteError:
-        return
-    assert isinstance(bench, Benchmark)
-    for q in bench.queries:
-        assert q.view_quat.shape == (4,) and np.isfinite(q.view_quat).all()
-        assert not off_unit(q.view_quat)
-        assert q.shape_id in bench.shapes and q.gt_shape_id in bench.shapes
-    assert set(bench.database_ids) <= set(bench.shapes)
-
-
-class TestBenchmarkReaderFuzz:
-    """Corrupted manifests beside the valid OBJ files they name."""
-
-    @pytest.fixture(scope="class")
-    def bench_dir(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("bench")
-        bench = generate_benchmark(4, 0.0, 1, 2, random_rotations(4, seed=2))
-        save_benchmark(bench, str(root))
-        return root
-
-    @pytest.fixture(scope="class")
-    def blob(self, bench_dir):
-        return (bench_dir / "benchmark.json").read_bytes()
-
-    def test_missing_obj_names_the_shape(self, bench_dir, blob):
-        doc = json.loads(blob)
-        doc["shapes"]["1"]["obj"] = "shape_9999.obj"
-        path = write(bench_dir / "bad.json", json.dumps(doc).encode())
-        with pytest.raises(FormatError, match="shape 1.*shape_9999.obj"):
-            load_benchmark(path)
-
-    def test_unlisted_database_shape_rejected(self, bench_dir, blob):
-        doc = json.loads(blob)
-        doc["database"].append(42)
-        path = write(bench_dir / "bad.json", json.dumps(doc).encode())
-        with pytest.raises(FormatError, match="unlisted shapes \\[42\\]"):
-            load_benchmark(path)
-
-    @pytest.mark.parametrize(
-        "where, value",
-        [("quat", float("nan")), ("quat", 1e400), ("param", 1e400),
-         ("param", float("nan")), ("param", "0.5")],
-        ids=["nan-view-quat", "infinite-view-quat", "infinite-param", "nan-param",
-             "string-param"],
-    )
-    def test_non_finite_value_is_format_error(self, bench_dir, blob, where, value):
-        doc = json.loads(blob)
-        if where == "quat":
-            doc["queries"][0]["view_quat"][2] = value
-            match = "view_quat"
-        else:
-            params = doc["shapes"]["1"]["params"]
-            params[sorted(params)[0]] = value
-            match = "shape 1: a parameter is not a finite number"
-        text = json.dumps(doc).replace("Infinity", "1e400")
-        path = write(bench_dir / "bad.json", text.encode())
-        with pytest.raises(FormatError, match=match):
-            load_benchmark(path)
-
-    @pytest.mark.parametrize(
-        "quat", [[0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5 + 3e-6], [2, 0, 0, 0]],
-        ids=["zero", "just-off", "double"],
-    )
-    def test_view_quat_off_unit_is_format_error(self, bench_dir, blob, quat):
-        doc = json.loads(blob)
-        doc["queries"][-1]["view_quat"] = quat
-        path = write(bench_dir / "bad.json", json.dumps(doc).encode())
-        with pytest.raises(FormatError, match="view_quat is not a unit quaternion"):
-            load_benchmark(path)
-
-    def test_view_quat_within_tolerance_loads(self, bench_dir, blob):
-        doc = json.loads(blob)
-        doc["queries"][0]["view_quat"] = [0.5, 0.5, 0.5, 0.5 + 9e-7]
-        path = write(bench_dir / "near_unit.json", json.dumps(doc).encode())
-        assert load_benchmark(path).queries[0].view_quat[3] == 0.5 + 9e-7
-
-    def test_non_utf8_manifest_is_format_error(self, bench_dir, blob):
-        path = write(bench_dir / "bad.json", b"\xff" + blob)
-        with pytest.raises(FormatError, match="benchmark manifest"):
-            load_benchmark(path)
-
-    @settings(max_examples=100, deadline=None)
-    @given(cut=st.floats(min_value=0.0, max_value=1.0))
-    def test_fuzz_truncation(self, bench_dir, blob, cut):
-        data = blob[: int(cut * len(blob))]
-        benchmark_loads_or_rejects(write(bench_dir / "fz.json", data))
-
-    @settings(max_examples=300, deadline=None)
-    @given(flips=FLIPS)
-    def test_fuzz_bit_flips(self, bench_dir, blob, flips):
-        benchmark_loads_or_rejects(write(bench_dir / "fz.json", flip_bits(blob, flips)))
-
-    @settings(max_examples=200, deadline=None)
-    @given(raw=RANDOM_BYTES_OR_DOCUMENTS)
-    def test_fuzz_random_bytes_and_documents(self, bench_dir, raw):
-        benchmark_loads_or_rejects(write(bench_dir / "fz.json", raw))

@@ -148,31 +148,37 @@ class TestKnn:
     def test_exact_match_first(self):
         idx = micro_index([unit([1, 0, 0, 0]), unit([0, 1, 0, 0])], [0, 1])
         for category in WHOLE_AND_CHAIR:
-            ids, sims = knn_query(idx, unit([1, 0, 0, 0]), 1, category=category)
-            assert ids.tolist() == [0]
-            assert sims[0] == pytest.approx(1.0)
+            ids, sims = knn_query(idx, unit([[1, 0, 0, 0]]), 1, category=category)
+            assert ids.tolist() == [[0]]
+            assert sims[0, 0] == pytest.approx(1.0)
 
     def test_k_exceeding_size_returns_all_sorted(self):
         idx = micro_index(
             [unit([1, 0, 0, 0]), unit([1, 1, 0, 0]), unit([0, 1, 0, 0])], [0, 1, 2]
         )
         for category in WHOLE_AND_CHAIR:
-            ids, sims = knn_query(idx, unit([1, 0, 0, 0]), 10, category=category)
-            assert ids.tolist() == [0, 1, 2]
-            assert sims.tolist() == sorted(sims.tolist(), reverse=True)
+            ids, sims = knn_query(idx, unit([[1, 0, 0, 0]]), 10, category=category)
+            assert ids.tolist() == [[0, 1, 2]]
+            assert sims[0].tolist() == sorted(sims[0].tolist(), reverse=True)
 
     def test_identical_embeddings_tie_to_lower_id(self):
         v = unit([1, 2, 0, 0])
         idx = micro_index([v, v, v], [0, 1, 2])
         for category in WHOLE_AND_CHAIR:
-            ids, _ = knn_query(idx, v, 2, category=category)
-            assert ids.tolist() == [0, 1]
+            ids, _ = knn_query(idx, v[None], 2, category=category)
+            assert ids.tolist() == [[0, 1]]
 
     def test_empty_index_rejected(self):
         idx = micro_index(np.zeros((0, 4)), [])
         for category in WHOLE_AND_CHAIR:
             with pytest.raises(EmptyIndexError):
-                knn_query(idx, unit([1, 0, 0, 0]), 1, category=category)
+                knn_query(idx, unit([[1, 0, 0, 0]]), 1, category=category)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 1, 4)], ids=["vector", "3-d"])
+    def test_query_not_a_block_rejected(self, shape):
+        idx = micro_index([unit([1, 0, 0, 0])], [0])
+        with pytest.raises(ValueError, match=r"\(P, d\) block"):
+            knn_query(idx, np.ones(shape), 1)
 
     def test_scope_rows_are_cached_f64_of_its_records(self):
         idx = micro_index(
@@ -394,8 +400,9 @@ def reference_knn(index, query, k, category=None):
 
 
 def knn_lists(index, query, k, category=None):
-    ids, sims = knn_query(index, query, k, category=category)
-    return ids.tolist(), sims.tolist()
+    """One query's ids and similarities, searched as a one-row block."""
+    ids, sims = knn_query(index, query[None], k, category=category)
+    return ids[0].tolist(), sims[0].tolist()
 
 
 class TestKnnPartialTopK:
@@ -404,10 +411,8 @@ class TestKnnPartialTopK:
         # records 1..5 tie at the 2nd..6th place; k=3 keeps the two lowest ids
         idx = micro_index([b, a, b, a, a, a, b], [0, 1, 2, 3, 4, 5, 6])
         for category in WHOLE_AND_CHAIR:
-            ids, _ = knn_query(idx, a, 3, category=category)
-            assert ids.tolist() == [1, 3, 4]
-            ids, _ = knn_query(idx, b, 4, category=category)
-            assert ids.tolist() == [0, 2, 6, 1]
+            assert knn_lists(idx, a, 3, category)[0] == [1, 3, 4]
+            assert knn_lists(idx, b, 4, category)[0] == [0, 2, 6, 1]
 
     @pytest.mark.parametrize("k", [3, 4, 50])
     def test_k_at_least_subset_size_returns_whole_subset(self, k):
@@ -417,9 +422,9 @@ class TestKnnPartialTopK:
             [0, 1, 2, 3],
             categories={3: "table"},
         )
-        ids, sims = knn_query(idx, unit([1, 0, 0, 0]), k, category="chair")
-        assert ids.tolist() == [0, 1, 2]
-        assert ids.shape == sims.shape == (3,)
+        ids, sims = knn_query(idx, unit([[1, 0, 0, 0]]), k, category="chair")
+        assert ids.tolist() == [[0, 1, 2]]
+        assert ids.shape == sims.shape == (1, 3)
         block = np.stack([unit([1, 0, 0, 0]), unit([0, 1, 0, 0])])
         ids, sims = knn_query(idx, block, k, category="chair")
         assert ids.shape == sims.shape == (2, 3)
@@ -468,7 +473,7 @@ class TestKnnPartialTopK:
     def test_unknown_category_raises_empty_index(self):
         idx, model, raster, cfg = retrieval_fixture([unit([1, 1, 1, 1])], [0])
         with pytest.raises(EmptyIndexError):
-            knn_query(idx, unit([1, 1, 1, 1]), 1, category="sofa")
+            knn_query(idx, unit([[1, 1, 1, 1]]), 1, category="sofa")
         with pytest.raises(EmptyIndexError):
             retrieve_shape(
                 idx, raster, raster.mask, model, 2, 1, seed=0, cfg=cfg,
@@ -535,8 +540,8 @@ class TestKnnGroupCut:
         idx = micro_index(emb, [0] * n)
         q = np.array([1.0, 0.0, 0.0, 0.0])
         assert_knn_matches_reference(idx, np.stack([q, -q, q]), k)
-        ids, _ = knn_query(idx, q, k)
-        assert set(ids.tolist()) <= set(members.tolist())
+        ids, _ = knn_query(idx, q[None], k)
+        assert set(ids[0].tolist()) <= set(members.tolist())
         assert partition_widths[-1] == g
 
     def test_nan_records_and_nan_query_row(self):
@@ -595,7 +600,7 @@ class TestKnnGroupCut:
             for p, row in enumerate(block):
                 want = np.lexsort((ids, -row))[:k]
                 assert got[p].tolist() == want.tolist()
-                assert _top_k(row, ids, k).tolist() == want.tolist()
+                assert _top_k(row[None], ids, k)[0].tolist() == want.tolist()
 
 
 class TestRetrieveConfigFallback:
@@ -618,6 +623,24 @@ class TestRetrieveConfigFallback:
         idx, model, raster, _ = retrieval_fixture([unit([1, 1, 1, 1])], [0])
         del idx.manifest["config"]
         with pytest.raises(FormatError, match="index manifest"):
+            retrieve_shape(idx, raster, raster.mask, model, 1, 1, seed=0)
+
+
+class TestModelFitsIndex:
+    """A model that does not fit its index is rejected before any patch is read."""
+
+    def test_embedding_dim_differs_from_index(self):
+        _, _, raster, cfg = retrieval_fixture([unit([1, 1, 1, 1])], [0])
+        idx = micro_index([unit([1, 0, 0, 0, 0, 0, 0, 0])], [0], d=8)
+        model = init_params(cfg.pool_size**2, 12, 8, 32, seed=0)
+        with pytest.raises(FormatError, match="d=32, but the index holds d=8"):
+            retrieve_shape(idx, raster, raster.mask, model, 1, 1, seed=0, cfg=cfg)
+
+    def test_image_tower_input_differs_from_pooled_features(self):
+        idx, _, raster, _ = retrieval_fixture([unit([1, 1, 1, 1])], [0])
+        idx.manifest["config"] = to_dict(Config(pool_size=16, embed_dim=4))
+        model = init_params(100, 12, 8, 4, seed=0)
+        with pytest.raises(FormatError, match="100 features, but pool_size 16 pools 256"):
             retrieve_shape(idx, raster, raster.mask, model, 1, 1, seed=0)
 
 
@@ -804,7 +827,6 @@ class TestKnnBlockContract:
             n = len(idx.scope(category)[0])
             ids, sims = knn_query(idx, Y, n, category=category)
             for p in range(9):
-                for alone in (Y[p], Y[p : p + 1]):
-                    alone_ids, alone_sims = knn_query(idx, alone, n, category=category)
-                    assert alone_ids.reshape(-1).tolist() == ids[p].tolist()
-                    assert alone_sims.reshape(-1).tobytes() == sims[p].tobytes()
+                alone_ids, alone_sims = knn_query(idx, Y[p : p + 1], n, category=category)
+                assert alone_ids[0].tolist() == ids[p].tolist()
+                assert alone_sims[0].tobytes() == sims[p].tobytes()

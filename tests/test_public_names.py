@@ -26,8 +26,6 @@ ENTRY_POINTS = frozenset({
     "unpack_pose_section",
     "save_viewset",
     "load_viewset",
-    "save_benchmark",
-    "load_benchmark",
 })
 
 

@@ -2,9 +2,9 @@
 
 A binary artifact (the P2CI index, the P2CM model, a POSE section) is
 a magic, little-endian u32 header fields, then payload blocks: `pack`
-writes one and `Reader` walks one from the front. A JSON document (a
-view set, the index manifest, a config file) is one UTF-8 JSON object,
-read by `decode_json`. Every short read, bad magic, trailing byte,
+writes one and `Reader` walks one from the front. A JSON document (the
+index manifest, a config file) is one UTF-8 JSON object, read by
+`decode_json`. Every short read, bad magic, trailing byte,
 undecodable document, non-object root and missing or mistyped field
 raises FormatError naming the artifact and the part, as does a NaN or
 infinity in a float block read by `Reader.f4` or checked by

@@ -16,7 +16,9 @@ import os
 from dataclasses import asdict, dataclass, fields
 
 from .artifact import decode_json
+from .descriptor import patch_side
 from .errors import ConfigError, FormatError
+from .views import ROTATION_POOL
 
 ENV_CONFIG_PATH = "P2C_CONFIG"
 
@@ -98,6 +100,14 @@ def validate(cfg: Config) -> list[str]:
     for name in _COUNT_FIELDS:
         if getattr(cfg, name) < 1:
             errors.append(f"{name}: must be >= 1")
+    for name in ("num_views", "pose_bins"):
+        if getattr(cfg, name) > ROTATION_POOL:
+            errors.append(f"{name}: must be <= {ROTATION_POOL}, the rotation pool")
+    # a patch pools down to pool_size x pool_size, so it must be that wide
+    if 0 < cfg.patch_fraction <= 1 and _fits_float(cfg.render_resolution):
+        side = patch_side(cfg.patch_fraction, cfg.render_resolution)
+        if cfg.pool_size > side:
+            errors.append(f"pool_size: must be <= the patch side {side}")
     if cfg.negatives_keep > cfg.negatives_pool:
         errors.append("negatives_keep: must be <= negatives_pool")
     if not cfg.huber_delta > 0:

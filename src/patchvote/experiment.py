@@ -46,6 +46,7 @@ from .pose import (
 from .render import rasterize, scene_light, shade
 from .synth import QUERY_GAP_MAX, QUERY_GAP_MIN, Benchmark, generate_benchmark
 from .views import (
+    ROTATION_POOL,
     ViewSet,
     canonical_quat,
     kmedoids,
@@ -66,8 +67,6 @@ _POSE_MEDOID_OFFSET = 13
 _POSE_TRAIN_OFFSET = 17
 _POSE_EVAL_OFFSET = 19
 
-# uniform rotations the canonical grid's cfg.num_views medoids are chosen from
-_VIEW_POOL = 256
 # patches sampled per anchor view in the training corpus
 _ANCHOR_PATCHES = 8
 
@@ -80,7 +79,7 @@ def select_views(cfg: Config) -> ViewSet:
     take it from here.
     """
     seed = cfg.seed + _VIEW_SELECT_OFFSET
-    return kmedoids(random_rotations(_VIEW_POOL, seed), cfg.num_views, seed)
+    return kmedoids(random_rotations(ROTATION_POOL, seed), cfg.num_views, seed)
 
 
 def render_query(mesh, view, cfg: Config, seed: int):
@@ -467,7 +466,7 @@ def run_pose_experiment(
     eval_per_shape: int = 8,
 ) -> PoseEvaluation:
     medoid_set = kmedoids(
-        random_rotations(256, cfg.seed + _POSE_MEDOID_OFFSET),
+        random_rotations(ROTATION_POOL, cfg.seed + _POSE_MEDOID_OFFSET),
         cfg.pose_bins,
         cfg.seed + _POSE_MEDOID_OFFSET,
     )

@@ -13,9 +13,7 @@ one pipeline renders each (shape, canonical view) once with
 `render_views` and hands the normal maps to both passes of
 `enumerate_view_patches`. A render is reused only for the identical
 shape and view quaternion; jittered index views render their own. The
-corpus's anchor views are likewise one pass each: one `shade` call
-draws every noise variant, and one snap and one pool call cover all of
-the view's anchors.
+corpus's anchor views are one pass each as well (see build_corpus).
 
 Retrieval: Kq query patches vote; each patch elects the modal shape
 among its Kr nearest records, and the object-level answer is the
@@ -44,17 +42,7 @@ same f64 value in its category's search as in the whole index's, and a
 patch the same in a block of any size as alone; tests/test_index.py
 holds both. gemv does not: over a category's rows it rounds many
 records apart from gemv over the whole index. The top-k then runs once
-per block (embed._top_k). Each row's records split into strided groups
-of 64, and np.partition over the group maxima alone finds a cut: the
-k-th highest group maximum. The k best groups each hold a record at
-least that similar, so the cut never exceeds the row's k-th highest
-similarity. Only the entries not below the cut, every entry tied with
-the k-th included, are sorted by (row, similarity descending, record id
-ascending), and each row is the first k of its order, identical to a
-full sort of all records. A NaN similarity stays past the cut and sorts
-last, as in a full sort. With no more groups than k the whole row is
-partitioned instead, as in hard-negative mining, which shares the rule
-with one mat-vec per anchor and keeps 1,024 of about 3,900 candidates.
+per block, exact and with ties to the lower record id (embed._top_k).
 
 File format (little-endian, framed by `artifact`): magic, version,
 record count n, dimension d, manifest length and UTF-8 JSON manifest,
@@ -83,7 +71,7 @@ from .embed import (
 from .errors import EmptyIndexError, FormatError, NoRetrievalError, RenderError
 from .mesh import TriMesh
 from .render import NormalMap, ShadedRender, rasterize, scene_light
-from .views import ViewSet, viewset_doc
+from .views import ViewSet
 
 INDEX_MAGIC = b"P2CI"
 INDEX_VERSION = 1
@@ -275,7 +263,13 @@ def build_index(
         "shapes": {
             str(sid): {"category": shapes[sid].category} for sid in sorted(shapes)
         },
-        "views": viewset_doc(views),
+        # the one place a view grid is written to disk
+        "views": {
+            "n": len(views.medoids),
+            "medoids": [[float(c) for c in q] for q in views.medoids],
+            "seed": views.seed,
+            "source_size": views.source_size,
+        },
         "config": to_dict(cfg),
         "patches_per_view": patches_per_view,
     }

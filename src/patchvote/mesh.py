@@ -7,7 +7,7 @@ used everywhere downstream is bbox-centered with longest extent 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,8 @@ class TriMesh:
 class SurfaceSamples:
     """Area-weighted surface point set, stored as parallel arrays."""
 
-    positions: np.ndarray  # (n, 3) float64
-    normals: np.ndarray    # (n, 3) float64, unit rows
-    triangle_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    positions: np.ndarray     # (n, 3) float64
+    triangle_ids: np.ndarray  # (n,) int64
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -98,5 +97,4 @@ def sample_surface_points(mesh: TriMesh, count: int, seed: int) -> SurfaceSample
     b = mesh.vertices[mesh.triangles[tri_ids, 1]]
     c = mesh.vertices[mesh.triangles[tri_ids, 2]]
     positions = a + u[:, None] * (b - a) + v[:, None] * (c - a)
-    normals = face_normals(mesh)[tri_ids]
-    return SurfaceSamples(positions, normals, np.asarray(tri_ids, dtype=np.int64))
+    return SurfaceSamples(positions, np.asarray(tri_ids, dtype=np.int64))

@@ -35,27 +35,11 @@ class NormalMap:
     # which triangle won each pixel; diagnostic only
     tri_ids: np.ndarray | None = None
 
-    @property
-    def height(self) -> int:
-        return self.normals.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.normals.shape[1]
-
 
 @dataclass
 class ShadedRender:
     intensity: np.ndarray  # (h, w) float32 in [0, 1], or (n, h, w) for n noise draws
     mask: np.ndarray       # (h, w) bool, shared by every draw
-
-    @property
-    def height(self) -> int:
-        return self.mask.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.mask.shape[1]
 
 
 def rasterize(mesh: TriMesh, view: np.ndarray, resolution: int) -> NormalMap:
@@ -170,7 +154,7 @@ def shade(
     `seed[i]`, so each layer equals a one-seed call with that seed.
     """
     light = np.asarray(light_dir, dtype=np.float64)
-    if abs(np.linalg.norm(light) - 1.0) > 1e-6:
+    if off_unit(light):
         raise RenderError("light direction is not unit length")
     if not noise_sigma >= 0:
         raise RenderError("noise_sigma must be >= 0")

@@ -7,17 +7,15 @@ the double cover never produces two encodings of one rotation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .artifact import decode_json, fields
-from .errors import FormatError
-
 
 UNIT_TOL = 1e-6  # how far a rotation quaternion's norm may sit from 1
+# uniform rotations the canonical view grid and the pose bins are chosen
+# from, as k-medoids; num_views and pose_bins may not exceed it
+ROTATION_POOL = 256
 
 
 def off_unit(q: np.ndarray) -> np.ndarray:
@@ -170,38 +168,3 @@ def nearest_medoid(q: np.ndarray, medoids: np.ndarray) -> int:
     dots = np.abs(np.asarray(medoids) @ np.asarray(q))
     np.clip(dots, -1.0, 1.0, out=dots)
     return int(np.argmax(dots))  # max |dot| = min geodesic; ties -> lowest index
-
-
-def viewset_doc(vs: ViewSet) -> dict:
-    """A view set as JSON: a view-set file's whole text, an index manifest's views."""
-    return {
-        "n": len(vs.medoids),
-        "medoids": [[float(c) for c in q] for q in vs.medoids],
-        "seed": vs.seed,
-        "source_size": vs.source_size,
-    }
-
-
-def save_viewset(vs: ViewSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(viewset_doc(vs), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_viewset(path: str) -> ViewSet:
-    doc = decode_json(Path(path).read_bytes(), "view set")
-    with fields("view set"):
-        n = doc["n"]
-        medoids = np.asarray(doc["medoids"])
-        vs = ViewSet(
-            medoids=medoids.astype(np.float64),
-            source_size=int(doc.get("source_size", n)),
-            seed=int(doc.get("seed", 0)),
-        )
-    if medoids.dtype.kind not in "iuf" or medoids.shape != (n, 4):
-        raise FormatError("view set file inconsistent with its declared n")
-    if not np.isfinite(vs.medoids).all():
-        raise FormatError("view set holds a non-finite medoid")
-    if off_unit(vs.medoids).any():
-        raise FormatError("view set holds a medoid that is not a unit quaternion")
-    return vs

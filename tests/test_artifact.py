@@ -1,4 +1,4 @@
-"""Artifact framing, and fuzzing of the model, view set and config readers.
+"""Artifact framing, and fuzzing of the model and config readers.
 
 Every fuzzed input must either load into a well-formed object or raise
 a PatchVoteError subclass; any other exception fails the test. The index
@@ -24,14 +24,6 @@ from patchvote.embed import (
     save_model,
 )
 from patchvote.errors import FormatError, PatchVoteError
-from patchvote.views import (
-    ViewSet,
-    kmedoids,
-    load_viewset,
-    off_unit,
-    random_rotations,
-    save_viewset,
-)
 
 
 class TestFraming:
@@ -174,83 +166,6 @@ class TestModelReaderFuzz:
     def test_fuzz_random_bytes(self, workdir, tail, with_magic):
         blob = (MODEL_MAGIC if with_magic else b"") + tail
         model_loads_or_rejects(write(workdir / "fz.p2cm", blob))
-
-
-# ---------------------------------------------------------------------------
-# view set
-
-
-def viewset_loads_or_rejects(path: str) -> None:
-    try:
-        vs = load_viewset(path)
-    except PatchVoteError:
-        return
-    assert isinstance(vs, ViewSet)
-    assert vs.medoids.dtype == np.float64 and vs.medoids.shape == (len(vs), 4)
-    assert np.isfinite(vs.medoids).all() and not off_unit(vs.medoids).any()
-    assert isinstance(vs.seed, int) and isinstance(vs.source_size, int)
-
-
-class TestViewSetReaderFuzz:
-    @pytest.fixture(scope="class")
-    def blob(self, workdir):
-        p = workdir / "valid_views.json"
-        save_viewset(kmedoids(random_rotations(12, seed=4), k=3, seed=1), str(p))
-        return p.read_bytes()
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            [],
-            {"n": 1, "medoids": [[1, 0, 0, "x"]]},
-            {"n": 1, "medoids": [[1, 0, 0, None]]},
-            {"n": 1, "medoids": [[1, 0, 0]]},
-            {"n": 2, "medoids": [[1, 0, 0, 0], [1, 0]]},
-            {"medoids": [[1, 0, 0, 0]]},
-            {"n": 1, "medoids": [[1, 0, 0, 0]], "seed": "s"},
-            {"n": 1, "medoids": [[1, 0, 0, 0]], "seed": 1e400},
-            {"n": 1, "medoids": [[1, 0, 0, 0]], "source_size": [3]},
-            {"n": 1, "medoids": [[float("nan"), 0, 0, 0]]},
-            {"n": 2, "medoids": [[1, 0, 0, 0], [0, 1e400, 0, 0]]},
-            {"n": 1, "medoids": [[0, 0, 0, 0]]},
-            {"n": 2, "medoids": [[1, 0, 0, 0], [0, 0, 1.00001, 0]]},
-            {"n": 1, "medoids": [[0.5, 0.5, 0.5, 0.5 + 3e-6]]},
-            {"n": 1, "medoids": [[2, 0, 0, 0]]},
-        ],
-        ids=[
-            "list-root", "string-medoid", "null-medoid", "short-row", "ragged",
-            "no-n", "string-seed", "infinite-seed", "list-source-size",
-            "nan-medoid", "infinite-medoid", "zero-medoid", "long-medoid",
-            "just-off-medoid", "double-medoid",
-        ],
-    )
-    def test_malformed_document_is_format_error(self, workdir, doc):
-        text = json.dumps(doc).replace("Infinity", "1e400")
-        with pytest.raises(FormatError, match="view set"):
-            load_viewset(write(workdir / "bad_views.json", text.encode()))
-
-    def test_medoid_norm_within_tolerance_loads(self, workdir):
-        """A norm off 1 by up to 1e-6, the tolerance rasterize takes, loads."""
-        doc = {"n": 2, "medoids": [[1 + 9e-7, 0, 0, 0], [0, 0.6, 0.8, 0]]}
-        vs = load_viewset(write(workdir / "near_unit.json", json.dumps(doc).encode()))
-        assert vs.medoids[0, 0] == 1 + 9e-7
-
-    @settings(max_examples=150, deadline=None)
-    @given(cut=st.floats(min_value=0.0, max_value=1.0))
-    def test_fuzz_truncation(self, workdir, blob, cut):
-        data = blob[: int(cut * len(blob))]
-        viewset_loads_or_rejects(write(workdir / "fz_views.json", data))
-
-    @settings(max_examples=300, deadline=None)
-    @given(flips=FLIPS)
-    def test_fuzz_bit_flips(self, workdir, blob, flips):
-        data = flip_bits(blob, flips)
-        viewset_loads_or_rejects(write(workdir / "fz_views.json", data))
-
-    @settings(max_examples=200, deadline=None)
-    @given(raw=RANDOM_BYTES_OR_DOCUMENTS)
-    def test_fuzz_random_bytes_and_documents(self, workdir, raw):
-        viewset_loads_or_rejects(write(workdir / "fz_views.json", raw))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from patchvote.config import (
     save_config,
 )
 from patchvote.errors import ConfigError
+from patchvote.views import ROTATION_POOL
 
 
 class TestDefaults:
@@ -94,6 +95,21 @@ class TestValidation:
     def test_wrong_field_type_rejected_naming_field(self, data, field):
         with pytest.raises(ConfigError, match=f"^{field}: must be"):
             from_dict(data)
+
+    @pytest.mark.parametrize("field", ["num_views", "pose_bins"])
+    def test_more_medoids_than_the_rotation_pool_rejected(self, field):
+        """Both grids are k-medoids over ROTATION_POOL rotations."""
+        assert from_dict({field: ROTATION_POOL})
+        with pytest.raises(ConfigError, match=f"^{field}: must be <= {ROTATION_POOL}"):
+            from_dict({field: ROTATION_POOL + 1})
+
+    def test_pool_size_wider_than_the_patch_rejected(self):
+        """The default patch side is round(96 / 3) = 32 pixels."""
+        assert from_dict({"pool_size": 32})
+        with pytest.raises(ConfigError, match="^pool_size: must be <= the patch side 32$"):
+            from_dict({"pool_size": 40})
+        with pytest.raises(ConfigError, match="^pool_size: must be <= the patch side 16$"):
+            from_dict({"pool_size": 17, "render_resolution": 48})
 
     def test_float_field_takes_an_int(self):
         cfg = from_dict({"tau": 1, "weight_c": 3})

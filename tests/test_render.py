@@ -162,16 +162,21 @@ class TestShade:
         stack = shade(nmap, light, sigma, seeds)
         assert stack.intensity.shape == (4, 48, 48)
         assert stack.intensity.dtype == np.float32
-        assert (stack.height, stack.width) == (48, 48)
+        assert stack.mask.shape == (48, 48)
         np.testing.assert_array_equal(stack.mask, nmap.mask)
         for layer, s in zip(stack.intensity, seeds):
             one = shade(nmap, light, sigma, s)
             assert layer.tobytes() == one.intensity.tobytes()
         assert shade(nmap, light, sigma, []).intensity.shape == (0, 48, 48)
 
-    def test_non_unit_light_rejected(self):
+    @pytest.mark.parametrize(
+        "light",
+        [[0.0, 0.0, 2.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        ids=["double", "nan", "infinite", "zero"],
+    )
+    def test_non_unit_light_rejected(self, light):
         with pytest.raises(RenderError, match="light"):
-            shade(self.flat_nmap(), np.array([0.0, 0.0, 2.0]), 0.0, seed=0)
+            shade(self.flat_nmap(), np.array(light), 0.0, seed=0)
 
     def test_camera_headlight_lights_facing_face(self):
         view = axis_angle_quat([0, 1, 0], -np.pi / 2)

@@ -5,15 +5,14 @@ from patchvote.views import (
     axis_angle_quat,
     canonical_quat,
     kmedoids,
-    load_viewset,
     nearest_medoid,
+    off_unit,
     pairwise_geodesic,
     quat_conj,
     quat_geodesic,
     quat_mul,
     quat_to_matrix,
     random_rotations,
-    save_viewset,
 )
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -180,17 +179,34 @@ class TestKMedoids:
             kmedoids(self.four_rotations(), k=5, seed=0)
 
 
-class TestViewSetIO:
-    def test_round_trip(self, tmp_path):
-        pts = random_rotations(40, seed=6)
-        vs = kmedoids(pts, k=6, seed=3)
-        p = tmp_path / "views.json"
-        save_viewset(vs, str(p))
-        back = load_viewset(str(p))
-        np.testing.assert_allclose(back.medoids, vs.medoids, atol=1e-15)
-        assert back.source_size == 40
-        assert back.seed == 3
+class TestOffUnit:
+    """off_unit is the unit-norm rule rasterize and shade apply: a norm
+    off 1 by more than 1e-6 is off, and so is a NaN norm."""
 
+    @pytest.mark.parametrize(
+        "q, off",
+        [
+            ([1 + 9e-7, 0, 0, 0], False),
+            ([0, 0.6, 0.8, 0], False),
+            ([0.5, 0.5, 0.5, 0.5 + 3e-6], True),
+            ([2, 0, 0, 0], True),
+            ([0, 0, 0, 0], True),
+            ([np.nan, 0, 0, 0], True),
+            ([np.inf, 0, 0, 0], True),
+        ],
+        ids=["within-tolerance", "unit", "just-off", "double", "zero", "nan", "infinite"],
+    )
+    def test_single_quaternion(self, q, off):
+        assert bool(off_unit(np.array(q, dtype=np.float64))) is off
+
+    def test_block_flags_each_row(self):
+        block = np.array(
+            [[1, 0, 0, 0], [2, 0, 0, 0], [0.5, 0.5, 0.5, 0.5], [np.nan, 0, 0, 0]]
+        )
+        np.testing.assert_array_equal(off_unit(block), [False, True, False, True])
+
+
+class TestViewSetIO:
     def test_random_rotations_seeded(self):
         np.testing.assert_array_equal(
             random_rotations(10, seed=1), random_rotations(10, seed=1)

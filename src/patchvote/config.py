@@ -85,6 +85,8 @@ def validate(cfg: Config) -> list[str]:
             errors.append(f"{f.name}: must be finite")
         elif f.type == "float" and isinstance(value, int) and not _fits_float(value):
             errors.append(f"{f.name}: must fit in a float")
+        elif f.type == "int" and not -(2**63) <= value < 2**63:
+            errors.append(f"{f.name}: must be a 64-bit integer")
     if not cfg.tau > 0:
         errors.append("tau: must be > 0")
     if not cfg.weight_c > 0:

@@ -427,7 +427,6 @@ def pose_samples(
     feats = np.empty((n, cfg.pool_size * cfg.pool_size), dtype=np.float64)
     bins = np.empty(n, dtype=np.int64)
     offsets = np.empty((n, 4), dtype=np.float64)
-    trans = np.empty((n, 2), dtype=np.float64)
     idx = 0
     for sid in sids:
         for j in range(per_shape):
@@ -441,12 +440,8 @@ def pose_samples(
             b, resid = assign_rotation_bin(medoids, rot)
             bins[idx] = b
             offsets[idx] = resid
-            ys, xs = np.nonzero(shaded.mask)
-            cy = (ys.min() + ys.max() + 1) / 2.0
-            cx = (xs.min() + xs.max() + 1) / 2.0
-            trans[idx] = ((cx - res / 2.0) / res, (cy - res / 2.0) / res)
             idx += 1
-    return PoseDataset(feats, bins, offsets, trans), rots
+    return PoseDataset(feats, bins, offsets), rots
 
 
 @dataclass
@@ -479,7 +474,7 @@ def run_pose_experiment(
         db, cfg, medoids, eval_per_shape, cfg.seed + _POSE_EVAL_OFFSET
     )
     result = train_pose_head(train_ds, cfg)
-    logits, offs, _, _ = pose_forward(result.params, eval_ds.features)
+    logits, offs, _ = pose_forward(result.params, eval_ds.features)
     pred_bins = logits.argmax(axis=1)
     accuracy = float(np.mean(pred_bins == eval_ds.gt_bins))
     errors = np.empty(len(eval_rots))

@@ -1,11 +1,10 @@
 """Pose head: rotation-bin classification plus quaternion refinement.
 
 Rotation space is quantized into K medoid bins; the head classifies the
-bin with cross entropy and regresses a residual quaternion and a 2D
-box-relative translation, both under a Huber loss. The final rotation
-is offset (x) medoid, in that fixed order. The head itself is linear
-over pooled whole-object render features, trained with the same plain
-SGD as the embedding towers.
+bin with cross entropy and regresses a residual quaternion under a
+Huber loss. The final rotation is offset (x) medoid, in that fixed
+order. The head itself is linear over pooled whole-object render
+features, trained with the same plain SGD as the embedding towers.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifact import Reader, f4, pack
 from .config import Config
 from .embed import _normalize_rows
 from .errors import TrainingError
@@ -27,11 +25,9 @@ class PoseHeadParams:
     bc: np.ndarray
     Wq: np.ndarray  # (d_in, 4) offset quaternion (pre-normalization)
     bq: np.ndarray
-    Wt: np.ndarray  # (d_in, 2) translation ratios
-    bt: np.ndarray
 
     def arrays(self):
-        return (self.Wc, self.bc, self.Wq, self.bq, self.Wt, self.bt)
+        return (self.Wc, self.bc, self.Wq, self.bq)
 
 
 def init_pose_head(d_in: int, k: int, seed: int) -> PoseHeadParams:
@@ -42,8 +38,6 @@ def init_pose_head(d_in: int, k: int, seed: int) -> PoseHeadParams:
         bc=np.zeros(k),
         Wq=rng.normal(0.0, s, size=(d_in, 4)),
         bq=np.zeros(4),
-        Wt=rng.normal(0.0, s, size=(d_in, 2)),
-        bt=np.zeros(2),
     )
 
 
@@ -75,13 +69,12 @@ def compose_rotation(
 
 
 def pose_forward(params: PoseHeadParams, X: np.ndarray):
-    """Raw head outputs for a feature batch: logits, unit offsets, translations."""
+    """Raw head outputs for a feature batch: logits, unit offsets, raw offsets."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     logits = X @ params.Wc + params.bc
     raw_q = X @ params.Wq + params.bq
     offsets, raw_q = _normalize_rows(raw_q)
-    trans = X @ params.Wt + params.bt
-    return logits, offsets, raw_q, trans
+    return logits, offsets, raw_q
 
 
 @dataclass
@@ -89,7 +82,6 @@ class PoseDataset:
     features: np.ndarray      # (N, d_in)
     gt_bins: np.ndarray       # (N,) int
     gt_offsets: np.ndarray    # (N, 4) canonical unit quaternions
-    gt_translations: np.ndarray  # (N, 2)
 
 
 @dataclass
@@ -106,7 +98,7 @@ def pose_loss_and_grad(
     if N == 0:
         raise TrainingError("empty pose batch")
     X = data.features
-    logits, offsets, raw_q, trans = pose_forward(params, X)
+    logits, offsets, raw_q = pose_forward(params, X)
 
     # cross entropy
     z = logits - logits.max(axis=1, keepdims=True)
@@ -127,20 +119,13 @@ def pose_loss_and_grad(
     norms = np.linalg.norm(raw_q, axis=1, keepdims=True)
     draw = (dY - np.sum(dY * offsets, axis=1, keepdims=True) * offsets) / norms
 
-    # translation huber
-    tres = trans - data.gt_translations
-    tr_loss = huber(tres, delta).sum(axis=1)
-    dtrans = huber_grad(tres, delta)
-
-    total = float((ce + off_loss + tr_loss).mean())
+    total = float((ce + off_loss).mean())
     scale = 1.0 / N
     grad = PoseHeadParams(
         Wc=X.T @ dlogits * scale,
         bc=dlogits.sum(axis=0) * scale,
         Wq=X.T @ draw * scale,
         bq=draw.sum(axis=0) * scale,
-        Wt=X.T @ dtrans * scale,
-        bt=dtrans.sum(axis=0) * scale,
     )
     return total, grad
 
@@ -150,7 +135,9 @@ def train_pose_head(data: PoseDataset, cfg: Config) -> PoseTrainResult:
     N = len(data.features)
     if N == 0:
         raise TrainingError("empty pose dataset")
-    k = max(int(data.gt_bins.max()) + 1, cfg.pose_bins)
+    k = cfg.pose_bins
+    if data.gt_bins.min() < 0 or data.gt_bins.max() >= k:
+        raise TrainingError(f"gt bins must lie in [0, pose_bins={k})")
     params = init_pose_head(data.features.shape[1], k, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 2)
     history = []
@@ -163,7 +150,6 @@ def train_pose_head(data: PoseDataset, cfg: Config) -> PoseTrainResult:
                 features=data.features[idx],
                 gt_bins=data.gt_bins[idx],
                 gt_offsets=data.gt_offsets[idx],
-                gt_translations=data.gt_translations[idx],
             )
             loss, grad = pose_loss_and_grad(params, batch, cfg.huber_delta)
             total += loss * len(idx)
@@ -171,21 +157,3 @@ def train_pose_head(data: PoseDataset, cfg: Config) -> PoseTrainResult:
                 arr -= cfg.learning_rate * g
         history.append((epoch, total / N))
     return PoseTrainResult(params=params, history=history)
-
-
-def pack_pose_section(params: PoseHeadParams, medoids: np.ndarray) -> bytes:
-    """Serialize head + bins: u32 K, u32 d_in, f64 medoids, f32 weights."""
-    d_in, k = params.Wc.shape
-    medoids = np.ascontiguousarray(medoids, dtype="<f8")
-    return pack(b"", (k, d_in), medoids, *f4(*params.arrays()))
-
-
-def unpack_pose_section(blob: bytes) -> tuple[PoseHeadParams, np.ndarray]:
-    reader = Reader(blob, "pose section")
-    k, d_in = reader.u32(2, "header")
-    medoids = reader.finite(reader.array("<f8", k * 4, "medoids"), "medoids")
-    medoids = medoids.reshape(k, 4).copy()
-    shapes = [(d_in, k), (k,), (d_in, 4), (4,), (d_in, 2), (2,)]
-    arrays = reader.f4(shapes, "weights")
-    reader.end()
-    return PoseHeadParams(*arrays), medoids

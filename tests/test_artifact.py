@@ -2,8 +2,7 @@
 
 Every fuzzed input must either load into a well-formed object or raise
 a PatchVoteError subclass; any other exception fails the test. The index
-and pose-section readers are fuzzed the same way in test_index.py and
-test_pose.py.
+reader is fuzzed the same way in test_index.py.
 """
 
 import json

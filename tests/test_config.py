@@ -90,6 +90,9 @@ class TestValidation:
             ({"kr": True}, "kr"),
             ({"tau": False}, "tau"),
             ({"theta_pos": [0.4]}, "theta_pos"),
+            ({"render_resolution": 10**400}, "render_resolution"),
+            ({"kq": 2**63}, "kq"),
+            ({"embed_dim": 2**63}, "embed_dim"),
         ],
     )
     def test_wrong_field_type_rejected_naming_field(self, data, field):

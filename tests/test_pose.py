@@ -1,12 +1,8 @@
-import struct
-
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from patchvote.config import Config
-from patchvote.errors import FormatError, PatchVoteError
+from patchvote.errors import TrainingError
 from patchvote.pose import (
     PoseDataset,
     PoseHeadParams,
@@ -14,11 +10,9 @@ from patchvote.pose import (
     compose_rotation,
     huber,
     init_pose_head,
-    pack_pose_section,
     pose_forward,
     pose_loss_and_grad,
     train_pose_head,
-    unpack_pose_section,
 )
 from patchvote.views import (
     axis_angle_quat,
@@ -83,7 +77,7 @@ class TestAssignBin:
             assert quat_geodesic(back, q) < 1e-6
 
 
-def fixed_head(logits, offset, trans, d_in=6):
+def fixed_head(logits, offset, d_in=6):
     """A head whose outputs are its biases, whatever the features."""
     k = len(logits)
     return PoseHeadParams(
@@ -91,58 +85,54 @@ def fixed_head(logits, offset, trans, d_in=6):
         bc=np.asarray(logits, dtype=float),
         Wq=np.zeros((d_in, 4)),
         bq=np.asarray(offset, dtype=float),
-        Wt=np.zeros((d_in, 2)),
-        bt=np.asarray(trans, dtype=float),
     )
 
 
-def one_sample_loss(logits, offset, trans, gt_bin, gt_offset, gt_trans):
+def one_sample_loss(logits, offset, gt_bin, gt_offset):
     """The batched pose loss of a fixed head on a one-sample batch."""
     data = PoseDataset(
         features=np.zeros((1, 6)),
         gt_bins=np.array([gt_bin]),
         gt_offsets=np.asarray(gt_offset, dtype=float)[None],
-        gt_translations=np.asarray(gt_trans, dtype=float)[None],
     )
-    loss, _ = pose_loss_and_grad(fixed_head(logits, offset, trans), data, 1.0)
+    loss, _ = pose_loss_and_grad(fixed_head(logits, offset), data, 1.0)
     return loss
 
 
 def predict(head, medoids):
     """Bin and composed rotation of one sample, as run_pose_experiment reads them."""
-    logits, offsets, _, _ = pose_forward(head, np.zeros(6))
+    logits, offsets, _ = pose_forward(head, np.zeros(6))
     b = int(logits[0].argmax())
     return b, compose_rotation(medoids, b, canonical_quat(offsets[0]))
 
 
 class TestPoseLosses:
-    # the offset and translation terms are zero where the prediction
-    # matches, so each check isolates the term it names
+    # the offset term is zero where the prediction matches, so each
+    # check isolates the term it names
     def test_uniform_logits_ce_is_ln_k(self):
         for k in (2, 8, 16):
-            loss = one_sample_loss(np.zeros(k), IDENTITY, np.zeros(2), 0, IDENTITY, np.zeros(2))
+            loss = one_sample_loss(np.zeros(k), IDENTITY, 0, IDENTITY)
             assert loss == pytest.approx(np.log(k))
 
     def test_perfect_prediction_zero_regression_loss(self):
         off = axis_angle_quat([1, 0, 0], 0.3)
-        trans = np.array([0.1, -0.2])
-        loss = one_sample_loss(np.array([9.0, 0.0]), off, trans, 0, off, trans)
-        # both Huber terms are nonnegative, so each is within the bound
+        loss = one_sample_loss(np.array([9.0, 0.0]), off, 0, off)
+        # the Huber term is nonnegative, so it is within the bound
         assert loss - np.logaddexp(0.0, -9.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_sign_alignment(self):
         off = axis_angle_quat([0, 1, 0], 0.8)
         gt = axis_angle_quat([0, 1, 0], 0.5)
-        a = one_sample_loss(np.zeros(4), off, np.zeros(2), 0, gt, np.zeros(2))
-        b = one_sample_loss(np.zeros(4), -off, np.zeros(2), 0, gt, np.zeros(2))
-        # the other terms match exactly, so the totals must too
+        a = one_sample_loss(np.zeros(4), off, 0, gt)
+        b = one_sample_loss(np.zeros(4), -off, 0, gt)
+        # the cross entropy matches exactly, so the totals must too
         assert a == b
 
     def test_huber_values_in_offset_loss(self):
         # offset differing by 0.5 in one component, quadratic branch
         gt = IDENTITY
         pred_q = canonical_quat([np.sqrt(0.75), 0.5, 0.0, 0.0])
-        loss = one_sample_loss(np.zeros(2), pred_q, np.zeros(2), 0, gt, np.zeros(2))
+        loss = one_sample_loss(np.zeros(2), pred_q, 0, gt)
         expect = huber(pred_q[0] - 1.0, 1.0) + huber(0.5, 1.0)
         assert loss - np.log(2.0) == pytest.approx(float(expect))
 
@@ -150,20 +140,20 @@ class TestPoseLosses:
 class TestPredict:
     def test_identity_offset_returns_medoid(self):
         medoids = random_rotations(4, seed=3)
-        b, rot = predict(fixed_head([0, 9, 0, 0], [1, 0, 0, 0], [0, 0]), medoids)
+        b, rot = predict(fixed_head([0, 9, 0, 0], [1, 0, 0, 0]), medoids)
         assert b == 1
         assert quat_geodesic(rot, medoids[1]) < 1e-9
 
     def test_argmax_bin_scale_invariant(self):
         medoids = random_rotations(3, seed=4)
         for scale in (1.0, 10.0, 0.01):
-            head = fixed_head(np.array([1.0, 3.0, 2.0]) * scale, [1, 0, 0, 0], [0, 0])
+            head = fixed_head(np.array([1.0, 3.0, 2.0]) * scale, [1, 0, 0, 0])
             assert predict(head, medoids)[0] == 1
 
     def test_offsets_compose_about_shared_axis(self):
         medoids = np.stack([axis_angle_quat([0, 0, 1], np.pi / 2)])
         off = axis_angle_quat([0, 0, 1], np.deg2rad(5))
-        _, rot = predict(fixed_head([1.0], off, [0, 0]), medoids)
+        _, rot = predict(fixed_head([1.0], off), medoids)
         expect = axis_angle_quat([0, 0, 1], np.deg2rad(95))
         assert quat_geodesic(rot, expect) < 1e-9
 
@@ -192,7 +182,6 @@ def random_pose_dataset(rng, n=12, d_in=5, k=4):
         features=rng.normal(size=(n, d_in)),
         gt_bins=rng.integers(0, k, size=n),
         gt_offsets=offsets,
-        gt_translations=rng.normal(size=(n, 2)) * 0.3,
     )
 
 
@@ -226,97 +215,12 @@ class TestPoseTraining:
         b = train_pose_head(data, cfg)
         assert a.history == b.history
 
-
-class TestPoseSection:
-    def test_round_trip(self):
-        params = init_pose_head(10, 6, seed=2)
-        medoids = random_rotations(6, seed=3)
-        blob = pack_pose_section(params, medoids)
-        back, med_back = unpack_pose_section(blob)
-        np.testing.assert_array_equal(med_back, medoids)
-        for a, b in zip(params.arrays(), back.arrays()):
-            np.testing.assert_allclose(a, b, atol=1e-6)
-        # repack of the unpacked values is byte identical
-        assert pack_pose_section(back, med_back) == blob
-
-    def test_truncation_rejected(self):
-        params = init_pose_head(4, 3, seed=0)
-        blob = pack_pose_section(params, random_rotations(3, seed=1))
-        from patchvote.errors import FormatError
-
-        with pytest.raises(FormatError):
-            unpack_pose_section(blob[:-4])
-
-
-VALID_SECTION = pack_pose_section(
-    init_pose_head(5, 3, seed=4), random_rotations(3, seed=5)
-)
-
-
-def unpacks_or_rejects(blob: bytes) -> None:
-    try:
-        params, medoids = unpack_pose_section(blob)
-    except PatchVoteError:
-        return
-    k = len(medoids)
-    assert medoids.shape == (k, 4)
-    assert params.Wc.shape[1] == k
-
-
-class TestPoseSectionMalformed:
-    def test_truncated_inside_medoids(self):
-        with pytest.raises(FormatError, match="medoids"):
-            unpack_pose_section(VALID_SECTION[: 8 + 3 * 32 - 1])
-
-    def test_header_claims_more_medoids_than_present(self):
-        blob = struct.pack("<II", 2**31, 5) + VALID_SECTION[8:]
-        with pytest.raises(FormatError):
-            unpack_pose_section(blob)
-
-    @settings(max_examples=150, deadline=None)
-    @given(cut=st.integers(min_value=0, max_value=len(VALID_SECTION)))
-    def test_fuzz_truncation(self, cut):
-        unpacks_or_rejects(VALID_SECTION[:cut])
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        flips=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=len(VALID_SECTION) - 1),
-                st.integers(min_value=0, max_value=7),
-            ),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    def test_fuzz_bit_flips(self, flips):
-        blob = bytearray(VALID_SECTION)
-        for pos, bit in flips:
-            blob[pos] ^= 1 << bit
-        unpacks_or_rejects(bytes(blob))
-
-    @settings(max_examples=200, deadline=None)
-    @given(tail=st.binary(max_size=256), header=st.booleans())
-    @example(tail=b"", header=True)
-    def test_fuzz_random_bytes(self, tail, header):
-        unpacks_or_rejects((VALID_SECTION[:8] if header else b"") + tail)
-
-    def test_trailing_bytes_rejected(self):
-        with pytest.raises(FormatError, match="trailing"):
-            unpack_pose_section(VALID_SECTION + b"\x00")
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_medoid_rejected(self, value):
-        medoids = random_rotations(3, seed=5)
-        medoids[1, 2] = value
-        blob = pack_pose_section(init_pose_head(5, 3, seed=4), medoids)
-        with pytest.raises(FormatError, match="non-finite value in medoids"):
-            unpack_pose_section(blob)
-
-    @pytest.mark.parametrize("name", ["Wc", "bc", "Wq", "bq", "Wt", "bt"])
-    def test_nan_weight_rejected(self, name):
-        head = init_pose_head(5, 3, seed=4)
-        getattr(head, name).flat[-1] = np.nan
-        blob = pack_pose_section(head, random_rotations(3, seed=5))
-        with pytest.raises(FormatError, match="non-finite value in weights"):
-            unpack_pose_section(blob)
+    @pytest.mark.parametrize("bad_bin", [4, -1], ids=["pose_bins", "negative"])
+    def test_gt_bin_outside_the_head_rejected(self, bad_bin):
+        """The head has exactly pose_bins logits, one per medoid."""
+        rng = np.random.default_rng(7)
+        data = random_pose_dataset(rng, n=10, d_in=6, k=4)
+        data.gt_bins[3] = bad_bin
+        cfg = Config(batch_size=8, seed=1, epochs=1, pose_bins=4)
+        with pytest.raises(TrainingError, match="pose_bins=4"):
+            train_pose_head(data, cfg)

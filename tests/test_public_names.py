@@ -25,9 +25,6 @@ ENTRY_POINTS = frozenset({
     # the config file a user writes and reads
     "save_config",
     "load_config",
-    # artifact readers and writers the robustness checks cover
-    "pack_pose_section",
-    "unpack_pose_section",
 })
 
 

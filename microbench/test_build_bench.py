@@ -8,8 +8,8 @@ The view is what perfbench's build renders: one synthetic chair of
 mid-range parameters at 96 px under the default Config, with the
 INDEX_PATCHES_PER_VIEW = 128 rects of side 32 that `enumerate_view_patches`
 samples. `content_rect` snaps the view's rects that meet the coverage
-floor on the noiseless shading, and `shape_patch_features` pools the
-snapped rects' normals into 16 x 16 cells. Two more pooling cases steer the kernel
+floor on the noiseless shading (`render.lambert`), and
+`shape_patch_features` pools the snapped rects' normals into 16 x 16 cells. Two more pooling cases steer the kernel
 through its other branches on the same rects: one 32 px bin per rect
 (the eight-accumulator sum) and 5 x 5 cells of uneven 6 and 7 px bins
 (two widths, each gathered).
@@ -20,13 +20,12 @@ ANCHOR_PATCHES = 8 it samples, one `content_rect` call snaps each rect
 on its own variant, and one `image_patch_features` call pools them.
 """
 
-import numpy as np
 import pytest
 
 from patchvote.config import Config
 from patchvote.descriptor import content_rect, coverage, sample_patches
 from patchvote.embed import image_patch_features, shape_patch_features
-from patchvote.render import rasterize, scene_light, shade
+from patchvote.render import lambert, rasterize, shade
 from patchvote.synth import PARAM_RANGES, SynthSpec, generate_shape
 from patchvote.views import axis_angle_quat
 
@@ -45,11 +44,10 @@ def mesh():
 @pytest.fixture(scope="module")
 def view(mesh):
     nmap = rasterize(mesh, VIEW, CFG.render_resolution)
-    lambert = np.maximum(0.0, nmap.normals @ scene_light())
-    lambert[~nmap.mask] = 0.0
+    weight = lambert(nmap)
     rects = sample_patches(nmap, CFG.patch_fraction, PATCHES_PER_VIEW, 7)
     kept = rects[coverage(nmap.mask, rects) >= CFG.min_coverage]
-    return nmap, lambert, content_rect(lambert, nmap.mask, kept), kept
+    return nmap, weight, content_rect(weight, nmap.mask, kept), kept
 
 
 def test_rasterize(benchmark, mesh):
@@ -62,8 +60,8 @@ def test_sample_patches(benchmark, view):
 
 
 def test_content_rect_view(benchmark, view):
-    nmap, lambert, _, kept = view
-    benchmark(content_rect, lambert, nmap.mask, kept)
+    nmap, weight, _, kept = view
+    benchmark(content_rect, weight, nmap.mask, kept)
 
 
 def test_pool_view(benchmark, view):
@@ -78,7 +76,7 @@ def test_pool_view_other_bins(benchmark, view, pool):
 
 
 def anchor_view_pass(nmap, rects, seeds):
-    variants = shade(nmap, scene_light(), CFG.shade_noise, seeds).intensity
+    variants = shade(nmap, CFG.shade_noise, seeds).intensity
     snapped = content_rect(variants, nmap.mask, rects)
     return image_patch_features(variants, snapped, CFG.pool_size)
 

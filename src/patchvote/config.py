@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 
 from .artifact import decode_json
@@ -21,6 +22,7 @@ from .errors import ConfigError, FormatError
 from .views import ROTATION_POOL
 
 ENV_CONFIG_PATH = "P2C_CONFIG"
+_LOG_F64_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,16 @@ def validate(cfg: Config) -> list[str]:
         errors.append("tau: must be > 0")
     if not cfg.weight_c > 0:
         errors.append("weight_c: must be > 0")
-    if not cfg.theta_pos > 0:
-        errors.append("theta_pos: must be > 0")
-    if not cfg.theta_neg <= 1:
-        errors.append("theta_neg: must be <= 1")
+    # the loss's largest exponential, exp(1/tau), and its largest
+    # denominator, (1 + weight_c) * exp(1/tau), must stay finite
+    if all(_fits_float(v) and 0 < v < math.inf for v in (cfg.tau, cfg.weight_c)):
+        if 1.0 / cfg.tau + math.log1p(cfg.weight_c) >= _LOG_F64_MAX:
+            errors.append(f"tau: 1/tau + log1p(weight_c) must be < {_LOG_F64_MAX:.2f}")
+    # both thresholds bound a footprint IoU, which lies in [0, 1]
+    if not 0 < cfg.theta_pos <= 1:
+        errors.append("theta_pos: must be in (0, 1]")
+    if not 0 <= cfg.theta_neg <= 1:
+        errors.append("theta_neg: must be in [0, 1]")
     if not 0 < cfg.patch_fraction <= 1:
         errors.append("patch_fraction: must be in (0, 1]")
     if not 0 <= cfg.min_coverage <= 1:

@@ -49,6 +49,9 @@ class TowerParams:
     def copy(self) -> "TowerParams":
         return TowerParams(self.image.copy(), self.shape.copy())
 
+    def arrays(self):
+        return self.image.arrays() + self.shape.arrays()
+
 
 def init_params(
     d_in_image: int, d_in_shape: int, h: int, d: int, seed: int
@@ -249,16 +252,18 @@ def nce_loss_and_grad(
     """Loss summed over anchors and its analytic parameter gradient.
 
     Per anchor: loss = -log(Dp / (Dp + C * Dn)), with Dp and Dn the means
-    of exp(cos/tau) over positives and negatives. Cosine arguments are
-    bounded by 1/tau, so the exponentials never overflow in double
-    precision.
+    of exp(cos/tau) over positives and negatives; every anchor must
+    carry at least one of each (train checks its corpus).
+
+    Cosine arguments are bounded by 1/tau, and config.validate keeps
+    1/tau + log1p(C) below log(f64 max), so every exponential, the
+    denominator Dp + C * Dn <= (1 + C) exp(1/tau) and the gradient stay
+    finite. The ratio C * Dn / Dp inside the log can reach C exp(2/tau),
+    so near that bound the loss itself can still read inf.
     """
     A = len(batch.anchor_feats)
     if A == 0:
         raise TrainingError("batch has no anchors")
-    for i in range(A):
-        if len(batch.pos_ids[i]) == 0 or len(batch.neg_ids[i]) == 0:
-            raise TrainingError(f"anchor {i} lacks positives or negatives")
 
     atrace = tower_forward(params.image, batch.anchor_feats)
     ctrace = tower_forward(params.shape, batch.cand_feats)
@@ -375,7 +380,7 @@ class EpochStats(NamedTuple):
 
     epoch: int
     loss: float  # mean loss per anchor over the epoch's batches
-    skipped: int  # anchors without positives or negatives, build-time skips included
+    skipped: int  # anchors build_corpus dropped for want of a positive or a negative
     pos_cos: float  # mean cosine over every (anchor, positive) pair
     hard_neg_cos: float  # mean over anchors of the cosine to its hardest mined negative
     pos_beats_neg: float  # share of anchors whose best positive beats that negative
@@ -387,12 +392,11 @@ class TrainResult:
     history: list[EpochStats] = field(default_factory=list)
 
 
-def _sgd_step(params: TowerParams, grad: TowerParams, lr: float) -> None:
-    for tower, g in ((params.image, grad.image), (params.shape, grad.shape)):
-        tower.W1 -= lr * g.W1
-        tower.b1 -= lr * g.b1
-        tower.W2 -= lr * g.W2
-        tower.b2 -= lr * g.b2
+def _sgd_step(params, grad, lr: float) -> None:
+    """One plain SGD update, in place, of every array of params by the
+    same-position array of grad; any pair of objects with `arrays()`."""
+    for arr, g in zip(params.arrays(), grad.arrays()):
+        arr -= lr * g
 
 
 def _health(
@@ -423,12 +427,17 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
     weights each positive by the exponential of its similarity, so the
     best-aligned correspondence dominates and the loosely-overlapping
     ones fade without needing to win on their own.
-    Anchors left without positives or negatives are skipped and counted.
+    Every anchor must carry a positive and a negative: build_corpus
+    drops the ones that do not and counts them in skipped_anchors, and
+    an unlabelled anchor here is rejected before the first epoch.
     Each epoch appends one EpochStats row to the history.
     """
     A = len(corpus.anchor_feats)
     if A == 0:
         raise TrainingError("empty corpus: no anchors")
+    for i in range(A):
+        if len(corpus.pos_lists[i]) == 0 or len(corpus.neg_lists[i]) == 0:
+            raise TrainingError(f"anchor {i} lacks positives or negatives")
     if params is None:
         params = init_params(
             d_in_image=corpus.anchor_feats.shape[1],
@@ -440,27 +449,15 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
     rng = np.random.default_rng(cfg.seed + 1)
     history: list[EpochStats] = []
 
-    eligible = np.array(
-        [
-            i
-            for i in range(A)
-            if len(corpus.pos_lists[i]) and len(corpus.neg_lists[i])
-        ],
-        dtype=np.int64,
-    )
-    skipped = A - len(eligible) + corpus.skipped_anchors
-    if len(eligible) == 0:
-        raise TrainingError("all anchors skipped: nothing to train on")
-
     # a batch's candidate rows are the marked ids in ascending order, and
     # slot maps each of them to its row in the batch; both are reused
     mark = np.zeros(len(corpus.cand_feats), dtype=bool)
     slot = np.zeros(len(corpus.cand_feats), dtype=np.intp)
     for epoch in range(cfg.epochs):
-        if len(eligible) > cfg.anchors_per_epoch:
-            sel = rng.choice(eligible, cfg.anchors_per_epoch, replace=False)
+        if A > cfg.anchors_per_epoch:
+            sel = rng.choice(A, cfg.anchors_per_epoch, replace=False)
         else:
-            sel = eligible.copy()
+            sel = np.arange(A)
         rng.shuffle(sel)
         anchor_y = tower_forward(params.image, corpus.anchor_feats[sel]).Y
         cand_y = tower_forward(params.shape, corpus.cand_feats).Y
@@ -489,7 +486,9 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
             loss, grad = nce_loss_and_grad(params, batch, cfg)
             total += loss
             _sgd_step(params, grad, cfg.learning_rate / len(batch.anchor_feats))
-        history.append(EpochStats(epoch, total / len(sel), skipped, *health))
+        history.append(
+            EpochStats(epoch, total / len(sel), corpus.skipped_anchors, *health)
+        )
 
     return TrainResult(params=params, history=history)
 

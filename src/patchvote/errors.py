@@ -30,7 +30,7 @@ class SynthError(PatchVoteError):
 
 
 class TrainingError(PatchVoteError):
-    """Training cannot proceed (empty corpus, all anchors skipped)."""
+    """Training cannot proceed (empty corpus, an anchor without labels)."""
 
 
 class EmptyIndexError(PatchVoteError):

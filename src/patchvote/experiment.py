@@ -43,17 +43,16 @@ from .pose import (
     pose_forward,
     train_pose_head,
 )
-from .render import rasterize, scene_light, shade
+from .render import SCENE_LIGHT, rasterize, shade
 from .synth import QUERY_GAP_MAX, QUERY_GAP_MIN, Benchmark, generate_benchmark
 from .views import (
-    ROTATION_POOL,
     ViewSet,
     canonical_quat,
-    kmedoids,
     nearest_medoid,
     perturb_quat,
     quat_geodesic,
     random_rotations,
+    rotation_grid,
 )
 
 # disjoint seed streams hanging off cfg.seed; collisions would correlate
@@ -72,20 +71,19 @@ _ANCHOR_PATCHES = 8
 
 
 def select_views(cfg: Config) -> ViewSet:
-    """The canonical view grid: k-medoids over a pool of uniform rotations.
+    """The canonical view grid, a rotation grid of cfg.num_views medoids.
 
     The one place the grid is decided: the index, the training corpus and
     the benchmark's query offsets (generate_benchmark's base_views) all
     take it from here.
     """
-    seed = cfg.seed + _VIEW_SELECT_OFFSET
-    return kmedoids(random_rotations(ROTATION_POOL, seed), cfg.num_views, seed)
+    return rotation_grid(cfg.num_views, cfg.seed + _VIEW_SELECT_OFFSET)
 
 
 def render_query(mesh, view, cfg: Config, seed: int):
     """Shaded render of a mesh under the fixed scene light at the given view."""
     nmap = rasterize(mesh, view, cfg.render_resolution)
-    shaded = shade(nmap, scene_light(), cfg.shade_noise, seed)
+    shaded = shade(nmap, cfg.shade_noise, seed)
     return shaded, nmap
 
 
@@ -162,7 +160,6 @@ def build_corpus(
     cand_feats, cand_sids, cand_vids, cand_rects = map(np.concatenate, zip(*blocks))
     sids_sorted = sorted(db)
     rot_rng = np.random.default_rng(cfg.seed + _ANCHOR_ROT_OFFSET)
-    light = scene_light()
     anchor_feats, pos_lists, neg_lists = [], [], []
     skipped = 0
     for sid in sids_sorted:
@@ -184,7 +181,6 @@ def build_corpus(
                 continue
             variants = shade(
                 nmap,
-                light,
                 cfg.shade_noise,
                 [
                     derive_seed(
@@ -240,7 +236,6 @@ def build_corpus(
 @dataclass
 class Pipeline:
     model: TowerParams
-    views: ViewSet
     index: PatchIndex
     history: list
 
@@ -280,9 +275,9 @@ def lit_init(cfg: Config, corpus: PatchCorpus) -> TowerParams:
     """Initial towers that agree through the rendering physics.
 
     Two facts shape the construction. First, a rendered pixel is
-    rectified Lambert shading, so dotting a pooled normal cell with the
-    light reproduces the pooled intensity cell wherever the cell faces
-    the light. Second, a hidden relu distributes over a sum of
+    rectified Lambert shading (render.lambert, in both domains), so
+    dotting a pooled normal cell with the light reproduces the pooled
+    intensity cell wherever the cell faces the light. Second, a hidden relu distributes over a sum of
     same-sign terms, so a hidden unit whose input weights are local and
     nonnegative rectifies its whole receptive field at once; a dense
     random first layer cannot, which is why a plain linear map between
@@ -291,7 +286,7 @@ def lit_init(cfg: Config, corpus: PatchCorpus) -> TowerParams:
     The image tower therefore starts as a grid of nonnegative Gaussian
     bumps over the pooled cells (a blur, transparent to its own relu
     because intensities are nonnegative), the shape tower starts as
-    those same bumps composed with the light direction, and the output
+    those same bumps composed with SCENE_LIGHT, and the output
     layer is shared verbatim. Both towers then assign nearly the same
     embedding to an image patch and to the shape record it was rendered
     from, except where a receptive field straddles lit and unlit faces,
@@ -330,10 +325,9 @@ def lit_init(cfg: Config, corpus: PatchCorpus) -> TowerParams:
     W1 = np.exp(-d2 / (2.0 * _LIT_INIT_SIGMA**2))
     W1 /= np.linalg.norm(W1, axis=0, keepdims=True)
     params.image.W1 = W1
-    light = scene_light()
     W1s = np.zeros_like(params.shape.W1)
     for c in range(3):
-        W1s[c::3, :] = light[c] * W1
+        W1s[c::3, :] = SCENE_LIGHT[c] * W1
     params.shape.W1 = W1s
     params.shape.b1 = params.image.b1.copy()
     params.shape.W2 = params.image.W2.copy()
@@ -369,7 +363,6 @@ def train_pipeline(
     )
     return Pipeline(
         model=result.params,
-        views=views,
         index=index,
         history=result.history,
     )
@@ -431,11 +424,7 @@ def pose_samples(
     for sid in sids:
         for j in range(per_shape):
             rot = rots[idx]
-            nmap = rasterize(shapes[sid], rot, res)
-            shaded = shade(
-                nmap, scene_light(), cfg.shade_noise,
-                derive_seed(seed, sid, j),
-            )
+            shaded, _ = render_query(shapes[sid], rot, cfg, derive_seed(seed, sid, j))
             feats[idx] = image_patch_features(shaded.intensity, whole, cfg.pool_size)[0]
             b, resid = assign_rotation_bin(medoids, rot)
             bins[idx] = b
@@ -460,12 +449,7 @@ def run_pose_experiment(
     train_per_shape: int = 24,
     eval_per_shape: int = 8,
 ) -> PoseEvaluation:
-    medoid_set = kmedoids(
-        random_rotations(ROTATION_POOL, cfg.seed + _POSE_MEDOID_OFFSET),
-        cfg.pose_bins,
-        cfg.seed + _POSE_MEDOID_OFFSET,
-    )
-    medoids = medoid_set.medoids
+    medoids = rotation_grid(cfg.pose_bins, cfg.seed + _POSE_MEDOID_OFFSET).medoids
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
     train_ds, _ = pose_samples(
         db, cfg, medoids, train_per_shape, cfg.seed + _POSE_TRAIN_OFFSET

@@ -70,7 +70,7 @@ from .embed import (
 )
 from .errors import EmptyIndexError, FormatError, NoRetrievalError, RenderError
 from .mesh import TriMesh
-from .render import NormalMap, ShadedRender, rasterize, scene_light
+from .render import NormalMap, ShadedRender, lambert, rasterize
 from .views import ViewSet
 
 INDEX_MAGIC = b"P2CI"
@@ -194,16 +194,15 @@ def enumerate_view_patches(
     Views with an empty projection are skipped, as are rects whose mask
     coverage is below cfg.min_coverage. Every rect is anchored to its
     content centroid before use (see content_rect), with the noiseless
-    shading as the weight so the placement matches what the image
-    domain computes from a photograph of the same surface. Rects that
-    collapse onto one snapped corner are deduplicated, keeping the
-    first in sample order, so patches_per_view is an upper bound per
-    view.
+    shading (render.lambert) as the weight so the placement matches
+    what the image domain computes from a photograph of the same
+    surface. Rects that collapse onto one snapped corner are
+    deduplicated, keeping the first in sample order, so
+    patches_per_view is an upper bound per view.
 
     A view found in `renders` (see render_views) is not rendered again;
     any other view is rendered here and not kept.
     """
-    light = scene_light()
     renders = renders or {}
     for sid in sorted(shapes):
         mesh = shapes[sid]
@@ -222,9 +221,7 @@ def enumerate_view_patches(
             rects = rects[coverage(nmap.mask, rects) >= cfg.min_coverage]
             if not len(rects):
                 continue
-            lambert = np.maximum(0.0, nmap.normals @ light)
-            lambert[~nmap.mask] = 0.0
-            rects = content_rect(lambert, nmap.mask, rects)
+            rects = content_rect(lambert(nmap), nmap.mask, rects)
             # the first rect at each snapped corner, in sample order
             _, first = np.unique(rects[:, :2], axis=0, return_index=True)
             rects = rects[np.sort(first)]

@@ -18,24 +18,6 @@ def _ranked(entry):
     return [int(s) for s in ids]
 
 
-def recall_at_k(results, gts, k):
-    """Fraction of queries whose ground-truth shape is in the top k."""
-    if len(results) != len(gts):
-        raise ValueError(
-            f"results ({len(results)}) and gts ({len(gts)}) length mismatch"
-        )
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not results:
-        raise ValueError("no queries to evaluate")
-    hits = sum(1 for res, gt in zip(results, gts) if int(gt) in _ranked(res)[:k])
-    return hits / len(results)
-
-
-def recall_curve(results, gts):
-    return {k: recall_at_k(results, gts, k) for k in range(1, MAX_RECALL_K + 1)}
-
-
 def mesh_fscore(pred, gt, threshold=0.05, samples=10000, seed=0):
     """Symmetric surface F-score between two meshes.
 
@@ -78,10 +60,17 @@ class MetricsReport:
 
 
 def build_report(results, gts, *, fscores=None, config=None):
+    """One row per query, and recall@k for k = 1..MAX_RECALL_K.
+
+    Recall@k is the share of rows whose ground-truth rank is 1..k, read
+    off each row's gt_rank, so it never falls as k grows.
+    """
     if len(results) != len(gts):
         raise ValueError(
             f"results ({len(results)}) and gts ({len(gts)}) length mismatch"
         )
+    if not results:
+        raise ValueError("no queries to evaluate")
     rows = []
     for i in range(len(results)):
         ranked = _ranked(results[i])
@@ -94,10 +83,11 @@ def build_report(results, gts, *, fscores=None, config=None):
             gt_rank=rank,
             fscore=None if fscores is None else fscores[i],
         ))
-    recall = recall_curve(results, gts)
-    vals = sorted(recall.values())
-    if vals != [recall[k] for k in sorted(recall)]:
-        raise ValueError("recall must be monotone in k")
+    ranks = [r.gt_rank for r in rows]
+    recall = {
+        k: sum(1 for rank in ranks if 1 <= rank <= k) / len(rows)
+        for k in range(1, MAX_RECALL_K + 1)
+    }
     fsc = [r.fscore for r in rows if r.fscore is not None]
     return MetricsReport(
         rows=rows,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config
-from .embed import _normalize_rows
+from .embed import _normalize_rows, _sgd_step
 from .errors import TrainingError
 from .views import canonical_quat, nearest_medoid, quat_conj, quat_mul
 
@@ -153,7 +153,6 @@ def train_pose_head(data: PoseDataset, cfg: Config) -> PoseTrainResult:
             )
             loss, grad = pose_loss_and_grad(params, batch, cfg.huber_delta)
             total += loss * len(idx)
-            for arr, g in zip(params.arrays(), grad.arrays()):
-                arr -= cfg.learning_rate * g
+            _sgd_step(params, grad, cfg.learning_rate)
         history.append((epoch, total / N))
     return PoseTrainResult(params=params, history=history)

@@ -1,5 +1,9 @@
 """Software rasterizer: canonical-space normal maps and shaded renders.
 
+Lighting: one directional light, SCENE_LIGHT. `lambert` is the one
+evaluation of its Lambert term, so the image domain (`shade`) and the
+shape domain (index.enumerate_view_patches) see one rendering model.
+
 Camera convention: orthographic camera on the +z axis looking toward -z.
 The view quaternion rotates the mesh itself; larger rotated z means
 closer to the camera, so the z-buffer keeps the maximum. Normals stored
@@ -26,6 +30,14 @@ from .mesh import TriMesh, face_normals
 from .views import off_unit, quat_to_matrix
 
 MARGIN = 0.05
+
+# The scene light, a unit vector fixed in the canonical frame. Because
+# the light never moves with the camera, a surface point keeps its
+# intensity from view to view, the way albedo does in a photograph. The
+# three components are deliberately distinct so each axis-aligned face
+# orientation lands on its own gray level.
+SCENE_LIGHT = np.array([0.5, 0.8, 0.33]) / np.linalg.norm([0.5, 0.8, 0.33])
+SCENE_LIGHT.flags.writeable = False
 
 
 @dataclass
@@ -135,37 +147,37 @@ def rasterize(mesh: TriMesh, view: np.ndarray, resolution: int) -> NormalMap:
     return NormalMap(normals=normals, mask=mask, tri_ids=tbuf)
 
 
+def lambert(nmap: NormalMap) -> np.ndarray:
+    """Noiseless Lambert term of the stored normals, (h, w) f64:
+    max(0, n . SCENE_LIGHT) inside the mask, 0 outside it."""
+    term = np.maximum(0.0, nmap.normals.astype(np.float64) @ SCENE_LIGHT)
+    term[~nmap.mask] = 0.0
+    return term
+
+
 def shade(
     nmap: NormalMap,
-    light_dir: np.ndarray,
     noise_sigma: float,
     seed: int | Sequence[int],
 ) -> ShadedRender:
-    """Single-directional Lambert shading of the stored normals.
-
-    The caller is responsible for expressing light_dir in the same frame
-    as the stored normals (the pipeline passes the camera light rotated
-    into the canonical frame, so this dot product equals the view-space
-    one).
+    """The Lambert term plus Gaussian pixel noise, clipped to [0, 1].
 
     With one seed the intensity is (h, w). With a sequence of n seeds it
     is an (n, h, w) stack of noise draws of the one view: the Lambert
     term is computed once and draw i adds the noise of its own stream
     `seed[i]`, so each layer equals a one-seed call with that seed.
+    Pixels off the mask read 0 in every draw.
     """
-    light = np.asarray(light_dir, dtype=np.float64)
-    if off_unit(light):
-        raise RenderError("light direction is not unit length")
     if not noise_sigma >= 0:
         raise RenderError("noise_sigma must be >= 0")
     one = np.ndim(seed) == 0
     seeds = [seed] if one else list(seed)
-    lambert = np.maximum(0.0, nmap.normals.astype(np.float64) @ light)
-    draws = np.empty((len(seeds),) + lambert.shape)
-    draws[:] = lambert
+    term = lambert(nmap)
+    draws = np.empty((len(seeds),) + term.shape)
+    draws[:] = term
     if noise_sigma > 0:
         for layer, s in zip(draws, seeds):
-            layer += np.random.default_rng(s).normal(0.0, noise_sigma, size=lambert.shape)
+            layer += np.random.default_rng(s).normal(0.0, noise_sigma, size=term.shape)
     intensity = np.clip(draws, 0.0, 1.0, out=draws)
     intensity[:, ~nmap.mask] = 0.0
     intensity = intensity.astype(np.float32)
@@ -173,15 +185,3 @@ def shade(
         intensity=intensity[0] if one else intensity,
         mask=nmap.mask.copy(),
     )
-
-
-def scene_light() -> np.ndarray:
-    """Benchmark light, fixed in the canonical frame.
-
-    Because the light never moves with the camera, a surface point keeps
-    its intensity from view to view, the way albedo does in a photograph.
-    The three components are deliberately distinct so each axis-aligned
-    face orientation lands on its own gray level.
-    """
-    light = np.array([0.5, 0.8, 0.33])
-    return light / np.linalg.norm(light)

@@ -63,7 +63,6 @@ PARAM_RANGES: dict[str, dict[str, tuple[float, float]]] = {
 class SynthSpec:
     category: str
     params: dict[str, float]
-    seed: int = 0
 
 
 @dataclass
@@ -211,11 +210,11 @@ def _build_pools(seed: int) -> dict:
     return pools
 
 
-def _draw_spec(category: str, pools: dict, rng, seed: int) -> SynthSpec:
+def _draw_spec(category: str, pools: dict, rng) -> SynthSpec:
     params = {
         name: float(rng.choice(pool)) for name, pool in pools[category].items()
     }
-    return SynthSpec(category=category, params=params, seed=seed)
+    return SynthSpec(category=category, params=params)
 
 
 def _params_key(spec: SynthSpec):
@@ -244,6 +243,8 @@ def generate_benchmark(
         raise SynthError("num_shapes must be >= 4")
     if not 0.0 <= leave_out_fraction < 1.0:
         raise SynthError("leave_out_fraction must be in [0, 1)")
+    if views_per_query < 1:
+        raise SynthError("views_per_query must be >= 1")
     num_out = int(round(num_shapes * leave_out_fraction))
     num_db = num_shapes - num_out
     if num_db < 1:
@@ -258,7 +259,7 @@ def generate_benchmark(
     for sid in range(num_db):
         category = CATEGORIES[sid % len(CATEGORIES)]
         for _ in range(100):
-            spec = _draw_spec(category, pools, rng, seed=sid)
+            spec = _draw_spec(category, pools, rng)
             if _params_key(spec) not in seen_keys:
                 break
         else:
@@ -280,7 +281,7 @@ def generate_benchmark(
                 alternatives = pool[pool != params[name]]
                 if len(alternatives):
                     params[name] = float(rng.choice(alternatives))
-            spec = SynthSpec(category=parent.category, params=params, seed=sid)
+            spec = SynthSpec(category=parent.category, params=params)
             if _params_key(spec) not in seen_keys:
                 break
         else:

@@ -164,6 +164,17 @@ def kmedoids(points: np.ndarray, k: int, seed: int) -> ViewSet:
     return ViewSet(medoids=points[medoid_idx].copy(), source_size=n, seed=seed)
 
 
+def rotation_grid(k: int, seed: int) -> ViewSet:
+    """k rotations spread over SO(3): k-medoids over ROTATION_POOL uniform
+    rotations, the pool and the clustering both drawn from `seed`.
+
+    The canonical view grid (experiment.select_views) and the pose bins
+    (experiment.run_pose_experiment) are each such a grid, under seeds
+    of their own.
+    """
+    return kmedoids(random_rotations(ROTATION_POOL, seed), k, seed)
+
+
 def nearest_medoid(q: np.ndarray, medoids: np.ndarray) -> int:
     dots = np.abs(np.asarray(medoids) @ np.asarray(q))
     np.clip(dots, -1.0, 1.0, out=dots)

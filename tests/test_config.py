@@ -58,6 +58,34 @@ class TestValidation:
         with pytest.raises(ConfigError, match="tau"):
             from_dict({"tau": -1.0})
 
+    @pytest.mark.parametrize(
+        "data", [{"tau": 0.001}, {"tau": 0.0015, "weight_c": 1e300}, {"tau": 5e-324}]
+    )
+    def test_tau_overflowing_the_loss_rejected_naming_field(self, data):
+        # exp(1/tau) or (1 + weight_c) * exp(1/tau) would overflow f64
+        with pytest.raises(ConfigError, match="tau: 1/tau"):
+            from_dict(data)
+
+    def test_tau_just_inside_the_overflow_bound_accepted(self):
+        # 1/tau + log1p(24) = 706 + 3.22 < log(f64 max) = 709.78
+        assert from_dict({"tau": 1 / 706}).tau == 1 / 706
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"theta_pos": 2.0}, {"theta_pos": 0.0}, {"theta_pos": -0.1},
+         {"theta_neg": -1.0}, {"theta_neg": 1.5}],
+        ids=["pos-above-1", "pos-zero", "pos-negative", "neg-negative", "neg-above-1"],
+    )
+    def test_footprint_threshold_outside_iou_range_rejected_naming_field(self, data):
+        (name,) = data
+        with pytest.raises(ConfigError, match=f"{name}: must be in"):
+            from_dict(data)
+
+    def test_footprint_thresholds_at_the_iou_range_ends_accepted(self):
+        cfg = from_dict({"theta_pos": 1.0, "theta_neg": 0.0})
+        assert (cfg.theta_pos, cfg.theta_neg) == (1.0, 0.0)
+        assert from_dict({"theta_neg": 1.0}).theta_neg == 1.0
+
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ConfigError, match="foo"):
             from_dict({"foo": 1})
@@ -211,8 +239,10 @@ class TestFloatFieldIntegers:
             load_config(str(p))
 
     def test_largest_convertible_integer_loads(self):
-        cfg = from_dict({"weight_c": int(sys.float_info.max)})
-        assert float(cfg.weight_c) == sys.float_info.max
+        # learning_rate has no upper bound; weight_c this large would
+        # overflow the contrastive loss and is rejected for that
+        cfg = from_dict({"learning_rate": int(sys.float_info.max)})
+        assert float(cfg.learning_rate) == sys.float_info.max
 
 
 class TestOneHomePerSetting:

@@ -134,17 +134,6 @@ class TestLossOracle:
             loss, _ = nce_loss_and_grad(params, batch, cfg)
             assert loss > 0
 
-    def test_missing_positive_rejected(self):
-        params = identity_params(2, 2)
-        bad = TrainingBatch(
-            anchor_feats=np.array([[1.0, 0.0]]),
-            cand_feats=np.array([unit2(0.5)]),
-            pos_ids=[np.array([], dtype=int)],
-            neg_ids=[np.array([0])],
-        )
-        with pytest.raises(TrainingError):
-            nce_loss_and_grad(params, bad, self.cfg)
-
 
 def numeric_gradient(params, batch, cfg, step=1e-4):
     out = []
@@ -333,12 +322,19 @@ class TestTrain:
             assert row.hard_neg_cos == pytest.approx(np.mean(hard), rel=1e-12)
             assert row.pos_beats_neg == wins / len(A)
 
-    def test_anchors_without_labels_skipped_and_counted(self):
+    def test_missing_positive_rejected(self):
         rng = np.random.default_rng(4)
         corpus = tiny_corpus(rng, n_anchors=4)
         corpus.pos_lists[2] = np.array([], dtype=int)
-        result = train(corpus, self.cfg(epochs=1))
-        assert result.history[0][2] == 1
+        with pytest.raises(TrainingError, match="anchor 2 lacks positives or negatives"):
+            train(corpus, self.cfg(epochs=1))
+
+    def test_skipped_reads_the_corpus_build_time_count(self):
+        rng = np.random.default_rng(4)
+        corpus = tiny_corpus(rng, n_anchors=4)
+        corpus.skipped_anchors = 3
+        result = train(corpus, self.cfg(epochs=2))
+        assert [row.skipped for row in result.history] == [3, 3]
 
     def test_empty_corpus_rejected(self):
         corpus = PatchCorpus(
@@ -355,7 +351,7 @@ class TestTrain:
         corpus = tiny_corpus(rng, n_anchors=3)
         for i in range(3):
             corpus.neg_lists[i] = np.array([], dtype=int)
-        with pytest.raises(TrainingError, match="skipped"):
+        with pytest.raises(TrainingError, match="anchor 0 lacks positives or negatives"):
             train(corpus, self.cfg())
 
 

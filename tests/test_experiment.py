@@ -27,6 +27,7 @@ from patchvote.experiment import (
     lit_init,
     run_pose_experiment,
     run_retrieval_experiment,
+    select_views,
     train_pipeline,
 )
 from patchvote.index import (
@@ -36,9 +37,15 @@ from patchvote.index import (
     render_views,
     save_index,
 )
-from patchvote.render import rasterize, scene_light, shade
+from patchvote.render import rasterize, shade
 from patchvote.synth import QUERY_GAP_MAX, QUERY_GAP_MIN, generate_benchmark
-from patchvote.views import kmedoids, perturb_quat, quat_geodesic, random_rotations
+from patchvote.views import (
+    kmedoids,
+    perturb_quat,
+    quat_geodesic,
+    random_rotations,
+    rotation_grid,
+)
 
 PATCHES_PER_VIEW = 6
 
@@ -126,6 +133,21 @@ class TestPoseExperiment:
         assert a.history == b.history
         np.testing.assert_array_equal(a.medoids, b.medoids)
 
+    def test_bins_are_the_rotation_grid_of_their_stream(self, tiny):
+        _, _, bench = tiny
+        want = rotation_grid(TINY.pose_bins, TINY.seed + 13).medoids
+        assert self.run(bench).medoids.tobytes() == want.tobytes()
+
+
+class TestViewGrid:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_select_views_is_the_rotation_grid_of_its_stream(self, seed):
+        cfg = Config(seed=seed)
+        got = select_views(cfg)
+        want = rotation_grid(cfg.num_views, cfg.seed + 11)
+        assert got.medoids.tobytes() == want.medoids.tobytes()
+        assert (got.source_size, got.seed) == (want.source_size, want.seed)
+
 
 # ---------------------------------------------------------------------------
 # the per-view anchor pass against the per-anchor loop it replaced
@@ -174,7 +196,7 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view):
             except RenderError:
                 continue
             shaded = shade(
-                nmap, scene_light(), cfg.shade_noise,
+                nmap, cfg.shade_noise,
                 derive_seed(cfg.seed + _ANCHOR_NOISE_BASE, sid, av),
             )
             rects = sample_patches(
@@ -184,7 +206,7 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view):
             cov = coverage(shaded.mask, rects)
             variants = [
                 shade(
-                    nmap, scene_light(), cfg.shade_noise,
+                    nmap, cfg.shade_noise,
                     derive_seed(
                         cfg.seed + _ANCHOR_NOISE_BASE, sid,
                         (av + 1) * _ANCHOR_PATCHES + pi,
@@ -342,8 +364,9 @@ class TestRetrievalExperiment:
     def test_queries_sit_just_off_the_pipeline_grid(self, tiny_retrieval):
         """The benchmark offsets its queries from the grid the pipeline indexes."""
         _, pipe, bench = tiny_retrieval
-        assert len(pipe.views) == TINY.num_views
+        # the index lists the canonical grid first, then its jittered copies
+        grid = pipe.index.manifest["views"]["medoids"][: TINY.num_views]
         for q in bench.queries:
-            gaps = [quat_geodesic(q.view_quat, m) for m in pipe.views.medoids]
+            gaps = [quat_geodesic(q.view_quat, np.array(m)) for m in grid]
             assert min(gaps) <= QUERY_GAP_MAX + 1e-9
             assert min(gaps) > 0.0

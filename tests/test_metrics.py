@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from patchvote.mesh import TriMesh
-from patchvote.metrics import (
-    build_report,
-    mesh_fscore,
-    recall_at_k,
-    recall_curve,
-    rotation_error,
-)
+from patchvote.metrics import build_report, mesh_fscore, rotation_error
 from patchvote.views import axis_angle_quat
 
 
@@ -42,39 +36,54 @@ def square_mesh(z=0.0):
     return TriMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
 
 
+def recall(results, gts, k):
+    return build_report(results, gts).recall[k]
+
+
 class TestRecall:
+    """Recall@k as build_report reads it off the rows' gt_rank."""
+
     def test_second_place_counts_from_k2(self):
         results = [[7, 3, 5]]
-        assert recall_at_k(results, [3], 1) == 0.0
-        assert recall_at_k(results, [3], 2) == 1.0
-        assert recall_at_k(results, [3], 3) == 1.0
+        assert recall(results, [3], 1) == 0.0
+        assert recall(results, [3], 2) == 1.0
+        assert recall(results, [3], 3) == 1.0
 
     def test_all_first_is_one_everywhere(self):
         results = [[1, 2], [4, 0], [9]]
         for k in (1, 2, 5):
-            assert recall_at_k(results, [1, 4, 9], k) == 1.0
+            assert recall(results, [1, 4, 9], k) == 1.0
 
     def test_absent_gt_never_counts(self):
         results = [[2, 3, 4]]
         for k in (1, 3, 24):
-            assert recall_at_k(results, [8], k) == 0.0
+            assert recall(results, [8], k) == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            recall_at_k([[1], [2]], [1], 1)
+            build_report([[1], [2]], [1])
 
-    def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            recall_at_k([[1]], [1], 0)
+    def test_no_queries_rejected(self):
+        with pytest.raises(ValueError, match="no queries"):
+            build_report([], [])
 
     def test_curve_monotone(self):
         rng = np.random.default_rng(0)
         results = [list(rng.permutation(10)) for _ in range(20)]
         gts = rng.integers(0, 12, size=20)  # some gts absent entirely
-        curve = recall_curve(results, gts)
+        curve = build_report(results, gts).recall
         vals = [curve[k] for k in range(1, 25)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
+
+    def test_recall_is_the_share_of_ranks_within_k(self):
+        rng = np.random.default_rng(1)
+        results = [list(rng.permutation(30)) for _ in range(25)]
+        gts = rng.integers(0, 35, size=25)
+        rep = build_report(results, gts)
+        for k in range(1, 25):
+            hits = sum(int(g) in list(r)[:k] for r, g in zip(results, gts))
+            assert rep.recall[k] == hits / 25
 
 
 class TestFScore:
@@ -148,12 +157,3 @@ class TestReport:
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_report([[1]], [1, 2])
-
-    def test_non_monotone_recall_raises(self, monkeypatch):
-        # recall_curve is monotone by construction; stand in a broken one to
-        # check that the invariant is a raised error, not a strippable assert
-        import patchvote.metrics as metrics
-
-        monkeypatch.setattr(metrics, "recall_curve", lambda *a: {1: 1.0, 2: 0.5})
-        with pytest.raises(ValueError, match="monotone"):
-            build_report([[1]], [1])

@@ -4,7 +4,9 @@ import pytest
 from patchvote.errors import RenderError
 from patchvote.mesh import TriMesh, face_normals, normalize_mesh
 from patchvote.render import (
+    SCENE_LIGHT,
     NormalMap,
+    lambert,
     rasterize,
     shade,
 )
@@ -129,61 +131,81 @@ class TestShade:
         return NormalMap(normals=normals, mask=mask)
 
     def test_aligned_light_full_intensity(self):
-        img = shade(self.flat_nmap(), np.array([0.0, 0.0, 1.0]), 0.0, seed=0)
-        np.testing.assert_array_equal(img.intensity[img.mask], 1.0)
+        img = shade(self.flat_nmap(SCENE_LIGHT), 0.0, seed=0)
+        np.testing.assert_allclose(img.intensity[img.mask], 1.0, atol=1e-6)
 
     def test_opposed_light_clamps_to_zero(self):
-        img = shade(self.flat_nmap(), np.array([0.0, 0.0, -1.0]), 0.0, seed=0)
+        img = shade(self.flat_nmap(-SCENE_LIGHT), 0.0, seed=0)
         np.testing.assert_array_equal(img.intensity[img.mask], 0.0)
 
     def test_mask_equality_invariant(self):
         nmap = rasterize(unit_cube(), random_rotations(1, seed=5)[0], 48)
-        img = shade(nmap, np.array([0.0, 0.0, 1.0]), 0.05, seed=9)
+        img = shade(nmap, 0.05, seed=9)
         np.testing.assert_array_equal(img.mask, nmap.mask)
         np.testing.assert_array_equal(img.intensity[~img.mask], 0.0)
 
     def test_noise_deterministic_and_clamped(self):
         nmap = self.flat_nmap()
-        a = shade(nmap, np.array([0.0, 0.0, 1.0]), 0.3, seed=4)
-        b = shade(nmap, np.array([0.0, 0.0, 1.0]), 0.3, seed=4)
+        a = shade(nmap, 0.3, seed=4)
+        b = shade(nmap, 0.3, seed=4)
         np.testing.assert_array_equal(a.intensity, b.intensity)
         assert a.intensity.min() >= 0.0
         assert a.intensity.max() <= 1.0
 
     def test_nan_noise_sigma_rejected(self):
         with pytest.raises(RenderError, match="noise_sigma"):
-            shade(self.flat_nmap(), np.array([0.0, 0.0, 1.0]), float("nan"), seed=0)
+            shade(self.flat_nmap(), float("nan"), seed=0)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_seed_list_stacks_one_draw_per_seed(self, sigma):
         nmap = rasterize(unit_cube(), random_rotations(1, seed=5)[0], 48)
-        light = np.array([0.0, 0.6, 0.8])
         seeds = [11, 4, 11, 2**40]
-        stack = shade(nmap, light, sigma, seeds)
+        stack = shade(nmap, sigma, seeds)
         assert stack.intensity.shape == (4, 48, 48)
         assert stack.intensity.dtype == np.float32
         assert stack.mask.shape == (48, 48)
         np.testing.assert_array_equal(stack.mask, nmap.mask)
         for layer, s in zip(stack.intensity, seeds):
-            one = shade(nmap, light, sigma, s)
+            one = shade(nmap, sigma, s)
             assert layer.tobytes() == one.intensity.tobytes()
-        assert shade(nmap, light, sigma, []).intensity.shape == (0, 48, 48)
+        assert shade(nmap, sigma, []).intensity.shape == (0, 48, 48)
 
-    @pytest.mark.parametrize(
-        "light",
-        [[0.0, 0.0, 2.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]],
-        ids=["double", "nan", "infinite", "zero"],
-    )
-    def test_non_unit_light_rejected(self, light):
-        with pytest.raises(RenderError, match="light"):
-            shade(self.flat_nmap(), np.array(light), 0.0, seed=0)
+    def test_noiseless_shade_is_the_lambert_term(self):
+        for seed in range(4):
+            nmap = rasterize(unit_cube(), random_rotations(1, seed=seed)[0], 48)
+            term = lambert(nmap)
+            assert term.dtype == np.float64
+            img = shade(nmap, 0.0, seed=0)
+            assert img.intensity[nmap.mask].tobytes() == (
+                term[nmap.mask].astype(np.float32).tobytes()
+            )
+            np.testing.assert_array_equal(term[~nmap.mask], 0.0)
+            np.testing.assert_array_equal(img.intensity[~nmap.mask], 0.0)
 
     def test_camera_headlight_lights_facing_face(self):
-        view = axis_angle_quat([0, 1, 0], -np.pi / 2)
-        nmap = rasterize(unit_cube(), view, 48)
-        # the camera looks down -z: the light toward it is +z in view
-        # space, rotated back to the canonical frame by the inverse view
-        headlight = quat_to_matrix(view).T @ np.array([0.0, 0.0, 1.0])
-        img = shade(nmap, headlight, 0.0, seed=0)
+        """A face whose normal is the scene light, seen from that direction."""
+        # turn the cube so its +z face's normal is SCENE_LIGHT, then view it
+        # by the inverse turn: the camera (+z in view space) looks along
+        # -SCENE_LIGHT, so the scene light is a headlight for this view
+        z = np.array([0.0, 0.0, 1.0])
+        axis = np.cross(z, SCENE_LIGHT)
+        turn = axis_angle_quat(axis, np.arccos(SCENE_LIGHT @ z))
+        cube = unit_cube()
+        turned = TriMesh(cube.vertices @ quat_to_matrix(turn).T, cube.triangles)
+        view = axis_angle_quat(axis, -np.arccos(SCENE_LIGHT @ z))
+        img = shade(rasterize(turned, view, 48), 0.0, seed=0)
         np.testing.assert_allclose(img.intensity[img.mask], 1.0, atol=1e-6)
 
+    def test_face_keeps_its_intensity_at_every_view(self):
+        """The light is fixed in the canonical frame, not to the camera."""
+        cube = unit_cube()
+        normals = face_normals(cube)
+        want = np.maximum(0.0, normals @ SCENE_LIGHT).astype(np.float32)
+        seen = set()
+        for view in random_rotations(12, seed=3):
+            nmap = rasterize(cube, view, 48)
+            img = shade(nmap, 0.0, seed=0)
+            tri = nmap.tri_ids[nmap.mask]
+            np.testing.assert_array_equal(img.intensity[nmap.mask], want[tri])
+            seen.update((tri // 2).tolist())
+        assert seen == set(range(6))

@@ -142,6 +142,11 @@ class TestGenerateBenchmark:
         with pytest.raises(SynthError):
             generate_benchmark(8, 1.0, 1, 0, GRID)
 
+    @pytest.mark.parametrize("views_per_query", [0, -3])
+    def test_no_views_per_query_rejected(self, views_per_query):
+        with pytest.raises(SynthError, match="views_per_query"):
+            generate_benchmark(8, 0.0, views_per_query, 0, GRID)
+
     def test_empty_database_rejected(self):
         with pytest.raises(SynthError, match="empty database"):
             generate_benchmark(4, 0.9, 1, 0, GRID)

@@ -19,7 +19,7 @@ from patchvote.embed import image_patch_features, shape_patch_features
 from patchvote.index import derive_seed, enumerate_view_patches
 from patchvote.errors import DescriptorError
 from patchvote.mesh import TriMesh, face_normals
-from patchvote.render import MARGIN, NormalMap, rasterize, scene_light, shade
+from patchvote.render import MARGIN, SCENE_LIGHT, NormalMap, rasterize, shade
 from patchvote.views import ViewSet, quat_to_matrix, random_rotations
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def assert_same_render(mesh, view, resolution):
 
 def snap_weight(nmap):
     """The shape-side snap weight: noiseless Lambert shading, zero off the mask."""
-    lam = np.maximum(0.0, nmap.normals @ scene_light())
+    lam = np.maximum(0.0, nmap.normals @ SCENE_LIGHT)
     lam[~nmap.mask] = 0.0
     return lam
 
@@ -245,7 +245,7 @@ def renders():
         mesh = random_box_mesh(rng, int(rng.integers(2, 6)))
         for vi, view in enumerate(random_rotations(3, seed)):
             nmap = rasterize(mesh, view, 96)
-            out.append((nmap, shade(nmap, scene_light(), 0.02, seed * 10 + vi)))
+            out.append((nmap, shade(nmap, 0.02, seed * 10 + vi)))
     return out
 
 
@@ -500,7 +500,7 @@ class TestStackedRastersMatchPerRectCalls:
         for i, (nmap, _) in enumerate(renders):
             rects = covered(nmap.mask, sample_patches(nmap, 1.0 / 3.0, 12, seed=i))
             seeds = [1000 * i + j for j in range(len(rects))]
-            stack = shade(nmap, scene_light(), noise, seeds).intensity
+            stack = shade(nmap, noise, seeds).intensity
             snapped = content_rect(stack, nmap.mask, rects)
             per_rect = [content_rect(layer, nmap.mask, r[None])[0]
                         for layer, r in zip(stack, rects)]

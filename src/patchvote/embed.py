@@ -236,14 +236,36 @@ def tower_backward(t: Tower, trace: TowerTrace, dY: np.ndarray) -> Tower:
 class TrainingBatch:
     """Anchors plus the unique candidate pool they reference.
 
-    pos_ids/neg_ids index rows of cand_feats; every anchor must carry at
-    least one of each.
+    Labels are runs, anchor by anchor: anchor k's positives are the
+    pos_counts[k] entries of pos_ids after those of anchors 0..k-1, and
+    likewise its negatives in neg_ids. Ids index rows of cand_feats;
+    every count must be at least one.
     """
 
     anchor_feats: np.ndarray        # (A, d_in_image)
     cand_feats: np.ndarray          # (M, d_in_shape)
-    pos_ids: list[np.ndarray]
-    neg_ids: list[np.ndarray]
+    pos_ids: np.ndarray             # (sum of pos_counts,)
+    pos_counts: np.ndarray          # (A,)
+    neg_ids: np.ndarray             # (sum of neg_counts,)
+    neg_counts: np.ndarray          # (A,)
+
+
+def _run_starts(counts: np.ndarray) -> np.ndarray:
+    """Offset of each run's first entry in the flat array of the runs."""
+    return np.cumsum(counts) - counts
+
+
+def _run_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each run of a flat f64 array, every count at least one.
+
+    Order rule: `.mean()` adds a run's pairwise sum onto 0.0, while
+    np.add.reduceat adds it onto the run's first value, so each run is
+    summed with a 0.0 placed in front of it. Each mean is then bit for
+    bit the run's own `.mean()`.
+    """
+    starts = _run_starts(counts)
+    padded = np.insert(values, starts, 0.0)
+    return np.add.reduceat(padded, starts + np.arange(len(starts))) / counts
 
 
 def nce_loss_and_grad(
@@ -251,36 +273,43 @@ def nce_loss_and_grad(
 ) -> tuple[float, TowerParams]:
     """Loss summed over anchors and its analytic parameter gradient.
 
-    Per anchor: loss = -log(Dp / (Dp + C * Dn)), with Dp and Dn the means
-    of exp(cos/tau) over positives and negatives; every anchor must
-    carry at least one of each (train checks its corpus).
+    Per anchor: loss = log(Dp + C * Dn) - log(Dp), with Dp and Dn the
+    means of exp(cos/tau) over its run of positives and its run of
+    negatives (see TrainingBatch). Each mean is the run's own `.mean()`
+    bit for bit (see _run_means), and the gradient is accumulated into
+    one coefficient matrix d(loss)/d(sims) by one scatter per label kind.
 
     Cosine arguments are bounded by 1/tau, and config.validate keeps
     1/tau + log1p(C) below log(f64 max), so every exponential, the
-    denominator Dp + C * Dn <= (1 + C) exp(1/tau) and the gradient stay
-    finite. The ratio C * Dn / Dp inside the log can reach C exp(2/tau),
-    so near that bound the loss itself can still read inf.
+    denominator Dp + C * Dn <= (1 + C) exp(1/tau), the gradient and the
+    loss stay finite: a mean is at least its smallest term, so
+    Dp >= exp(-1/tau) and log(Dp) is finite too.
     """
     A = len(batch.anchor_feats)
     if A == 0:
         raise TrainingError("batch has no anchors")
+    # reduceat would give an empty run its neighbour's first value
+    if not (np.all(batch.pos_counts > 0) and np.all(batch.neg_counts > 0)):
+        raise TrainingError("every anchor needs at least one positive and one negative")
 
     atrace = tower_forward(params.image, batch.anchor_feats)
     ctrace = tower_forward(params.shape, batch.cand_feats)
     sims = (atrace.Y @ ctrace.Y.T) / cfg.tau
     exps = np.exp(sims)
 
-    loss = 0.0
-    coeff = np.zeros_like(sims)  # d(loss)/d(sims), accumulated per anchor
-    for i in range(A):
-        p = batch.pos_ids[i]
-        n = batch.neg_ids[i]
-        dp = exps[i, p].mean()
-        dn = exps[i, n].mean()
-        denom = dp + cfg.weight_c * dn
-        loss += float(np.log1p(cfg.weight_c * dn / dp))
-        coeff[i, p] += (1.0 / denom - 1.0 / dp) / len(p) * exps[i, p]
-        coeff[i, n] += (cfg.weight_c / denom) / len(n) * exps[i, n]
+    pos_row = np.repeat(np.arange(A), batch.pos_counts)
+    neg_row = np.repeat(np.arange(A), batch.neg_counts)
+    pos_exps = exps[pos_row, batch.pos_ids]
+    neg_exps = exps[neg_row, batch.neg_ids]
+    dp = _run_means(pos_exps, batch.pos_counts)
+    dn = _run_means(neg_exps, batch.neg_counts)
+    denom = dp + cfg.weight_c * dn
+    loss = float(np.sum(np.log(denom) - np.log(dp)))
+    pos_scale = (1.0 / denom - 1.0 / dp) / batch.pos_counts
+    neg_scale = (cfg.weight_c / denom) / batch.neg_counts
+    coeff = np.zeros_like(sims)  # d(loss)/d(sims)
+    coeff[pos_row, batch.pos_ids] += pos_scale[pos_row] * pos_exps
+    coeff[neg_row, batch.neg_ids] += neg_scale[neg_row] * neg_exps
 
     dYa = (coeff @ ctrace.Y) / cfg.tau
     dYc = (coeff.T @ atrace.Y) / cfg.tau
@@ -400,17 +429,16 @@ def _sgd_step(params, grad, lr: float) -> None:
 
 
 def _health(
-    anchor_y: np.ndarray, cand_y: np.ndarray, pos: list[np.ndarray], mined: list[np.ndarray]
+    anchor_y, cand_y, pos_ids, pos_counts, mined_ids, mined_counts
 ) -> tuple[float, float, float]:
     """(pos_cos, hard_neg_cos, pos_beats_neg) of EpochStats, anchor k = row k.
 
-    Each list holds one id array per anchor, mined ones hardest first.
+    Labels are runs as in TrainingBatch, each mined run hardest first.
     """
-    owner = np.repeat(np.arange(len(pos)), [len(p) for p in pos])
-    cos = np.einsum("ij,ij->i", cand_y[np.concatenate(pos)], anchor_y[owner])
-    best = np.full(len(pos), -np.inf)
-    np.maximum.at(best, owner, cos)
-    hard = np.einsum("ij,ij->i", cand_y[[m[0] for m in mined]], anchor_y)
+    owner = np.repeat(np.arange(len(pos_counts)), pos_counts)
+    cos = np.einsum("ij,ij->i", cand_y[pos_ids], anchor_y[owner])
+    best = np.maximum.reduceat(cos, _run_starts(pos_counts))
+    hard = np.einsum("ij,ij->i", cand_y[mined_ids[_run_starts(mined_counts)]], anchor_y)
     return float(cos.mean()), float(hard.mean()), float(np.mean(best > hard))
 
 
@@ -430,14 +458,18 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
     Every anchor must carry a positive and a negative: build_corpus
     drops the ones that do not and counts them in skipped_anchors, and
     an unlabelled anchor here is rejected before the first epoch.
+    The epoch's positives and mined negatives are laid out once as runs
+    (see TrainingBatch); each batch takes its anchors' stretch of them.
     Each epoch appends one EpochStats row to the history.
     """
     A = len(corpus.anchor_feats)
     if A == 0:
         raise TrainingError("empty corpus: no anchors")
-    for i in range(A):
-        if len(corpus.pos_lists[i]) == 0 or len(corpus.neg_lists[i]) == 0:
-            raise TrainingError(f"anchor {i} lacks positives or negatives")
+    pos_len = np.array([len(p) for p in corpus.pos_lists])
+    neg_len = np.array([len(n) for n in corpus.neg_lists])
+    unlabelled = np.flatnonzero((pos_len == 0) | (neg_len == 0))
+    if len(unlabelled):
+        raise TrainingError(f"anchor {unlabelled[0]} lacks positives or negatives")
     if params is None:
         params = init_params(
             d_in_image=corpus.anchor_feats.shape[1],
@@ -461,27 +493,36 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
         rng.shuffle(sel)
         anchor_y = tower_forward(params.image, corpus.anchor_feats[sel]).Y
         cand_y = tower_forward(params.shape, corpus.cand_feats).Y
-        pos = [corpus.pos_lists[i] for i in sel]
         mined = []
         for k, i in enumerate(sel):
             neg = corpus.neg_lists[i]
             mined.append(
                 mine_hard_negatives(anchor_y[k], neg, cand_y[neg], cfg.negatives_keep)
             )
-        health = _health(anchor_y, cand_y, pos, mined)
+        pos_ids = np.concatenate([corpus.pos_lists[i] for i in sel])
+        pos_counts = pos_len[sel]
+        neg_ids = np.concatenate(mined)
+        neg_counts = np.minimum(neg_len[sel], cfg.negatives_keep)
+        health = _health(anchor_y, cand_y, pos_ids, pos_counts, neg_ids, neg_counts)
 
+        pos_at = np.r_[0, np.cumsum(pos_counts)]
+        neg_at = np.r_[0, np.cumsum(neg_counts)]
         total = 0.0
         for start in range(0, len(sel), cfg.batch_size):
-            end = start + cfg.batch_size
-            mark[np.concatenate(pos[start:end] + mined[start:end])] = True
+            end = min(start + cfg.batch_size, len(sel))
+            pos = pos_ids[pos_at[start] : pos_at[end]]
+            neg = neg_ids[neg_at[start] : neg_at[end]]
+            mark[pos] = mark[neg] = True
             rows = np.flatnonzero(mark)
             mark[rows] = False
             slot[rows] = np.arange(len(rows))
             batch = TrainingBatch(
                 anchor_feats=corpus.anchor_feats[sel[start:end]],
                 cand_feats=corpus.cand_feats[rows],
-                pos_ids=[slot[p] for p in pos[start:end]],
-                neg_ids=[slot[m] for m in mined[start:end]],
+                pos_ids=slot[pos],
+                pos_counts=pos_counts[start:end],
+                neg_ids=slot[neg],
+                neg_counts=neg_counts[start:end],
             )
             loss, grad = nce_loss_and_grad(params, batch, cfg)
             total += loss

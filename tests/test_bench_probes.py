@@ -4,7 +4,8 @@ perfbench/workloads.py attaches probes to package boundaries; each one
 reads the arguments or the result of a call. A change to a signature or
 a result type a probe reads breaks the probe only inside a traced
 benchmark run, so this runs the probes over an index build and over
-retrieval on a micro index.
+retrieval on a micro index, and reads what the traced run reads of
+training.
 """
 
 import sys
@@ -14,14 +15,15 @@ import numpy as np
 
 import patchvote.index
 from patchvote.config import Config
-from patchvote.embed import init_params
+from patchvote.embed import init_params, train
 from patchvote.mesh import TriMesh
 from patchvote.views import ViewSet, axis_angle_quat
+from test_embed import tiny_corpus
 from test_index import IDENTITY, retrieval_fixture, unit, unit_cube
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracer import Tracer  # noqa: E402
-from workloads import PROBES  # noqa: E402
+from workloads import PROBES, pos_beats_neg_frac  # noqa: E402
 
 
 def test_probes_run_over_retrieval():
@@ -70,3 +72,23 @@ def test_probes_run_over_an_index_build():
     # the probe counts every rect drawn, kept or not
     assert tracer.counts["index.sampled_rects"] == rendered * 16
     assert tracer.counts["index.records"] == len(idx) < rendered * 16
+
+
+def test_training_readers_run_over_a_trained_corpus():
+    # the traced run reads two things of training: the last history row's
+    # loss and the share of anchors whose best positive beats every mined
+    # negative under the trained model
+    corpus = tiny_corpus(np.random.default_rng(0))
+    cfg = Config(
+        hidden_dim=5, embed_dim=4, epochs=2, batch_size=4, negatives_keep=3, seed=0
+    )
+    tracer = Tracer(probes=PROBES)
+    with tracer:
+        result = train(corpus, cfg)
+    assert dict(tracer.errors) == {}
+    # two epochs of two batches of the six anchors
+    assert tracer.calls["embed.nce_loss_and_grad"] == 4
+    final_loss = result.history[-1][1]
+    assert np.isfinite(final_loss) and final_loss > 0
+    wins = pos_beats_neg_frac(corpus, result.params, cfg) * len(corpus.anchor_feats)
+    assert wins == round(wins) and 0 <= wins <= len(corpus.anchor_feats)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from patchvote.config import Config
+from patchvote.config import Config, validate
 from patchvote.embed import (
     PatchCorpus,
     Tower,
     TowerParams,
     TrainingBatch,
+    _run_means,
     image_patch_features,
     init_params,
     load_model,
@@ -17,6 +18,7 @@ from patchvote.embed import (
     nce_loss_and_grad,
     save_model,
     shape_patch_features,
+    tower_backward,
     tower_forward,
     train,
 )
@@ -34,6 +36,18 @@ def identity_params(d_anchor: int, d_cand: int) -> TowerParams:
         )
 
     return TowerParams(image=ident(d_anchor), shape=ident(d_cand))
+
+
+def runs_batch(anchor_feats, cand_feats, pos_lists, neg_lists) -> TrainingBatch:
+    """A TrainingBatch whose runs are the given per-anchor id lists."""
+    return TrainingBatch(
+        anchor_feats=anchor_feats,
+        cand_feats=cand_feats,
+        pos_ids=np.concatenate(pos_lists),
+        pos_counts=np.array([len(p) for p in pos_lists]),
+        neg_ids=np.concatenate(neg_lists),
+        neg_counts=np.array([len(n) for n in neg_lists]),
+    )
 
 
 def unit2(c: float) -> np.ndarray:
@@ -89,11 +103,11 @@ class TestLossOracle:
 
     def batch(self, pos_cos, neg_cos):
         cands = [unit2(c) for c in pos_cos] + [unit2(c) for c in neg_cos]
-        return TrainingBatch(
+        return runs_batch(
             anchor_feats=np.array([[1.0, 0.0]]),
             cand_feats=np.array(cands),
-            pos_ids=[np.arange(len(pos_cos))],
-            neg_ids=[np.arange(len(pos_cos), len(pos_cos) + len(neg_cos))],
+            pos_lists=[np.arange(len(pos_cos))],
+            neg_lists=[np.arange(len(pos_cos), len(pos_cos) + len(neg_cos))],
         )
 
     def test_single_pos_single_neg(self):
@@ -125,11 +139,11 @@ class TestLossOracle:
         cfg = self.cfg
         for seed in range(5):
             params = init_params(6, 9, 5, 4, seed=seed)
-            batch = TrainingBatch(
+            batch = runs_batch(
                 anchor_feats=rng.normal(size=(4, 6)),
                 cand_feats=rng.normal(size=(10, 9)),
-                pos_ids=[rng.choice(10, 3, replace=False) for _ in range(4)],
-                neg_ids=[rng.choice(10, 4, replace=False) for _ in range(4)],
+                pos_lists=[rng.choice(10, 3, replace=False) for _ in range(4)],
+                neg_lists=[rng.choice(10, 4, replace=False) for _ in range(4)],
             )
             loss, _ = nce_loss_and_grad(params, batch, cfg)
             assert loss > 0
@@ -172,11 +186,11 @@ def max_rel_error(params, batch, cfg):
 
 
 def random_batch(rng, n_anchors=8, n_cands=12, d_img=6, d_shape=9):
-    return TrainingBatch(
+    return runs_batch(
         anchor_feats=rng.normal(size=(n_anchors, d_img)),
         cand_feats=rng.normal(size=(n_cands, d_shape)),
-        pos_ids=[rng.choice(n_cands, 2, replace=False) for _ in range(n_anchors)],
-        neg_ids=[rng.choice(n_cands, 3, replace=False) for _ in range(n_anchors)],
+        pos_lists=[rng.choice(n_cands, 2, replace=False) for _ in range(n_anchors)],
+        neg_lists=[rng.choice(n_cands, 3, replace=False) for _ in range(n_anchors)],
     )
 
 
@@ -200,6 +214,103 @@ class TestGradient:
         params = randomize_biases(init_params(6, 9, 5, 4, seed=11), rng)
         batch = random_batch(rng)
         assert max_rel_error(params, batch, cfg) < 1e-3
+
+
+class TestLossGuards:
+    def test_finite_at_the_tau_bound(self):
+        cfg = replace(Config(), tau=1 / 706)
+        assert validate(cfg) == []
+        params = init_params(6, 9, 5, 4, seed=0)
+        loss, grad = nce_loss_and_grad(params, random_batch(np.random.default_rng(0)), cfg)
+        assert np.isfinite(loss) and loss > 0
+        assert all(np.isfinite(arr).all() for arr in grad.arrays())
+
+    @pytest.mark.parametrize("empty", ["positives", "negatives"])
+    def test_empty_run_rejected(self, empty):
+        rng = np.random.default_rng(3)
+        labels = {
+            "positives": [rng.choice(12, 2, replace=False) for _ in range(4)],
+            "negatives": [rng.choice(12, 3, replace=False) for _ in range(4)],
+        }
+        labels[empty][1] = np.array([], dtype=np.intp)
+        batch = runs_batch(
+            rng.normal(size=(4, 6)), rng.normal(size=(12, 9)),
+            labels["positives"], labels["negatives"],
+        )
+        with pytest.raises(TrainingError, match="at least one positive and one negative"):
+            nce_loss_and_grad(init_params(6, 9, 5, 4, seed=0), batch, Config())
+
+
+def per_anchor_loss_and_grad(params, batch, pos_lists, neg_lists, cfg):
+    """The per-anchor loop the run layout replaced, kept as the reference
+    for the loss and the gradient bytes."""
+    atrace = tower_forward(params.image, batch.anchor_feats)
+    ctrace = tower_forward(params.shape, batch.cand_feats)
+    sims = (atrace.Y @ ctrace.Y.T) / cfg.tau
+    exps = np.exp(sims)
+    loss = 0.0
+    coeff = np.zeros_like(sims)
+    for i, (p, n) in enumerate(zip(pos_lists, neg_lists)):
+        dp = exps[i, p].mean()
+        dn = exps[i, n].mean()
+        denom = dp + cfg.weight_c * dn
+        loss += float(np.log1p(cfg.weight_c * dn / dp))
+        coeff[i, p] += (1.0 / denom - 1.0 / dp) / len(p) * exps[i, p]
+        coeff[i, n] += (cfg.weight_c / denom) / len(n) * exps[i, n]
+    dYa = (coeff @ ctrace.Y) / cfg.tau
+    dYc = (coeff.T @ atrace.Y) / cfg.tau
+    return loss, TowerParams(
+        image=tower_backward(params.image, atrace, dYa),
+        shape=tower_backward(params.shape, ctrace, dYc),
+    )
+
+
+# one run of each length reaches every branch of numpy's pairwise sum:
+# a lone term, a sequential add, the eight accumulators with and without
+# a tail, and the splits past 128
+RUN_LENGTHS = (1, 7, 8, 9, 128, 129, 1024)
+
+
+class TestRunsMatchPerAnchorLoop:
+    def assert_matches(self, params, pos_lists, neg_lists, batch):
+        cfg = Config()
+        loss, grad = nce_loss_and_grad(params, batch, cfg)
+        want_loss, want = per_anchor_loss_and_grad(params, batch, pos_lists, neg_lists, cfg)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        for got, ref in zip(grad.arrays(), want.arrays()):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_every_pairwise_branch(self):
+        rng = np.random.default_rng(11)
+        n_cands = 1100
+        pos_lists = [rng.choice(n_cands, n, replace=False) for n in RUN_LENGTHS]
+        neg_lists = [rng.choice(n_cands, n, replace=False) for n in RUN_LENGTHS[::-1]]
+        # anchor 0's one positive is also the first of its 1,024 negatives
+        others = rng.permutation(np.setdiff1d(np.arange(n_cands), pos_lists[0]))
+        neg_lists[0] = np.r_[pos_lists[0], others[: len(neg_lists[0]) - 1]]
+        params = randomize_biases(init_params(6, 9, 5, 4, seed=3), rng)
+        batch = runs_batch(
+            rng.normal(size=(len(RUN_LENGTHS), 6)), rng.normal(size=(n_cands, 9)),
+            pos_lists, neg_lists,
+        )
+        self.assert_matches(params, pos_lists, neg_lists, batch)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_overlapping_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng)
+        pos_lists = np.split(batch.pos_ids, np.cumsum(batch.pos_counts)[:-1])
+        neg_lists = np.split(batch.neg_ids, np.cumsum(batch.neg_counts)[:-1])
+        assert any(np.isin(p, n).any() for p, n in zip(pos_lists, neg_lists))
+        self.assert_matches(init_params(6, 9, 5, 4, seed=seed), pos_lists, neg_lists, batch)
+
+    def test_run_means_match_mean(self):
+        rng = np.random.default_rng(4)
+        counts = np.array(RUN_LENGTHS + tuple(rng.integers(1, 300, size=40)))
+        values = np.exp(rng.normal(0.0, 5.0, size=counts.sum()))
+        runs = np.split(values, np.cumsum(counts)[:-1])
+        want = np.array([run.mean() for run in runs])
+        assert _run_means(values, counts).tobytes() == want.tobytes()
 
 
 class TestMining:
@@ -273,7 +384,7 @@ class TestTrain:
         )
         cfg = self.cfg(epochs=1, learning_rate=0.05)
         params = init_params(6, 9, 5, 4, seed=cfg.seed)
-        batch = TrainingBatch(
+        batch = runs_batch(
             corpus.anchor_feats, corpus.cand_feats,
             corpus.pos_lists, corpus.neg_lists,
         )

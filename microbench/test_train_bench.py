@@ -15,6 +15,15 @@ draws anchors_per_epoch = 512 anchors, mines negatives_keep = 1,024 for
 each, and takes 8 SGD steps of batch_size = 64. The mining benchmark
 times one such selection alone: the negatives_keep = 1,024 best of one
 anchor's 3,900 similarities.
+
+The pinned-size epoch has the size of the pinned run's corpus (see
+ROADMAP.md): 1,431 anchors and 9,775 candidates. Its 2,400 negatives
+per anchor make a batch reference about 7,100 candidate rows (7,162 in
+the median over this corpus's batches), as the pinned run's batches do.
+Each batch's shape-tower input is then 44 MB of f64, above glibc's
+32 MB ceiling for its dynamic mmap threshold: a copy of that size
+allocated per batch is mapped and faulted in anew every batch, which
+`train`'s one reused block avoids.
 """
 
 from dataclasses import replace
@@ -29,30 +38,47 @@ CFG = replace(Config(), epochs=1)
 ANCHORS = 713
 CANDIDATES = 4906
 NEGATIVES = 3900
+PINNED_ANCHORS = 1431
+PINNED_CANDIDATES = 9775
+PINNED_NEGATIVES = 2400
 
 
-@pytest.fixture(scope="module")
-def corpus() -> PatchCorpus:
+def make_corpus(anchors: int, candidates: int, negatives: int) -> PatchCorpus:
     rng = np.random.default_rng(0)
     p2 = CFG.pool_size**2
     pos_lists, neg_lists = [], []
-    for n_pos in rng.integers(1, 25, size=ANCHORS):
-        ids = rng.permutation(CANDIDATES)
+    for n_pos in rng.integers(1, 25, size=anchors):
+        ids = rng.permutation(candidates)
         pos_lists.append(np.sort(ids[:n_pos]))
-        neg_lists.append(np.sort(ids[n_pos : n_pos + NEGATIVES]))
+        neg_lists.append(np.sort(ids[n_pos : n_pos + negatives]))
     return PatchCorpus(
-        anchor_feats=rng.random((ANCHORS, p2), dtype=np.float32),
-        cand_feats=rng.random((CANDIDATES, 3 * p2), dtype=np.float32),
+        anchor_feats=rng.random((anchors, p2), dtype=np.float32),
+        cand_feats=rng.random((candidates, 3 * p2), dtype=np.float32),
         pos_lists=pos_lists,
         neg_lists=neg_lists,
     )
 
 
-def test_train_epoch(benchmark, corpus):
+@pytest.fixture(scope="module")
+def corpus() -> PatchCorpus:
+    return make_corpus(ANCHORS, CANDIDATES, NEGATIVES)
+
+
+def bench_epoch(benchmark, corpus: PatchCorpus) -> None:
     p2 = CFG.pool_size**2
     params = init_params(p2, 3 * p2, CFG.hidden_dim, CFG.embed_dim, seed=0)
     # train updates the params it is given: each round starts from a copy
     benchmark(lambda: train(corpus, CFG, params.copy()))
+
+
+def test_train_epoch(benchmark, corpus):
+    bench_epoch(benchmark, corpus)
+
+
+def test_train_epoch_pinned_size(benchmark):
+    bench_epoch(
+        benchmark, make_corpus(PINNED_ANCHORS, PINNED_CANDIDATES, PINNED_NEGATIVES)
+    )
 
 
 def test_mining_top_k(benchmark):

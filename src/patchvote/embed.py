@@ -7,6 +7,10 @@ tau-scaled cosines, and the loss for an anchor compares the MEAN
 exponentiated similarity over its positives against the mean over its
 mined negatives. Gradients are derived by hand and checked against
 finite differences in the test suite.
+
+`train` allocates one f64 block for the candidate rows per call, and
+every shape-tower pass reads from it. A batch's `cand_feats` is a view
+of the block's head, valid until the next batch fills the block.
 """
 
 from __future__ import annotations
@@ -461,6 +465,12 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
     The epoch's positives and mined negatives are laid out once as runs
     (see TrainingBatch); each batch takes its anchors' stretch of them.
     Each epoch appends one EpochStats row to the history.
+    Every shape-tower pass reads one f64 block shaped like
+    corpus.cand_feats, allocated once per call: the epoch-start pass
+    converts every candidate row into it, and each batch writes its
+    gathered rows into its head, so no pass allocates a copy of its
+    input. A batch's cand_feats is that head, valid until the next batch
+    fills the block.
     """
     A = len(corpus.anchor_feats)
     if A == 0:
@@ -485,6 +495,7 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
     # slot maps each of them to its row in the batch; both are reused
     mark = np.zeros(len(corpus.cand_feats), dtype=bool)
     slot = np.zeros(len(corpus.cand_feats), dtype=np.intp)
+    work = np.empty(corpus.cand_feats.shape)
     for epoch in range(cfg.epochs):
         if A > cfg.anchors_per_epoch:
             sel = rng.choice(A, cfg.anchors_per_epoch, replace=False)
@@ -492,7 +503,8 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
             sel = np.arange(A)
         rng.shuffle(sel)
         anchor_y = tower_forward(params.image, corpus.anchor_feats[sel]).Y
-        cand_y = tower_forward(params.shape, corpus.cand_feats).Y
+        work[...] = corpus.cand_feats
+        cand_y = tower_forward(params.shape, work).Y
         mined = []
         for k, i in enumerate(sel):
             neg = corpus.neg_lists[i]
@@ -516,9 +528,10 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
             rows = np.flatnonzero(mark)
             mark[rows] = False
             slot[rows] = np.arange(len(rows))
+            work[: len(rows)] = corpus.cand_feats[rows]
             batch = TrainingBatch(
                 anchor_feats=corpus.anchor_feats[sel[start:end]],
-                cand_feats=corpus.cand_feats[rows],
+                cand_feats=work[: len(rows)],
                 pos_ids=slot[pos],
                 pos_counts=pos_counts[start:end],
                 neg_ids=slot[neg],

@@ -1,11 +1,15 @@
-"""Retrieval and reconstruction metrics."""
+"""Retrieval and reconstruction metrics.
+
+scipy loads only for F-scores: `mesh_fscore` imports its kd-tree when
+it is called, so importing this module, or the pipeline modules that
+import it, does not load scipy.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .mesh import sample_surface_points
 from .views import quat_geodesic
@@ -26,6 +30,8 @@ def mesh_fscore(pred, gt, threshold=0.05, samples=10000, seed=0):
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
+    from scipy.spatial import cKDTree
+
     pts_pred = sample_surface_points(pred, samples, seed)
     pts_gt = sample_surface_points(gt, samples, seed)
     d_pred, _ = cKDTree(pts_gt.positions).query(pts_pred.positions, k=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from patchvote import embed
 from patchvote.config import Config, validate
 from patchvote.embed import (
     PatchCorpus,
@@ -432,6 +433,27 @@ class TestTrain:
             assert row.pos_cos == pytest.approx(np.mean(pos_cos), rel=1e-12)
             assert row.hard_neg_cos == pytest.approx(np.mean(hard), rel=1e-12)
             assert row.pos_beats_neg == wins / len(A)
+
+    def test_shape_tower_reads_one_f64_block(self, monkeypatch):
+        corpus = tiny_corpus(np.random.default_rng(7))
+        corpus.cand_feats = corpus.cand_feats.astype(np.float32)
+        cfg = self.cfg()
+        params = init_params(6, 9, 5, 4, seed=cfg.seed)
+        forward = embed.tower_forward
+        seen = []
+
+        def spy(t, X):
+            if t is params.shape:
+                seen.append(X)
+            return forward(t, X)
+
+        monkeypatch.setattr(embed, "tower_forward", spy)
+        train(corpus, cfg, params)
+        # per epoch: the epoch-start pass, then one per batch of 4 and of 2 anchors
+        assert len(seen) == 3 * cfg.epochs
+        for X in seen:
+            assert X.dtype == np.float64
+            assert np.shares_memory(X, seen[0])
 
     def test_missing_positive_rejected(self):
         rng = np.random.default_rng(4)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -157,3 +162,20 @@ class TestReport:
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_report([[1]], [1, 2])
+
+
+def test_pipeline_imports_do_not_load_scipy():
+    # scipy is for F-scores only: mesh_fscore imports it when called
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "import patchvote.experiment, patchvote.index, patchvote.metrics\n"
+        "print('scipy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

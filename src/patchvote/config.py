@@ -77,6 +77,12 @@ _COUNT_FIELDS = (
     "epochs",
 )
 
+# fields that size an allocation: a render is res x res pixels and the
+# towers hold d_in x hidden_dim and hidden_dim x embed_dim weights, so
+# a value like 2**40 is refused here, not by numpy deep in a pipeline
+_SIZE_FIELDS = ("render_resolution", "embed_dim", "hidden_dim")
+_SIZE_CEILING = 4096
+
 
 def validate(cfg: Config) -> list[str]:
     """Return a list of violation messages, each naming the bad field."""
@@ -124,6 +130,9 @@ def validate(cfg: Config) -> list[str]:
         errors.append("huber_delta: must be > 0")
     if cfg.render_resolution < 8:
         errors.append("render_resolution: must be >= 8")
+    for name in _SIZE_FIELDS:
+        if getattr(cfg, name) > _SIZE_CEILING:
+            errors.append(f"{name}: must be <= {_SIZE_CEILING}")
     if not cfg.shade_noise >= 0:
         errors.append("shade_noise: must be >= 0")
     if not cfg.learning_rate >= 0:

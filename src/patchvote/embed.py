@@ -10,7 +10,10 @@ finite differences in the test suite.
 
 `train` allocates one f64 block for the candidate rows per call, and
 every shape-tower pass reads from it. A batch's `cand_feats` is a view
-of the block's head, valid until the next batch fills the block.
+of the block's head, valid until the next batch fills the block. Its
+rows are copied in from the f32 corpus _GATHER_ROWS rows at a time, so
+no f32 gather of the whole batch is ever held. Candidate ids are int32
+from the corpus on (see PatchCorpus).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ MODEL_MAGIC = b"P2CM"
 MODEL_VERSION = 1
 NORM_EPS = 1e-8
 TOPK_GROUP = 64  # entries per strided group of the top-k cut (see _top_k)
+_GATHER_ROWS = 512  # candidate rows per f32 -> f64 copy into train's block
 
 
 @dataclass
@@ -212,9 +216,11 @@ def tower_forward(t: Tower, X: np.ndarray) -> TowerTrace:
         raise ValueError(
             f"feature dim {X.shape[1]} does not match tower d_in {t.W1.shape[0]}"
         )
-    pre1 = X @ t.W1 + t.b1
+    pre1 = X @ t.W1
+    pre1 += t.b1
     h1 = np.maximum(pre1, 0.0)
-    pre2 = h1 @ t.W2 + t.b2
+    pre2 = h1 @ t.W2
+    pre2 += t.b2
     Y, pre2 = _normalize_rows(pre2)
     return TowerTrace(X=X, pre1=pre1, h1=h1, pre2=pre2, Y=Y)
 
@@ -229,8 +235,8 @@ def tower_backward(t: Tower, trace: TowerTrace, dY: np.ndarray) -> Tower:
     dpre2 = (dY - np.sum(dY * trace.Y, axis=1, keepdims=True) * trace.Y) / norms
     dW2 = trace.h1.T @ dpre2
     db2 = dpre2.sum(axis=0)
-    dh1 = dpre2 @ t.W2.T
-    dpre1 = dh1 * (trace.pre1 > 0)
+    dpre1 = dpre2 @ t.W2.T
+    dpre1 *= trace.pre1 > 0
     dW1 = trace.X.T @ dpre1
     db1 = dpre1.sum(axis=0)
     return Tower(W1=dW1, b1=db1, W2=dW2, b2=db2)
@@ -298,8 +304,9 @@ def nce_loss_and_grad(
 
     atrace = tower_forward(params.image, batch.anchor_feats)
     ctrace = tower_forward(params.shape, batch.cand_feats)
-    sims = (atrace.Y @ ctrace.Y.T) / cfg.tau
-    exps = np.exp(sims)
+    exps = atrace.Y @ ctrace.Y.T
+    exps /= cfg.tau
+    np.exp(exps, out=exps)
 
     pos_row = np.repeat(np.arange(A), batch.pos_counts)
     neg_row = np.repeat(np.arange(A), batch.neg_counts)
@@ -311,7 +318,7 @@ def nce_loss_and_grad(
     loss = float(np.sum(np.log(denom) - np.log(dp)))
     pos_scale = (1.0 / denom - 1.0 / dp) / batch.pos_counts
     neg_scale = (cfg.weight_c / denom) / batch.neg_counts
-    coeff = np.zeros_like(sims)  # d(loss)/d(sims)
+    coeff = np.zeros_like(exps)  # d(loss)/d(sims), sims = cos / tau
     coeff[pos_row, batch.pos_ids] += pos_scale[pos_row] * pos_exps
     coeff[neg_row, batch.neg_ids] += neg_scale[neg_row] * neg_exps
 
@@ -395,6 +402,10 @@ class PatchCorpus:
     footprint IoU with the anchor (see experiment.build_corpus).
     Negatives here are the full per-anchor pool; mining trims them to
     cfg.negatives_keep each epoch.
+
+    Label ids are int32 rows of cand_feats, half the bytes of int64 for
+    lists that live through all of `train`. int32 holds any id: 2**31
+    candidate rows of f32 features would take terabytes.
     """
 
     anchor_feats: np.ndarray
@@ -464,13 +475,16 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
     an unlabelled anchor here is rejected before the first epoch.
     The epoch's positives and mined negatives are laid out once as runs
     (see TrainingBatch); each batch takes its anchors' stretch of them.
+    Mining writes each anchor's run straight into the epoch's one int32
+    array of negatives.
     Each epoch appends one EpochStats row to the history.
     Every shape-tower pass reads one f64 block shaped like
     corpus.cand_feats, allocated once per call: the epoch-start pass
     converts every candidate row into it, and each batch writes its
-    gathered rows into its head, so no pass allocates a copy of its
-    input. A batch's cand_feats is that head, valid until the next batch
-    fills the block.
+    rows into its head, gathered from the f32 corpus _GATHER_ROWS rows
+    at a time. So no pass allocates a copy of its input, and a batch's
+    gather never holds an f32 copy of all its rows. A batch's
+    cand_feats is that head, valid until the next batch fills the block.
     """
     A = len(corpus.anchor_feats)
     if A == 0:
@@ -505,20 +519,19 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
         anchor_y = tower_forward(params.image, corpus.anchor_feats[sel]).Y
         work[...] = corpus.cand_feats
         cand_y = tower_forward(params.shape, work).Y
-        mined = []
-        for k, i in enumerate(sel):
-            neg = corpus.neg_lists[i]
-            mined.append(
-                mine_hard_negatives(anchor_y[k], neg, cand_y[neg], cfg.negatives_keep)
-            )
         pos_ids = np.concatenate([corpus.pos_lists[i] for i in sel])
         pos_counts = pos_len[sel]
-        neg_ids = np.concatenate(mined)
         neg_counts = np.minimum(neg_len[sel], cfg.negatives_keep)
+        neg_at = np.r_[0, np.cumsum(neg_counts)]
+        neg_ids = np.empty(neg_at[-1], dtype=np.int32)
+        for k, i in enumerate(sel):
+            neg = corpus.neg_lists[i]
+            neg_ids[neg_at[k] : neg_at[k + 1]] = mine_hard_negatives(
+                anchor_y[k], neg, cand_y[neg], cfg.negatives_keep
+            )
         health = _health(anchor_y, cand_y, pos_ids, pos_counts, neg_ids, neg_counts)
 
         pos_at = np.r_[0, np.cumsum(pos_counts)]
-        neg_at = np.r_[0, np.cumsum(neg_counts)]
         total = 0.0
         for start in range(0, len(sel), cfg.batch_size):
             end = min(start + cfg.batch_size, len(sel))
@@ -528,7 +541,9 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
             rows = np.flatnonzero(mark)
             mark[rows] = False
             slot[rows] = np.arange(len(rows))
-            work[: len(rows)] = corpus.cand_feats[rows]
+            for lo in range(0, len(rows), _GATHER_ROWS):
+                chunk = rows[lo : lo + _GATHER_ROWS]
+                work[lo : lo + len(chunk)] = corpus.cand_feats[chunk]
             batch = TrainingBatch(
                 anchor_feats=corpus.anchor_feats[sel[start:end]],
                 cand_feats=work[: len(rows)],

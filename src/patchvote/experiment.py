@@ -141,7 +141,7 @@ def build_corpus(
     op gives the footprint IoU of all of them against every candidate,
     and one `image_patch_features` call pools the anchors that keep a
     positive and a negative. The result equals labelling one anchor at
-    a time.
+    a time. Label ids are int32 (see PatchCorpus).
     """
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
     blocks = [
@@ -158,6 +158,7 @@ def build_corpus(
     if not blocks:
         raise TrainingError("no shape-domain candidates to train against")
     cand_feats, cand_sids, cand_vids, cand_rects = map(np.concatenate, zip(*blocks))
+    del blocks  # the concatenation holds every candidate from here on
     sids_sorted = sorted(db)
     rot_rng = np.random.default_rng(cfg.seed + _ANCHOR_ROT_OFFSET)
     anchor_feats, pos_lists, neg_lists = [], [], []
@@ -216,8 +217,8 @@ def build_corpus(
                     skipped += 1
                     continue
                 kept.append(j)
-                pos_lists.append(pos.astype(np.int64))
-                neg_lists.append(neg.astype(np.int64))
+                pos_lists.append(pos.astype(np.int32))
+                neg_lists.append(neg.astype(np.int32))
             if kept:
                 anchor_feats.append(
                     image_patch_features(variants[kept], snapped[kept], cfg.pool_size)

@@ -134,6 +134,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{field}: must be <= {ROTATION_POOL}"):
             from_dict({field: ROTATION_POOL + 1})
 
+    @pytest.mark.parametrize("field", ["render_resolution", "embed_dim", "hidden_dim"])
+    def test_size_above_the_ceiling_rejected_naming_field(self, field):
+        """These fields size allocations; 2**40 used to load and fail in numpy."""
+        assert getattr(from_dict({field: 4096}), field) == 4096
+        for value in (4097, 2**40):
+            with pytest.raises(ConfigError, match=f"^{field}: must be <= 4096$"):
+                from_dict({field: value})
+
     def test_pool_size_wider_than_the_patch_rejected(self):
         """The default patch side is round(96 / 3) = 32 pixels."""
         assert from_dict({"pool_size": 32})

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -454,6 +455,51 @@ class TestTrain:
         for X in seen:
             assert X.dtype == np.float64
             assert np.shares_memory(X, seen[0])
+
+    def test_int32_and_int64_labels_train_the_same_params(self):
+        """build_corpus writes int32 ids; the label dtype moves no bit."""
+        corpus = tiny_corpus(np.random.default_rng(8))
+        assert corpus.neg_lists[0].dtype == np.int64
+        wide = train(corpus, self.cfg())
+        corpus.pos_lists = [p.astype(np.int32) for p in corpus.pos_lists]
+        corpus.neg_lists = [n.astype(np.int32) for n in corpus.neg_lists]
+        narrow = train(corpus, self.cfg())
+        assert flat_params(narrow.params).tobytes() == flat_params(wide.params).tobytes()
+        assert narrow.history == wide.history
+
+    def test_peak_memory_stays_near_the_f64_block(self):
+        """A batch's rows reach the f64 block without an f32 copy of them all.
+
+        Each anchor's negatives are every candidate but its positives, and
+        mining keeps them all, so every batch's rows are the whole corpus.
+        Narrow towers keep train's other temporaries small, so its traced
+        peak is the f64 block plus little: a whole-batch f32 gather would
+        add half a block on its own.
+        """
+        n_cands, d_in, n_anchors = 4096, 768, 16
+        rng = np.random.default_rng(9)
+        ids = np.arange(n_cands, dtype=np.int32)
+        corpus = PatchCorpus(
+            anchor_feats=rng.random((n_anchors, 6), dtype=np.float32),
+            cand_feats=rng.random((n_cands, d_in), dtype=np.float32),
+            pos_lists=[ids[k : k + 1] for k in range(n_anchors)],
+            neg_lists=[np.delete(ids, k) for k in range(n_anchors)],
+        )
+        cfg = self.cfg(epochs=1, batch_size=8, negatives_keep=n_cands, negatives_pool=n_cands)
+        params = init_params(6, d_in, 5, 4, seed=cfg.seed)
+        block = n_cands * d_in * 8
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            train(corpus, cfg, params)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert block <= peak < 1.25 * block
 
     def test_missing_positive_rejected(self):
         rng = np.random.default_rng(4)

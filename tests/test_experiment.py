@@ -243,8 +243,8 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view):
                         variants[pi].intensity, r[None], cfg.pool_size
                     )[0]
                 )
-                pos_lists.append(pos.astype(np.int64))
-                neg_lists.append(neg.astype(np.int64))
+                pos_lists.append(pos.astype(np.int32))
+                neg_lists.append(neg.astype(np.int32))
     corpus = PatchCorpus(
         anchor_feats=np.asarray(anchor_feats, dtype=np.float32),
         cand_feats=cand_feats,

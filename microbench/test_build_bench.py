@@ -9,10 +9,11 @@ mid-range parameters at 96 px under the default Config, with the
 INDEX_PATCHES_PER_VIEW = 128 rects of side 32 that `enumerate_view_patches`
 samples. `content_rect` snaps the view's rects that meet the coverage
 floor on the noiseless shading (`render.lambert`), and
-`shape_patch_features` pools the snapped rects' normals into 16 x 16 cells. Two more pooling cases steer the kernel
-through its other branches on the same rects: one 32 px bin per rect
-(the eight-accumulator sum) and 5 x 5 cells of uneven 6 and 7 px bins
-(two widths, each gathered).
+`shape_patch_features` pools the snapped rects' normals into 16 x 16
+cells of 2 px bins. Two more pooling cases run the kernel's sequential
+bin sum over longer runs on the same rects: 4 x 4 cells of 8 px bins
+(the longest run whose order matches `np.add.reduceat`) and one 32 px
+bin per rect.
 
 The anchor-view pass is what `build_corpus` runs per anchor view: one
 `shade` call draws a noise variant per covered rect of the
@@ -69,7 +70,7 @@ def test_pool_view(benchmark, view):
     benchmark(shape_patch_features, nmap.normals, snapped, CFG.pool_size)
 
 
-@pytest.mark.parametrize("pool", [1, 5], ids=["wide-bins", "uneven-bins"])
+@pytest.mark.parametrize("pool", [1, 4], ids=["wide-bins", "8px-bins"])
 def test_pool_view_other_bins(benchmark, view, pool):
     nmap, _, snapped, _ = view
     benchmark(shape_patch_features, nmap.normals, snapped, pool)

@@ -119,11 +119,16 @@ def validate(cfg: Config) -> list[str]:
     for name in ("num_views", "pose_bins"):
         if getattr(cfg, name) > ROTATION_POOL:
             errors.append(f"{name}: must be <= {ROTATION_POOL}, the rotation pool")
-    # a patch pools down to pool_size x pool_size, so it must be that wide
-    if 0 < cfg.patch_fraction <= 1 and _fits_float(cfg.render_resolution):
-        side = patch_side(cfg.patch_fraction, cfg.render_resolution)
-        if cfg.pool_size > side:
-            errors.append(f"pool_size: must be <= the patch side {side}")
+    # a patch, and the whole render the pose head pools, must split into
+    # pool_size x pool_size equal bins (see embed._pool_windows)
+    res = cfg.render_resolution
+    if 0 < cfg.patch_fraction <= 1 and 8 <= res <= _SIZE_CEILING and cfg.pool_size >= 1:
+        side = patch_side(cfg.patch_fraction, res)
+        if side < cfg.pool_size or side % cfg.pool_size or res % cfg.pool_size:
+            errors.append(
+                f"pool_size: must divide the patch side {side} and "
+                f"render_resolution {res}"
+            )
     if cfg.negatives_keep > cfg.negatives_pool:
         errors.append("negatives_keep: must be <= negatives_pool")
     if not cfg.huber_delta > 0:

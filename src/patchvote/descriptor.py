@@ -12,11 +12,13 @@ Every step works on all of a view's rects at once: `rect_windows`
 gathers the same-size windows of a raster into one (N, h, w[, C]) stack
 with a single fancy index into a read-only view of every window, made
 by one `as_strided` call that copies no pixel, and coverage, snapping
-and pooling (see embed) are reductions over that stack. A rect may also
-read its own layer of a stack of rasters, one per rect (the noise draws
-of one anchor view), through the same gather. Each window's sum is the same
-sequence of float operations as the sum of the raster slice it copies,
-so the batched results equal a per-rect loop bit for bit.
+and pooling (see embed) are reductions over that stack. Pooling splits
+each window into pool_size x pool_size equal bins, so a patch side that
+pool_size does not divide is refused (see config.validate). A rect may
+also read its own layer of a stack of rasters, one per rect (the noise
+draws of one anchor view), through the same gather. Each window's sum is
+the same sequence of float operations as the sum of the raster slice it
+copies, so the batched results equal a per-rect loop bit for bit.
 """
 
 from __future__ import annotations

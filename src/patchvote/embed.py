@@ -78,94 +78,47 @@ def init_params(
     return TowerParams(image=tower(d_in_image), shape=tower(d_in_shape))
 
 
-def _pairwise(terms: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """numpy's pairwise sum of terms[:, :, lo:lo + n] over axis 2, n >= 1.
-
-    The order is numpy's for a reduction over one strided run: fewer than
-    8 terms are added in sequence; up to 128 go through eight strided
-    accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and
-    the tail of fewer than 8 is added in sequence; more are split at
-    n // 2 rounded down to a multiple of 8, each half summed this way.
-    Sums are f64 whatever the terms' dtype; a single term comes back as is.
-    """
-    if n == 1:
-        return terms[:, :, lo]
-    if n < 8:
-        total = np.add(terms[:, :, lo], terms[:, :, lo + 1], dtype=np.float64)
-        for i in range(lo + 2, lo + n):
-            total += terms[:, :, i]
-        return total
-    if n <= 128:
-        end = lo + n - n % 8
-        acc = terms[:, :, lo : lo + 8].astype(np.float64)
-        for i in range(lo + 8, end, 8):
-            acc += terms[:, :, i : i + 8]
-        r = [acc[:, :, k] for k in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, lo + n):
-            total += terms[:, :, i]
-        return total
-    half = n // 2 - (n // 2) % 8
-    return _pairwise(terms, lo, half) + _pairwise(terms, lo + half, n - half)
-
-
-def _bin_cells(terms: np.ndarray) -> np.ndarray:
-    """Each bin of an (M, bins, width, ...) stack of terms: its first term
-    plus the pairwise sum of the rest, in f64."""
+def _bin_totals(terms: np.ndarray) -> np.ndarray:
+    """Each bin of an (M, bins, width, ...) stack of terms, in f64: its
+    first term plus the sequential sum of the rest, every term widened
+    before it is added."""
     width = terms.shape[2]
     if width == 1:
         return terms[:, :, 0].astype(np.float64)
-    return np.add(terms[:, :, 0], _pairwise(terms, 1, width - 1), dtype=np.float64)
-
-
-def _bin_sums(a: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Sums of a (M, L, ...) stack over the bins [edges[i], edges[i+1]) of axis 1.
-
-    Each cell is its bin's first element plus the pairwise sum of the
-    rest, numpy's order for an add reduction started at each edge. Bins
-    of floor(i * L / P) edges come in at most two widths. Equal widths
-    are summed from a view of `a`; otherwise the bins of each width are
-    gathered into one stack of terms and summed together.
-    """
-    m, size = a.shape[:2]
-    bins = len(edges) - 1
-    narrow = size // bins
-    if narrow * bins == size:
-        return _bin_cells(a.reshape((m, bins, narrow) + a.shape[2:]))
-    out = np.empty((m, bins) + a.shape[2:])
-    wide = np.diff(edges) > narrow
-    for width, which in ((narrow, np.flatnonzero(~wide)), (narrow + 1, np.flatnonzero(wide))):
-        out[:, which] = _bin_cells(a[:, edges[which, None] + np.arange(width)])
-    return out
+    rest = terms[:, :, 1]
+    if width > 2:
+        rest = np.add(rest, terms[:, :, 2], dtype=np.float64)
+        for i in range(3, width):
+            rest += terms[:, :, i]
+    return np.add(terms[:, :, 0], rest, dtype=np.float64)
 
 
 def _pool_windows(stack: np.ndarray, pool: int) -> np.ndarray:
     """Average-pool each (h, w) or (h, w, c) block of a stack to pool x pool.
 
-    Bin edges come from floor(i * size / pool), so uneven sizes get
-    deterministic, nearly equal bins. Rows are binned first, for every
-    channel at once, then columns, one channel at a time so that every
-    add runs over long strided runs. Returns (N, pool * pool [* c]) f64.
+    Both sides must split into pool equal bins (see config.validate).
+    Rows are binned first, for every channel at once, then columns, one
+    channel at a time so that every add runs over long strided runs.
+    Returns (N, pool * pool [* c]) f64.
 
-    Order contract: every cell is bit for bit what `np.add.reduceat`
-    gives over the block's rows and then its columns in f64, the block
-    pooled on its own; `_bin_sums` encodes numpy's summation order, and
-    the oracle tests check each of its branches against live reduceat.
+    Order contract: each cell is its bin's first term plus the
+    sequential sum of the rest, rows and then columns, in f64. For bins
+    of up to 8 terms per axis, which covers every geometry the pipeline
+    pools, that is `np.add.reduceat`'s order over the block, bit for
+    bit. From 9 terms on, numpy sums the rest pairwise, so wider bins
+    can round apart from reduceat.
     """
-    h, w = stack.shape[1:3]
-    if h < pool or w < pool:
-        raise ValueError(f"patch {h}x{w} smaller than pool size {pool}")
-    ye = (np.arange(pool + 1) * h) // pool
-    xe = (np.arange(pool + 1) * w) // pool
-    n = len(stack)
+    n, h, w = stack.shape[:3]
+    if min(h, w) < pool or h % pool or w % pool:
+        raise ValueError(f"patch {h}x{w} does not split into {pool} x {pool} equal bins")
     channels = stack.shape[3] if stack.ndim == 4 else 1
-    rows = _bin_sums(stack.reshape(n, h, w * channels), ye)
-    rows = rows.reshape(n * pool, w, channels)
-    counts = np.outer(np.diff(ye), np.diff(xe)).astype(np.float64)
+    rows = _bin_totals(stack.reshape(n, pool, h // pool, w * channels))
+    rows = rows.reshape(n * pool, pool, w // pool, channels)
+    count = float((h // pool) * (w // pool))
     out = np.empty((n, pool, pool, channels))
     for c in range(channels):
-        cells = _bin_sums(rows[:, :, c], xe)
-        np.divide(cells.reshape(n, pool, pool), counts, out=out[..., c])
+        cells = _bin_totals(rows[..., c])
+        np.divide(cells.reshape(n, pool, pool), count, out=out[..., c])
     return out.reshape(n, -1)
 
 
@@ -176,7 +129,9 @@ def image_patch_features(
 
     An intensity is single-channel, so a 3-D one is an (N, H, W) stack
     holding one raster per rect, and each rect is pooled from its own
-    layer.
+    layer. Each side of the rects must be a multiple of pool, or a
+    ValueError names the side and the pool. That holds for query
+    rasters too, whose size config.validate cannot see.
     """
     return _pool_windows(rect_windows(intensity, rects, intensity.ndim == 3), pool)
 

@@ -137,18 +137,29 @@ class TestValidation:
     @pytest.mark.parametrize("field", ["render_resolution", "embed_dim", "hidden_dim"])
     def test_size_above_the_ceiling_rejected_naming_field(self, field):
         """These fields size allocations; 2**40 used to load and fail in numpy."""
-        assert getattr(from_dict({field: 4096}), field) == 4096
+        # a 4096 px render at patch_fraction 0.25 has a 1024 px patch side,
+        # which pool_size 16 divides
+        fraction = {"patch_fraction": 0.25} if field == "render_resolution" else {}
+        assert getattr(from_dict({field: 4096, **fraction}), field) == 4096
         for value in (4097, 2**40):
             with pytest.raises(ConfigError, match=f"^{field}: must be <= 4096$"):
                 from_dict({field: value})
 
-    def test_pool_size_wider_than_the_patch_rejected(self):
+    def test_pool_size_that_does_not_divide_the_patch_rejected(self):
         """The default patch side is round(96 / 3) = 32 pixels."""
         assert from_dict({"pool_size": 32})
-        with pytest.raises(ConfigError, match="^pool_size: must be <= the patch side 32$"):
-            from_dict({"pool_size": 40})
-        with pytest.raises(ConfigError, match="^pool_size: must be <= the patch side 16$"):
-            from_dict({"pool_size": 17, "render_resolution": 48})
+        assert from_dict({"pool_size": 8, "render_resolution": 48})
+        msg = "^pool_size: must divide the patch side {} and render_resolution {}$"
+        for data, side, res in [
+            ({"pool_size": 40}, 32, 96),  # wider than the patch
+            ({"pool_size": 17, "render_resolution": 48}, 16, 48),
+            ({"pool_size": 16, "render_resolution": 64}, 21, 64),  # uneven bins
+            # 16 divides the 16 px patch of a 40 px render, but not the
+            # render the pose head pools whole
+            ({"patch_fraction": 0.4, "render_resolution": 40}, 16, 40),
+        ]:
+            with pytest.raises(ConfigError, match=msg.format(side, res)):
+                from_dict(data)
 
     def test_float_field_takes_an_int(self):
         cfg = from_dict({"tau": 1, "weight_c": 3})

@@ -549,12 +549,10 @@ class TestPooling:
         got = shape_patch_features(block, np.array([[0, 0, 12, 12]]), 4)
         np.testing.assert_allclose(got, base.reshape(1, -1))
 
-    def test_uneven_bins(self):
+    def test_uneven_bins_rejected(self):
         block = np.arange(25, dtype=float).reshape(5, 5)
-        out = image_patch_features(block, np.array([[0, 0, 5, 5]]), 2).reshape(2, 2)
-        # rows split 2/3, cols split 2/3
-        assert out[0, 0] == pytest.approx(block[:2, :2].mean())
-        assert out[1, 1] == pytest.approx(block[2:, 2:].mean())
+        with pytest.raises(ValueError, match="5x5 does not split into 2 x 2 equal bins"):
+            image_patch_features(block, np.array([[0, 0, 5, 5]]), 2)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):

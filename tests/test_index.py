@@ -89,7 +89,7 @@ def unit(v):
 
 class TestBuildIndex:
     def cfg(self):
-        return Config(render_resolution=64, seed=3)
+        return Config(render_resolution=48, seed=3)
 
     def test_record_count_upper_bound_attained(self):
         # axis-aligned cube views fill the frame, so no patch is empty
@@ -314,6 +314,18 @@ class TestRetrieve:
                 kq=3, kr=1, seed=0, cfg=cfg,
             )
 
+    def test_query_patch_without_equal_bins_raises(self):
+        """A 100 px query at the default patch_fraction gives 33 px patches,
+        which pool_size 16 cannot split into equal bins."""
+        idx = micro_index([unit([1, 1, 1, 1])], [0])
+        model = init_params(Config().pool_size**2, 12, 8, 4, seed=0)
+        raster = ShadedRender(
+            intensity=np.full((100, 100), 0.5, dtype=np.float32),
+            mask=np.ones((100, 100), dtype=bool),
+        )
+        with pytest.raises(ValueError, match="33x33 does not split into 16 x 16"):
+            retrieve_shape(idx, raster, raster.mask, model, 3, 1, seed=0, cfg=Config())
+
     def test_deterministic(self):
         idx, model, raster, cfg = retrieval_fixture(
             [unit([1, 1, 1, 1]), unit([1, 1, 0, 0])], [0, 1]
@@ -358,7 +370,7 @@ class TestIndexIO:
     def test_round_trip_byte_identical(self, tmp_path):
         model = init_params(256, 768, 8, 6, seed=4)
         idx = build_index(
-            {0: unit_cube()}, axis_views(), model, 2, Config(render_resolution=64)
+            {0: unit_cube()}, axis_views(), model, 2, Config(render_resolution=48)
         )
         p1 = tmp_path / "i1.p2ci"
         p2 = tmp_path / "i2.p2ci"

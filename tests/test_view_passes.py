@@ -461,6 +461,57 @@ class TestPoolingMatchesPerBlockReduceat:
                 want = np.stack([oracle_features(layer, r, pool) for r in rects])
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("width", range(1, REDUCEAT_WIDTH + 1))
+    def test_reduceat_order_up_to_eight_terms(self, width):
+        # every bin width the contract ties to reduceat, on each axis,
+        # square and beside the other widths up to eight
+        rng = np.random.default_rng(width)
+        for bh, bw in ((width, width), (width, REDUCEAT_WIDTH + 1 - width)):
+            for c in (None, 3):
+                shape = (3 * bh, 2 * bw) + (() if c is None else (c,))
+                sign = rng.choice([-1.0, 1.0], size=shape)
+                block = sign * 10.0 ** rng.integers(-8, 17, size=shape)
+                block[rng.random(shape) < 0.1] = -0.0
+                features = image_patch_features if c is None else shape_patch_features
+                for pool in (1, 2):
+                    side = rects_at([(0, 0)], bw * pool, bh * pool)
+                    got = features(block, side, pool)
+                    want = oracle_pool(block[: bh * pool, : bw * pool], pool)
+                    assert got[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", range(REDUCEAT_WIDTH + 1, 2 * REDUCEAT_WIDTH + 1))
+    def test_sequential_order_from_nine_terms(self, width):
+        # the first widths where numpy's sum turns pairwise: the kernel
+        # keeps its own order, first term plus the rest in sequence
+        rng = np.random.default_rng(width)
+        for bh, bw in ((width, width), (width, 3), (2, width)):
+            for c in (None, 3):
+                shape = (2 * bh, 2 * bw) + (() if c is None else (c,))
+                sign = rng.choice([-1.0, 1.0], size=shape)
+                block = sign * 10.0 ** rng.integers(-8, 17, size=shape)
+                block[rng.random(shape) < 0.1] = -0.0
+                features = image_patch_features if c is None else shape_patch_features
+                got = features(block, rects_at([(0, 0)], 2 * bw, 2 * bh), 2)
+                want = oracle_sequential_pool(block, 2)
+                assert got[0].tobytes() == want.tobytes()
+
+    # Windows whose bins would be uneven, as (h, w, pool): the geometries
+    # that were once pooled into floor/ceil bins, one side uneven or both,
+    # and sides below the pool.
+    @pytest.mark.parametrize(
+        "h, w, pool",
+        [(33, 33, 16), (31, 31, 5), (17, 17, 4), (50, 50, 3), (90, 90, 7),
+         (29, 23, 4), (12, 40, 3), (300, 7, 2), (70, 19, 4), (33, 31, 5),
+         (33, 32, 16), (12, 12, 16)],
+    )
+    def test_uneven_windows_rejected(self, h, w, pool):
+        rects = rects_at([(0, 0), (1, 2)], w, h)
+        message = f"patch {h}x{w} does not split into {pool} x {pool} equal bins"
+        for c, features in ((None, image_patch_features), (3, shape_patch_features)):
+            raster = np.ones((h + 2, w + 1) + (() if c is None else (c,)))
+            with pytest.raises(ValueError, match=message):
+                features(raster, rects, pool)
+
     def test_windows_are_copies_in_raster_layout(self):
         raster = np.arange(5 * 6 * 3, dtype=np.float32).reshape(5, 6, 3)
         rects = rects_at([(1, 2), (0, 0)], 4, 3)

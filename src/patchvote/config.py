@@ -3,7 +3,9 @@
 Every pipeline stage reads its knobs from one Config value, and the
 effective config is embedded in index manifests and metric reports so
 artifacts stay self-describing; a model file holds only tower weights,
-and the index built with it carries its config. Unknown keys are
+and the index built with it carries its config. A Config checks itself
+when it is built, by its constructor, `dataclasses.replace` or a file,
+and raises a ConfigError that names the bad field. Unknown keys are
 rejected rather than ignored: a typo in an ablation config must fail
 loudly.
 """
@@ -59,6 +61,11 @@ class Config:
     anchor_views: int = 16
     anchors_per_epoch: int = 512
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        problems = _type_problems(self) or validate(self)
+        if problems:
+            raise ConfigError("; ".join(problems))
 
 
 _COUNT_FIELDS = (
@@ -119,11 +126,14 @@ def validate(cfg: Config) -> list[str]:
     for name in ("num_views", "pose_bins"):
         if getattr(cfg, name) > ROTATION_POOL:
             errors.append(f"{name}: must be <= {ROTATION_POOL}, the rotation pool")
-    # a patch, and the whole render the pose head pools, must split into
-    # pool_size x pool_size equal bins (see embed._pool_windows)
+    # sample_patches refuses a patch side below 2 px, and a patch and the
+    # whole render the pose head pools must split into pool_size x
+    # pool_size equal bins (see embed._pool_windows)
     res = cfg.render_resolution
     if 0 < cfg.patch_fraction <= 1 and 8 <= res <= _SIZE_CEILING and cfg.pool_size >= 1:
         side = patch_side(cfg.patch_fraction, res)
+        if side < 2:
+            errors.append(f"patch_fraction: gives a patch side of {side} px, below 2")
         if side < cfg.pool_size or side % cfg.pool_size or res % cfg.pool_size:
             errors.append(
                 f"pool_size: must divide the patch side {side} and "
@@ -155,13 +165,11 @@ def _fits_float(value: int) -> bool:
     return True
 
 
-def _type_problems(data: dict) -> list[str]:
-    """An int field takes an int, a float field an int or a float; never a bool."""
+def _type_problems(cfg: Config) -> list[str]:
+    """An int field holds an int, a float field an int or a float; never a bool."""
     problems = []
-    for f in fields(Config):
-        if f.name not in data:
-            continue
-        value = data[f.name]
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
         kinds = (int, float) if f.type == "float" else (int,)
         if isinstance(value, bool) or not isinstance(value, kinds):
             wanted = "a number" if f.type == "float" else "an integer"
@@ -177,14 +185,7 @@ def from_dict(data: dict) -> Config:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown key: {unknown[0]}")
-    problems = _type_problems(data)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    cfg = Config(**data)
-    problems = validate(cfg)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return cfg
+    return Config(**data)
 
 
 def load_config(path: str | None = None) -> Config:

@@ -14,7 +14,7 @@ with a single fancy index into a read-only view of every window, made
 by one `as_strided` call that copies no pixel, and coverage, snapping
 and pooling (see embed) are reductions over that stack. Pooling splits
 each window into pool_size x pool_size equal bins, so a patch side that
-pool_size does not divide is refused (see config.validate). A rect may
+pool_size does not divide is refused when the Config is built. A rect may
 also read its own layer of a stack of rasters, one per rect (the noise
 draws of one anchor view), through the same gather. Each window's sum is
 the same sequence of float operations as the sum of the raster slice it

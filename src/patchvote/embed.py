@@ -96,7 +96,7 @@ def _bin_totals(terms: np.ndarray) -> np.ndarray:
 def _pool_windows(stack: np.ndarray, pool: int) -> np.ndarray:
     """Average-pool each (h, w) or (h, w, c) block of a stack to pool x pool.
 
-    Both sides must split into pool equal bins (see config.validate).
+    Both sides must split into pool equal bins, as a Config checks.
     Rows are binned first, for every channel at once, then columns, one
     channel at a time so that every add runs over long strided runs.
     Returns (N, pool * pool [* c]) f64.
@@ -131,7 +131,7 @@ def image_patch_features(
     holding one raster per rect, and each rect is pooled from its own
     layer. Each side of the rects must be a multiple of pool, or a
     ValueError names the side and the pool. That holds for query
-    rasters too, whose size config.validate cannot see.
+    rasters too, whose size a Config cannot see.
     """
     return _pool_windows(rect_windows(intensity, rects, intensity.ndim == 3), pool)
 
@@ -144,8 +144,8 @@ def shape_patch_features(
 
 
 def _normalize_rows(pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalize rows; returns (Y, effective pre) after the epsilon fix."""
-    pre = pre.copy()
+    """Unit-normalize rows; returns (Y, effective pre) after the epsilon fix,
+    which is made in place on `pre`."""
     norms = np.linalg.norm(pre, axis=1)
     tiny = norms < NORM_EPS
     if tiny.any():
@@ -244,7 +244,7 @@ def nce_loss_and_grad(
     bit for bit (see _run_means), and the gradient is accumulated into
     one coefficient matrix d(loss)/d(sims) by one scatter per label kind.
 
-    Cosine arguments are bounded by 1/tau, and config.validate keeps
+    Cosine arguments are bounded by 1/tau, and a Config keeps
     1/tau + log1p(C) below log(f64 max), so every exponential, the
     denominator Dp + C * Dn <= (1 + C) exp(1/tau), the gradient and the
     loss stay finite: a mean is at least its smallest term, so

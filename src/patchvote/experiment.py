@@ -198,31 +198,26 @@ def build_corpus(
             same_view = (cand_sids == sid) & (cand_vids == near_vid)
             positive = (footprint >= cfg.theta_pos) & same_view
             negative = (footprint <= cfg.theta_neg) & (cand_sids != sid)
-            kept = []
-            for j, pi in enumerate(live.tolist()):
-                pos = np.flatnonzero(positive[j])
+            kept = positive.any(axis=1) & negative.any(axis=1)
+            skipped += int(np.count_nonzero(~kept))
+            if not kept.any():
+                continue
+            for j in np.flatnonzero(kept).tolist():
                 neg = np.flatnonzero(negative[j])
                 if len(neg) > cfg.negatives_pool:
                     rng = np.random.default_rng(
                         derive_seed(
                             cfg.seed + _NEG_SUBSAMPLE_BASE,
                             sid,
-                            av * _ANCHOR_PATCHES + pi,
+                            av * _ANCHOR_PATCHES + int(live[j]),
                         )
                     )
-                    neg = np.sort(
-                        rng.choice(neg, cfg.negatives_pool, replace=False)
-                    )
-                if len(pos) == 0 or len(neg) == 0:
-                    skipped += 1
-                    continue
-                kept.append(j)
-                pos_lists.append(pos.astype(np.int32))
+                    neg = np.sort(rng.choice(neg, cfg.negatives_pool, replace=False))
+                pos_lists.append(np.flatnonzero(positive[j]).astype(np.int32))
                 neg_lists.append(neg.astype(np.int32))
-            if kept:
-                anchor_feats.append(
-                    image_patch_features(variants[kept], snapped[kept], cfg.pool_size)
-                )
+            anchor_feats.append(
+                image_patch_features(variants[kept], snapped[kept], cfg.pool_size)
+            )
     if not anchor_feats:
         raise TrainingError("corpus has no usable anchors")
     return PatchCorpus(

@@ -3,8 +3,9 @@ import inspect
 import json
 import pkgutil
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 import patchvote
@@ -17,6 +18,13 @@ from patchvote.config import (
 )
 from patchvote.errors import ConfigError
 from patchvote.views import ROTATION_POOL
+
+# every way a Config is built checks it the same way
+BUILDS = pytest.mark.parametrize(
+    "build",
+    [from_dict, lambda data: Config(**data), lambda data: replace(Config(), **data)],
+    ids=["from_dict", "constructor", "replace"],
+)
 
 
 class TestDefaults:
@@ -50,36 +58,42 @@ class TestDefaults:
 
 
 class TestValidation:
-    def test_tau_zero_rejected_naming_field(self):
+    @BUILDS
+    def test_tau_zero_rejected_naming_field(self, build):
         with pytest.raises(ConfigError, match="tau"):
-            from_dict({"tau": 0.0})
+            build({"tau": 0.0})
 
-    def test_negative_tau_rejected(self):
+    @BUILDS
+    def test_negative_tau_rejected(self, build):
         with pytest.raises(ConfigError, match="tau"):
-            from_dict({"tau": -1.0})
+            build({"tau": -1.0})
 
+    @BUILDS
     @pytest.mark.parametrize(
         "data", [{"tau": 0.001}, {"tau": 0.0015, "weight_c": 1e300}, {"tau": 5e-324}]
     )
-    def test_tau_overflowing_the_loss_rejected_naming_field(self, data):
+    def test_tau_overflowing_the_loss_rejected_naming_field(self, data, build):
         # exp(1/tau) or (1 + weight_c) * exp(1/tau) would overflow f64
         with pytest.raises(ConfigError, match="tau: 1/tau"):
-            from_dict(data)
+            build(data)
 
     def test_tau_just_inside_the_overflow_bound_accepted(self):
         # 1/tau + log1p(24) = 706 + 3.22 < log(f64 max) = 709.78
         assert from_dict({"tau": 1 / 706}).tau == 1 / 706
 
+    @BUILDS
     @pytest.mark.parametrize(
         "data",
         [{"theta_pos": 2.0}, {"theta_pos": 0.0}, {"theta_pos": -0.1},
          {"theta_neg": -1.0}, {"theta_neg": 1.5}],
         ids=["pos-above-1", "pos-zero", "pos-negative", "neg-negative", "neg-above-1"],
     )
-    def test_footprint_threshold_outside_iou_range_rejected_naming_field(self, data):
+    def test_footprint_threshold_outside_iou_range_rejected_naming_field(
+        self, data, build
+    ):
         (name,) = data
         with pytest.raises(ConfigError, match=f"{name}: must be in"):
-            from_dict(data)
+            build(data)
 
     def test_footprint_thresholds_at_the_iou_range_ends_accepted(self):
         cfg = from_dict({"theta_pos": 1.0, "theta_neg": 0.0})
@@ -90,24 +104,32 @@ class TestValidation:
         with pytest.raises(ConfigError, match="foo"):
             from_dict({"foo": 1})
 
-    def test_keep_exceeding_pool_rejected(self):
+    @BUILDS
+    def test_keep_exceeding_pool_rejected(self, build):
         with pytest.raises(ConfigError, match="negatives_keep"):
-            from_dict({"negatives_pool": 8, "negatives_keep": 9})
+            build({"negatives_pool": 8, "negatives_keep": 9})
 
-    def test_patch_fraction_bounds(self):
+    @BUILDS
+    def test_patch_fraction_bounds(self, build):
         with pytest.raises(ConfigError, match="patch_fraction"):
-            from_dict({"patch_fraction": 0.0})
+            build({"patch_fraction": 0.0})
         with pytest.raises(ConfigError, match="patch_fraction"):
-            from_dict({"patch_fraction": 1.5})
+            build({"patch_fraction": 1.5})
+        # sample_patches refuses a patch side below 2 px for every view
+        assert build({"render_resolution": 8, "patch_fraction": 0.25, "pool_size": 1})
+        with pytest.raises(ConfigError, match="^patch_fraction: gives a patch side of 1"):
+            build({"render_resolution": 8, "patch_fraction": 0.1, "pool_size": 1})
 
     def test_counts_must_be_positive(self):
         with pytest.raises(ConfigError, match="hist_bins"):
             from_dict({"hist_bins": 0})
 
-    def test_count_field_zero_rejected_naming_field(self):
+    @BUILDS
+    def test_count_field_zero_rejected_naming_field(self, build):
         with pytest.raises(ConfigError, match="kq: must be >= 1"):
-            from_dict({"kq": 0})
+            build({"kq": 0})
 
+    @BUILDS
     @pytest.mark.parametrize(
         "data, field",
         [
@@ -121,45 +143,55 @@ class TestValidation:
             ({"render_resolution": 10**400}, "render_resolution"),
             ({"kq": 2**63}, "kq"),
             ({"embed_dim": 2**63}, "embed_dim"),
+            # numpy scalars would reach save_index, which cannot encode them
+            ({"seed": np.int64(1)}, "seed"),
+            ({"seed": True}, "seed"),
         ],
     )
-    def test_wrong_field_type_rejected_naming_field(self, data, field):
+    def test_wrong_field_type_rejected_naming_field(self, data, field, build):
         with pytest.raises(ConfigError, match=f"^{field}: must be"):
-            from_dict(data)
+            build(data)
 
+    @BUILDS
     @pytest.mark.parametrize("field", ["num_views", "pose_bins"])
-    def test_more_medoids_than_the_rotation_pool_rejected(self, field):
+    def test_more_medoids_than_the_rotation_pool_rejected(self, field, build):
         """Both grids are k-medoids over ROTATION_POOL rotations."""
-        assert from_dict({field: ROTATION_POOL})
+        assert build({field: ROTATION_POOL})
         with pytest.raises(ConfigError, match=f"^{field}: must be <= {ROTATION_POOL}"):
-            from_dict({field: ROTATION_POOL + 1})
+            build({field: ROTATION_POOL + 1})
 
+    @BUILDS
     @pytest.mark.parametrize("field", ["render_resolution", "embed_dim", "hidden_dim"])
-    def test_size_above_the_ceiling_rejected_naming_field(self, field):
+    def test_size_above_the_ceiling_rejected_naming_field(self, field, build):
         """These fields size allocations; 2**40 used to load and fail in numpy."""
         # a 4096 px render at patch_fraction 0.25 has a 1024 px patch side,
         # which pool_size 16 divides
         fraction = {"patch_fraction": 0.25} if field == "render_resolution" else {}
-        assert getattr(from_dict({field: 4096, **fraction}), field) == 4096
+        assert getattr(build({field: 4096, **fraction}), field) == 4096
         for value in (4097, 2**40):
             with pytest.raises(ConfigError, match=f"^{field}: must be <= 4096$"):
-                from_dict({field: value})
+                build({field: value})
 
-    def test_pool_size_that_does_not_divide_the_patch_rejected(self):
+    @BUILDS
+    def test_pool_size_that_does_not_divide_the_patch_rejected(self, build):
         """The default patch side is round(96 / 3) = 32 pixels."""
-        assert from_dict({"pool_size": 32})
-        assert from_dict({"pool_size": 8, "render_resolution": 48})
+        assert build({"pool_size": 32})
+        assert build({"pool_size": 8, "render_resolution": 48})
         msg = "^pool_size: must divide the patch side {} and render_resolution {}$"
         for data, side, res in [
             ({"pool_size": 40}, 32, 96),  # wider than the patch
             ({"pool_size": 17, "render_resolution": 48}, 16, 48),
             ({"pool_size": 16, "render_resolution": 64}, 21, 64),  # uneven bins
+            # the same at the default pool_size: build_index used to
+            # render every view before the pooling refused the patch
+            ({"render_resolution": 64}, 21, 64),
+            ({"patch_fraction": 0.25}, 24, 96),
             # 16 divides the 16 px patch of a 40 px render, but not the
             # render the pose head pools whole
             ({"patch_fraction": 0.4, "render_resolution": 40}, 16, 40),
         ]:
             with pytest.raises(ConfigError, match=msg.format(side, res)):
-                from_dict(data)
+                build(data)
 
     def test_float_field_takes_an_int(self):
         cfg = from_dict({"tau": 1, "weight_c": 3})
@@ -207,6 +239,7 @@ class TestRoundTrip:
 
 
 class TestNonFiniteAndEncoding:
+    @BUILDS
     @pytest.mark.parametrize(
         "text, field",
         [
@@ -221,9 +254,9 @@ class TestNonFiniteAndEncoding:
             ('{"learning_rate": 1e400}', "learning_rate"),
         ],
     )
-    def test_non_finite_float_rejected_naming_field(self, text, field):
+    def test_non_finite_float_rejected_naming_field(self, text, field, build):
         with pytest.raises(ConfigError, match=f"^{field}: must be"):
-            from_dict(json.loads(text))
+            build(json.loads(text))
 
     def test_non_finite_config_file_rejected(self, tmp_path):
         p = tmp_path / "nan.json"
@@ -245,11 +278,12 @@ class TestNonFiniteAndEncoding:
 
 
 class TestFloatFieldIntegers:
+    @BUILDS
     @pytest.mark.parametrize("field", ["tau", "learning_rate", "shade_noise"])
-    def test_integer_beyond_float_range_rejected_naming_field(self, field):
+    def test_integer_beyond_float_range_rejected_naming_field(self, field, build):
         text = '{"%s": 1%s}' % (field, "0" * 400)
         with pytest.raises(ConfigError, match=f"^{field}: must fit in a float$"):
-            from_dict(json.loads(text))
+            build(json.loads(text))
 
     def test_config_file_with_huge_integer_rejected(self, tmp_path):
         p = tmp_path / "huge.json"

@@ -174,6 +174,11 @@ class TestKnn:
             with pytest.raises(EmptyIndexError):
                 knn_query(idx, unit([[1, 0, 0, 0]]), 1, category=category)
 
+    def test_k_below_one_rejected(self):
+        idx = micro_index([unit([1, 0, 0, 0])], [0])
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            knn_query(idx, unit([[1, 0, 0, 0]]), 0)
+
     @pytest.mark.parametrize("shape", [(4,), (1, 1, 4)], ids=["vector", "3-d"])
     def test_query_not_a_block_rejected(self, shape):
         idx = micro_index([unit([1, 0, 0, 0])], [0])
@@ -313,6 +318,12 @@ class TestRetrieve:
                 idx, raster, np.zeros_like(raster.mask), model,
                 kq=3, kr=1, seed=0, cfg=cfg,
             )
+
+    @pytest.mark.parametrize("kq, kr", [(0, 1), (1, 0)], ids=["kq", "kr"])
+    def test_vote_width_below_one_rejected(self, kq, kr):
+        idx, model, raster, cfg = retrieval_fixture([unit([1, 1, 1, 1])], [0])
+        with pytest.raises(ValueError, match="^kq and kr must be >= 1$"):
+            retrieve_shape(idx, raster, raster.mask, model, kq, kr, seed=0, cfg=cfg)
 
     def test_query_patch_without_equal_bins_raises(self):
         """A 100 px query at the default patch_fraction gives 33 px patches,

@@ -9,9 +9,10 @@ The corpus has the perfbench size under the default Config: 713 anchors
 of pool_size**2 = 256 f32 intensities, 4,906 candidates of 3 * 256 = 768
 f32 normal components, 1 to 24 positives per anchor (the bench corpus
 has 1 to 41, median 12) and 3,900 negatives disjoint from them (the
-bench corpus has 3,662 to 4,096), with int32 ids as build_corpus
-writes them. Values are seeded uniform draws, so mining and the loss do
-the bench's work on different numbers. One epoch
+bench corpus has 3,662 to 4,096), packed into bit rows by
+PatchCorpus.from_lists, the layout build_corpus writes. Values are
+seeded uniform draws, so mining and the loss do the bench's work on
+different numbers. One epoch
 draws anchors_per_epoch = 512 anchors, mines negatives_keep = 1,024 for
 each, and takes 8 SGD steps of batch_size = 64. The mining benchmark
 times one such selection alone: the negatives_keep = 1,024 best of one
@@ -50,9 +51,9 @@ def make_corpus(anchors: int, candidates: int, negatives: int) -> PatchCorpus:
     pos_lists, neg_lists = [], []
     for n_pos in rng.integers(1, 25, size=anchors):
         ids = rng.permutation(candidates)
-        pos_lists.append(np.sort(ids[:n_pos]).astype(np.int32))
-        neg_lists.append(np.sort(ids[n_pos : n_pos + negatives]).astype(np.int32))
-    return PatchCorpus(
+        pos_lists.append(ids[:n_pos])
+        neg_lists.append(ids[n_pos : n_pos + negatives])
+    return PatchCorpus.from_lists(
         anchor_feats=rng.random((anchors, p2), dtype=np.float32),
         cand_feats=rng.random((candidates, 3 * p2), dtype=np.float32),
         pos_lists=pos_lists,

@@ -141,7 +141,10 @@ def build_corpus(
     op gives the footprint IoU of all of them against every candidate,
     and one `image_patch_features` call pools the anchors that keep a
     positive and a negative. The result equals labelling one anchor at
-    a time. Label ids are int32 (see PatchCorpus).
+    a time. Each anchor view packs the labels of its kept anchors into
+    bit rows with one np.packbits call per polarity (see PatchCorpus);
+    only an anchor whose negatives exceed the pool is visited alone, to
+    clear the bits its seeded subsample drops.
     """
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
     blocks = [
@@ -161,7 +164,7 @@ def build_corpus(
     del blocks  # the concatenation holds every candidate from here on
     sids_sorted = sorted(db)
     rot_rng = np.random.default_rng(cfg.seed + _ANCHOR_ROT_OFFSET)
-    anchor_feats, pos_lists, neg_lists = [], [], []
+    anchor_feats, pos_bits, pos_counts, neg_bits, neg_counts = [], [], [], [], []
     skipped = 0
     for sid in sids_sorted:
         for av in range(cfg.anchor_views):
@@ -198,23 +201,29 @@ def build_corpus(
             same_view = (cand_sids == sid) & (cand_vids == near_vid)
             positive = (footprint >= cfg.theta_pos) & same_view
             negative = (footprint <= cfg.theta_neg) & (cand_sids != sid)
-            kept = positive.any(axis=1) & negative.any(axis=1)
+            n_pos = np.count_nonzero(positive, axis=1)
+            n_neg = np.count_nonzero(negative, axis=1)
+            kept = (n_pos > 0) & (n_neg > 0)
             skipped += int(np.count_nonzero(~kept))
             if not kept.any():
                 continue
-            for j in np.flatnonzero(kept).tolist():
-                neg = np.flatnonzero(negative[j])
-                if len(neg) > cfg.negatives_pool:
-                    rng = np.random.default_rng(
-                        derive_seed(
-                            cfg.seed + _NEG_SUBSAMPLE_BASE,
-                            sid,
-                            av * _ANCHOR_PATCHES + int(live[j]),
-                        )
+            for j in np.flatnonzero(kept & (n_neg > cfg.negatives_pool)).tolist():
+                rng = np.random.default_rng(
+                    derive_seed(
+                        cfg.seed + _NEG_SUBSAMPLE_BASE,
+                        sid,
+                        av * _ANCHOR_PATCHES + int(live[j]),
                     )
-                    neg = np.sort(rng.choice(neg, cfg.negatives_pool, replace=False))
-                pos_lists.append(np.flatnonzero(positive[j]).astype(np.int32))
-                neg_lists.append(neg.astype(np.int32))
+                )
+                sample = rng.choice(
+                    np.flatnonzero(negative[j]), cfg.negatives_pool, replace=False
+                )
+                negative[j] = False
+                negative[j, sample] = True
+            pos_bits.append(np.packbits(positive[kept], axis=1))
+            pos_counts.append(n_pos[kept])
+            neg_bits.append(np.packbits(negative[kept], axis=1))
+            neg_counts.append(np.minimum(n_neg[kept], cfg.negatives_pool))
             anchor_feats.append(
                 image_patch_features(variants[kept], snapped[kept], cfg.pool_size)
             )
@@ -223,8 +232,10 @@ def build_corpus(
     return PatchCorpus(
         anchor_feats=np.concatenate(anchor_feats).astype(np.float32),
         cand_feats=cand_feats,
-        pos_lists=pos_lists,
-        neg_lists=neg_lists,
+        pos_bits=np.concatenate(pos_bits),
+        pos_counts=np.concatenate(pos_counts).astype(np.int32),
+        neg_bits=np.concatenate(neg_bits),
+        neg_counts=np.concatenate(neg_counts).astype(np.int32),
         skipped_anchors=skipped,
     )
 

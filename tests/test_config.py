@@ -10,6 +10,7 @@ import pytest
 
 import patchvote
 from patchvote.config import (
+    _COUNT_FIELDS,
     Config,
     dumps_canonical,
     from_dict,
@@ -120,14 +121,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="^patch_fraction: gives a patch side of 1"):
             build({"render_resolution": 8, "patch_fraction": 0.1, "pool_size": 1})
 
-    def test_counts_must_be_positive(self):
-        with pytest.raises(ConfigError, match="hist_bins"):
-            from_dict({"hist_bins": 0})
-
     @BUILDS
-    def test_count_field_zero_rejected_naming_field(self, build):
-        with pytest.raises(ConfigError, match="kq: must be >= 1"):
-            build({"kq": 0})
+    @pytest.mark.parametrize("field", _COUNT_FIELDS)
+    def test_counts_must_be_positive(self, field, build):
+        with pytest.raises(ConfigError, match=f"{field}: must be >= 1"):
+            build({field: 0})
 
     @BUILDS
     @pytest.mark.parametrize(

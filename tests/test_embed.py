@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -341,13 +342,22 @@ class TestMining:
         )
 
 
-def tiny_corpus(rng, n_anchors=6, n_cands=10):
-    return PatchCorpus(
-        anchor_feats=rng.normal(size=(n_anchors, 6)),
-        cand_feats=rng.normal(size=(n_cands, 9)),
-        pos_lists=[rng.choice(n_cands, 2, replace=False) for _ in range(n_anchors)],
-        neg_lists=[rng.choice(n_cands, 4, replace=False) for _ in range(n_anchors)],
-    )
+def tiny_lists(rng, n_anchors=6, n_cands=10, empty_pos=(), empty_neg=()):
+    """Features and ascending label lists; the anchors named in empty_pos and
+    empty_neg get an empty list of that polarity."""
+    anchor_feats = rng.normal(size=(n_anchors, 6))
+    cand_feats = rng.normal(size=(n_cands, 9))
+    pos = [np.sort(rng.choice(n_cands, 2, replace=False)) for _ in range(n_anchors)]
+    neg = [np.sort(rng.choice(n_cands, 4, replace=False)) for _ in range(n_anchors)]
+    for i in empty_pos:
+        pos[i] = pos[i][:0]
+    for i in empty_neg:
+        neg[i] = neg[i][:0]
+    return anchor_feats, cand_feats, pos, neg
+
+
+def tiny_corpus(rng, n_anchors=6, n_cands=10, **empty):
+    return PatchCorpus.from_lists(*tiny_lists(rng, n_anchors, n_cands, **empty))
 
 
 def flat_params(params):
@@ -378,18 +388,12 @@ class TestTrain:
 
     def test_single_anchor_step_decreases_loss(self):
         rng = np.random.default_rng(1)
-        corpus = PatchCorpus(
-            anchor_feats=rng.normal(size=(1, 6)),
-            cand_feats=rng.normal(size=(5, 9)),
-            pos_lists=[np.array([0, 1])],
-            neg_lists=[np.array([2, 3, 4])],
-        )
+        labels = [np.array([0, 1])], [np.array([2, 3, 4])]
+        feats = rng.normal(size=(1, 6)), rng.normal(size=(5, 9))
+        corpus = PatchCorpus.from_lists(*feats, *labels)
         cfg = self.cfg(epochs=1, learning_rate=0.05)
         params = init_params(6, 9, 5, 4, seed=cfg.seed)
-        batch = runs_batch(
-            corpus.anchor_feats, corpus.cand_feats,
-            corpus.pos_lists, corpus.neg_lists,
-        )
+        batch = runs_batch(*feats, *labels)
         before, grad = nce_loss_and_grad(params, batch, cfg)
         gnorm = np.linalg.norm(flat_params(grad))
         result = train(corpus, cfg)
@@ -411,10 +415,11 @@ class TestTrain:
         assert epochs == [0, 1, 2, 3]
 
     def test_history_health_from_epoch_start_embeddings(self):
-        corpus = tiny_corpus(np.random.default_rng(6))
+        anchor_feats, cand_feats, pos, _ = tiny_lists(np.random.default_rng(6))
         # disjoint labels, as build_corpus gives them: no positive can tie
         # with a negative, so the last bit decides no win
-        corpus.neg_lists = [np.setdiff1d(np.arange(10), p) for p in corpus.pos_lists]
+        neg = [np.setdiff1d(np.arange(10), p) for p in pos]
+        corpus = PatchCorpus.from_lists(anchor_feats, cand_feats, pos, neg)
         cfg = self.cfg(epochs=2)
         start = init_params(6, 9, 5, 4, seed=cfg.seed)
         after_one = train(corpus, replace(cfg, epochs=1), start.copy()).params
@@ -456,16 +461,63 @@ class TestTrain:
             assert X.dtype == np.float64
             assert np.shares_memory(X, seen[0])
 
-    def test_int32_and_int64_labels_train_the_same_params(self):
-        """build_corpus writes int32 ids; the label dtype moves no bit."""
-        corpus = tiny_corpus(np.random.default_rng(8))
-        assert corpus.neg_lists[0].dtype == np.int64
-        wide = train(corpus, self.cfg())
-        corpus.pos_lists = [p.astype(np.int32) for p in corpus.pos_lists]
-        corpus.neg_lists = [n.astype(np.int32) for n in corpus.neg_lists]
-        narrow = train(corpus, self.cfg())
-        assert flat_params(narrow.params).tobytes() == flat_params(wide.params).tobytes()
-        assert narrow.history == wide.history
+    def test_packed_rows_train_like_ascending_lists(self):
+        """train reads the labels through pos_lists/neg_lists and the counts,
+        so a corpus holding plain ascending id lists trains too: the packed
+        rows must move no bit against it, history included."""
+        anchor_feats, cand_feats, pos, neg = tiny_lists(
+            np.random.default_rng(8), n_anchors=9, n_cands=40
+        )
+        neg = [np.setdiff1d(np.arange(40), p)[::3] for p in pos]  # 13 or 14 each
+        packed = PatchCorpus.from_lists(anchor_feats, cand_feats, pos, neg)
+        lists = SimpleNamespace(
+            anchor_feats=anchor_feats,
+            cand_feats=cand_feats,
+            pos_lists=pos,
+            pos_counts=np.array([len(p) for p in pos]),
+            neg_lists=neg,
+            neg_counts=np.array([len(n) for n in neg]),
+            skipped_anchors=0,
+        )
+        cfg = self.cfg(negatives_keep=6, negatives_pool=16)
+        want = train(lists, cfg)
+        got = train(packed, cfg)
+        assert flat_params(got.params).tobytes() == flat_params(want.params).tobytes()
+        assert got.history == want.history
+
+    def test_label_rows_decode_one_row_on_access(self, monkeypatch):
+        corpus = tiny_corpus(np.random.default_rng(10), n_cands=21)
+        decoded = []
+        unpack = embed._unpack_row
+
+        def spy(row, n):
+            decoded.append(row.copy())
+            return unpack(row, n)
+
+        monkeypatch.setattr(embed, "_unpack_row", spy)
+        rows = corpus.neg_lists
+        assert decoded == []
+        ids = rows[3]
+        assert len(decoded) == 1
+        assert decoded[0].tobytes() == corpus.neg_bits[3].tobytes()
+        assert ids.dtype == np.int32 and len(ids) == corpus.neg_counts[3]
+        assert len(rows) == len(corpus.anchor_feats)
+        with pytest.raises(TypeError):
+            rows[1:3]
+
+    def test_from_lists_packs_distinct_ids_most_significant_bit_first(self):
+        corpus = PatchCorpus.from_lists(
+            np.zeros((2, 6)), np.zeros((10, 9)),
+            [[9, 0, 3, 3], []], [[1], [8, 2]],
+        )
+        assert corpus.pos_bits.dtype == np.uint8 and corpus.pos_bits.shape == (2, 2)
+        assert corpus.pos_bits.tolist() == [[0b10010000, 0b01000000], [0, 0]]
+        assert corpus.neg_bits.tolist() == [[0b01000000, 0], [0b00100000, 0b10000000]]
+        assert corpus.pos_counts.tolist() == [3, 0]
+        assert corpus.neg_counts.tolist() == [1, 2]
+        assert corpus.pos_counts.dtype == corpus.neg_counts.dtype == np.int32
+        assert corpus.pos_lists[0].tolist() == [0, 3, 9]
+        assert corpus.neg_lists[1].tolist() == [2, 8]
 
     def test_peak_memory_stays_near_the_f64_block(self):
         """A batch's rows reach the f64 block without an f32 copy of them all.
@@ -479,7 +531,7 @@ class TestTrain:
         n_cands, d_in, n_anchors = 4096, 768, 16
         rng = np.random.default_rng(9)
         ids = np.arange(n_cands, dtype=np.int32)
-        corpus = PatchCorpus(
+        corpus = PatchCorpus.from_lists(
             anchor_feats=rng.random((n_anchors, 6), dtype=np.float32),
             cand_feats=rng.random((n_cands, d_in), dtype=np.float32),
             pos_lists=[ids[k : k + 1] for k in range(n_anchors)],
@@ -503,8 +555,7 @@ class TestTrain:
 
     def test_missing_positive_rejected(self):
         rng = np.random.default_rng(4)
-        corpus = tiny_corpus(rng, n_anchors=4)
-        corpus.pos_lists[2] = np.array([], dtype=int)
+        corpus = tiny_corpus(rng, n_anchors=4, empty_pos=[2])
         with pytest.raises(TrainingError, match="anchor 2 lacks positives or negatives"):
             train(corpus, self.cfg(epochs=1))
 
@@ -516,20 +567,13 @@ class TestTrain:
         assert [row.skipped for row in result.history] == [3, 3]
 
     def test_empty_corpus_rejected(self):
-        corpus = PatchCorpus(
-            anchor_feats=np.zeros((0, 6)),
-            cand_feats=np.zeros((0, 9)),
-            pos_lists=[],
-            neg_lists=[],
-        )
+        corpus = PatchCorpus.from_lists(np.zeros((0, 6)), np.zeros((0, 9)), [], [])
         with pytest.raises(TrainingError, match="empty"):
             train(corpus, self.cfg())
 
     def test_all_skipped_rejected(self):
         rng = np.random.default_rng(5)
-        corpus = tiny_corpus(rng, n_anchors=3)
-        for i in range(3):
-            corpus.neg_lists[i] = np.array([], dtype=int)
+        corpus = tiny_corpus(rng, n_anchors=3, empty_neg=range(3))
         with pytest.raises(TrainingError, match="anchor 0 lacks positives or negatives"):
             train(corpus, self.cfg())
 

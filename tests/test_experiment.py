@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from patchvote import index as index_module
 from patchvote.config import Config
 from patchvote.descriptor import content_rect, coverage, sample_patches
 from patchvote.embed import (
-    PatchCorpus,
     image_patch_features,
     init_params,
     shape_patch_features,
@@ -167,8 +167,10 @@ def oracle_rect_iou(rect, rects):
 def oracle_build_corpus(bench, views, cfg, patches_per_view):
     """The earlier build_corpus, one shade, snap, IoU and pool call per anchor.
 
-    Kept verbatim apart from names; also returns how often the paths
-    the stressed fixture must reach were taken.
+    Kept verbatim apart from names and its result, which holds the
+    per-anchor int32 id lists the corpus stored before it packed them
+    into bit rows; also returns how often the paths the stressed fixture
+    must reach were taken.
     """
     stats = {"empty": 0, "subsampled": 0}
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
@@ -245,7 +247,7 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view):
                 )
                 pos_lists.append(pos.astype(np.int32))
                 neg_lists.append(neg.astype(np.int32))
-    corpus = PatchCorpus(
+    corpus = SimpleNamespace(
         anchor_feats=np.asarray(anchor_feats, dtype=np.float32),
         cand_feats=cand_feats,
         pos_lists=pos_lists,
@@ -256,16 +258,27 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view):
 
 
 def assert_same_corpus(got, want):
+    """Features equal, and every packed label row decodes to the oracle's
+    int32 id list, dtype and bytes included."""
     assert got.anchor_feats.dtype == want.anchor_feats.dtype == np.float32
     assert got.anchor_feats.shape == want.anchor_feats.shape
     assert got.anchor_feats.tobytes() == want.anchor_feats.tobytes()
     assert got.cand_feats.tobytes() == want.cand_feats.tobytes()
     assert got.skipped_anchors == want.skipped_anchors
-    for lists_got, lists_want in ((got.pos_lists, want.pos_lists),
-                                  (got.neg_lists, want.neg_lists)):
-        assert len(lists_got) == len(lists_want)
-        for a, b in zip(lists_got, lists_want):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    row_bytes = -(-len(got.cand_feats) // 8)
+    for bits, counts, rows, lists in (
+        (got.pos_bits, got.pos_counts, got.pos_lists, want.pos_lists),
+        (got.neg_bits, got.neg_counts, got.neg_lists, want.neg_lists),
+    ):
+        assert bits.dtype == np.uint8 and bits.shape == (len(lists), row_bytes)
+        assert bits.nbytes <= len(got.anchor_feats) * row_bytes
+        assert counts.dtype == np.int32
+        assert counts.tolist() == [len(ids) for ids in lists]
+        assert len(rows) == len(lists)
+        for i, ids in enumerate(lists):
+            row = rows[i]
+            assert row.dtype == ids.dtype == np.int32
+            assert row.tobytes() == ids.tobytes()
 
 
 # small pools, strict positives and a high coverage floor: anchors fall

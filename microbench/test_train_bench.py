@@ -12,11 +12,11 @@ has 1 to 41, median 12) and 3,900 negatives disjoint from them (the
 bench corpus has 3,662 to 4,096), packed into bit rows by
 PatchCorpus.from_lists, the layout build_corpus writes. Values are
 seeded uniform draws, so mining and the loss do the bench's work on
-different numbers. One epoch
-draws anchors_per_epoch = 512 anchors, mines negatives_keep = 1,024 for
-each, and takes 8 SGD steps of batch_size = 64. The mining benchmark
-times one such selection alone: the negatives_keep = 1,024 best of one
-anchor's 3,900 similarities.
+different numbers. One epoch draws embed._ANCHORS_PER_EPOCH = 512
+anchors, mines negatives_keep = 1,024 for each, and takes 8 SGD steps
+of batch_size = 64. The mining benchmark times one such selection
+alone: the negatives_keep = 1,024 best of one anchor's 3,900
+similarities.
 
 The pinned-size epoch has the size of the pinned run's corpus (see
 ROADMAP.md): 1,431 anchors and 9,775 candidates. Its 2,400 negatives

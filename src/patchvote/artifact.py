@@ -5,10 +5,11 @@ little-endian u32 header fields, then payload blocks: `pack` writes one
 and `Reader` walks one from the front. A JSON document (the
 index manifest, a config file) is one UTF-8 JSON object, read by
 `decode_json`. Every short read, bad magic, trailing byte,
-undecodable document, non-object root and missing or mistyped field
-raises FormatError naming the artifact and the part, as does a NaN or
-infinity in a float block read by `Reader.f4` or checked by
-`Reader.finite` (the model's tower weights, the index's embeddings).
+undecodable or too deeply nested document, non-object root and missing
+or mistyped field raises FormatError naming the artifact and the part,
+as does a NaN or infinity in a float block read by `Reader.f4` or
+checked by `Reader.finite` (the model's tower weights, the index's
+embeddings).
 """
 
 from __future__ import annotations
@@ -98,7 +99,9 @@ def decode_json(raw: bytes, what: str) -> dict:
     """One UTF-8 JSON object; anything else is a FormatError naming `what`."""
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+    # ValueError: UnicodeDecodeError and JSONDecodeError alike;
+    # RecursionError: nesting deeper than the interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{what} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{what} is not a JSON object")

@@ -7,7 +7,9 @@ and the index built with it carries its config. A Config checks itself
 when it is built, by its constructor, `dataclasses.replace` or a file,
 and raises a ConfigError that names the bad field. Unknown keys are
 rejected rather than ignored: a typo in an ablation config must fail
-loudly.
+loudly. Every field is read by a pipeline stage; a value no run varies
+is a constant beside its one reader instead, such as the anchors
+`embed.train` draws per epoch and the pose head's Huber delta.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class Config:
     negatives_keep: int = 1024
     # pose head
     pose_bins: int = 16
-    huber_delta: float = 1.0
     # rendering
     render_resolution: int = 96
     shade_noise: float = 0.02
@@ -59,7 +60,6 @@ class Config:
     epochs: int = 200
     batch_size: int = 64
     anchor_views: int = 16
-    anchors_per_epoch: int = 512
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -80,7 +80,6 @@ _COUNT_FIELDS = (
     "pose_bins",
     "batch_size",
     "anchor_views",
-    "anchors_per_epoch",
     "epochs",
 )
 
@@ -141,8 +140,6 @@ def validate(cfg: Config) -> list[str]:
             )
     if cfg.negatives_keep > cfg.negatives_pool:
         errors.append("negatives_keep: must be <= negatives_pool")
-    if not cfg.huber_delta > 0:
-        errors.append("huber_delta: must be > 0")
     if cfg.render_resolution < 8:
         errors.append("render_resolution: must be >= 8")
     for name in _SIZE_FIELDS:

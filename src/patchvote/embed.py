@@ -35,6 +35,7 @@ MODEL_VERSION = 1
 NORM_EPS = 1e-8
 TOPK_GROUP = 64  # entries per strided group of the top-k cut (see _top_k)
 _GATHER_ROWS = 512  # candidate rows per f32 -> f64 copy into train's block
+_ANCHORS_PER_EPOCH = 512  # anchors train draws per epoch, at most
 
 
 @dataclass
@@ -156,6 +157,15 @@ def _normalize_rows(pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pre / norms[:, None], pre
 
 
+def _normalize_backward(dY: np.ndarray, Y: np.ndarray, pre: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the rows `pre` of _normalize_rows, given it w.r.t. Y.
+
+    With y = u/|u|, dL/du = (dY - (dY . y) y) / |u|.
+    """
+    norms = np.linalg.norm(pre, axis=1, keepdims=True)
+    return (dY - np.sum(dY * Y, axis=1, keepdims=True) * Y) / norms
+
+
 @dataclass
 class TowerTrace:
     """Forward intermediates kept for the backward pass.
@@ -187,13 +197,8 @@ def tower_forward(t: Tower, X: np.ndarray) -> TowerTrace:
 
 
 def tower_backward(t: Tower, trace: TowerTrace, dY: np.ndarray) -> Tower:
-    """Gradients of the loss w.r.t. one tower's parameters.
-
-    Backprop through normalization: with y = u/|u|,
-    dL/du = (dY - (dY . y) y) / |u|.
-    """
-    norms = np.linalg.norm(trace.pre2, axis=1, keepdims=True)
-    dpre2 = (dY - np.sum(dY * trace.Y, axis=1, keepdims=True) * trace.Y) / norms
+    """Gradients of the loss w.r.t. one tower's parameters."""
+    dpre2 = _normalize_backward(dY, trace.Y, trace.pre2)
     dW2 = trace.h1.T @ dpre2
     db2 = dpre2.sum(axis=0)
     dpre1 = dpre2 @ t.W2.T
@@ -390,21 +395,20 @@ class PatchCorpus:
     rows, n = len(cand_feats): bit j of row i, counted from the most
     significant bit of its first byte, marks candidate j as a label of
     anchor i. So a row holds distinct ids, and it decodes to them in
-    ascending order, as int32 (see pos_lists). The counts are the set
-    bits per row. A bit per (anchor, candidate) pair replaces int32 id
-    lists that live through all of `train`: on the bench corpus (713
-    anchors, 4,906 candidates) a negative set holds a median 3,878 ids,
-    and both polarities took 11.1 MB as lists against 0.9 MB of bits;
-    on the pinned run's (1,431 anchors, 9,775 candidates), 23.5 MB
-    against 3.5 MB.
+    ascending order, as int32 (see pos_lists). The per-anchor counts are
+    the set bits of each row, counted on access (see pos_counts), so no
+    stored count can disagree with its row. A bit per (anchor,
+    candidate) pair replaces int32 id lists that live through all of
+    `train`: on the bench corpus (713 anchors, 4,906 candidates) a
+    negative set holds a median 3,878 ids, and both polarities took
+    11.1 MB as lists against 0.9 MB of bits; on the pinned run's (1,431
+    anchors, 9,775 candidates), 23.5 MB against 3.5 MB.
     """
 
     anchor_feats: np.ndarray
     cand_feats: np.ndarray
     pos_bits: np.ndarray  # (A, ceil(n / 8)) uint8
-    pos_counts: np.ndarray  # (A,) int32
     neg_bits: np.ndarray  # (A, ceil(n / 8)) uint8
-    neg_counts: np.ndarray  # (A,) int32
     skipped_anchors: int = 0  # anchors dropped at build time
 
     @classmethod
@@ -416,15 +420,23 @@ class PatchCorpus:
 
         def pack(lists):
             bits = np.zeros((len(lists), -(-n // 8)), dtype=np.uint8)
-            counts = np.zeros(len(lists), dtype=np.int32)
             for k, ids in enumerate(lists):
                 mark[ids] = True
                 bits[k] = np.packbits(mark)
-                counts[k] = np.count_nonzero(mark)
                 mark[ids] = False
-            return bits, counts
+            return bits
 
-        return cls(anchor_feats, cand_feats, *pack(pos_lists), *pack(neg_lists))
+        return cls(anchor_feats, cand_feats, pack(pos_lists), pack(neg_lists))
+
+    @property
+    def pos_counts(self) -> np.ndarray:
+        """Positives per anchor, (A,) int32: the set bits of each row."""
+        return np.bitwise_count(self.pos_bits).sum(axis=1, dtype=np.int32)
+
+    @property
+    def neg_counts(self) -> np.ndarray:
+        """Negatives per anchor, (A,) int32: the set bits of each row."""
+        return np.bitwise_count(self.neg_bits).sum(axis=1, dtype=np.int32)
 
     @property
     def pos_lists(self) -> _LabelRows:
@@ -442,11 +454,12 @@ class EpochStats(NamedTuple):
 
     The cosines are those mining sees: the epoch's anchors against the
     candidates, both embedded with the parameters the epoch starts from.
+    The anchors build_corpus dropped are counted once, on the corpus
+    (PatchCorpus.skipped_anchors), not per epoch.
     """
 
     epoch: int
     loss: float  # mean loss per anchor over the epoch's batches
-    skipped: int  # anchors build_corpus dropped for want of a positive or a negative
     pos_cos: float  # mean cosine over every (anchor, positive) pair
     hard_neg_cos: float  # mean over anchors of the cosine to its hardest mined negative
     pos_beats_neg: float  # share of anchors whose best positive beats that negative
@@ -479,10 +492,12 @@ def _health(
     return float(cos.mean()), float(hard.mean()), float(np.mean(best > hard))
 
 
-def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -> TrainResult:
+def train(corpus: PatchCorpus, cfg: Config, params: TowerParams) -> TrainResult:
     """Mini-batch SGD over the corpus with per-epoch hard-negative mining.
 
-    Each epoch draws at most cfg.anchors_per_epoch anchors from the
+    Training starts from `params`, which it updates in place and returns
+    (the pipeline starts from experiment.lit_init's towers).
+    Each epoch draws at most _ANCHORS_PER_EPOCH anchors from the
     corpus without replacement, so a large corpus acts as a rotating
     supply of fresh examples rather than a small set the towers can
     memorize, while the per-epoch cost stays flat.
@@ -518,14 +533,6 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
     unlabelled = np.flatnonzero((pos_len == 0) | (neg_len == 0))
     if len(unlabelled):
         raise TrainingError(f"anchor {unlabelled[0]} lacks positives or negatives")
-    if params is None:
-        params = init_params(
-            d_in_image=corpus.anchor_feats.shape[1],
-            d_in_shape=corpus.cand_feats.shape[1],
-            h=cfg.hidden_dim,
-            d=cfg.embed_dim,
-            seed=cfg.seed,
-        )
     rng = np.random.default_rng(cfg.seed + 1)
     history: list[EpochStats] = []
 
@@ -535,8 +542,8 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
     slot = np.zeros(len(corpus.cand_feats), dtype=np.intp)
     work = np.empty(corpus.cand_feats.shape)
     for epoch in range(cfg.epochs):
-        if A > cfg.anchors_per_epoch:
-            sel = rng.choice(A, cfg.anchors_per_epoch, replace=False)
+        if A > _ANCHORS_PER_EPOCH:
+            sel = rng.choice(A, _ANCHORS_PER_EPOCH, replace=False)
         else:
             sel = np.arange(A)
         rng.shuffle(sel)
@@ -579,9 +586,7 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams | None = None) -
             loss, grad = nce_loss_and_grad(params, batch, cfg)
             total += loss
             _sgd_step(params, grad, cfg.learning_rate / len(batch.anchor_feats))
-        history.append(
-            EpochStats(epoch, total / len(sel), corpus.skipped_anchors, *health)
-        )
+        history.append(EpochStats(epoch, total / len(sel), *health))
 
     return TrainResult(params=params, history=history)
 

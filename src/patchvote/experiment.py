@@ -24,10 +24,11 @@ from .embed import (
     init_params,
     train,
 )
-from .errors import NoRetrievalError, RenderError, TrainingError
+from .errors import NoRetrievalError, TrainingError
 from .index import (
     PatchIndex,
     Renders,
+    _render,
     build_index,
     derive_seed,
     enumerate_view_patches,
@@ -164,15 +165,14 @@ def build_corpus(
     del blocks  # the concatenation holds every candidate from here on
     sids_sorted = sorted(db)
     rot_rng = np.random.default_rng(cfg.seed + _ANCHOR_ROT_OFFSET)
-    anchor_feats, pos_bits, pos_counts, neg_bits, neg_counts = [], [], [], [], []
+    anchor_feats, pos_bits, neg_bits = [], [], []
     skipped = 0
     for sid in sids_sorted:
         for av in range(cfg.anchor_views):
             base = views.medoids[av % len(views.medoids)]
             rot = perturb_quat(base, QUERY_GAP_MIN, QUERY_GAP_MAX, rot_rng)
-            try:
-                nmap = rasterize(db[sid], rot, cfg.render_resolution)
-            except RenderError:
+            nmap = _render(db[sid], rot, cfg.render_resolution)
+            if nmap is None:
                 continue
             rects = sample_patches(
                 nmap,
@@ -221,9 +221,7 @@ def build_corpus(
                 negative[j] = False
                 negative[j, sample] = True
             pos_bits.append(np.packbits(positive[kept], axis=1))
-            pos_counts.append(n_pos[kept])
             neg_bits.append(np.packbits(negative[kept], axis=1))
-            neg_counts.append(np.minimum(n_neg[kept], cfg.negatives_pool))
             anchor_feats.append(
                 image_patch_features(variants[kept], snapped[kept], cfg.pool_size)
             )
@@ -233,9 +231,7 @@ def build_corpus(
         anchor_feats=np.concatenate(anchor_feats).astype(np.float32),
         cand_feats=cand_feats,
         pos_bits=np.concatenate(pos_bits),
-        pos_counts=np.concatenate(pos_counts).astype(np.int32),
         neg_bits=np.concatenate(neg_bits),
-        neg_counts=np.concatenate(neg_counts).astype(np.int32),
         skipped_anchors=skipped,
     )
 

@@ -2,9 +2,10 @@
 
 Rotation space is quantized into K medoid bins; the head classifies the
 bin with cross entropy and regresses a residual quaternion under a
-Huber loss. The final rotation is offset (x) medoid, in that fixed
-order. The head itself is linear over pooled whole-object render
-features, trained with the same plain SGD as the embedding towers.
+Huber loss of width HUBER_DELTA. The final rotation is offset (x)
+medoid, in that fixed order. The head itself is linear over pooled
+whole-object render features, trained with the same plain SGD as the
+embedding towers.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config
-from .embed import _normalize_rows, _sgd_step
+from .embed import _normalize_backward, _normalize_rows, _sgd_step
 from .errors import TrainingError
 from .views import canonical_quat, nearest_medoid, quat_conj, quat_mul
+
+HUBER_DELTA = 1.0  # width of the offset loss's quadratic zone
 
 
 @dataclass
@@ -115,9 +118,7 @@ def pose_loss_and_grad(
     qres = aligned - data.gt_offsets
     off_loss = huber(qres, delta).sum(axis=1)
     daligned = huber_grad(qres, delta)
-    dY = daligned * signs[:, None]
-    norms = np.linalg.norm(raw_q, axis=1, keepdims=True)
-    draw = (dY - np.sum(dY * offsets, axis=1, keepdims=True) * offsets) / norms
+    draw = _normalize_backward(daligned * signs[:, None], offsets, raw_q)
 
     total = float((ce + off_loss).mean())
     scale = 1.0 / N
@@ -151,7 +152,7 @@ def train_pose_head(data: PoseDataset, cfg: Config) -> PoseTrainResult:
                 gt_bins=data.gt_bins[idx],
                 gt_offsets=data.gt_offsets[idx],
             )
-            loss, grad = pose_loss_and_grad(params, batch, cfg.huber_delta)
+            loss, grad = pose_loss_and_grad(params, batch, HUBER_DELTA)
             total += loss * len(idx)
             _sgd_step(params, grad, cfg.learning_rate)
         history.append((epoch, total / N))

@@ -18,7 +18,7 @@ from patchvote.config import Config
 from patchvote.embed import init_params, train
 from patchvote.mesh import TriMesh
 from patchvote.views import ViewSet, axis_angle_quat
-from test_embed import tiny_corpus
+from test_embed import he_start, tiny_corpus
 from test_index import IDENTITY, retrieval_fixture, unit, unit_cube
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -84,7 +84,7 @@ def test_training_readers_run_over_a_trained_corpus():
     )
     tracer = Tracer(probes=PROBES)
     with tracer:
-        result = train(corpus, cfg)
+        result = train(corpus, cfg, he_start(corpus, cfg))
     assert dict(tracer.errors) == {}
     # two epochs of two batches of the six anchors
     assert tracer.calls["embed.nce_loss_and_grad"] == 4

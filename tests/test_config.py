@@ -248,7 +248,7 @@ class TestNonFiniteAndEncoding:
             ('{"weight_c": Infinity}', "weight_c"),
             ('{"theta_pos": Infinity}', "theta_pos"),
             ('{"theta_neg": -Infinity}', "theta_neg"),
-            ('{"huber_delta": Infinity}', "huber_delta"),
+            ('{"min_coverage": Infinity}', "min_coverage"),
             ('{"learning_rate": 1e400}', "learning_rate"),
         ],
     )
@@ -269,8 +269,16 @@ class TestNonFiniteAndEncoding:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(str(p))
 
-    @pytest.mark.parametrize("key", ["fscore_threshold", "fscore_samples"])
-    def test_removed_fscore_knobs_are_unknown_keys(self, key):
+    def test_deeply_nested_file_is_config_error(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_bytes(b'{"a":' * 50_000)
+        with pytest.raises(ConfigError, match="^config is not UTF-8 JSON"):
+            load_config(str(p))
+
+    @pytest.mark.parametrize(
+        "key", ["fscore_threshold", "fscore_samples", "anchors_per_epoch", "huber_delta"]
+    )
+    def test_removed_knobs_are_unknown_keys(self, key):
         with pytest.raises(ConfigError, match=f"unknown key: {key}"):
             from_dict({key: 1})
 

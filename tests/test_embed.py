@@ -360,6 +360,14 @@ def tiny_corpus(rng, n_anchors=6, n_cands=10, **empty):
     return PatchCorpus.from_lists(*tiny_lists(rng, n_anchors, n_cands, **empty))
 
 
+def he_start(corpus, cfg) -> TowerParams:
+    """He-init towers sized for the corpus and cfg, drawn from cfg.seed."""
+    return init_params(
+        corpus.anchor_feats.shape[1], corpus.cand_feats.shape[1],
+        cfg.hidden_dim, cfg.embed_dim, seed=cfg.seed,
+    )
+
+
 def flat_params(params):
     return np.concatenate(
         [
@@ -383,7 +391,7 @@ class TestTrain:
         corpus = tiny_corpus(np.random.default_rng(0))
         cfg = self.cfg(learning_rate=0.0)
         init = init_params(6, 9, 5, 4, seed=cfg.seed)
-        result = train(corpus, cfg)
+        result = train(corpus, cfg, init.copy())
         np.testing.assert_array_equal(flat_params(result.params), flat_params(init))
 
     def test_single_anchor_step_decreases_loss(self):
@@ -396,20 +404,22 @@ class TestTrain:
         batch = runs_batch(*feats, *labels)
         before, grad = nce_loss_and_grad(params, batch, cfg)
         gnorm = np.linalg.norm(flat_params(grad))
-        result = train(corpus, cfg)
+        result = train(corpus, cfg, params.copy())
         after, _ = nce_loss_and_grad(result.params, batch, cfg)
         assert after < before or gnorm < 1e-12
 
     def test_deterministic_history(self):
         corpus = tiny_corpus(np.random.default_rng(2))
-        a = train(corpus, self.cfg())
-        b = train(corpus, self.cfg())
+        cfg = self.cfg()
+        a = train(corpus, cfg, he_start(corpus, cfg))
+        b = train(corpus, cfg, he_start(corpus, cfg))
         assert a.history == b.history
         np.testing.assert_array_equal(flat_params(a.params), flat_params(b.params))
 
     def test_history_shape(self):
         corpus = tiny_corpus(np.random.default_rng(3))
-        result = train(corpus, self.cfg(epochs=4))
+        cfg = self.cfg(epochs=4)
+        result = train(corpus, cfg, he_start(corpus, cfg))
         assert len(result.history) == 4
         epochs = [row[0] for row in result.history]
         assert epochs == [0, 1, 2, 3]
@@ -477,13 +487,36 @@ class TestTrain:
             pos_counts=np.array([len(p) for p in pos]),
             neg_lists=neg,
             neg_counts=np.array([len(n) for n in neg]),
-            skipped_anchors=0,
         )
         cfg = self.cfg(negatives_keep=6, negatives_pool=16)
-        want = train(lists, cfg)
-        got = train(packed, cfg)
+        want = train(lists, cfg, he_start(lists, cfg))
+        got = train(packed, cfg, he_start(packed, cfg))
         assert flat_params(got.params).tobytes() == flat_params(want.params).tobytes()
         assert got.history == want.history
+
+    def test_epoch_draws_a_subsample_when_anchors_exceed_the_cap(self, monkeypatch):
+        corpus = tiny_corpus(np.random.default_rng(11), n_anchors=9)
+        cfg = self.cfg(epochs=3)
+        monkeypatch.setattr(embed, "_ANCHORS_PER_EPOCH", 5)
+        loss_and_grad = embed.nce_loss_and_grad
+        batches = []
+
+        def spy(params, batch, cfg):
+            batches.append(batch.anchor_feats.copy())
+            return loss_and_grad(params, batch, cfg)
+
+        monkeypatch.setattr(embed, "nce_loss_and_grad", spy)
+        a = train(corpus, cfg, he_start(corpus, cfg))
+        # batch_size 4: each epoch is a batch of 4 anchors and one of 1
+        assert [len(b) for b in batches] == [4, 1] * cfg.epochs
+        for epoch in range(cfg.epochs):
+            rows = np.concatenate(batches[2 * epoch : 2 * epoch + 2])
+            drawn = [np.flatnonzero((corpus.anchor_feats == r).all(axis=1)) for r in rows]
+            assert all(len(d) == 1 for d in drawn)
+            assert len(set(np.concatenate(drawn).tolist())) == 5
+        b = train(corpus, cfg, he_start(corpus, cfg))
+        assert flat_params(a.params).tobytes() == flat_params(b.params).tobytes()
+        assert a.history == b.history
 
     def test_label_rows_decode_one_row_on_access(self, monkeypatch):
         corpus = tiny_corpus(np.random.default_rng(10), n_cands=21)
@@ -557,25 +590,18 @@ class TestTrain:
         rng = np.random.default_rng(4)
         corpus = tiny_corpus(rng, n_anchors=4, empty_pos=[2])
         with pytest.raises(TrainingError, match="anchor 2 lacks positives or negatives"):
-            train(corpus, self.cfg(epochs=1))
-
-    def test_skipped_reads_the_corpus_build_time_count(self):
-        rng = np.random.default_rng(4)
-        corpus = tiny_corpus(rng, n_anchors=4)
-        corpus.skipped_anchors = 3
-        result = train(corpus, self.cfg(epochs=2))
-        assert [row.skipped for row in result.history] == [3, 3]
+            train(corpus, self.cfg(epochs=1), he_start(corpus, self.cfg()))
 
     def test_empty_corpus_rejected(self):
         corpus = PatchCorpus.from_lists(np.zeros((0, 6)), np.zeros((0, 9)), [], [])
         with pytest.raises(TrainingError, match="empty"):
-            train(corpus, self.cfg())
+            train(corpus, self.cfg(), he_start(corpus, self.cfg()))
 
     def test_all_skipped_rejected(self):
         rng = np.random.default_rng(5)
         corpus = tiny_corpus(rng, n_anchors=3, empty_neg=range(3))
         with pytest.raises(TrainingError, match="anchor 0 lacks positives or negatives"):
-            train(corpus, self.cfg())
+            train(corpus, self.cfg(), he_start(corpus, self.cfg()))
 
 
 class TestPooling:

@@ -346,10 +346,12 @@ class TestPipelineRendersOnce:
         path = tmp_path / "shared.p2ci"
         save_index(pipe.index, str(path))
         assert path.read_bytes() == want
-        # every database shape at every canonical view once, and each
-        # jittered index view once more
+        # every database shape at every canonical view once, each jittered
+        # index view once more, and each of the corpus's anchor views once
+        # (build_corpus renders them through index._render too)
         n_db, n_views = len(bench.database_ids), len(views.medoids)
-        assert len(rendered) == len(set(rendered)) == n_db * n_views * (1 + 3)
+        expected = n_db * n_views * (1 + 3) + n_db * cfg.anchor_views
+        assert len(rendered) == len(set(rendered)) == expected
 
 
 def run_tiny_retrieval():

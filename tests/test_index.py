@@ -713,11 +713,12 @@ class TestIndexIOColumnar:
         [
             b"\xff\xfe{}", b"{not json", b"[1, 2]", b"3", b"",
             b"{}", b'{"shapes": {}}', b'{"shapes": {"3": 5}}',
-            b'{"shapes": {"3": {"category": 5}}}',
+            b'{"shapes": {"3": {"category": 5}}}', b'{"shapes":' + b"[" * 100_000,
         ],
         ids=[
             "not-utf8", "not-json", "list", "number", "empty",
             "no-shapes", "shape-unlisted", "shape-not-object", "category-not-str",
+            "nested-past-the-recursion-limit",
         ],
     )
     def test_bad_manifest_is_format_error(self, manifest):

@@ -7,10 +7,17 @@ imported name, so a name inside a docstring or comment does not count.
 The package's `__init__.py` is skipped: a re-export is not a caller.
 Package entry points that no code in those trees calls are listed in
 ENTRY_POINTS, and a name leaves that list once such code calls it.
+
+Likewise every Config field is read as `cfg.<field>` by some module of
+the package other than config.py: a field nothing reads is a knob that
+changes no run.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from patchvote.config import Config
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "patchvote"
@@ -85,3 +92,33 @@ def test_reexport_is_not_a_caller(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text("from patchvote.io import planted\n")
     assert "planted" in referenced_names(tmp_path)
+
+
+def config_reads(root: Path = ROOT) -> set[str]:
+    """Attributes the package reads as `cfg.<name>`, config.py aside."""
+    reads = set()
+    for path in (root / "src" / "patchvote").glob("*.py"):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "cfg"
+            ):
+                reads.add(node.attr)
+    return reads
+
+
+def test_every_config_field_is_read():
+    unread = sorted({f.name for f in fields(Config)} - config_reads())
+    assert unread == [], f"Config fields no pipeline stage reads: {unread}"
+
+
+def test_config_module_is_not_a_reader(tmp_path):
+    pkg = tmp_path / "src" / "patchvote"
+    pkg.mkdir(parents=True)
+    (pkg / "config.py").write_text("def validate(cfg):\n    return cfg.tau\n")
+    (pkg / "embed.py").write_text("def loss(cfg, other):\n    return cfg.seed + other.kq\n")
+    assert config_reads(tmp_path) == {"seed"}

@@ -15,9 +15,13 @@ the query is a shaded render of one synthetic chair. The kNN
 benchmarks score one unit query and one (Kq, d) block of them, as
 retrieve_shape sends a query's patches, against the whole index and
 against one category; the top-k benchmarks time only the selection of
-Kr neighbours from such a block's (Kq, n) similarities. Every benchmark
-runs after the index's cached query state is built, as a served index
-has it after its first query.
+Kr neighbours from such a block's (Kq, n) similarities. Every kNN and
+retrieval benchmark runs after the index's cached query state is built,
+as a served index has it after its first query.
+
+The file I/O benchmarks save and load an index of the same kind at two
+sizes: the perfbench one and 120,000 records, about the 120,567 of the
+pinned north-star run.
 """
 
 import numpy as np
@@ -31,28 +35,38 @@ from patchvote.synth import PARAM_RANGES, SynthSpec, generate_shape
 from patchvote.views import axis_angle_quat
 
 RECORDS = 8825
+PINNED_RECORDS = 120_000
 CATEGORIES = {0: "chair", 1: "chair", 2: "table", 3: "table", 4: "cabinet", 5: "cabinet"}
 CFG = Config()
 
 
-@pytest.fixture(scope="module")
-def index() -> PatchIndex:
+def random_index(records: int) -> PatchIndex:
     rng = np.random.default_rng(0)
-    emb = rng.normal(size=(RECORDS, CFG.embed_dim))
+    emb = rng.normal(size=(records, CFG.embed_dim))
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-    idx = PatchIndex(
+    return PatchIndex(
         embeddings=emb.astype(np.float32),
-        shape_ids=np.sort(rng.integers(0, len(CATEGORIES), size=RECORDS)),
-        view_ids=rng.integers(0, CFG.num_views, size=RECORDS),
-        rects=rng.integers(0, CFG.render_resolution, size=(RECORDS, 4)),
+        shape_ids=np.sort(rng.integers(0, len(CATEGORIES), size=records)),
+        view_ids=rng.integers(0, CFG.num_views, size=records),
+        rects=rng.integers(0, CFG.render_resolution, size=(records, 4)),
         manifest={
             "shapes": {str(s): {"category": c} for s, c in CATEGORIES.items()},
             "config": to_dict(CFG),
         },
     )
+
+
+@pytest.fixture(scope="module")
+def index() -> PatchIndex:
+    idx = random_index(RECORDS)
     for category in (None, *sorted(set(CATEGORIES.values()))):
         idx.scope(category)  # build the cached query state
     return idx
+
+
+@pytest.fixture(scope="module", params=[RECORDS, PINNED_RECORDS], ids=lambda n: f"n{n}")
+def file_index(request) -> PatchIndex:
+    return random_index(request.param)
 
 
 @pytest.fixture(scope="module")
@@ -108,11 +122,11 @@ def test_retrieve_shape(benchmark, index, query, category):
     )
 
 
-def test_save_index(benchmark, index, tmp_path):
-    benchmark(save_index, index, str(tmp_path / "bench.p2ci"))
+def test_save_index(benchmark, file_index, tmp_path):
+    benchmark(save_index, file_index, str(tmp_path / "bench.p2ci"))
 
 
-def test_load_index(benchmark, index, tmp_path):
+def test_load_index(benchmark, file_index, tmp_path):
     path = str(tmp_path / "bench.p2ci")
-    save_index(index, path)
+    save_index(file_index, path)
     benchmark(load_index, path)

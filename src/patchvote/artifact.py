@@ -2,20 +2,23 @@
 
 A binary artifact (the P2CI index, the P2CM model) is a magic,
 little-endian u32 header fields, then payload blocks: `pack` writes one
-and `Reader` walks one from the front. A JSON document (the
-index manifest, a config file) is one UTF-8 JSON object, read by
-`decode_json`. Every short read, bad magic, trailing byte,
-undecodable or too deeply nested document, non-object root and missing
-or mistyped field raises FormatError naming the artifact and the part,
-as does a NaN or infinity in a float block read by `Reader.f4` or
-checked by `Reader.finite` (the model's tower weights, the index's
-embeddings).
+and `Reader` walks one from the front. `read_file` reads a whole
+artifact into one writable buffer, so `Reader.array` hands out views of
+its blocks in place, with no copy. A JSON document (the index manifest,
+a config file) is one UTF-8 JSON object, read by `decode_json`. Every
+short read, bad magic, trailing byte, undecodable or too deeply nested
+document, non-object root and missing or mistyped field raises
+FormatError naming the artifact and the part, as does a NaN or
+infinity in a float block read by `Reader.f4` or checked by
+`Reader.finite` (the model's tower weights, the index's embeddings).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import struct
 from contextlib import contextmanager
 from typing import Iterator, Sequence
@@ -36,6 +39,17 @@ def pack(magic: bytes, header: Sequence[int], *blocks) -> bytes:
 def f4(*arrays) -> list[np.ndarray]:
     """The arrays as C-contiguous little-endian f32 blocks for `pack`."""
     return [np.ascontiguousarray(a, dtype="<f4") for a in arrays]
+
+
+def read_file(path: str) -> bytearray:
+    """The whole file as one writable buffer, sized by fstat and filled by readinto.
+
+    A file that shrinks between the two calls yields only the bytes read.
+    """
+    with open(path, "rb") as fh:
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf) :]
+    return buf
 
 
 class Reader:
@@ -68,19 +82,31 @@ class Reader:
         start = self._advance(size, part)
         return self.buf[start : self.pos]
 
-    def array(self, dtype, count: int, part: str) -> np.ndarray:
-        """`count` items of `dtype` at the cursor: a read-only view, not a copy."""
+    def array(self, dtype, shape: tuple[int, ...], part: str) -> np.ndarray:
+        """The C-contiguous block of `shape` items of `dtype` at the cursor.
+
+        A view of the caller's buffer, not a copy: writable when the
+        buffer is (a bytearray) and aligned when the block's offset is a
+        multiple of the item size.
+        """
         dtype = np.dtype(dtype)
+        count = math.prod(shape)
         start = self._advance(count * dtype.itemsize, part)
-        return np.frombuffer(self.buf, dtype=dtype, count=count, offset=start)
+        values = np.frombuffer(self.buf, dtype=dtype, count=count, offset=start)
+        return values.reshape(shape)
 
     def f4(self, shapes: Sequence[tuple[int, ...]], part: str) -> list[np.ndarray]:
-        """One finite <f4 block per shape, each widened to a writable f64 array."""
+        """One finite <f4 block holding every shape in order, widened to f64 once.
+
+        The arrays are writable, C-contiguous views of that one f64 block.
+        """
+        sizes = [math.prod(shape) for shape in shapes]
+        block = self.finite(self.array("<f4", (sum(sizes),), part), part)
+        block = block.astype(np.float64)
+        starts = itertools.accumulate(sizes, initial=0)
         return [
-            self.finite(self.array("<f4", math.prod(shape), part), part)
-            .astype(np.float64)
-            .reshape(shape)
-            for shape in shapes
+            block[start : start + size].reshape(shape)
+            for start, size, shape in zip(starts, sizes, shapes)
         ]
 
     def finite(self, values: np.ndarray, part: str) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .artifact import Reader, f4, pack
+from .artifact import Reader, f4, pack, read_file
 from .config import Config
 from .descriptor import rect_windows
 from .errors import FormatError, TrainingError
@@ -607,8 +607,7 @@ def save_model(params: TowerParams, path: str) -> None:
 
 
 def load_model(path: str) -> tuple[TowerParams, dict]:
-    with open(path, "rb") as fh:
-        reader = Reader(fh.read(), "model", MODEL_MAGIC)
+    reader = Reader(read_file(path), "model", MODEL_MAGIC)
     version, d_in_image, d_in_shape, h, d = reader.u32(5, "header")
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}")

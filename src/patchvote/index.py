@@ -46,8 +46,16 @@ per block, exact and with ties to the lower record id (embed._top_k).
 
 File format (little-endian, framed by `artifact`): magic, version,
 record count n, dimension d, manifest length and UTF-8 JSON manifest,
-then n packed records of shape id, view id and rect x, y, w, h as u32
-followed by d f32 embedding values, read and written as one block.
+then four column blocks: shape ids (n u32), view ids (n u32), rects
+((n, 4) u32: x, y, w, h) and embeddings ((n, d) f32). The writer pads
+the manifest with trailing spaces, which JSON ignores, so the first
+block starts at a multiple of 8 bytes; each block's items are 4 bytes
+and the two id blocks together 8n, so every block is aligned for its
+items, and the rect and embedding blocks start on 8-byte boundaries.
+The reader takes the file as one buffer: the embeddings are a view of
+it, checked finite in place, and each id or rect block is widened to
+int64 in one pass. A file without the padding loads the same arrays,
+unaligned.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .artifact import Reader, decode_json, fields, pack
+from .artifact import Reader, decode_json, f4, fields, pack, read_file
 from .config import Config, from_dict, to_dict
 from .descriptor import content_rect, coverage, rect_windows, sample_patches
 from .embed import (
@@ -74,12 +82,14 @@ from .render import NormalMap, ShadedRender, lambert, rasterize
 from .views import ViewSet
 
 INDEX_MAGIC = b"P2CI"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+_HEADER_BYTES = len(INDEX_MAGIC) + 4 * 4  # magic and four u32 header fields
 
 
 @dataclass
 class PatchIndex:
-    embeddings: np.ndarray  # (N, d) float32 unit rows
+    # (N, d) float32 unit rows; from load_index, a writable view of the file's buffer
+    embeddings: np.ndarray
     shape_ids: np.ndarray   # (N,) int64
     view_ids: np.ndarray    # (N,) int64
     rects: np.ndarray       # (N, 4) int64: x, y, w, h
@@ -409,22 +419,9 @@ def retrieve_shape(
 # index file format
 
 
-def _record_dtype(d: int) -> np.dtype:
-    """One packed on-disk record: 24 bytes of u32 ids and rect, d f32 values."""
-    return np.dtype(
-        [
-            ("shape_id", "<u4"),
-            ("view_id", "<u4"),
-            ("rect", "<u4", (4,)),
-            ("emb", "<f4", (d,)),
-        ]
-    )
-
-
 def save_index(index: PatchIndex, path: str) -> None:
-    manifest_blob = json.dumps(index.manifest, sort_keys=True).encode("utf-8")
-    n, d = index.embeddings.shape
-    records = np.empty(n, dtype=_record_dtype(d))
+    """Write the index as the column blocks the module docstring lays out."""
+    blocks = []
     for name, column in (
         ("shape_id", index.shape_ids),
         ("view_id", index.view_ids),
@@ -433,30 +430,32 @@ def save_index(index: PatchIndex, path: str) -> None:
         column = np.asarray(column)
         if column.size and (column.min() < 0 or column.max() >= 2**32):
             raise FormatError(f"{name} outside the u32 range [0, 2**32)")
-        records[name] = column
-    records["emb"] = index.embeddings
+        blocks.append(np.ascontiguousarray(column, dtype="<u4"))
+    blocks += f4(index.embeddings)
+    manifest_blob = json.dumps(index.manifest, sort_keys=True).encode("utf-8")
+    # trailing spaces, which JSON ignores, start the blocks on an 8-byte boundary
+    manifest_blob += b" " * (-(_HEADER_BYTES + len(manifest_blob)) % 8)
+    n, d = index.embeddings.shape
     header = (INDEX_VERSION, n, d, len(manifest_blob))
     with open(path, "wb") as fh:
-        fh.write(pack(INDEX_MAGIC, header, manifest_blob, records))
+        fh.write(pack(INDEX_MAGIC, header, manifest_blob, *blocks))
 
 
 def load_index(path: str) -> PatchIndex:
-    with open(path, "rb") as fh:
-        reader = Reader(fh.read(), "index", INDEX_MAGIC)
+    reader = Reader(read_file(path), "index", INDEX_MAGIC)
     version, n, d, mlen = reader.u32(4, "header")
     if version != INDEX_VERSION:
         raise FormatError(f"unsupported index version {version}")
     manifest = decode_json(reader.take(mlen, "manifest"), "index manifest")
-    try:
-        dtype = _record_dtype(d)
-    except ValueError as exc:  # d too large for a numpy dtype
-        raise FormatError(f"unsupported embedding dimension {d}") from exc
-    records = reader.array(dtype, n, "records")
+    shape_ids = reader.array("<u4", (n,), "shape ids").astype(np.int64)
+    view_ids = reader.array("<u4", (n,), "view ids").astype(np.int64)
+    rects = reader.array("<u4", (n, 4), "rects").astype(np.int64)
+    embeddings = reader.array("<f4", (n, d), "embeddings")
     reader.end()
     return PatchIndex(
-        embeddings=reader.finite(records["emb"].astype(np.float32), "records"),
-        shape_ids=records["shape_id"].astype(np.int64),
-        view_ids=records["view_id"].astype(np.int64),
-        rects=records["rect"].astype(np.int64),
+        embeddings=reader.finite(embeddings, "records"),
+        shape_ids=shape_ids,
+        view_ids=view_ids,
+        rects=rects,
         manifest=manifest,
     )

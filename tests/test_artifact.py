@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patchvote.artifact import Reader, decode_json, fields, pack
+from patchvote.artifact import Reader, decode_json, fields, pack, read_file
 from patchvote.config import Config, dumps_canonical, from_dict, load_config
 from patchvote.embed import (
     MODEL_MAGIC,
@@ -40,6 +40,24 @@ class TestFraming:
         assert w.dtype == np.float64 and w.flags["WRITEABLE"]
         np.testing.assert_array_equal(w, np.arange(6).reshape(2, 3))
         r.end()
+
+    def test_f4_blocks_are_views_of_one_widened_block(self):
+        r = Reader(np.arange(10, dtype="<f4").tobytes(), "thing")
+        a, b = r.f4([(2, 3), (4,)], "weights")
+        assert a.base is b.base and a.base.dtype == np.float64
+        np.testing.assert_array_equal(a, np.arange(6).reshape(2, 3))
+        np.testing.assert_array_equal(b, np.arange(6, 10))
+        a[...] = -1
+        np.testing.assert_array_equal(b, np.arange(6, 10))
+
+    def test_read_file_buffer_gives_writable_views(self, tmp_path):
+        p = tmp_path / "a.bin"
+        p.write_bytes(pack(b"MGC0", (2,), np.array([7, 9], dtype="<u4")))
+        r = Reader(read_file(str(p)), "thing", b"MGC0")
+        (n,) = r.u32(1, "header")
+        ids = r.array("<u4", (n,), "ids")
+        r.end()
+        assert ids.flags["WRITEABLE"] and ids.tolist() == [7, 9]
 
     @pytest.mark.parametrize("blob", [b"", b"MG", b"XGC0rest"])
     def test_bad_magic_names_artifact(self, blob):

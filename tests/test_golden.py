@@ -15,7 +15,7 @@ import numpy as np
 from patchvote.embed import Tower, TowerParams, load_model, save_model
 from patchvote.index import PatchIndex, load_index, save_index
 
-INDEX_SHA256 = "f89c53280fc922cf9301fa06ef73489972186b4f0b82d992a6bd14a468fb51e3"
+INDEX_SHA256 = "ba0e60bc0c6d0305e224721027a7b2c8d19517196f9a672fc9c435553b52918b"
 MODEL_SHA256 = "2a70c9b07534d43d778b04ca00325fb548d7866b5f9f3defc86339b47a8638a5"
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import tempfile
@@ -668,10 +669,13 @@ class TestModelFitsIndex:
 
 
 def index_blob(manifest_bytes: bytes) -> bytes:
-    """An index file of one record, of shape 3, with the given manifest bytes."""
-    header = INDEX_MAGIC + struct.pack("<IIII", 1, 1, 4, len(manifest_bytes))
-    record = struct.pack("<6I4f", 3, 0, 0, 0, 4, 4, 1, 0, 0, 0)
-    return header + manifest_bytes + record
+    """An index file of one record, of shape 3, with the given manifest bytes.
+
+    With one record, the four column blocks read as one packed record.
+    """
+    header = INDEX_MAGIC + struct.pack("<IIII", 2, 1, 4, len(manifest_bytes))
+    blocks = struct.pack("<6I4f", 3, 0, 0, 0, 4, 4, 1, 0, 0, 0)
+    return header + manifest_bytes + blocks
 
 
 def load_blob(blob: bytes) -> PatchIndex:
@@ -694,6 +698,16 @@ def valid_blob() -> bytes:
 
 
 VALID_BLOB = valid_blob()
+
+
+def odd_index() -> PatchIndex:
+    """Three records, so the view id block starts 4 bytes past an 8-byte boundary."""
+    idx = micro_index(
+        [unit([1, 0, 0, 0]), unit([1, 2, 0, 0]), unit([0, 1, 3, 0])], [0, 1, 1]
+    )
+    idx.view_ids[:] = [5, 0, 2**32 - 1]
+    idx.rects[1] = [7, 9, 2**31, 3]
+    return idx
 
 
 def loads_or_rejects(blob: bytes) -> None:
@@ -725,6 +739,54 @@ class TestIndexIOColumnar:
         """Rejected at load, or when the first conditioned query reads it."""
         with pytest.raises(FormatError, match="manifest"):
             load_blob(index_blob(manifest)).category_records
+
+    def test_record_interleaved_version_1_rejected(self):
+        idx = odd_index()
+        manifest = json.dumps(idx.manifest, sort_keys=True).encode()
+        header = INDEX_MAGIC + struct.pack("<IIII", 1, 3, 4, len(manifest))
+        records = b"".join(
+            struct.pack("<6I4f", sid, vid, *rect, *emb)
+            for sid, vid, rect, emb in zip(
+                idx.shape_ids, idx.view_ids, idx.rects, idx.embeddings
+            )
+        )
+        with pytest.raises(FormatError, match="unsupported index version 1"):
+            load_blob(header + manifest + records)
+
+    @pytest.mark.parametrize("residue", range(8))
+    def test_blocks_aligned_at_every_manifest_length(self, tmp_path, residue):
+        idx = odd_index()
+        idx.manifest["filler"] = ""
+        short = len(json.dumps(idx.manifest, sort_keys=True).encode())
+        idx.manifest["filler"] = "x" * ((residue - short) % 8)
+        assert len(json.dumps(idx.manifest, sort_keys=True).encode()) % 8 == residue
+        p = tmp_path / "a.p2ci"
+        save_index(idx, str(p))
+        (mlen,) = struct.unpack_from("<I", p.read_bytes(), len(INDEX_MAGIC) + 12)
+        assert (len(INDEX_MAGIC) + 16 + mlen) % 8 == 0  # the first block's offset
+        back = load_index(str(p))
+        for name in ("embeddings", "shape_ids", "view_ids", "rects"):
+            assert getattr(back, name).flags["ALIGNED"], name
+            np.testing.assert_array_equal(getattr(back, name), getattr(idx, name))
+        assert back.manifest == idx.manifest
+
+    def test_unpadded_manifest_loads_the_same_arrays(self):
+        idx = odd_index()
+        manifest = json.dumps(idx.manifest, sort_keys=True).encode()
+        manifest += b"" if len(manifest) % 2 else b" "
+        header = INDEX_MAGIC + struct.pack("<IIII", 2, 3, 4, len(manifest))
+        blocks = b"".join(
+            np.ascontiguousarray(column, dtype=dtype).tobytes()
+            for column, dtype in (
+                (idx.shape_ids, "<u4"), (idx.view_ids, "<u4"),
+                (idx.rects, "<u4"), (idx.embeddings, "<f4"),
+            )
+        )
+        back = load_blob(header + manifest + blocks)
+        assert not back.embeddings.flags["ALIGNED"]
+        for name in ("embeddings", "shape_ids", "view_ids", "rects"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(idx, name))
+        assert back.manifest == idx.manifest
 
     def test_empty_index_round_trips(self, tmp_path):
         idx = micro_index(np.zeros((0, 4)), [])

@@ -9,8 +9,9 @@ a config file) is one UTF-8 JSON object, read by `decode_json`. Every
 short read, bad magic, trailing byte, undecodable or too deeply nested
 document, non-object root and missing or mistyped field raises
 FormatError naming the artifact and the part, as does a NaN or
-infinity in a float block read by `Reader.f4` or checked by
-`Reader.finite` (the model's tower weights, the index's embeddings).
+infinity in a float block read by `Reader.f4` or checked by `finite`
+(the model's tower weights, the index's embeddings); a writer's `f4`
+refuses the same blocks before any file is opened.
 """
 
 from __future__ import annotations
@@ -36,9 +37,16 @@ def pack(magic: bytes, header: Sequence[int], *blocks) -> bytes:
     return b"".join([magic, struct.pack(f"<{len(header)}I", *header), *blocks])
 
 
-def f4(*arrays) -> list[np.ndarray]:
-    """The arrays as C-contiguous little-endian f32 blocks for `pack`."""
-    return [np.ascontiguousarray(a, dtype="<f4") for a in arrays]
+def f4(what: str, part: str, *arrays) -> list[np.ndarray]:
+    """The arrays as finite C-contiguous little-endian f32 blocks for `pack`."""
+    return [finite(np.ascontiguousarray(a, dtype="<f4"), what, part) for a in arrays]
+
+
+def finite(values: np.ndarray, what: str, part: str) -> np.ndarray:
+    """The values, if none is NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise FormatError(f"{what}: non-finite value in {part}")
+    return values
 
 
 def read_file(path: str) -> bytearray:
@@ -101,19 +109,13 @@ class Reader:
         The arrays are writable, C-contiguous views of that one f64 block.
         """
         sizes = [math.prod(shape) for shape in shapes]
-        block = self.finite(self.array("<f4", (sum(sizes),), part), part)
+        block = finite(self.array("<f4", (sum(sizes),), part), self.what, part)
         block = block.astype(np.float64)
         starts = itertools.accumulate(sizes, initial=0)
         return [
             block[start : start + size].reshape(shape)
             for start, size, shape in zip(starts, sizes, shapes)
         ]
-
-    def finite(self, values: np.ndarray, part: str) -> np.ndarray:
-        """The values, if none is NaN or infinite."""
-        if not np.isfinite(values).all():
-            raise FormatError(f"{self.what}: non-finite value in {part}")
-        return values
 
     def end(self) -> None:
         """The artifact must end exactly at the cursor."""

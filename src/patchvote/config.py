@@ -8,8 +8,11 @@ when it is built, by its constructor, `dataclasses.replace` or a file,
 and raises a ConfigError that names the bad field. Unknown keys are
 rejected rather than ignored: a typo in an ablation config must fail
 loudly. Every field is read by a pipeline stage; a value no run varies
-is a constant beside its one reader instead, such as the anchors
-`embed.train` draws per epoch and the pose head's Huber delta.
+is a constant beside its one reader instead: the anchors `embed.train`
+draws per epoch, the pose head's Huber delta and bin count, and the
+query gap band in `views`. NEGATIVES_POOL, read by
+`experiment.build_corpus`, lives here because `validate` bounds
+negatives_keep by it.
 """
 
 from __future__ import annotations
@@ -48,10 +51,7 @@ class Config:
     embed_dim: int = 32
     hidden_dim: int = 64
     pool_size: int = 16
-    negatives_pool: int = 4096
     negatives_keep: int = 1024
-    # pose head
-    pose_bins: int = 16
     # rendering
     render_resolution: int = 96
     shade_noise: float = 0.02
@@ -75,9 +75,7 @@ _COUNT_FIELDS = (
     "embed_dim",
     "hidden_dim",
     "pool_size",
-    "negatives_pool",
     "negatives_keep",
-    "pose_bins",
     "batch_size",
     "anchor_views",
     "epochs",
@@ -88,6 +86,8 @@ _COUNT_FIELDS = (
 # a value like 2**40 is refused here, not by numpy deep in a pipeline
 _SIZE_FIELDS = ("render_resolution", "embed_dim", "hidden_dim")
 _SIZE_CEILING = 4096
+
+NEGATIVES_POOL = 4096  # negatives build_corpus keeps per anchor, at most
 
 
 def validate(cfg: Config) -> list[str]:
@@ -122,9 +122,8 @@ def validate(cfg: Config) -> list[str]:
     for name in _COUNT_FIELDS:
         if getattr(cfg, name) < 1:
             errors.append(f"{name}: must be >= 1")
-    for name in ("num_views", "pose_bins"):
-        if getattr(cfg, name) > ROTATION_POOL:
-            errors.append(f"{name}: must be <= {ROTATION_POOL}, the rotation pool")
+    if cfg.num_views > ROTATION_POOL:
+        errors.append(f"num_views: must be <= {ROTATION_POOL}, the rotation pool")
     # sample_patches refuses a patch side below 2 px, and a patch and the
     # whole render the pose head pools must split into pool_size x
     # pool_size equal bins (see embed._pool_windows)
@@ -138,8 +137,8 @@ def validate(cfg: Config) -> list[str]:
                 f"pool_size: must divide the patch side {side} and "
                 f"render_resolution {res}"
             )
-    if cfg.negatives_keep > cfg.negatives_pool:
-        errors.append("negatives_keep: must be <= negatives_pool")
+    if cfg.negatives_keep > NEGATIVES_POOL:
+        errors.append(f"negatives_keep: must be <= {NEGATIVES_POOL}")
     if cfg.render_resolution < 8:
         errors.append("render_resolution: must be >= 8")
     for name in _SIZE_FIELDS:

@@ -388,7 +388,8 @@ class PatchCorpus:
     Candidate rows are shape-domain patches; per anchor we keep the rows
     labeled positive and the rows labeled negative by their rect
     footprint IoU with the anchor (see experiment.build_corpus).
-    Negatives here are the full per-anchor pool; mining trims them to
+    Negatives here are an anchor's labeled set, capped at
+    config.NEGATIVES_POOL by build_corpus; mining trims them to
     cfg.negatives_keep each epoch.
 
     Each polarity is one (A, ceil(n / 8)) uint8 matrix of np.packbits
@@ -601,7 +602,7 @@ def save_model(params: TowerParams, path: str) -> None:
     d_in_shape = params.shape.W1.shape[0]
     d = params.image.W2.shape[1]
     header = (MODEL_VERSION, d_in_image, d_in_shape, h, d)
-    towers = f4(*params.image.arrays(), *params.shape.arrays())
+    towers = f4("model", "parameters", *params.arrays())
     with open(path, "wb") as fh:
         fh.write(pack(MODEL_MAGIC, header, *towers))
 

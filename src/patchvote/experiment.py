@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config, to_dict
+from .config import NEGATIVES_POOL, Config, to_dict
 from .descriptor import content_rect, coverage, sample_patches
 from .embed import (
     PatchCorpus,
@@ -37,6 +37,7 @@ from .index import (
 )
 from .metrics import build_report, rotation_error
 from .pose import (
+    POSE_BINS,
     PoseDataset,
     PoseHeadParams,
     assign_rotation_bin,
@@ -45,7 +46,7 @@ from .pose import (
     train_pose_head,
 )
 from .render import SCENE_LIGHT, rasterize, shade
-from .synth import QUERY_GAP_MAX, QUERY_GAP_MIN, Benchmark, generate_benchmark
+from .synth import Benchmark, generate_benchmark
 from .views import (
     ViewSet,
     canonical_quat,
@@ -130,8 +131,8 @@ def build_corpus(
     anchor's own position are dropped rather than pushed apart,
     because shapes share exact part dimensions by construction and a
     same-position patch of a lookalike part is often inseparable.
-    Negative pools are capped at cfg.negatives_pool by a seeded
-    subsample.
+    An anchor's negatives are capped at config.NEGATIVES_POOL by a
+    seeded subsample.
 
     Candidates are the records of enumerate_view_patches over the
     canonical views; `renders` (see index.render_views) lets that pass
@@ -170,7 +171,7 @@ def build_corpus(
     for sid in sids_sorted:
         for av in range(cfg.anchor_views):
             base = views.medoids[av % len(views.medoids)]
-            rot = perturb_quat(base, QUERY_GAP_MIN, QUERY_GAP_MAX, rot_rng)
+            rot = perturb_quat(base, rot_rng)
             nmap = _render(db[sid], rot, cfg.render_resolution)
             if nmap is None:
                 continue
@@ -207,7 +208,7 @@ def build_corpus(
             skipped += int(np.count_nonzero(~kept))
             if not kept.any():
                 continue
-            for j in np.flatnonzero(kept & (n_neg > cfg.negatives_pool)).tolist():
+            for j in np.flatnonzero(kept & (n_neg > NEGATIVES_POOL)).tolist():
                 rng = np.random.default_rng(
                     derive_seed(
                         cfg.seed + _NEG_SUBSAMPLE_BASE,
@@ -216,7 +217,7 @@ def build_corpus(
                     )
                 )
                 sample = rng.choice(
-                    np.flatnonzero(negative[j]), cfg.negatives_pool, replace=False
+                    np.flatnonzero(negative[j]), NEGATIVES_POOL, replace=False
                 )
                 negative[j] = False
                 negative[j, sample] = True
@@ -262,7 +263,7 @@ def augment_views(views: ViewSet, extra_per_view: int, seed: int) -> ViewSet:
     med = [np.asarray(m, dtype=np.float64) for m in views.medoids]
     for base in views.medoids:
         for _ in range(extra_per_view):
-            med.append(perturb_quat(base, QUERY_GAP_MIN, QUERY_GAP_MAX, rng))
+            med.append(perturb_quat(base, rng))
     return ViewSet(
         medoids=np.asarray(med, dtype=np.float64),
         source_size=views.source_size,
@@ -452,7 +453,7 @@ def run_pose_experiment(
     train_per_shape: int = 24,
     eval_per_shape: int = 8,
 ) -> PoseEvaluation:
-    medoids = rotation_grid(cfg.pose_bins, cfg.seed + _POSE_MEDOID_OFFSET).medoids
+    medoids = rotation_grid(POSE_BINS, cfg.seed + _POSE_MEDOID_OFFSET).medoids
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
     train_ds, _ = pose_samples(
         db, cfg, medoids, train_per_shape, cfg.seed + _POSE_TRAIN_OFFSET

@@ -66,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .artifact import Reader, decode_json, f4, fields, pack, read_file
+from .artifact import Reader, decode_json, f4, fields, finite, pack, read_file
 from .config import Config, from_dict, to_dict
 from .descriptor import content_rect, coverage, rect_windows, sample_patches
 from .embed import (
@@ -431,7 +431,7 @@ def save_index(index: PatchIndex, path: str) -> None:
         if column.size and (column.min() < 0 or column.max() >= 2**32):
             raise FormatError(f"{name} outside the u32 range [0, 2**32)")
         blocks.append(np.ascontiguousarray(column, dtype="<u4"))
-    blocks += f4(index.embeddings)
+    blocks += f4("index", "records", index.embeddings)
     manifest_blob = json.dumps(index.manifest, sort_keys=True).encode("utf-8")
     # trailing spaces, which JSON ignores, start the blocks on an 8-byte boundary
     manifest_blob += b" " * (-(_HEADER_BYTES + len(manifest_blob)) % 8)
@@ -453,7 +453,7 @@ def load_index(path: str) -> PatchIndex:
     embeddings = reader.array("<f4", (n, d), "embeddings")
     reader.end()
     return PatchIndex(
-        embeddings=reader.finite(embeddings, "records"),
+        embeddings=finite(embeddings, "index", "records"),
         shape_ids=shape_ids,
         view_ids=view_ids,
         rects=rects,

@@ -1,11 +1,11 @@
 """Pose head: rotation-bin classification plus quaternion refinement.
 
-Rotation space is quantized into K medoid bins; the head classifies the
-bin with cross entropy and regresses a residual quaternion under a
-Huber loss of width HUBER_DELTA. The final rotation is offset (x)
-medoid, in that fixed order. The head itself is linear over pooled
-whole-object render features, trained with the same plain SGD as the
-embedding towers.
+Rotation space is quantized into POSE_BINS medoid bins; the head
+classifies the bin with cross entropy and regresses a residual
+quaternion under a Huber loss of width HUBER_DELTA. The final rotation
+is offset (x) medoid, in that fixed order. The head itself is linear
+over pooled whole-object render features, trained with the same plain
+SGD as the embedding towers.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import TrainingError
 from .views import canonical_quat, nearest_medoid, quat_conj, quat_mul
 
 HUBER_DELTA = 1.0  # width of the offset loss's quadratic zone
+POSE_BINS = 16  # rotation bins the head classifies, one logit each
 
 
 @dataclass
@@ -136,10 +137,9 @@ def train_pose_head(data: PoseDataset, cfg: Config) -> PoseTrainResult:
     N = len(data.features)
     if N == 0:
         raise TrainingError("empty pose dataset")
-    k = cfg.pose_bins
-    if data.gt_bins.min() < 0 or data.gt_bins.max() >= k:
-        raise TrainingError(f"gt bins must lie in [0, pose_bins={k})")
-    params = init_pose_head(data.features.shape[1], k, seed=cfg.seed)
+    if data.gt_bins.min() < 0 or data.gt_bins.max() >= POSE_BINS:
+        raise TrainingError(f"gt bins must lie in [0, POSE_BINS={POSE_BINS})")
+    params = init_pose_head(data.features.shape[1], POSE_BINS, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 2)
     history = []
     for epoch in range(cfg.epochs):

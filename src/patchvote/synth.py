@@ -21,13 +21,6 @@ from .views import perturb_quat
 
 CATEGORIES = ("chair", "table", "cabinet")
 
-# Query views sit a bounded angle away from a canonical view: far enough
-# that no query duplicates a database render, close enough that the
-# canonical grid still covers what the query sees. The band is sampled
-# uniformly (uniform axis, uniform angle, uniform choice of base view).
-QUERY_GAP_MIN = np.radians(3.0)
-QUERY_GAP_MAX = np.radians(10.0)
-
 # distinct values drawn per continuous parameter, one per equal sub-interval
 _POOL_VALUES = 3
 
@@ -234,7 +227,7 @@ def generate_benchmark(
     parent of the same category; the parent is the ground-truth target
     for their queries. Every shape, held out or not, contributes
     views_per_query query views, each drawn uniformly from a band of
-    rotations offset from the canonical grid (see QUERY_GAP_MIN/MAX), so
+    rotations offset from the canonical grid (see views.perturb_quat), so
     no query view coincides with a canonical one. base_views, (n, 4)
     quaternions, is that grid: pass the medoids the retrieval pipeline
     indexes (experiment.select_views), so queries sit just off its views.
@@ -287,11 +280,6 @@ def generate_benchmark(
         else:
             raise SynthError("could not mutate a distinct held-out shape")
         seen_keys.add(_params_key(spec))
-        shared = sum(
-            1 for k, v in spec.params.items() if parent.params[k] == v
-        )
-        if shared < 1:
-            raise SynthError("held-out shape shares no part parameter")
         shapes[sid] = ShapeEntry(
             spec=spec, mesh=generate_shape(spec), parent_id=parent_id
         )
@@ -307,7 +295,7 @@ def generate_benchmark(
         held_out = sid >= num_db
         for _ in range(views_per_query):
             base = base_views[vrng.integers(len(base_views))]
-            qview = perturb_quat(base, QUERY_GAP_MIN, QUERY_GAP_MAX, vrng)
+            qview = perturb_quat(base, vrng)
             queries.append(
                 Query(
                     shape_id=sid,

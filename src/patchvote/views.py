@@ -14,8 +14,14 @@ import numpy as np
 
 UNIT_TOL = 1e-6  # how far a rotation quaternion's norm may sit from 1
 # uniform rotations the canonical view grid and the pose bins are chosen
-# from, as k-medoids; num_views and pose_bins may not exceed it
+# from, as k-medoids; num_views and pose.POSE_BINS may not exceed it
 ROTATION_POOL = 256
+
+# Query views sit a bounded angle away from a canonical view: far enough
+# that no query duplicates a database render, close enough that the
+# canonical grid still covers what the query sees.
+QUERY_GAP_MIN = np.radians(3.0)
+QUERY_GAP_MAX = np.radians(10.0)
 
 
 def off_unit(q: np.ndarray) -> np.ndarray:
@@ -82,16 +88,16 @@ def quat_geodesic(a: np.ndarray, b: np.ndarray) -> float:
     return 2.0 * np.arccos(min(1.0, d))
 
 
-def perturb_quat(base: np.ndarray, lo: float, hi: float, rng) -> np.ndarray:
-    """Rotate base by a random angle in [lo, hi] radians about a random axis.
+def perturb_quat(base: np.ndarray, rng) -> np.ndarray:
+    """Rotate base by a random angle in the query gap band about a random axis.
 
-    The axis is uniform on the sphere and the angle uniform in the band,
-    so the result is never the base view itself when lo > 0.
+    The axis is drawn first, uniform on the sphere, then the angle,
+    uniform in [QUERY_GAP_MIN, QUERY_GAP_MAX], so the result is never
+    the base view itself. Benchmark queries, training anchors and the
+    index's jittered views all sit off the canonical grid by this band.
     """
-    if not 0.0 <= lo <= hi:
-        raise ValueError("need 0 <= lo <= hi")
     axis = rng.normal(size=3)
-    angle = float(rng.uniform(lo, hi))
+    angle = float(rng.uniform(QUERY_GAP_MIN, QUERY_GAP_MAX))
     delta = axis_angle_quat(axis, angle)
     return canonical_quat(quat_mul(delta, np.asarray(base, dtype=np.float64)))
 
@@ -168,9 +174,10 @@ def rotation_grid(k: int, seed: int) -> ViewSet:
     """k rotations spread over SO(3): k-medoids over ROTATION_POOL uniform
     rotations, the pool and the clustering both drawn from `seed`.
 
-    The canonical view grid (experiment.select_views) and the pose bins
-    (experiment.run_pose_experiment) are each such a grid, under seeds
-    of their own.
+    The canonical view grid (experiment.select_views, cfg.num_views
+    rotations) and the pose bins (experiment.run_pose_experiment,
+    pose.POSE_BINS rotations) are each such a grid, under seeds of their
+    own.
     """
     return kmedoids(random_rotations(ROTATION_POOL, seed), k, seed)
 

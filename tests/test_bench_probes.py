@@ -5,9 +5,14 @@ reads the arguments or the result of a call. A change to a signature or
 a result type a probe reads breaks the probe only inside a traced
 benchmark run, so this runs the probes over an index build and over
 retrieval on a micro index, and reads what the traced run reads of
-training.
+training. The benchmark's own calls into the package are bound to the
+package's signatures here too, so a signature change that would break
+the benchmark fails this suite.
 """
 
+import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -21,7 +26,8 @@ from patchvote.views import ViewSet, axis_angle_quat
 from test_embed import he_start, tiny_corpus
 from test_index import IDENTITY, retrieval_fixture, unit, unit_cube
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 from tracer import Tracer  # noqa: E402
 from workloads import PROBES, pos_beats_neg_frac  # noqa: E402
 
@@ -92,3 +98,89 @@ def test_training_readers_run_over_a_trained_corpus():
     assert np.isfinite(final_loss) and final_loss > 0
     wins = pos_beats_neg_frac(corpus, result.params, cfg) * len(corpus.anchor_feats)
     assert wins == round(wins) and 0 <= wins <= len(corpus.anchor_feats)
+
+
+def _imported(module: str, name: str):
+    """What `from module import name` binds: a submodule or an attribute."""
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return getattr(importlib.import_module(module), name, None)
+
+
+def unbound_package_calls(source: str) -> tuple[int, list[str]]:
+    """The number of calls in `source` to a patchvote function or class,
+    and one message per call that does not bind to its signature.
+
+    A call is to the package when its callee is a name imported by
+    `from patchvote... import name`, or an attribute of a module imported
+    that way. Arguments are bound by count and keyword, not by value.
+    """
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("patchvote"):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = _imported(node.module, alias.name)
+    count, problems = 0, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in bound:
+            target = bound[func.id]
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and inspect.ismodule(bound.get(func.value.id))
+        ):
+            target = getattr(bound[func.value.id], func.attr, None)
+        else:
+            continue
+        count += 1
+        where = f"line {node.lineno}: {ast.unparse(func)}"
+        if not callable(target):
+            problems.append(f"{where}: no such function or class")
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            problems.append(f"{where}: unpacked arguments cannot be checked")
+            continue
+        try:
+            inspect.signature(target).bind(
+                *node.args, **{k.arg: k.value for k in node.keywords}
+            )
+        except TypeError as exc:
+            problems.append(f"{where}: {exc}")
+    return count, problems
+
+
+def test_benchmark_calls_bind_to_the_package():
+    count, problems = unbound_package_calls((PERFBENCH / "workloads.py").read_text())
+    assert problems == []
+    # the calls perfbench/workloads.py makes into the package today; a
+    # benchmark change that adds or drops one updates this count
+    assert count == 16
+
+
+def test_a_call_that_does_not_bind_is_reported():
+    planted = (
+        "from patchvote import index\n"
+        "from patchvote.config import Config\n"
+        "Config(negatives_keep=8)\n"
+        "Config(pose_bins=4)\n"
+        "index.retrieve_shape(idx, r, r.mask, model, 9, 24, seed=0, cfg=cfg, categroy=c)\n"
+        "index.load_index()\n"
+        "index.retrieve(idx)\n"
+        "index.save_index(*args)\n"
+    )
+    count, problems = unbound_package_calls(planted)
+    assert count == 6
+    assert problems == [
+        "line 4: Config: got an unexpected keyword argument 'pose_bins'",
+        "line 5: index.retrieve_shape: got an unexpected keyword argument 'categroy'",
+        "line 6: index.load_index: missing a required argument: 'path'",
+        "line 7: index.retrieve: no such function or class",
+        "line 8: index.save_index: unpacked arguments cannot be checked",
+    ]

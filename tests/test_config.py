@@ -11,6 +11,7 @@ import pytest
 import patchvote
 from patchvote.config import (
     _COUNT_FIELDS,
+    NEGATIVES_POOL,
     Config,
     dumps_canonical,
     from_dict,
@@ -18,6 +19,7 @@ from patchvote.config import (
     save_config,
 )
 from patchvote.errors import ConfigError
+from patchvote.pose import POSE_BINS
 from patchvote.views import ROTATION_POOL
 
 # every way a Config is built checks it the same way
@@ -44,7 +46,8 @@ class TestDefaults:
         assert cfg.patch_fraction == pytest.approx(1.0 / 3.0)
         assert cfg.num_views == 16
         assert cfg.negatives_keep == 1024
-        assert cfg.pose_bins == 16
+        assert NEGATIVES_POOL == 4096
+        assert POSE_BINS == 16
 
     def test_env_var_pickup(self, tmp_path, monkeypatch):
         p = tmp_path / "cfg.json"
@@ -107,8 +110,9 @@ class TestValidation:
 
     @BUILDS
     def test_keep_exceeding_pool_rejected(self, build):
-        with pytest.raises(ConfigError, match="negatives_keep"):
-            build({"negatives_pool": 8, "negatives_keep": 9})
+        assert build({"negatives_keep": NEGATIVES_POOL})
+        with pytest.raises(ConfigError, match="^negatives_keep: must be <= 4096$"):
+            build({"negatives_keep": NEGATIVES_POOL + 1})
 
     @BUILDS
     def test_patch_fraction_bounds(self, build):
@@ -151,12 +155,13 @@ class TestValidation:
             build(data)
 
     @BUILDS
-    @pytest.mark.parametrize("field", ["num_views", "pose_bins"])
-    def test_more_medoids_than_the_rotation_pool_rejected(self, field, build):
-        """Both grids are k-medoids over ROTATION_POOL rotations."""
-        assert build({field: ROTATION_POOL})
-        with pytest.raises(ConfigError, match=f"^{field}: must be <= {ROTATION_POOL}"):
-            build({field: ROTATION_POOL + 1})
+    def test_more_medoids_than_the_rotation_pool_rejected(self, build):
+        """The view grid and the POSE_BINS pose bins are both k-medoids
+        over ROTATION_POOL rotations."""
+        assert POSE_BINS <= ROTATION_POOL
+        assert build({"num_views": ROTATION_POOL})
+        with pytest.raises(ConfigError, match=f"^num_views: must be <= {ROTATION_POOL}"):
+            build({"num_views": ROTATION_POOL + 1})
 
     @BUILDS
     @pytest.mark.parametrize("field", ["render_resolution", "embed_dim", "hidden_dim"])
@@ -276,7 +281,15 @@ class TestNonFiniteAndEncoding:
             load_config(str(p))
 
     @pytest.mark.parametrize(
-        "key", ["fscore_threshold", "fscore_samples", "anchors_per_epoch", "huber_delta"]
+        "key",
+        [
+            "fscore_threshold",
+            "fscore_samples",
+            "anchors_per_epoch",
+            "huber_delta",
+            "negatives_pool",
+            "pose_bins",
+        ],
     )
     def test_removed_knobs_are_unknown_keys(self, key):
         with pytest.raises(ConfigError, match=f"unknown key: {key}"):

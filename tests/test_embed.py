@@ -382,7 +382,7 @@ class TestTrain:
     def cfg(self, **kw):
         base = dict(
             hidden_dim=5, embed_dim=4, epochs=3, learning_rate=0.1,
-            batch_size=4, negatives_keep=3, negatives_pool=8, seed=0,
+            batch_size=4, negatives_keep=3, seed=0,
         )
         base.update(kw)
         return Config(**base)
@@ -488,7 +488,7 @@ class TestTrain:
             neg_lists=neg,
             neg_counts=np.array([len(n) for n in neg]),
         )
-        cfg = self.cfg(negatives_keep=6, negatives_pool=16)
+        cfg = self.cfg(negatives_keep=6)
         want = train(lists, cfg, he_start(lists, cfg))
         got = train(packed, cfg, he_start(packed, cfg))
         assert flat_params(got.params).tobytes() == flat_params(want.params).tobytes()
@@ -570,7 +570,7 @@ class TestTrain:
             pos_lists=[ids[k : k + 1] for k in range(n_anchors)],
             neg_lists=[np.delete(ids, k) for k in range(n_anchors)],
         )
-        cfg = self.cfg(epochs=1, batch_size=8, negatives_keep=n_cands, negatives_pool=n_cands)
+        cfg = self.cfg(epochs=1, batch_size=8, negatives_keep=n_cands)
         params = init_params(6, d_in, 5, 4, seed=cfg.seed)
         block = n_cands * d_in * 8
         tracing = tracemalloc.is_tracing()
@@ -677,11 +677,30 @@ class TestModelRejectsNonFinite:
     )
     def test_nan_or_inf_weight_is_format_error(self, tmp_path, tower, name, value):
         params = init_params(4, 6, 3, 2, seed=1)
-        getattr(getattr(params, tower), name).flat[0] = value
         p = tmp_path / "m.bin"
         save_model(params, str(p))
+        # save_model refuses the value, so plant it in the file: the
+        # arrays follow the magic and five u32 header fields, in order
+        arrays = params.arrays()
+        target = getattr(getattr(params, tower), name)
+        k = next(i for i, a in enumerate(arrays) if a is target)
+        with open(p, "r+b") as fh:
+            fh.seek(4 + 4 * 5 + 4 * sum(a.size for a in arrays[:k]))
+            fh.write(np.array(value, dtype="<f4").tobytes())
         with pytest.raises(FormatError, match="non-finite value in parameters"):
             load_model(str(p))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+    def test_save_refuses_what_load_refuses(self, tmp_path, value):
+        """1e39 is a finite f64 that the f32 file would hold as infinity."""
+        params = init_params(4, 6, 3, 2, seed=1)
+        params.shape.W2[1, 1] = value
+        p = tmp_path / "m.bin"
+        with np.errstate(over="ignore"), pytest.raises(
+            FormatError, match="^model: non-finite value in parameters$"
+        ):
+            save_model(params, str(p))
+        assert not p.exists()
 
 
 def lexsort_mining(anchor, ids, embs, keep):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from patchvote import experiment as experiment_module
 from patchvote import index as index_module
 from patchvote.config import Config
 from patchvote.descriptor import content_rect, coverage, sample_patches
@@ -37,9 +38,11 @@ from patchvote.index import (
     render_views,
     save_index,
 )
+from patchvote.pose import POSE_BINS
 from patchvote.render import rasterize, shade
-from patchvote.synth import QUERY_GAP_MAX, QUERY_GAP_MIN, generate_benchmark
+from patchvote.synth import generate_benchmark
 from patchvote.views import (
+    QUERY_GAP_MAX,
     kmedoids,
     perturb_quat,
     quat_geodesic,
@@ -57,7 +60,6 @@ TINY = Config(
     hidden_dim=8,
     embed_dim=4,
     anchor_views=2,
-    pose_bins=4,
     seed=0,
 )
 
@@ -124,7 +126,7 @@ class TestPoseExperiment:
         assert 0.0 <= a.bin_accuracy <= 1.0
         assert math.isfinite(a.median_error_deg)
         assert math.isfinite(a.median_bin_radius_deg)
-        assert len(a.medoids) == 4
+        assert len(a.medoids) == POSE_BINS
         assert all(math.isfinite(loss) for _, loss in a.history)
         b = self.run(bench)
         assert a.bin_accuracy == b.bin_accuracy
@@ -135,7 +137,7 @@ class TestPoseExperiment:
 
     def test_bins_are_the_rotation_grid_of_their_stream(self, tiny):
         _, _, bench = tiny
-        want = rotation_grid(TINY.pose_bins, TINY.seed + 13).medoids
+        want = rotation_grid(POSE_BINS, TINY.seed + 13).medoids
         assert self.run(bench).medoids.tobytes() == want.tobytes()
 
 
@@ -170,8 +172,10 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view):
     Kept verbatim apart from names and its result, which holds the
     per-anchor int32 id lists the corpus stored before it packed them
     into bit rows; also returns how often the paths the stressed fixture
-    must reach were taken.
+    must reach were taken. Negatives are capped at the pool build_corpus
+    reads, which the stressed tests patch.
     """
+    pool = experiment_module.NEGATIVES_POOL
     stats = {"empty": 0, "subsampled": 0}
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
     blocks = [
@@ -192,7 +196,7 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view):
     for sid in sorted(db):
         for av in range(cfg.anchor_views):
             base = views.medoids[av % len(views.medoids)]
-            rot = perturb_quat(base, QUERY_GAP_MIN, QUERY_GAP_MAX, rot_rng)
+            rot = perturb_quat(base, rot_rng)
             try:
                 nmap = rasterize(db[sid], rot, cfg.render_resolution)
             except RenderError:
@@ -229,14 +233,14 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view):
                     & (footprint >= cfg.theta_pos)
                 )
                 neg = np.flatnonzero((cand_sids != sid) & (footprint <= cfg.theta_neg))
-                if len(neg) > cfg.negatives_pool:
+                if len(neg) > pool:
                     stats["subsampled"] += 1
                     rng = np.random.default_rng(
                         derive_seed(
                             cfg.seed + _NEG_SUBSAMPLE_BASE, sid, av * _ANCHOR_PATCHES + pi
                         )
                     )
-                    neg = np.sort(rng.choice(neg, cfg.negatives_pool, replace=False))
+                    neg = np.sort(rng.choice(neg, pool, replace=False))
                 if len(pos) == 0 or len(neg) == 0:
                     skipped += 1
                     continue
@@ -281,12 +285,13 @@ def assert_same_corpus(got, want):
             assert row.tobytes() == ids.tobytes()
 
 
-# small pools, strict positives and a high coverage floor: anchors fall
-# below the floor, are skipped for want of a positive, and subsampled
+# strict positives and a high coverage floor, and a negative pool of 6
+# patched in where build_corpus reads it: anchors fall below the floor,
+# are skipped for want of a positive, and subsampled
 STRESSED = replace(
-    TINY, min_coverage=0.45, theta_pos=0.6, negatives_pool=6, negatives_keep=3,
-    anchor_views=5,
+    TINY, min_coverage=0.45, theta_pos=0.6, negatives_keep=3, anchor_views=5
 )
+STRESSED_POOL = 6
 
 
 class TestCorpusMatchesPerAnchorLoop:
@@ -296,8 +301,9 @@ class TestCorpusMatchesPerAnchorLoop:
         assert_same_corpus(build_corpus(bench, views, cfg, PATCHES_PER_VIEW), want)
 
     @pytest.mark.parametrize("noise", [0.0, 0.05])
-    def test_stressed(self, tiny, noise):
+    def test_stressed(self, tiny, noise, monkeypatch):
         _, views, bench = tiny
+        monkeypatch.setattr(experiment_module, "NEGATIVES_POOL", STRESSED_POOL)
         cfg = replace(STRESSED, shade_noise=noise)
         want, stats = oracle_build_corpus(bench, views, cfg, 12)
         assert stats["empty"] > 0 and stats["subsampled"] > 0

@@ -824,11 +824,24 @@ class TestIndexIOColumnar:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_embedding_rejected(self, tmp_path, value):
         idx = micro_index([unit([1, 0, 0, 0]), unit([0, 1, 0, 0])], [0, 1])
-        idx.embeddings[1, 2] = value
         p = tmp_path / "nf.p2ci"
         save_index(idx, str(p))
+        # save_index refuses the value, so plant it in the file's last
+        # block, the (2, 4) f32 embeddings
+        with open(p, "r+b") as fh:
+            fh.seek(p.stat().st_size - 4 * 8 + 4 * (1 * 4 + 2))
+            fh.write(np.array(value, dtype="<f4").tobytes())
         with pytest.raises(FormatError, match="index: non-finite value in records"):
             load_index(str(p))
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_save_rejects_non_finite_embedding(self, tmp_path, value):
+        idx = micro_index([unit([1, 0, 0, 0]), unit([0, 1, 0, 0])], [0, 1])
+        idx.embeddings[1, 2] = value
+        p = tmp_path / "nf.p2ci"
+        with pytest.raises(FormatError, match="^index: non-finite value in records$"):
+            save_index(idx, str(p))
+        assert not p.exists()
 
     def test_u32_extremes_round_trip(self, tmp_path):
         idx = micro_index([unit([1, 0, 0, 0]), unit([0, 1, 0, 0])], [0, 1])

@@ -4,6 +4,7 @@ import pytest
 from patchvote.config import Config
 from patchvote.errors import TrainingError
 from patchvote.pose import (
+    POSE_BINS,
     PoseDataset,
     PoseHeadParams,
     assign_rotation_bin,
@@ -215,12 +216,12 @@ class TestPoseTraining:
         b = train_pose_head(data, cfg)
         assert a.history == b.history
 
-    @pytest.mark.parametrize("bad_bin", [4, -1], ids=["pose_bins", "negative"])
+    @pytest.mark.parametrize("bad_bin", [POSE_BINS, -1], ids=["pose_bins", "negative"])
     def test_gt_bin_outside_the_head_rejected(self, bad_bin):
-        """The head has exactly pose_bins logits, one per medoid."""
+        """The head has exactly POSE_BINS logits, one per medoid."""
         rng = np.random.default_rng(7)
-        data = random_pose_dataset(rng, n=10, d_in=6, k=4)
+        data = random_pose_dataset(rng, n=10, d_in=6, k=POSE_BINS)
         data.gt_bins[3] = bad_bin
-        cfg = Config(batch_size=8, seed=1, epochs=1, pose_bins=4)
-        with pytest.raises(TrainingError, match="pose_bins=4"):
+        cfg = Config(batch_size=8, seed=1, epochs=1)
+        with pytest.raises(TrainingError, match=f"POSE_BINS={POSE_BINS}"):
             train_pose_head(data, cfg)

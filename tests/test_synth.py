@@ -110,6 +110,18 @@ class TestGenerateBenchmark:
             )
             assert shared >= 1
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_held_out_shares_at_least_three_parameters(self, seed):
+        """A mutation swaps 1-2 parameters, and every category has at least 5."""
+        assert min(len(ranges) for ranges in PARAM_RANGES.values()) >= 5
+        bench = generate_benchmark(12, 0.5, 1, seed, GRID)
+        held_out = [e for e in bench.shapes.values() if e.parent_id >= 0]
+        assert len(held_out) == 6
+        for entry in held_out:
+            parent = bench.shapes[entry.parent_id].spec.params
+            shared = sum(parent[k] == v for k, v in entry.spec.params.items())
+            assert shared >= len(parent) - 2 >= 3
+
     def test_held_out_differs_from_every_db_shape(self):
         bench = generate_benchmark(16, 0.25, 1, 4, GRID)
         db_keys = {

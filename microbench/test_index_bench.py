@@ -38,6 +38,7 @@ RECORDS = 8825
 PINNED_RECORDS = 120_000
 CATEGORIES = {0: "chair", 1: "chair", 2: "table", 3: "table", 4: "cabinet", 5: "cabinet"}
 CFG = Config()
+HIDDEN = 64  # lit_init's hidden width at the default pool_size 16: ceil(16 / 2)**2
 
 
 def random_index(records: int) -> PatchIndex:
@@ -75,7 +76,7 @@ def query():
     mesh = generate_shape(SynthSpec("chair", params))
     shaded, _ = render_query(mesh, axis_angle_quat([0, 1, 0], 0.6), CFG, seed=1)
     model = init_params(
-        CFG.pool_size**2, 3 * CFG.pool_size**2, CFG.hidden_dim, CFG.embed_dim, seed=0
+        CFG.pool_size**2, 3 * CFG.pool_size**2, HIDDEN, CFG.embed_dim, seed=0
     )
     return shaded, model
 

@@ -6,7 +6,8 @@ Run from the repository root, next to the index benchmarks:
 
 The towers have the perfbench sizes under the default Config: the image
 tower maps pool_size**2 = 256 inputs and the shape tower 3 * 256 = 768
-through hidden_dim = 64 to embed_dim = 32.
+through the 64 hidden units experiment.lit_init builds at that pool,
+one per 2 x 2 block of cells, to embed_dim = 32.
 """
 
 import pytest
@@ -15,12 +16,13 @@ from patchvote.config import Config
 from patchvote.embed import init_params, load_model, save_model
 
 CFG = Config()
+HIDDEN = 64  # lit_init's hidden width at the default pool_size 16: ceil(16 / 2)**2
 
 
 @pytest.fixture(scope="module")
 def model():
     p2 = CFG.pool_size**2
-    return init_params(p2, 3 * p2, CFG.hidden_dim, CFG.embed_dim, seed=0)
+    return init_params(p2, 3 * p2, HIDDEN, CFG.embed_dim, seed=0)
 
 
 def test_save_model(benchmark, model, tmp_path):

@@ -37,6 +37,7 @@ from patchvote.config import Config
 from patchvote.embed import PatchCorpus, _top_k, init_params, train
 
 CFG = replace(Config(), epochs=1)
+HIDDEN = 64  # lit_init's hidden width at the default pool_size 16: ceil(16 / 2)**2
 ANCHORS = 713
 CANDIDATES = 4906
 NEGATIVES = 3900
@@ -68,7 +69,7 @@ def corpus() -> PatchCorpus:
 
 def bench_epoch(benchmark, corpus: PatchCorpus) -> None:
     p2 = CFG.pool_size**2
-    params = init_params(p2, 3 * p2, CFG.hidden_dim, CFG.embed_dim, seed=0)
+    params = init_params(p2, 3 * p2, HIDDEN, CFG.embed_dim, seed=0)
     # train updates the params it is given: each round starts from a copy
     benchmark(lambda: train(corpus, CFG, params.copy()))
 

@@ -12,7 +12,10 @@ is a constant beside its one reader instead: the anchors `embed.train`
 draws per epoch, the pose head's Huber delta and bin count, and the
 query gap band in `views`. NEGATIVES_POOL, read by
 `experiment.build_corpus`, lives here because `validate` bounds
-negatives_keep by it.
+negatives_keep by it. A value another field fixes is derived where it
+is read: the towers' hidden width from pool_size (`experiment.lit_init`)
+and the corpus's anchor views, one per canonical view, from num_views
+(`experiment.build_corpus`).
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ class Config:
     kr: int = 24
     # embedding towers
     embed_dim: int = 32
-    hidden_dim: int = 64
     pool_size: int = 16
     negatives_keep: int = 1024
     # rendering
@@ -59,7 +61,6 @@ class Config:
     learning_rate: float = 0.5
     epochs: int = 200
     batch_size: int = 64
-    anchor_views: int = 16
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -73,19 +74,20 @@ _COUNT_FIELDS = (
     "kq",
     "kr",
     "embed_dim",
-    "hidden_dim",
     "pool_size",
     "negatives_keep",
     "batch_size",
-    "anchor_views",
     "epochs",
 )
 
 # fields that size an allocation: a render is res x res pixels and the
-# towers hold d_in x hidden_dim and hidden_dim x embed_dim weights, so
-# a value like 2**40 is refused here, not by numpy deep in a pipeline
-_SIZE_FIELDS = ("render_resolution", "embed_dim", "hidden_dim")
+# towers hold d_in x h and h x embed_dim weights, so a value like 2**40
+# is refused here, not by numpy deep in a pipeline
+_SIZE_FIELDS = ("render_resolution", "embed_dim")
 _SIZE_CEILING = 4096
+# the hidden width h is ceil(pool_size / 2)**2, one unit per 2 x 2 block
+# of pooled cells (experiment.lit_init); this bound keeps it <= _SIZE_CEILING
+_POOL_CEILING = 2 * math.isqrt(_SIZE_CEILING)
 
 NEGATIVES_POOL = 4096  # negatives build_corpus keeps per anchor, at most
 
@@ -144,6 +146,8 @@ def validate(cfg: Config) -> list[str]:
     for name in _SIZE_FIELDS:
         if getattr(cfg, name) > _SIZE_CEILING:
             errors.append(f"{name}: must be <= {_SIZE_CEILING}")
+    if cfg.pool_size > _POOL_CEILING:
+        errors.append(f"pool_size: must be <= {_POOL_CEILING}")
     if not cfg.shade_noise >= 0:
         errors.append("shade_noise: must be >= 0")
     if not cfg.learning_rate >= 0:

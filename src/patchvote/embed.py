@@ -596,12 +596,23 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams) -> TrainResult:
 # model file format
 
 
+def _block_shapes(d_in_image: int, d_in_shape: int, h: int, d: int) -> list:
+    """The shapes of the eight tower blocks, image tower then shape tower."""
+    return [(d_in_image, h), (h,), (h, d), (d,), (d_in_shape, h), (h,), (h, d), (d,)]
+
+
 def save_model(params: TowerParams, path: str) -> None:
-    """Write the image tower, then the shape tower, as f32 blocks."""
-    d_in_image, h = params.image.W1.shape
-    d_in_shape = params.shape.W1.shape[0]
-    d = params.image.W2.shape[1]
-    header = (MODEL_VERSION, d_in_image, d_in_shape, h, d)
+    """Write the image tower, then the shape tower, as f32 blocks.
+
+    Refuses, before opening the file, towers whose block shapes disagree
+    with the header they give, and non-finite values.
+    """
+    shapes = [np.shape(a) for a in params.arrays()]
+    # d_in_image, d_in_shape, h, d, as the header records them
+    dims = shapes[0][:1] + shapes[4][:1] + shapes[2][:2]
+    if len(dims) != 4 or shapes != _block_shapes(*dims):
+        raise FormatError(f"model: parameters of shapes {shapes} are not two towers")
+    header = (MODEL_VERSION, *dims)
     towers = f4("model", "parameters", *params.arrays())
     with open(path, "wb") as fh:
         fh.write(pack(MODEL_MAGIC, header, *towers))
@@ -609,13 +620,10 @@ def save_model(params: TowerParams, path: str) -> None:
 
 def load_model(path: str) -> tuple[TowerParams, dict]:
     reader = Reader(read_file(path), "model", MODEL_MAGIC)
-    version, d_in_image, d_in_shape, h, d = reader.u32(5, "header")
+    version, *dims = reader.u32(5, "header")
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}")
-    arrays = reader.f4(
-        [(d_in_image, h), (h,), (h, d), (d,), (d_in_shape, h), (h,), (h, d), (d,)],
-        "parameters",
-    )
+    arrays = reader.f4(_block_shapes(*dims), "parameters")
     reader.end()
     # the empty dict keeps the (model, sections) pair perfbench/workloads.py unpacks
     return TowerParams(image=Tower(*arrays[:4]), shape=Tower(*arrays[4:])), {}

@@ -115,8 +115,8 @@ def build_corpus(
 
     Anchors are patches of shaded renders of database shapes, taken at
     views perturbed off the canonical grid by the same angular band the
-    benchmark queries use (cfg.anchor_views such views per shape), so
-    training sees the same view offsets retrieval has to absorb. Each
+    benchmark queries use (one such view per canonical view and shape),
+    so training sees the same view offsets retrieval has to absorb. Each
     anchor patch is pooled from its own noise draw of the render, so no
     two anchors share a pixel-exact grain pattern for the towers to
     key on.
@@ -169,8 +169,7 @@ def build_corpus(
     anchor_feats, pos_bits, neg_bits = [], [], []
     skipped = 0
     for sid in sids_sorted:
-        for av in range(cfg.anchor_views):
-            base = views.medoids[av % len(views.medoids)]
+        for av, base in enumerate(views.medoids):
             rot = perturb_quat(base, rot_rng)
             nmap = _render(db[sid], rot, cfg.render_resolution)
             if nmap is None:
@@ -271,7 +270,6 @@ def augment_views(views: ViewSet, extra_per_view: int, seed: int) -> ViewSet:
     )
 
 
-_LIT_INIT_OFFSET = 23
 _LIT_INIT_SIGMA = 1.0
 
 
@@ -289,13 +287,15 @@ def lit_init(cfg: Config, corpus: PatchCorpus) -> TowerParams:
 
     The image tower therefore starts as a grid of nonnegative Gaussian
     bumps over the pooled cells (a blur, transparent to its own relu
-    because intensities are nonnegative), the shape tower starts as
-    those same bumps composed with SCENE_LIGHT, and the output
-    layer is shared verbatim. Both towers then assign nearly the same
-    embedding to an image patch and to the shape record it was rendered
-    from, except where a receptive field straddles lit and unlit faces,
-    and training refines the correspondence instead of having to
-    rediscover the lighting from scratch.
+    because intensities are nonnegative), one bump centred on each 2 x 2
+    block of cells, so the hidden width is ceil(pool_size / 2)**2, 64 at
+    the default pool of 16. The shape tower starts as those same bumps
+    composed with SCENE_LIGHT, and the output layer is shared verbatim.
+    Both towers then assign nearly the same embedding to an image patch
+    and to the shape record it was rendered from, except where a
+    receptive field straddles lit and unlit faces, and training refines
+    the correspondence instead of having to rediscover the lighting from
+    scratch.
 
     Blurred intensities share a big all-positive mean component, and a
     linear projection of vectors in a tight cone lands in a tight cone:
@@ -307,22 +307,15 @@ def lit_init(cfg: Config, corpus: PatchCorpus) -> TowerParams:
     """
     pool = cfg.pool_size
     cells = pool * pool
+    ticks = np.arange(0, pool, 2) + 0.5
+    cy, cx = (g.reshape(-1) for g in np.meshgrid(ticks, ticks, indexing="ij"))
     params = init_params(
         d_in_image=cells,
         d_in_shape=3 * cells,
-        h=cfg.hidden_dim,
+        h=len(cy),
         d=cfg.embed_dim,
         seed=cfg.seed,
     )
-    side = int(round(np.sqrt(cfg.hidden_dim)))
-    if side * side == cfg.hidden_dim and pool % side == 0:
-        step = pool / side
-        ticks = (np.arange(side) + 0.5) * step - 0.5
-        cy, cx = (g.reshape(-1) for g in np.meshgrid(ticks, ticks, indexing="ij"))
-    else:
-        rng = np.random.default_rng(cfg.seed + _LIT_INIT_OFFSET)
-        cy = rng.uniform(-0.5, pool - 0.5, cfg.hidden_dim)
-        cx = rng.uniform(-0.5, pool - 0.5, cfg.hidden_dim)
     gy, gx = np.meshgrid(np.arange(pool), np.arange(pool), indexing="ij")
     d2 = (gy.reshape(-1)[:, None] - cy[None]) ** 2
     d2 += (gx.reshape(-1)[:, None] - cx[None]) ** 2

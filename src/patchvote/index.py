@@ -420,14 +420,27 @@ def retrieve_shape(
 
 
 def save_index(index: PatchIndex, path: str) -> None:
-    """Write the index as the column blocks the module docstring lays out."""
+    """Write the index as the column blocks the module docstring lays out.
+
+    Refuses, before opening the file, what load_index would refuse: a
+    manifest that is not a dict, columns whose shapes disagree with the
+    (n, d) embeddings, ids or rects outside u32 and non-finite embeddings.
+    """
+    if not isinstance(index.manifest, dict):
+        raise FormatError("index manifest is not a JSON object")
+    shape = np.shape(index.embeddings)
+    if len(shape) != 2:
+        raise FormatError(f"index: embeddings of shape {shape}, expected (n, d)")
+    n, d = shape
     blocks = []
-    for name, column in (
-        ("shape_id", index.shape_ids),
-        ("view_id", index.view_ids),
-        ("rect", index.rects),
+    for name, part, column, want in (
+        ("shape_id", "shape ids", index.shape_ids, (n,)),
+        ("view_id", "view ids", index.view_ids, (n,)),
+        ("rect", "rects", index.rects, (n, 4)),
     ):
         column = np.asarray(column)
+        if column.shape != want:
+            raise FormatError(f"index: {part} of shape {column.shape}, expected {want}")
         if column.size and (column.min() < 0 or column.max() >= 2**32):
             raise FormatError(f"{name} outside the u32 range [0, 2**32)")
         blocks.append(np.ascontiguousarray(column, dtype="<u4"))
@@ -435,7 +448,6 @@ def save_index(index: PatchIndex, path: str) -> None:
     manifest_blob = json.dumps(index.manifest, sort_keys=True).encode("utf-8")
     # trailing spaces, which JSON ignores, start the blocks on an 8-byte boundary
     manifest_blob += b" " * (-(_HEADER_BYTES + len(manifest_blob)) % 8)
-    n, d = index.embeddings.shape
     header = (INDEX_VERSION, n, d, len(manifest_blob))
     with open(path, "wb") as fh:
         fh.write(pack(INDEX_MAGIC, header, manifest_blob, *blocks))

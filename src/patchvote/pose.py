@@ -45,15 +45,17 @@ def init_pose_head(d_in: int, k: int, seed: int) -> PoseHeadParams:
     )
 
 
-def huber(x: np.ndarray, delta: float) -> np.ndarray:
+def huber(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     a = np.abs(x)
-    return np.where(a <= delta, 0.5 * x * x, delta * (a - 0.5 * delta))
+    return np.where(
+        a <= HUBER_DELTA, 0.5 * x * x, HUBER_DELTA * (a - 0.5 * HUBER_DELTA)
+    )
 
 
-def huber_grad(x: np.ndarray, delta: float) -> np.ndarray:
+def huber_grad(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    return np.where(np.abs(x) <= delta, x, delta * np.sign(x))
+    return np.where(np.abs(x) <= HUBER_DELTA, x, HUBER_DELTA * np.sign(x))
 
 
 def assign_rotation_bin(
@@ -95,7 +97,7 @@ class PoseTrainResult:
 
 
 def pose_loss_and_grad(
-    params: PoseHeadParams, data: PoseDataset, delta: float
+    params: PoseHeadParams, data: PoseDataset
 ) -> tuple[float, PoseHeadParams]:
     """Mean total loss over the batch and its analytic gradient."""
     N = len(data.features)
@@ -117,8 +119,8 @@ def pose_loss_and_grad(
     signs = np.where(dots < 0, -1.0, 1.0)
     aligned = offsets * signs[:, None]
     qres = aligned - data.gt_offsets
-    off_loss = huber(qres, delta).sum(axis=1)
-    daligned = huber_grad(qres, delta)
+    off_loss = huber(qres).sum(axis=1)
+    daligned = huber_grad(qres)
     draw = _normalize_backward(daligned * signs[:, None], offsets, raw_q)
 
     total = float((ce + off_loss).mean())
@@ -152,7 +154,7 @@ def train_pose_head(data: PoseDataset, cfg: Config) -> PoseTrainResult:
                 gt_bins=data.gt_bins[idx],
                 gt_offsets=data.gt_offsets[idx],
             )
-            loss, grad = pose_loss_and_grad(params, batch, HUBER_DELTA)
+            loss, grad = pose_loss_and_grad(params, batch)
             total += loss * len(idx)
             _sgd_step(params, grad, cfg.learning_rate)
         history.append((epoch, total / N))

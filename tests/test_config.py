@@ -164,7 +164,7 @@ class TestValidation:
             build({"num_views": ROTATION_POOL + 1})
 
     @BUILDS
-    @pytest.mark.parametrize("field", ["render_resolution", "embed_dim", "hidden_dim"])
+    @pytest.mark.parametrize("field", ["render_resolution", "embed_dim"])
     def test_size_above_the_ceiling_rejected_naming_field(self, field, build):
         """These fields size allocations; 2**40 used to load and fail in numpy."""
         # a 4096 px render at patch_fraction 0.25 has a 1024 px patch side,
@@ -174,6 +174,18 @@ class TestValidation:
         for value in (4097, 2**40):
             with pytest.raises(ConfigError, match=f"^{field}: must be <= 4096$"):
                 build({field: value})
+
+    @BUILDS
+    def test_pool_size_above_the_hidden_width_ceiling_rejected(self, build):
+        """lit_init's hidden width ceil(pool_size / 2)**2 sizes the towers:
+        pool 128 gives 4096 units, pool 256 gives 16384."""
+        # a 4096 px render at patch_fraction 0.25 has a 1024 px patch side,
+        # which both pools divide
+        big = {"render_resolution": 4096, "patch_fraction": 0.25}
+        assert build({**big, "pool_size": 128}).pool_size == 128
+        for pool in (256, 1024):
+            with pytest.raises(ConfigError, match="^pool_size: must be <= 128$"):
+                build({**big, "pool_size": pool})
 
     @BUILDS
     def test_pool_size_that_does_not_divide_the_patch_rejected(self, build):
@@ -289,6 +301,8 @@ class TestNonFiniteAndEncoding:
             "huber_delta",
             "negatives_pool",
             "pose_bins",
+            "hidden_dim",
+            "anchor_views",
         ],
     )
     def test_removed_knobs_are_unknown_keys(self, key):

@@ -361,10 +361,10 @@ def tiny_corpus(rng, n_anchors=6, n_cands=10, **empty):
 
 
 def he_start(corpus, cfg) -> TowerParams:
-    """He-init towers sized for the corpus and cfg, drawn from cfg.seed."""
+    """He-init towers 5 units wide for the corpus and cfg, drawn from cfg.seed."""
     return init_params(
         corpus.anchor_feats.shape[1], corpus.cand_feats.shape[1],
-        cfg.hidden_dim, cfg.embed_dim, seed=cfg.seed,
+        5, cfg.embed_dim, seed=cfg.seed,
     )
 
 
@@ -381,7 +381,7 @@ def flat_params(params):
 class TestTrain:
     def cfg(self, **kw):
         base = dict(
-            hidden_dim=5, embed_dim=4, epochs=3, learning_rate=0.1,
+            embed_dim=4, epochs=3, learning_rate=0.1,
             batch_size=4, negatives_keep=3, seed=0,
         )
         base.update(kw)
@@ -663,6 +663,29 @@ class TestModelIO:
         p.write_bytes(data[: len(data) - 6])
         with pytest.raises(FormatError):
             load_model(str(p))
+
+
+class TestModelRejectsTowersOfOtherShapes:
+    def wider_shape_tower(params):
+        params.shape = init_params(4, 6, 5, 2, seed=2).shape
+
+    def swapped_b2_lengths(params):
+        # the two b2 hold 4 values, as two of length d = 2 would
+        params.image.b2, params.shape.b2 = np.zeros(1), np.zeros(3)
+
+    def flat_w1(params):
+        params.image.W1 = params.image.W1.ravel()
+
+    @pytest.mark.parametrize("spoil", [wider_shape_tower, swapped_b2_lengths, flat_w1])
+    def test_save_refuses_blocks_the_header_does_not_give(self, tmp_path, spoil):
+        """Such a file used to be written and then refused for trailing
+        bytes, or, with the b2 lengths swapped, read back as other towers."""
+        params = init_params(4, 6, 3, 2, seed=1)
+        spoil(params)
+        p = tmp_path / "m.bin"
+        with pytest.raises(FormatError, match="^model: parameters of shapes "):
+            save_model(params, str(p))
+        assert not p.exists()
 
 
 class TestModelRejectsNonFinite:

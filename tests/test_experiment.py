@@ -57,9 +57,7 @@ TINY = Config(
     num_views=4,
     render_resolution=48,
     pool_size=4,
-    hidden_dim=8,
     embed_dim=4,
-    anchor_views=2,
     seed=0,
 )
 
@@ -80,9 +78,7 @@ class TestCorpusMatchesIndex:
         db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
         assert len(db) == 3
         corpus = build_corpus(bench, views, cfg, PATCHES_PER_VIEW)
-        model = init_params(
-            cfg.pool_size**2, 3 * cfg.pool_size**2, cfg.hidden_dim, cfg.embed_dim, 0
-        )
+        model = init_params(cfg.pool_size**2, 3 * cfg.pool_size**2, 8, cfg.embed_dim, 0)
         idx = build_index(db, views, model, PATCHES_PER_VIEW, cfg)
         assert len(corpus.cand_feats) == len(idx) > 0
         assert corpus.cand_feats.dtype == np.float32
@@ -111,6 +107,53 @@ class TestCorpusMatchesIndex:
             assert 0 <= pos.min() and pos.max() < n
             assert 0 <= neg.min() and neg.max() < n
             assert not set(pos.tolist()) & set(neg.tolist())
+
+
+class TestLitInit:
+    """The hidden width is the bump grid's size, one unit per 2 x 2 block of
+    pooled cells, and init_params makes the only draws."""
+
+    def corpus(self, cfg):
+        rng = np.random.default_rng(0)
+        cells = cfg.pool_size**2
+        return SimpleNamespace(
+            anchor_feats=rng.random((3, cells), dtype=np.float32),
+            cand_feats=rng.random((5, 3 * cells), dtype=np.float32),
+        )
+
+    def test_default_pool_builds_the_64_bumps_of_the_old_grid(self):
+        cfg = Config()
+        params = lit_init(cfg, self.corpus(cfg))
+        assert params.image.W1.shape == (256, 64)
+        # the 8 x 8 centres a hidden width of 64 used to fix at pool 16
+        ticks = (np.arange(8) + 0.5) * 2.0 - 0.5
+        cy, cx = (g.reshape(-1) for g in np.meshgrid(ticks, ticks, indexing="ij"))
+        cells = np.arange(16)
+        gy, gx = (g.reshape(-1, 1) for g in np.meshgrid(cells, cells, indexing="ij"))
+        W1 = np.exp(-((gy - cy) ** 2 + (gx - cx) ** 2) / 2.0)
+        W1 /= np.linalg.norm(W1, axis=0, keepdims=True)
+        np.testing.assert_array_equal(params.image.W1, W1)
+        want = init_params(256, 768, 64, cfg.embed_dim, seed=cfg.seed)
+        np.testing.assert_array_equal(params.image.W2, want.image.W2)
+
+    @pytest.mark.parametrize("pool, width", [(3, 4), (1, 1)])
+    def test_odd_pool_builds_a_unit_per_block(self, pool, width, monkeypatch):
+        # render 72: a patch side of 24 px, which 3 and 1 both divide
+        cfg = Config(render_resolution=72, pool_size=pool)
+        corpus = self.corpus(cfg)
+        want = init_params(pool * pool, 3 * pool * pool, width, cfg.embed_dim, cfg.seed)
+        draws, real = [], np.random.default_rng
+
+        def counting(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        params = lit_init(cfg, corpus)
+        assert draws == [(cfg.seed,)]
+        assert params.image.W1.shape == (pool * pool, width)
+        assert params.shape.W1.shape == (3 * pool * pool, width)
+        np.testing.assert_array_equal(params.image.W2, want.image.W2)
 
 
 class TestPoseExperiment:
@@ -194,8 +237,7 @@ def oracle_build_corpus(bench, views, cfg, patches_per_view):
     anchor_feats, pos_lists, neg_lists = [], [], []
     skipped = 0
     for sid in sorted(db):
-        for av in range(cfg.anchor_views):
-            base = views.medoids[av % len(views.medoids)]
+        for av, base in enumerate(views.medoids):
             rot = perturb_quat(base, rot_rng)
             try:
                 nmap = rasterize(db[sid], rot, cfg.render_resolution)
@@ -288,9 +330,7 @@ def assert_same_corpus(got, want):
 # strict positives and a high coverage floor, and a negative pool of 6
 # patched in where build_corpus reads it: anchors fall below the floor,
 # are skipped for want of a positive, and subsampled
-STRESSED = replace(
-    TINY, min_coverage=0.45, theta_pos=0.6, negatives_keep=3, anchor_views=5
-)
+STRESSED = replace(TINY, min_coverage=0.45, theta_pos=0.6, negatives_keep=3)
 STRESSED_POOL = 6
 
 
@@ -353,10 +393,11 @@ class TestPipelineRendersOnce:
         save_index(pipe.index, str(path))
         assert path.read_bytes() == want
         # every database shape at every canonical view once, each jittered
-        # index view once more, and each of the corpus's anchor views once
-        # (build_corpus renders them through index._render too)
+        # index view once more, and each of the corpus's anchor views, one
+        # per canonical view, once (build_corpus renders them through
+        # index._render too)
         n_db, n_views = len(bench.database_ids), len(views.medoids)
-        expected = n_db * n_views * (1 + 3) + n_db * cfg.anchor_views
+        expected = n_db * n_views * (1 + 3) + n_db * n_views
         assert len(rendered) == len(set(rendered)) == expected
 
 

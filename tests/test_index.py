@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import tempfile
 
@@ -818,6 +819,36 @@ class TestIndexIOColumnar:
         arr.flat[-1] = value
         p = tmp_path / "bad.p2ci"
         with pytest.raises(FormatError, match=field):
+            save_index(idx, str(p))
+        assert not p.exists()
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("shape_ids", np.array([0, 1]), "shape ids of shape (2,), expected (3,)"),
+            ("view_ids", np.zeros((3, 1)), "view ids of shape (3, 1), expected (3,)"),
+            ("rects", np.zeros((3, 3)), "rects of shape (3, 3), expected (3, 4)"),
+            ("embeddings", np.zeros(4), "embeddings of shape (4,), expected (n, d)"),
+        ],
+    )
+    def test_save_rejects_columns_load_would_misread(
+        self, tmp_path, column, value, message
+    ):
+        """Such a file used to be written and then refused as truncated."""
+        idx = micro_index(
+            [unit([1, 0, 0, 0]), unit([0, 1, 0, 0]), unit([0, 0, 1, 0])], [0, 1, 1]
+        )
+        setattr(idx, column, value)
+        p = tmp_path / "bad.p2ci"
+        with pytest.raises(FormatError, match=f"^index: {re.escape(message)}$"):
+            save_index(idx, str(p))
+        assert not p.exists()
+
+    def test_save_rejects_a_manifest_that_is_not_a_dict(self, tmp_path):
+        idx = micro_index([unit([1, 0, 0, 0])], [0])
+        idx.manifest = [1]
+        p = tmp_path / "bad.p2ci"
+        with pytest.raises(FormatError, match="^index manifest is not a JSON object$"):
             save_index(idx, str(p))
         assert not p.exists()
 

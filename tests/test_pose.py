@@ -4,6 +4,7 @@ import pytest
 from patchvote.config import Config
 from patchvote.errors import TrainingError
 from patchvote.pose import (
+    HUBER_DELTA,
     POSE_BINS,
     PoseDataset,
     PoseHeadParams,
@@ -26,27 +27,32 @@ IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 class TestHuber:
+    def test_delta(self):
+        """The branch values below are those of a unit-width quadratic zone."""
+        assert HUBER_DELTA == 1.0
+
     def test_quadratic_branch(self):
-        assert huber(0.5, 1.0) == pytest.approx(0.125)
+        assert huber(0.5) == pytest.approx(0.125)
 
     def test_linear_branch(self):
-        assert huber(2.0, 1.0) == pytest.approx(1.5)
+        assert huber(2.0) == pytest.approx(1.5)
 
     def test_continuous_at_delta(self):
-        lo = huber(1.0 - 1e-6, 1.0)
-        hi = huber(1.0 + 1e-6, 1.0)
+        lo = huber(HUBER_DELTA - 1e-6)
+        hi = huber(HUBER_DELTA + 1e-6)
         assert abs(hi - lo) < 1e-5
 
     def test_derivative_continuous_at_delta(self):
         eps = 1e-6
         step = 1e-7
-        d_lo = (huber(1.0 - eps + step, 1.0) - huber(1.0 - eps - step, 1.0)) / (2 * step)
-        d_hi = (huber(1.0 + eps + step, 1.0) - huber(1.0 + eps - step, 1.0)) / (2 * step)
+        lo, hi = HUBER_DELTA - eps, HUBER_DELTA + eps
+        d_lo = (huber(lo + step) - huber(lo - step)) / (2 * step)
+        d_hi = (huber(hi + step) - huber(hi - step)) / (2 * step)
         assert d_lo == pytest.approx(d_hi, abs=1e-4)
 
     def test_symmetric(self):
         x = np.linspace(-3, 3, 41)
-        np.testing.assert_allclose(huber(x, 1.0), huber(-x, 1.0))
+        np.testing.assert_allclose(huber(x), huber(-x))
 
 
 class TestAssignBin:
@@ -96,7 +102,7 @@ def one_sample_loss(logits, offset, gt_bin, gt_offset):
         gt_bins=np.array([gt_bin]),
         gt_offsets=np.asarray(gt_offset, dtype=float)[None],
     )
-    loss, _ = pose_loss_and_grad(fixed_head(logits, offset), data, 1.0)
+    loss, _ = pose_loss_and_grad(fixed_head(logits, offset), data)
     return loss
 
 
@@ -134,7 +140,7 @@ class TestPoseLosses:
         gt = IDENTITY
         pred_q = canonical_quat([np.sqrt(0.75), 0.5, 0.0, 0.0])
         loss = one_sample_loss(np.zeros(2), pred_q, 0, gt)
-        expect = huber(pred_q[0] - 1.0, 1.0) + huber(0.5, 1.0)
+        expect = huber(pred_q[0] - 1.0) + huber(0.5)
         assert loss - np.log(2.0) == pytest.approx(float(expect))
 
 
@@ -159,7 +165,7 @@ class TestPredict:
         assert quat_geodesic(rot, expect) < 1e-9
 
 
-def pose_numeric_grad(params, data, delta, step=1e-5):
+def pose_numeric_grad(params, data, step=1e-5):
     grads = []
     for arr in params.arrays():
         g = np.zeros_like(arr)
@@ -168,9 +174,9 @@ def pose_numeric_grad(params, data, delta, step=1e-5):
             idx = it.multi_index
             old = arr[idx]
             arr[idx] = old + step
-            lp, _ = pose_loss_and_grad(params, data, delta)
+            lp, _ = pose_loss_and_grad(params, data)
             arr[idx] = old - step
-            lm, _ = pose_loss_and_grad(params, data, delta)
+            lm, _ = pose_loss_and_grad(params, data)
             arr[idx] = old
             g[idx] = (lp - lm) / (2 * step)
         grads.append(g)
@@ -192,8 +198,8 @@ class TestPoseGradient:
         data = random_pose_dataset(rng)
         params = init_pose_head(5, 4, seed=8)
         params.bq += rng.normal(0.0, 0.1, size=4)
-        _, grad = pose_loss_and_grad(params, data, delta=1.0)
-        numeric = pose_numeric_grad(params, data, delta=1.0)
+        _, grad = pose_loss_and_grad(params, data)
+        numeric = pose_numeric_grad(params, data)
         for a, n in zip(grad.arrays(), numeric):
             rel = np.abs(a - n) / np.maximum(np.abs(a) + np.abs(n), 1e-8)
             assert rel.max() < 1e-3

@@ -9,13 +9,14 @@ and raises a ConfigError that names the bad field. Unknown keys are
 rejected rather than ignored: a typo in an ablation config must fail
 loudly. Every field is read by a pipeline stage; a value no run varies
 is a constant beside its one reader instead: the anchors `embed.train`
-draws per epoch, the pose head's Huber delta and bin count, and the
-query gap band in `views`. NEGATIVES_POOL, read by
-`experiment.build_corpus`, lives here because `validate` bounds
-negatives_keep by it. A value another field fixes is derived where it
-is read: the towers' hidden width from pool_size (`experiment.lit_init`)
-and the corpus's anchor views, one per canonical view, from num_views
-(`experiment.build_corpus`).
+draws per epoch, the pose head's Huber delta and bin count, the query
+gap band in `views`, and in `experiment` the corpus's patches per
+candidate and anchor view and the pose experiment's samples per shape.
+NEGATIVES_POOL, read by `experiment.build_corpus`, lives here because
+`validate` bounds negatives_keep by it. A value another field fixes is
+derived where it is read: the towers' hidden width from pool_size
+(`experiment.lit_init`) and the corpus's anchor views, one per canonical
+view, from num_views (`experiment.build_corpus`).
 """
 
 from __future__ import annotations
@@ -80,10 +81,11 @@ _COUNT_FIELDS = (
     "epochs",
 )
 
-# fields that size an allocation: a render is res x res pixels and the
-# towers hold d_in x h and h x embed_dim weights, so a value like 2**40
-# is refused here, not by numpy deep in a pipeline
-_SIZE_FIELDS = ("render_resolution", "embed_dim")
+# fields that size an allocation: a render is res x res pixels, the
+# towers hold d_in x h and h x embed_dim weights and a query draws kq
+# rects, so a value like 2**40 is refused here, not by numpy deep in a
+# pipeline
+_SIZE_FIELDS = ("render_resolution", "embed_dim", "kq")
 _SIZE_CEILING = 4096
 # the hidden width h is ceil(pool_size / 2)**2, one unit per 2 x 2 block
 # of pooled cells (experiment.lit_init); this bound keeps it <= _SIZE_CEILING

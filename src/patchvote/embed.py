@@ -354,8 +354,6 @@ def mine_hard_negatives(
     if the pool is smaller than keep.
     """
     candidate_ids = np.asarray(candidate_ids)
-    if len(candidate_ids) == 0:
-        return candidate_ids
     sims = candidate_embeddings @ anchor_embedding
     return candidate_ids[_top_k(sims[None], candidate_ids, keep)[0]]
 

@@ -68,8 +68,13 @@ _POSE_MEDOID_OFFSET = 13
 _POSE_TRAIN_OFFSET = 17
 _POSE_EVAL_OFFSET = 19
 
-# patches sampled per anchor view in the training corpus
+# patches sampled per anchor view and per candidate view in the training
+# corpus
 _ANCHOR_PATCHES = 8
+_CANDIDATE_PATCHES = 64
+# full-object samples per database shape the pose head trains and is scored on
+_POSE_TRAIN_PER_SHAPE = 24
+_POSE_EVAL_PER_SHAPE = 8
 
 
 def select_views(cfg: Config) -> ViewSet:
@@ -263,11 +268,7 @@ def augment_views(views: ViewSet, extra_per_view: int, seed: int) -> ViewSet:
     for base in views.medoids:
         for _ in range(extra_per_view):
             med.append(perturb_quat(base, rng))
-    return ViewSet(
-        medoids=np.asarray(med, dtype=np.float64),
-        source_size=views.source_size,
-        seed=views.seed,
-    )
+    return ViewSet(medoids=np.asarray(med, dtype=np.float64))
 
 
 _LIT_INIT_SIGMA = 1.0
@@ -341,15 +342,20 @@ def train_pipeline(
     bench: Benchmark,
     cfg: Config,
     views: ViewSet,
-    patches_per_view: int = 64,
     index_view_jitter: int = 3,
     index_patches_per_view: int = 256,
 ) -> Pipeline:
+    """Corpus, training and index build over the benchmark's database shapes.
+
+    The corpus draws _CANDIDATE_PATCHES rects per canonical view; the
+    index draws index_patches_per_view at each canonical view and at
+    index_view_jitter jittered copies of each (augment_views).
+    """
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
     # the corpus and the index both draw records at the canonical views:
     # render each (shape, view) once and hand both passes the same maps
     renders = render_views(db, views, cfg.render_resolution)
-    corpus = build_corpus(bench, views, cfg, patches_per_view, renders=renders)
+    corpus = build_corpus(bench, views, cfg, _CANDIDATE_PATCHES, renders=renders)
     result = train(corpus, cfg, params=lit_init(cfg, corpus))
     index_views = augment_views(
         views, index_view_jitter, cfg.seed + _INDEX_JITTER_OFFSET
@@ -389,13 +395,12 @@ def run_retrieval_experiment(
     num_shapes: int = 20,
     leave_out: float = 0.0,
     views_per_query: int = 5,
-    patches_per_view: int = 64,
 ):
     views = select_views(cfg)
     bench = generate_benchmark(
         num_shapes, leave_out, views_per_query, cfg.seed, views.medoids
     )
-    pipe = train_pipeline(bench, cfg, views, patches_per_view)
+    pipe = train_pipeline(bench, cfg, views)
     results, gts = evaluate_queries(bench, pipe, cfg)
     report = build_report(results, gts, config=to_dict(cfg))
     return report, pipe, bench
@@ -440,19 +445,16 @@ class PoseEvaluation:
     history: list
 
 
-def run_pose_experiment(
-    bench: Benchmark,
-    cfg: Config,
-    train_per_shape: int = 24,
-    eval_per_shape: int = 8,
-) -> PoseEvaluation:
+def run_pose_experiment(bench: Benchmark, cfg: Config) -> PoseEvaluation:
+    """Train the pose head on _POSE_TRAIN_PER_SHAPE random rotations of
+    each database shape and score it on _POSE_EVAL_PER_SHAPE others."""
     medoids = rotation_grid(POSE_BINS, cfg.seed + _POSE_MEDOID_OFFSET).medoids
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
     train_ds, _ = pose_samples(
-        db, cfg, medoids, train_per_shape, cfg.seed + _POSE_TRAIN_OFFSET
+        db, cfg, medoids, _POSE_TRAIN_PER_SHAPE, cfg.seed + _POSE_TRAIN_OFFSET
     )
     eval_ds, eval_rots = pose_samples(
-        db, cfg, medoids, eval_per_shape, cfg.seed + _POSE_EVAL_OFFSET
+        db, cfg, medoids, _POSE_EVAL_PER_SHAPE, cfg.seed + _POSE_EVAL_OFFSET
     )
     result = train_pose_head(train_ds, cfg)
     logits, offs, _ = pose_forward(result.params, eval_ds.features)

@@ -67,7 +67,7 @@ from functools import cached_property
 import numpy as np
 
 from .artifact import Reader, decode_json, f4, fields, finite, pack, read_file
-from .config import Config, from_dict, to_dict
+from .config import Config, to_dict
 from .descriptor import content_rect, coverage, rect_windows, sample_patches
 from .embed import (
     TowerParams,
@@ -196,7 +196,7 @@ def enumerate_view_patches(
     corpus assembly both consume this, so two passes given the same views
     and patches_per_view yield the same records in the same order.
     train_pipeline gives them different ones: the corpus draws
-    patches_per_view (64 by default) per canonical view, the index
+    experiment._CANDIDATE_PATCHES (64) per canonical view, the index
     index_patches_per_view (256 by default) per canonical or jittered
     view (experiment.augment_views), so a corpus candidate's position is
     not an index record id.
@@ -270,13 +270,9 @@ def build_index(
         "shapes": {
             str(sid): {"category": shapes[sid].category} for sid in sorted(shapes)
         },
-        # the one place a view grid is written to disk
-        "views": {
-            "n": len(views.medoids),
-            "medoids": [[float(c) for c in q] for q in views.medoids],
-            "seed": views.seed,
-            "source_size": views.source_size,
-        },
+        # the one place a view grid is written to disk: the rotations a
+        # record's view id indexes, as ViewSet holds them
+        "views": {"medoids": [[float(c) for c in q] for q in views.medoids]},
         "config": to_dict(cfg),
         "patches_per_view": patches_per_view,
     }
@@ -364,25 +360,24 @@ def retrieve_shape(
     kq: int,
     kr: int,
     seed: int,
-    cfg: Config | None = None,
+    cfg: Config,
     category: str | None = None,
 ) -> RetrievalResult:
     """Two-stage majority vote over Kq query patches and Kr neighbors each.
 
-    A query patch votes when any of its pixels lies on the instance
-    mask; `excluded_patches` counts only the patches off it. Unlike the
-    index build, retrieval applies no coverage floor, so a patch that
-    barely touches the instance still votes. A model whose image tower
-    does not take the config's pooled features, or does not embed to the
-    index's dimension, is a FormatError.
+    `cfg` sets the patch geometry and pooling; the caller passes the
+    Config the index was built with (its manifest records it). A query
+    patch votes when any of its pixels lies on the instance mask;
+    `excluded_patches` counts only the patches off it. Unlike the index
+    build, retrieval applies no coverage floor, so a patch that barely
+    touches the instance still votes. A model whose image tower does not
+    take the config's pooled features, or does not embed to the index's
+    dimension, is a FormatError.
     """
     if kq < 1 or kr < 1:
         raise ValueError("kq and kr must be >= 1")
     if len(index) == 0:
         raise EmptyIndexError("index holds no records")
-    if cfg is None:
-        with fields("index manifest"):
-            cfg = from_dict(index.manifest["config"])
     d_in, d = model.image.W1.shape[0], model.image.W2.shape[1]
     if d_in != cfg.pool_size**2:
         raise FormatError(

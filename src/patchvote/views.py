@@ -120,12 +120,14 @@ def random_rotations(count: int, seed: int) -> np.ndarray:
 
 @dataclass
 class ViewSet:
-    medoids: np.ndarray  # (n, 4) canonical unit quaternions
-    source_size: int
-    seed: int = 0
+    """A view grid: its rotations, whose positions are the view ids.
 
-    def __len__(self) -> int:
-        return len(self.medoids)
+    Only the rotations are held. The seed and the ROTATION_POOL draw a
+    grid came from belong to its caller (rotation_grid, select_views),
+    and an index manifest writes these medoids alone.
+    """
+
+    medoids: np.ndarray  # (n, 4) canonical unit quaternions
 
 
 _KMEDOIDS_MAX_ITERS = 50
@@ -167,7 +169,7 @@ def kmedoids(points: np.ndarray, k: int, seed: int) -> ViewSet:
         if np.array_equal(new_idx, medoid_idx):
             break
         medoid_idx = new_idx
-    return ViewSet(medoids=points[medoid_idx].copy(), source_size=n, seed=seed)
+    return ViewSet(medoids=points[medoid_idx].copy())
 
 
 def rotation_grid(k: int, seed: int) -> ViewSet:

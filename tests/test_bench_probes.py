@@ -64,10 +64,7 @@ def test_probes_run_over_an_index_build():
         0: TriMesh(verts, np.array([[0, 1, 2]]), category="chair"),
         1: unit_cube(),
     }
-    views = ViewSet(
-        medoids=np.stack([IDENTITY, axis_angle_quat([0, 1, 0], np.pi / 2)]),
-        source_size=2,
-    )
+    views = ViewSet(medoids=np.stack([IDENTITY, axis_angle_quat([0, 1, 0], np.pi / 2)]))
     model = init_params(64, 192, 8, 6, seed=0)
     tracer = Tracer(probes=PROBES)
     with tracer:

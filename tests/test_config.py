@@ -164,9 +164,11 @@ class TestValidation:
             build({"num_views": ROTATION_POOL + 1})
 
     @BUILDS
-    @pytest.mark.parametrize("field", ["render_resolution", "embed_dim"])
+    @pytest.mark.parametrize("field", ["render_resolution", "embed_dim", "kq"])
     def test_size_above_the_ceiling_rejected_naming_field(self, field, build):
-        """These fields size allocations; 2**40 used to load and fail in numpy."""
+        """These fields size allocations; 2**40 used to load and fail in numpy.
+
+        Only configs are built here: no query runs with a large kq."""
         # a 4096 px render at patch_fraction 0.25 has a 1024 px patch side,
         # which pool_size 16 divides
         fraction = {"patch_fraction": 0.25} if field == "render_resolution" else {}

@@ -21,6 +21,7 @@ from patchvote.experiment import (
     _ANCHOR_PATCHES,
     _ANCHOR_RECT_BASE,
     _ANCHOR_ROT_OFFSET,
+    _CANDIDATE_PATCHES,
     _INDEX_JITTER_OFFSET,
     _NEG_SUBSAMPLE_BASE,
     augment_views,
@@ -158,10 +159,7 @@ class TestLitInit:
 
 class TestPoseExperiment:
     def run(self, bench):
-        return run_pose_experiment(
-            bench, replace(TINY, epochs=3, learning_rate=0.1),
-            train_per_shape=3, eval_per_shape=2,
-        )
+        return run_pose_experiment(bench, replace(TINY, epochs=3, learning_rate=0.1))
 
     def test_smoke_bounded_finite_repeatable(self, tiny):
         _, _, bench = tiny
@@ -191,7 +189,6 @@ class TestViewGrid:
         got = select_views(cfg)
         want = rotation_grid(cfg.num_views, cfg.seed + 11)
         assert got.medoids.tobytes() == want.medoids.tobytes()
-        assert (got.source_size, got.seed) == (want.source_size, want.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +362,7 @@ class TestPipelineRendersOnce:
     def unshared_index_bytes(self, bench, cfg, views, jitter, tmp_path):
         """train_pipeline's steps with every pass rendering its own views."""
         db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
-        corpus = build_corpus(bench, views, cfg, PATCHES_PER_VIEW)
+        corpus = build_corpus(bench, views, cfg, _CANDIDATE_PATCHES)
         result = train(corpus, cfg, params=lit_init(cfg, corpus))
         index_views = augment_views(views, jitter, cfg.seed + _INDEX_JITTER_OFFSET)
         idx = build_index(db, index_views, result.params, 16, cfg)
@@ -386,8 +383,7 @@ class TestPipelineRendersOnce:
 
         monkeypatch.setattr(index_module, "rasterize", counting)
         pipe = train_pipeline(
-            bench, cfg, views, PATCHES_PER_VIEW, index_view_jitter=3,
-            index_patches_per_view=16,
+            bench, cfg, views, index_view_jitter=3, index_patches_per_view=16
         )
         path = tmp_path / "shared.p2ci"
         save_index(pipe.index, str(path))
@@ -403,10 +399,7 @@ class TestPipelineRendersOnce:
 
 def run_tiny_retrieval():
     cfg = replace(TINY, epochs=2, kq=4, kr=6)
-    return run_retrieval_experiment(
-        cfg, num_shapes=4, leave_out=0.25, views_per_query=1,
-        patches_per_view=PATCHES_PER_VIEW,
-    )
+    return run_retrieval_experiment(cfg, num_shapes=4, leave_out=0.25, views_per_query=1)
 
 
 @pytest.fixture(scope="module")

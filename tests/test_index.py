@@ -9,10 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patchvote.config import Config, to_dict
+from patchvote.config import Config, from_dict, to_dict
 from patchvote.embed import TOPK_GROUP, Tower, TowerParams, _top_k, init_params
 from patchvote.errors import (
-    ConfigError,
     EmptyIndexError,
     FormatError,
     NoRetrievalError,
@@ -60,7 +59,7 @@ def axis_views():
             axis_angle_quat([0, 0, 1], np.pi / 2),
         ]
     )
-    return ViewSet(medoids=medoids, source_size=4, seed=0)
+    return ViewSet(medoids=medoids)
 
 
 def micro_index(embeddings, shape_ids, d=4, categories=None):
@@ -105,9 +104,7 @@ class TestBuildIndex:
         verts = np.array([[-0.5, -0.5, 0.0], [0.5, -0.5, 0.0], [0.0, 0.5, 0.0]])
         tri = TriMesh(verts, np.array([[0, 1, 2]]), category="chair")
         views = ViewSet(
-            medoids=np.stack([IDENTITY, axis_angle_quat([0, 1, 0], np.pi / 2)]),
-            source_size=2,
-            seed=0,
+            medoids=np.stack([IDENTITY, axis_angle_quat([0, 1, 0], np.pi / 2)])
         )
         model = init_params(256, 768, 8, 6, seed=0)
         idx = build_index({0: tri}, views, model, 2, self.cfg())
@@ -130,6 +127,17 @@ class TestBuildIndex:
             )
             save_index(idx, str(p))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_saved_manifest_names_config_and_view_grid(self, tmp_path):
+        """The file records the Config a query needs and the rotations a
+        record's view id indexes, and nothing else of the grid."""
+        views, cfg = axis_views(), self.cfg()
+        model = init_params(256, 768, 8, 6, seed=0)
+        path = tmp_path / "m.p2ci"
+        save_index(build_index({0: unit_cube()}, views, model, 2, cfg), str(path))
+        manifest = load_index(str(path)).manifest
+        assert from_dict(manifest["config"]) == cfg
+        assert manifest["views"] == {"medoids": views.medoids.tolist()}
 
     def test_no_shapes_rejected(self):
         model = init_params(256, 768, 8, 6, seed=0)
@@ -628,29 +636,6 @@ class TestKnnGroupCut:
                 assert _top_k(row[None], ids, k)[0].tolist() == want.tolist()
 
 
-class TestRetrieveConfigFallback:
-    def test_manifest_config_used_when_no_cfg_given(self):
-        idx, model, raster, cfg = retrieval_fixture(
-            [unit([1, 1, 1, 1]), unit([1, 1, 0, 0])], [0, 1]
-        )
-        idx.manifest["config"] = to_dict(cfg)
-        a = retrieve_shape(idx, raster, raster.mask, model, 3, 2, seed=4)
-        b = retrieve_shape(idx, raster, raster.mask, model, 3, 2, seed=4, cfg=cfg)
-        assert a.ranking == b.ranking
-
-    def test_unknown_manifest_config_key_rejected(self):
-        idx, model, raster, _ = retrieval_fixture([unit([1, 1, 1, 1])], [0])
-        idx.manifest["config"]["bogus"] = 1
-        with pytest.raises(ConfigError, match="bogus"):
-            retrieve_shape(idx, raster, raster.mask, model, 1, 1, seed=0)
-
-    def test_missing_manifest_config_is_format_error(self):
-        idx, model, raster, _ = retrieval_fixture([unit([1, 1, 1, 1])], [0])
-        del idx.manifest["config"]
-        with pytest.raises(FormatError, match="index manifest"):
-            retrieve_shape(idx, raster, raster.mask, model, 1, 1, seed=0)
-
-
 class TestModelFitsIndex:
     """A model that does not fit its index is rejected before any patch is read."""
 
@@ -663,10 +648,10 @@ class TestModelFitsIndex:
 
     def test_image_tower_input_differs_from_pooled_features(self):
         idx, _, raster, _ = retrieval_fixture([unit([1, 1, 1, 1])], [0])
-        idx.manifest["config"] = to_dict(Config(pool_size=16, embed_dim=4))
+        cfg = Config(pool_size=16, embed_dim=4)
         model = init_params(100, 12, 8, 4, seed=0)
         with pytest.raises(FormatError, match="100 features, but pool_size 16 pools 256"):
-            retrieve_shape(idx, raster, raster.mask, model, 1, 1, seed=0)
+            retrieve_shape(idx, raster, raster.mask, model, 1, 1, seed=0, cfg=cfg)
 
 
 def index_blob(manifest_bytes: bytes) -> bytes:

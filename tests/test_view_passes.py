@@ -545,7 +545,7 @@ def test_enumerate_view_patches_matches_per_rect_loops():
     """
     cfg = Config()
     mesh = random_box_mesh(np.random.default_rng(5), 4)
-    views = ViewSet(medoids=random_rotations(2, 9), source_size=2)
+    views = ViewSet(medoids=random_rotations(2, 9))
     blocks = list(enumerate_view_patches({3: mesh}, views, 128, cfg))
     assert [(sid, vid) for sid, vid, _, _ in blocks] == [(3, 0), (3, 1)]
     for _, vid, feats, rects in blocks:

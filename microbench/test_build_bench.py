@@ -7,7 +7,10 @@ Run from the repository root, next to the index benchmarks:
 The view is what perfbench's build renders: one synthetic chair of
 mid-range parameters at 96 px under the default Config, with the
 INDEX_PATCHES_PER_VIEW = 128 rects of side 32 that `enumerate_view_patches`
-samples. `content_rect` snaps the view's rects that meet the coverage
+samples. `normal_map` is the rebuild of that render from its held
+triangle ids, which each pass over a shared canonical view pays in
+place of a second `rasterize` (see `index.render_views`).
+`content_rect` snaps the view's rects that meet the coverage
 floor on the noiseless shading (`render.lambert`), and
 `shape_patch_features` pools the snapped rects' normals into 16 x 16
 cells of 2 px bins. Two more pooling cases run the kernel's sequential
@@ -26,7 +29,7 @@ import pytest
 from patchvote.config import Config
 from patchvote.descriptor import content_rect, coverage, sample_patches
 from patchvote.embed import image_patch_features, shape_patch_features
-from patchvote.render import lambert, rasterize, shade
+from patchvote.render import lambert, normal_map, rasterize, shade
 from patchvote.synth import PARAM_RANGES, SynthSpec, generate_shape
 from patchvote.views import axis_angle_quat
 
@@ -53,6 +56,11 @@ def view(mesh):
 
 def test_rasterize(benchmark, mesh):
     benchmark(rasterize, mesh, VIEW, CFG.render_resolution)
+
+
+def test_normal_map(benchmark, mesh):
+    tri_ids = rasterize(mesh, VIEW, CFG.render_resolution).tri_ids
+    benchmark(normal_map, mesh, tri_ids)
 
 
 def test_sample_patches(benchmark, view):

@@ -57,8 +57,12 @@ from .views import (
     rotation_grid,
 )
 
-# disjoint seed streams hanging off cfg.seed; collisions would correlate
-# sampling decisions that must stay independent
+# seed streams hanging off cfg.seed; collisions would correlate sampling
+# decisions that must stay independent. The offsets below are disjoint
+# from one another only: nothing keeps them apart from streams seeded in
+# other modules, and some of those do collide (a query's noise and patch
+# streams, embed.train's and init_params' draws, generate_benchmark's),
+# as the FOUND line on seed streams in CHANGES.md sets out.
 _ANCHOR_RECT_BASE = 1
 _NEG_SUBSAMPLE_BASE = 2
 _ANCHOR_NOISE_BASE = 3
@@ -141,9 +145,10 @@ def build_corpus(
 
     Candidates are the records of enumerate_view_patches over the
     canonical views; `renders` (see index.render_views) lets that pass
-    reuse renders made once per pipeline. Each anchor view is one pass:
-    one `shade` call draws the noise variants of its rects that meet
-    cfg.min_coverage (variant i from its own seed stream), one
+    reuse the triangle-id maps of renders made once per pipeline. Each
+    anchor view is one pass: one `shade` call draws the noise variants
+    of its rects that meet cfg.min_coverage (variant i from its own
+    seed stream), one
     `content_rect` call snaps every rect on its own variant, one array
     op gives the footprint IoU of all of them against every candidate,
     and one `image_patch_features` call pools the anchors that keep a
@@ -353,7 +358,8 @@ def train_pipeline(
     """
     db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
     # the corpus and the index both draw records at the canonical views:
-    # render each (shape, view) once and hand both passes the same maps
+    # rasterize each (shape, view) once and hand both passes its held
+    # triangle ids, from which each rebuilds the normal map it needs
     renders = render_views(db, views, cfg.render_resolution)
     corpus = build_corpus(bench, views, cfg, _CANDIDATE_PATCHES, renders=renders)
     result = train(corpus, cfg, params=lit_init(cfg, corpus))

@@ -9,11 +9,15 @@ patches of a query.
 
 Shared renders: the training corpus (experiment.build_corpus) and the
 index draw their shape-domain records at the same canonical views, so
-one pipeline renders each (shape, canonical view) once with
-`render_views` and hands the normal maps to both passes of
-`enumerate_view_patches`. A render is reused only for the identical
-shape and view quaternion; jittered index views render their own. The
-corpus's anchor views are one pass each as well (see build_corpus).
+one pipeline rasterizes each (shape, canonical view) once with
+`render_views` and hands both passes of `enumerate_view_patches` the
+result. What is held between the passes is each render's triangle-id
+map, one byte a pixel for a mesh of at most 128 triangles, not its
+f32 normals: a pass rebuilds the normals and the mask from it with
+`render.normal_map`, bit for bit, as it reaches the view. A render is
+reused only for the identical shape and view quaternion; jittered
+index views render their own. The corpus's anchor views are one pass
+each as well (see build_corpus).
 
 Retrieval: Kq query patches vote; each patch elects the modal shape
 among its Kr nearest records, and the object-level answer is the
@@ -78,7 +82,7 @@ from .embed import (
 )
 from .errors import EmptyIndexError, FormatError, NoRetrievalError, RenderError
 from .mesh import TriMesh
-from .render import NormalMap, ShadedRender, lambert, rasterize
+from .render import NormalMap, ShadedRender, lambert, normal_map, rasterize
 from .views import ViewSet
 
 INDEX_MAGIC = b"P2CI"
@@ -146,25 +150,25 @@ def derive_seed(base: int, shape_id: int, view_id: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-# held renders: (shape id, view quaternion bytes) -> normal map, None if empty
-Renders = dict[tuple[int, bytes], NormalMap | None]
+# held renders: (shape id, view quaternion bytes) -> the render's (res, res)
+# triangle-id map (NormalMap.tri_ids), None if the view is empty
+Renders = dict[tuple[int, bytes], np.ndarray | None]
 
 
 def render_views(shapes: dict[int, TriMesh], views: ViewSet, resolution: int) -> Renders:
-    """Normal map of every shape at every view, to share between passes.
+    """Triangle-id map of every shape at every view, to share between passes.
 
     Keyed by (shape id, view quaternion as f64 bytes), so a pass reuses a
     render only for the identical shape and view. A view with an empty
-    projection maps to None. The held maps keep the normals and the
-    mask only, not the diagnostic triangle ids.
+    projection maps to None. Each held map is `rasterize`'s tri_ids, in
+    the smallest signed dtype that holds -1 and the mesh's triangle ids;
+    `render.normal_map` rebuilds the render's normals and mask from it.
     """
     renders: Renders = {}
     for sid in sorted(shapes):
         for view in views.medoids:
             nmap = _render(shapes[sid], view, resolution)
-            renders[_render_key(sid, view)] = (
-                None if nmap is None else NormalMap(normals=nmap.normals, mask=nmap.mask)
-            )
+            renders[_render_key(sid, view)] = None if nmap is None else nmap.tri_ids
     return renders
 
 
@@ -210,8 +214,9 @@ def enumerate_view_patches(
     deduplicated, keeping the first in sample order, so
     patches_per_view is an upper bound per view.
 
-    A view found in `renders` (see render_views) is not rendered again;
-    any other view is rendered here and not kept.
+    A view found in `renders` (see render_views) is not rasterized
+    again: its normal map is rebuilt from the held triangle ids. Any
+    other view is rendered here and not kept.
     """
     renders = renders or {}
     for sid in sorted(shapes):
@@ -219,7 +224,8 @@ def enumerate_view_patches(
         for vid, view in enumerate(views.medoids):
             key = _render_key(sid, view)
             if key in renders:
-                nmap = renders[key]
+                tri_ids = renders[key]
+                nmap = None if tri_ids is None else normal_map(mesh, tri_ids)
             else:
                 nmap = _render(mesh, view, cfg.render_resolution)
             if nmap is None:

@@ -8,7 +8,8 @@ Camera convention: orthographic camera on the +z axis looking toward -z.
 The view quaternion rotates the mesh itself; larger rotated z means
 closer to the camera, so the z-buffer keeps the maximum. Normals stored
 per pixel are the face normals of the UNROTATED mesh, which makes the
-map a lookup of canonical geometry no matter the view.
+map a lookup of canonical geometry no matter the view: `normal_map`
+rebuilds the normals and the mask from the winning-triangle ids alone.
 
 Rasterization loops over triangles, each against its clipped bounding
 box. Edge functions are separable in x and y (Pineda, SIGGRAPH 1988):
@@ -44,7 +45,10 @@ SCENE_LIGHT.flags.writeable = False
 class NormalMap:
     normals: np.ndarray  # (h, w, 3) float32, canonical-frame unit vectors
     mask: np.ndarray     # (h, w) bool
-    # which triangle won each pixel; diagnostic only
+    # (h, w) id of the triangle that won each pixel, -1 off the mask, in
+    # the smallest signed dtype that holds the mesh's ids; the normals and
+    # the mask follow from it (normal_map), so a render held for reuse
+    # keeps this map alone (index.render_views)
     tri_ids: np.ndarray | None = None
 
 
@@ -68,7 +72,6 @@ def rasterize(mesh: TriMesh, view: np.ndarray, resolution: int) -> NormalMap:
         raise RenderError("view quaternion is not unit length")
 
     rotated = mesh.vertices @ quat_to_matrix(view).T
-    canon_normals = face_normals(mesh)
 
     xy = rotated[:, :2]
     lo = xy.min(axis=0)
@@ -85,7 +88,9 @@ def rasterize(mesh: TriMesh, view: np.ndarray, resolution: int) -> NormalMap:
     pz = rotated[:, 2]
 
     zbuf = np.full((resolution, resolution), -np.inf)
-    tbuf = np.full((resolution, resolution), -1, dtype=np.int64)
+    tbuf = np.full(
+        (resolution, resolution), -1, dtype=np.min_scalar_type(-len(mesh.triangles))
+    )
 
     # per-triangle scalars in one pass; edge-on faces (zero area) cover
     # no pixel centers, and neither does a bbox entirely off the raster
@@ -139,12 +144,27 @@ def rasterize(mesh: TriMesh, view: np.ndarray, resolution: int) -> NormalMap:
         np.copyto(zsub, z, where=better)
         np.copyto(tbuf[r0 : r1 + 1, c0 : c1 + 1], ti, where=better)
 
-    mask = tbuf >= 0
-    if not mask.any():
+    nmap = normal_map(mesh, tbuf)
+    if not nmap.mask.any():
         raise RenderError("empty projection: no pixel covered")
-    normals = np.zeros((resolution, resolution, 3), dtype=np.float32)
-    normals[mask] = canon_normals[tbuf[mask]].astype(np.float32)
-    return NormalMap(normals=normals, mask=mask, tri_ids=tbuf)
+    return nmap
+
+
+def normal_map(mesh: TriMesh, tri_ids: np.ndarray) -> NormalMap:
+    """The normal map a z-buffer's winning-triangle ids define.
+
+    A pixel is on the mask where its id is >= 0 and stores that
+    triangle's canonical face normal as f32; off the mask it stores 0.
+    Given the `tri_ids` of a `rasterize` result, this returns its normals
+    and mask bit for bit.
+    """
+    # one gather from the f32 face normals and a last row of zeros,
+    # which the background's id -1 indexes
+    table = np.zeros((len(mesh.triangles) + 1, 3), dtype=np.float32)
+    table[:-1] = face_normals(mesh)
+    return NormalMap(
+        normals=table.take(tri_ids, axis=0), mask=tri_ids >= 0, tri_ids=tri_ids
+    )
 
 
 def lambert(nmap: NormalMap) -> np.ndarray:

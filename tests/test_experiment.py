@@ -39,11 +39,14 @@ from patchvote.index import (
     render_views,
     save_index,
 )
+from patchvote.mesh import TriMesh
 from patchvote.pose import POSE_BINS
-from patchvote.render import rasterize, shade
+from patchvote.render import normal_map, rasterize, shade
 from patchvote.synth import generate_benchmark
 from patchvote.views import (
     QUERY_GAP_MAX,
+    ViewSet,
+    axis_angle_quat,
     kmedoids,
     perturb_quat,
     quat_geodesic,
@@ -353,9 +356,73 @@ class TestCorpusMatchesPerAnchorLoop:
         db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
         renders = render_views(db, views, cfg.render_resolution)
         assert len(renders) == len(db) * len(views.medoids)
-        assert all(m is None or m.tri_ids is None for m in renders.values())
+        res = cfg.render_resolution
+        assert all(
+            m is None
+            or (np.issubdtype(m.dtype, np.signedinteger) and m.shape == (res, res))
+            for m in renders.values()
+        )
         got = build_corpus(bench, views, cfg, PATCHES_PER_VIEW, renders=renders)
         assert_same_corpus(got, build_corpus(bench, views, cfg, PATCHES_PER_VIEW))
+
+
+def row_of_boxes(n):
+    """n unit boxes side by side along x, 12 triangles each, all in view
+    from the identity rotation."""
+    corners = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    quads = [(1, 3, 2, 0), (6, 7, 5, 4), (4, 5, 1, 0),
+             (3, 7, 6, 2), (2, 6, 4, 0), (5, 7, 3, 1)]
+    tris = np.array([t for a, b, c, d in quads for t in ((a, b, c), (a, c, d))])
+    verts = np.vstack([corners + [1.5 * i, 0, 0] for i in range(n)])
+    return TriMesh(verts, np.vstack([tris + 8 * i for i in range(n)]))
+
+
+class TestHeldRenders:
+    """render_views holds each render as its triangle-id map, and
+    normal_map rebuilds the render from it bit for bit."""
+
+    def assert_rebuilds(self, mesh, held, view, resolution):
+        want = rasterize(mesh, view, resolution)
+        got = normal_map(mesh, held)
+        assert got.normals.tobytes() == want.normals.tobytes()
+        assert got.mask.tobytes() == want.mask.tobytes()
+
+    def test_every_canonical_view_of_the_tiny_database(self, tiny):
+        cfg, views, bench = tiny
+        db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
+        renders = render_views(db, views, cfg.render_resolution)
+        for sid, mesh in db.items():
+            assert len(mesh.triangles) <= 128
+            for view in views.medoids:
+                held = renders[sid, np.asarray(view, dtype=np.float64).tobytes()]
+                assert held.dtype == np.int8
+                self.assert_rebuilds(mesh, held, view, cfg.render_resolution)
+
+    def test_more_than_128_triangles_held_as_int16(self):
+        mesh = row_of_boxes(11)
+        assert len(mesh.triangles) == 132
+        view = np.array([1.0, 0.0, 0.0, 0.0])
+        (held,) = render_views({0: mesh}, ViewSet(medoids=view[None]), 96).values()
+        assert held.dtype == np.int16
+        assert held.max() >= 128  # a triangle id int8 cannot hold is on view
+        self.assert_rebuilds(mesh, held, view, 96)
+
+    def test_edge_on_view_held_as_none_and_not_rendered_again(self, monkeypatch):
+        # a square in the xz plane: edge-on from the identity view, face-on
+        # after a quarter turn about x
+        verts = np.array([[-0.5, 0, -0.5], [0.5, 0, -0.5], [0.5, 0, 0.5], [-0.5, 0, 0.5]])
+        mesh = TriMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
+        edge_on = np.array([1.0, 0.0, 0.0, 0.0])
+        views = ViewSet(medoids=np.stack([edge_on, axis_angle_quat([1, 0, 0], np.pi / 2)]))
+        renders = render_views({0: mesh}, views, TINY.render_resolution)
+        assert renders[0, edge_on.tobytes()] is None
+        rendered = []
+        monkeypatch.setattr(
+            index_module, "rasterize", lambda *args: rendered.append(args)
+        )
+        blocks = list(enumerate_view_patches({0: mesh}, views, 8, TINY, renders))
+        assert rendered == []
+        assert [vid for _, vid, _, _ in blocks] == [1]
 
 
 class TestPipelineRendersOnce:

@@ -9,7 +9,9 @@ mid-range parameters at 96 px under the default Config, with the
 INDEX_PATCHES_PER_VIEW = 128 rects of side 32 that `enumerate_view_patches`
 samples. `normal_map` is the rebuild of that render from its held
 triangle ids, which each pass over a shared canonical view pays in
-place of a second `rasterize` (see `index.render_views`).
+place of a second `rasterize` (see `index.render_views`): one gather
+from the mesh's face-normal table, which the mesh builds on its first
+render and holds (`TriMesh.normal_table`).
 `content_rect` snaps the view's rects that meet the coverage
 floor on the noiseless shading (`render.lambert`), and
 `shape_patch_features` pools the snapped rects' normals into 16 x 16

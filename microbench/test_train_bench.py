@@ -1,5 +1,6 @@
-"""Micro-benchmarks of training: one epoch (`train` with epochs=1) and
-one anchor's hard-negative mining.
+"""Micro-benchmarks of training: one epoch (`train` with epochs=1), one
+shape-tower forward and backward over a batch, and one anchor's
+hard-negative mining.
 
 Run from the repository root, next to the index benchmarks:
 
@@ -14,7 +15,12 @@ PatchCorpus.from_lists, the layout build_corpus writes. Values are
 seeded uniform draws, so mining and the loss do the bench's work on
 different numbers. One epoch draws embed._ANCHORS_PER_EPOCH = 512
 anchors, mines negatives_keep = 1,024 for each, and takes 8 SGD steps
-of batch_size = 64. The mining benchmark times one such selection
+of batch_size = 64. The shape-tower benchmark times one batch's pass
+alone: 4,800 of the corpus's f32 candidate rows, about as many as a
+bench batch references, read by the first layer in f64 row blocks on
+the way forward and again in column blocks for its weight gradient
+(the copy of the output gradient, which the backward pass overwrites,
+is timed with it). The mining benchmark times one such selection
 alone: the negatives_keep = 1,024 best of one anchor's 3,900
 similarities.
 
@@ -22,10 +28,10 @@ The pinned-size epoch has the size of the pinned run's corpus (see
 ROADMAP.md): 1,431 anchors and 9,775 candidates. Its 2,400 negatives
 per anchor make a batch reference about 7,100 candidate rows (7,162 in
 the median over this corpus's batches), as the pinned run's batches do.
-Each batch's shape-tower input is then 44 MB of f64, above glibc's
-32 MB ceiling for its dynamic mmap threshold: a copy of that size
-allocated per batch is mapped and faulted in anew every batch, which
-`train`'s one reused block avoids.
+An f64 copy of a batch's shape-tower input would be 44 MB, above
+glibc's 32 MB ceiling for its dynamic mmap threshold, so it would be
+mapped and faulted in anew every batch; `train` reads the f32 corpus
+in blocks instead.
 """
 
 from dataclasses import replace
@@ -34,7 +40,14 @@ import numpy as np
 import pytest
 
 from patchvote.config import Config
-from patchvote.embed import PatchCorpus, _top_k, init_params, train
+from patchvote.embed import (
+    PatchCorpus,
+    _top_k,
+    init_params,
+    tower_backward,
+    tower_forward,
+    train,
+)
 
 CFG = replace(Config(), epochs=1)
 HIDDEN = 64  # lit_init's hidden width at the default pool_size 16: ceil(16 / 2)**2
@@ -44,6 +57,7 @@ NEGATIVES = 3900
 PINNED_ANCHORS = 1431
 PINNED_CANDIDATES = 9775
 PINNED_NEGATIVES = 2400
+BATCH_ROWS = 4800
 
 
 def make_corpus(anchors: int, candidates: int, negatives: int) -> PatchCorpus:
@@ -82,6 +96,20 @@ def test_train_epoch_pinned_size(benchmark):
     bench_epoch(
         benchmark, make_corpus(PINNED_ANCHORS, PINNED_CANDIDATES, PINNED_NEGATIVES)
     )
+
+
+def test_shape_tower_pass(benchmark, corpus):
+    p2 = CFG.pool_size**2
+    tower = init_params(p2, 3 * p2, HIDDEN, CFG.embed_dim, seed=0).shape
+    rng = np.random.default_rng(2)
+    rows = np.sort(rng.choice(CANDIDATES, BATCH_ROWS, replace=False))
+    dY = rng.normal(size=(BATCH_ROWS, CFG.embed_dim))
+
+    def step():
+        trace = tower_forward(tower, corpus.cand_feats, rows)
+        return tower_backward(tower, trace, dY.copy())
+
+    benchmark(step)
 
 
 def test_mining_top_k(benchmark):

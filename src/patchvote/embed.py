@@ -8,13 +8,17 @@ exponentiated similarity over its positives against the mean over its
 mined negatives. Gradients are derived by hand and checked against
 finite differences in the test suite.
 
-`train` allocates one f64 block for the candidate rows per call, and
-every shape-tower pass reads from it. A batch's `cand_feats` is a view
-of the block's head, valid until the next batch fills the block. Its
-rows are copied in from the f32 corpus _GATHER_ROWS rows at a time, so
-no f32 gather of the whole batch is ever held. The corpus stores each
-anchor's labels as one packed bit row (see PatchCorpus), and `train`
-decodes an anchor's row into int32 ids only when it needs them.
+A tower's first layer reads its input in blocks (first_layer): forward,
+near-equal blocks of at most _ROW_BLOCK rows, each converted to f64 in
+one reused scratch buffer; backward, the weight gradient X.T @ dpre1 in
+column blocks of at most _COL_BLOCK input features over every row. A
+trace keeps the input as given and the backward pass reads it again, so
+`train` and experiment.lit_init hand the f32 candidate corpus itself,
+and a batch the rows it uses, to the shape tower: no f64 array the size
+of the corpus is allocated. Both kinds of block round exactly as one
+dense f64 product does. The corpus stores each anchor's labels as one
+packed bit row (see PatchCorpus), and `train` decodes an anchor's row
+into int32 ids only when it needs them.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ MODEL_MAGIC = b"P2CM"
 MODEL_VERSION = 1
 NORM_EPS = 1e-8
 TOPK_GROUP = 64  # entries per strided group of the top-k cut (see _top_k)
-_GATHER_ROWS = 512  # candidate rows per f32 -> f64 copy into train's block
+_ROW_BLOCK = 512  # most input rows per f64 scratch block of first_layer
+_COL_BLOCK = 64  # most input features per f64 scratch block of _first_layer_grad
 _ANCHORS_PER_EPOCH = 512  # anchors train draws per epoch, at most
 
 
@@ -160,50 +165,115 @@ def _normalize_rows(pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _normalize_backward(dY: np.ndarray, Y: np.ndarray, pre: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the rows `pre` of _normalize_rows, given it w.r.t. Y.
 
-    With y = u/|u|, dL/du = (dY - (dY . y) y) / |u|.
+    With y = u/|u|, dL/du = (dY - (dY . y) y) / |u|. It is computed in
+    place: dY is overwritten with the result and returned.
     """
     norms = np.linalg.norm(pre, axis=1, keepdims=True)
-    return (dY - np.sum(dY * Y, axis=1, keepdims=True) * Y) / norms
+    proj = dY * Y
+    np.multiply(proj.sum(axis=1, keepdims=True), Y, out=proj)
+    dY -= proj
+    dY /= norms
+    return dY
+
+
+def _spans(n: int, most: int) -> list[tuple[int, int]]:
+    """ceil(n / most) near-equal spans covering range(n), one if n <= most.
+
+    Span lengths differ by at most one, so no span is a short tail: past
+    one span, each holds more than most / 2 entries.
+    """
+    k = max(1, -(-n // most))
+    cuts = [n * i // k for i in range(k + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def first_layer(t: Tower, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """relu(X @ W1 + b1), or relu(X[rows] @ W1 + b1), as (n, h) f64.
+
+    X is 2-D of any real dtype, typically the f32 candidate corpus. Its
+    rows are read in near-equal blocks of at most _ROW_BLOCK rows (see
+    _spans), each converted into one reused f64 scratch buffer and
+    multiplied by W1 into its rows of the result; no f64 copy of the
+    whole input is made. Under OpenBLAS a block of 64 rows or more rounds
+    exactly as the same rows of one whole-input product, so the result
+    is that product's, bit for bit; a short tail block would not (a 1-row
+    or 7-row block of a 768-wide input rounds apart in every row).
+    """
+    n = len(X) if rows is None else len(rows)
+    h1 = np.empty((n, t.W1.shape[1]))
+    buf = np.empty((min(n, _ROW_BLOCK), X.shape[1]))
+    for lo, hi in _spans(n, _ROW_BLOCK):
+        block = buf[: hi - lo]
+        block[...] = X[lo:hi] if rows is None else X[rows[lo:hi]]
+        np.matmul(block, t.W1, out=h1[lo:hi])
+    h1 += t.b1
+    np.maximum(h1, 0.0, out=h1)
+    return h1
+
+
+def _first_layer_grad(
+    X: np.ndarray, rows: np.ndarray | None, dpre1: np.ndarray
+) -> np.ndarray:
+    """dW1 = X.T @ dpre1 (X[rows].T @ dpre1 given rows), (d_in, h) f64.
+
+    The input features are read in near-equal column blocks of at most
+    _COL_BLOCK, each converted into one reused f64 scratch buffer of all
+    the rows. Each block is one product over every row, so every entry
+    sums the same terms in the same order as one whole-input product.
+    """
+    n, d_in = len(dpre1), X.shape[1]
+    dW1 = np.empty((d_in, dpre1.shape[1]))
+    buf = np.empty(n * min(d_in, _COL_BLOCK))
+    for lo, hi in _spans(d_in, _COL_BLOCK):
+        block = buf[: n * (hi - lo)].reshape(n, hi - lo)
+        block[...] = X[:, lo:hi] if rows is None else X[rows, lo:hi]
+        np.matmul(block.T, dpre1, out=dW1[lo:hi])
+    return dW1
 
 
 @dataclass
 class TowerTrace:
     """Forward intermediates kept for the backward pass.
 
-    The first layer's pre-activation is not kept: the relu overwrites it
-    in place, and the backward mask h1 > 0 is the predicate pre1 > 0,
-    NaN and -0 included (both compare false on either side).
+    The input is kept as it was given, X and its rows (None for all of
+    X), not as an f64 copy: the backward pass reads it again (see
+    _first_layer_grad). The first layer's pre-activation is not kept:
+    the relu overwrites it in place, and the backward mask h1 > 0 is the
+    predicate pre1 > 0, NaN and -0 included (both compare false on
+    either side).
     """
 
     X: np.ndarray
+    rows: np.ndarray | None
     h1: np.ndarray  # relu(X @ W1 + b1)
     pre2: np.ndarray  # after epsilon fix
     Y: np.ndarray
 
 
-def tower_forward(t: Tower, X: np.ndarray) -> TowerTrace:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+def tower_forward(
+    t: Tower, X: np.ndarray, rows: np.ndarray | None = None
+) -> TowerTrace:
+    """One tower over the rows of X, or over X[rows] (see first_layer)."""
+    X = np.atleast_2d(X)
     if X.shape[1] != t.W1.shape[0]:
         raise ValueError(
             f"feature dim {X.shape[1]} does not match tower d_in {t.W1.shape[0]}"
         )
-    h1 = X @ t.W1
-    h1 += t.b1
-    np.maximum(h1, 0.0, out=h1)
+    h1 = first_layer(t, X, rows)
     pre2 = h1 @ t.W2
     pre2 += t.b2
     Y, pre2 = _normalize_rows(pre2)
-    return TowerTrace(X=X, h1=h1, pre2=pre2, Y=Y)
+    return TowerTrace(X=X, rows=rows, h1=h1, pre2=pre2, Y=Y)
 
 
 def tower_backward(t: Tower, trace: TowerTrace, dY: np.ndarray) -> Tower:
-    """Gradients of the loss w.r.t. one tower's parameters."""
+    """Gradients of the loss w.r.t. one tower's parameters; dY is overwritten."""
     dpre2 = _normalize_backward(dY, trace.Y, trace.pre2)
     dW2 = trace.h1.T @ dpre2
     db2 = dpre2.sum(axis=0)
     dpre1 = dpre2 @ t.W2.T
     dpre1 *= trace.h1 > 0
-    dW1 = trace.X.T @ dpre1
+    dW1 = _first_layer_grad(trace.X, trace.rows, dpre1)
     db1 = dpre1.sum(axis=0)
     return Tower(W1=dW1, b1=db1, W2=dW2, b2=db2)
 
@@ -214,16 +284,19 @@ class TrainingBatch:
 
     Labels are runs, anchor by anchor: anchor k's positives are the
     pos_counts[k] entries of pos_ids after those of anchors 0..k-1, and
-    likewise its negatives in neg_ids. Ids index rows of cand_feats;
-    every count must be at least one.
+    likewise its negatives in neg_ids. Every count must be at least one.
+    The batch's candidates are the rows cand_rows of cand_feats, or all of
+    cand_feats when cand_rows is None, and ids index them in that order:
+    `train` hands over the whole f32 corpus and the rows the batch uses.
     """
 
     anchor_feats: np.ndarray        # (A, d_in_image)
-    cand_feats: np.ndarray          # (M, d_in_shape)
+    cand_feats: np.ndarray          # (N, d_in_shape)
     pos_ids: np.ndarray             # (sum of pos_counts,)
     pos_counts: np.ndarray          # (A,)
     neg_ids: np.ndarray             # (sum of neg_counts,)
     neg_counts: np.ndarray          # (A,)
+    cand_rows: np.ndarray | None = None  # (M,) rows of cand_feats, or all of them
 
 
 def _run_starts(counts: np.ndarray) -> np.ndarray:
@@ -269,7 +342,7 @@ def nce_loss_and_grad(
         raise TrainingError("every anchor needs at least one positive and one negative")
 
     atrace = tower_forward(params.image, batch.anchor_feats)
-    ctrace = tower_forward(params.shape, batch.cand_feats)
+    ctrace = tower_forward(params.shape, batch.cand_feats, batch.cand_rows)
     exps = atrace.Y @ ctrace.Y.T
     exps /= cfg.tau
     np.exp(exps, out=exps)
@@ -289,8 +362,12 @@ def nce_loss_and_grad(
     coeff[pos_row, batch.pos_ids] += pos_scale[pos_row] * pos_exps
     coeff[neg_row, batch.neg_ids] += neg_scale[neg_row] * neg_exps
 
-    dYa = (coeff @ ctrace.Y) / cfg.tau
-    dYc = (coeff.T @ atrace.Y) / cfg.tau
+    dYa = coeff @ ctrace.Y
+    dYa /= cfg.tau
+    dYc = coeff.T @ atrace.Y
+    dYc /= cfg.tau
+    # none of these is read again: free them before the backward passes
+    del exps, coeff, pos_row, neg_row, pos_exps, neg_exps
     grad = TowerParams(
         image=tower_backward(params.image, atrace, dYa),
         shape=tower_backward(params.shape, ctrace, dYc),
@@ -516,13 +593,13 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams) -> TrainResult:
     when the epoch's positives are laid out; the decoded ids ascend, so
     mining's ties and the runs see them in the order of an id list.
     Each epoch appends one EpochStats row to the history.
-    Every shape-tower pass reads one f64 block shaped like
-    corpus.cand_feats, allocated once per call: the epoch-start pass
-    converts every candidate row into it, and each batch writes its
-    rows into its head, gathered from the f32 corpus _GATHER_ROWS rows
-    at a time. So no pass allocates a copy of its input, and a batch's
-    gather never holds an f32 copy of all its rows. A batch's
-    cand_feats is that head, valid until the next batch fills the block.
+    Every shape-tower pass reads the f32 corpus.cand_feats itself: the
+    epoch-start pass all of its rows, a batch the rows its labels
+    reference (TrainingBatch.cand_rows). The first layer reads them in
+    f64 blocks (first_layer, _first_layer_grad), so no f64 array shaped
+    like cand_feats is allocated, nor an f32 gather of all a batch's rows.
+    The epoch-start candidate embeddings are dropped once mining and
+    the health row are done.
     """
     A = len(corpus.anchor_feats)
     if A == 0:
@@ -539,7 +616,6 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams) -> TrainResult:
     # slot maps each of them to its row in the batch; both are reused
     mark = np.zeros(len(corpus.cand_feats), dtype=bool)
     slot = np.zeros(len(corpus.cand_feats), dtype=np.intp)
-    work = np.empty(corpus.cand_feats.shape)
     for epoch in range(cfg.epochs):
         if A > _ANCHORS_PER_EPOCH:
             sel = rng.choice(A, _ANCHORS_PER_EPOCH, replace=False)
@@ -547,8 +623,7 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams) -> TrainResult:
             sel = np.arange(A)
         rng.shuffle(sel)
         anchor_y = tower_forward(params.image, corpus.anchor_feats[sel]).Y
-        work[...] = corpus.cand_feats
-        cand_y = tower_forward(params.shape, work).Y
+        cand_y = tower_forward(params.shape, corpus.cand_feats).Y
         pos_ids = np.concatenate([pos_rows[i] for i in sel])
         pos_counts = pos_len[sel]
         neg_counts = np.minimum(neg_len[sel], cfg.negatives_keep)
@@ -560,6 +635,7 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams) -> TrainResult:
                 anchor_y[k], neg, cand_y[neg], cfg.negatives_keep
             )
         health = _health(anchor_y, cand_y, pos_ids, pos_counts, neg_ids, neg_counts)
+        del anchor_y, cand_y
 
         pos_at = np.r_[0, np.cumsum(pos_counts)]
         total = 0.0
@@ -571,16 +647,14 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams) -> TrainResult:
             rows = np.flatnonzero(mark)
             mark[rows] = False
             slot[rows] = np.arange(len(rows))
-            for lo in range(0, len(rows), _GATHER_ROWS):
-                chunk = rows[lo : lo + _GATHER_ROWS]
-                work[lo : lo + len(chunk)] = corpus.cand_feats[chunk]
             batch = TrainingBatch(
                 anchor_feats=corpus.anchor_feats[sel[start:end]],
-                cand_feats=work[: len(rows)],
+                cand_feats=corpus.cand_feats,
                 pos_ids=slot[pos],
                 pos_counts=pos_counts[start:end],
                 neg_ids=slot[neg],
                 neg_counts=neg_counts[start:end],
+                cand_rows=rows,
             )
             loss, grad = nce_loss_and_grad(params, batch, cfg)
             total += loss

@@ -20,6 +20,7 @@ from .descriptor import content_rect, coverage, sample_patches
 from .embed import (
     PatchCorpus,
     TowerParams,
+    first_layer,
     image_patch_features,
     init_params,
     train,
@@ -309,7 +310,10 @@ def lit_init(cfg: Config, corpus: PatchCorpus) -> TowerParams:
     other and the loss would see no spread. The shared output bias is
     therefore set to subtract the corpus's mean hidden response, so the
     normalize step measures each patch's deviation from average
-    rather than its share of the common brightness.
+    rather than its share of the common brightness. Both mean responses
+    are taken through embed.first_layer, the towers' own first layer at
+    their zero b1, which reads the f32 corpus in f64 row blocks, so no
+    f64 copy of the candidates is made.
     """
     pool = cfg.pool_size
     cells = pool * pool
@@ -334,8 +338,8 @@ def lit_init(cfg: Config, corpus: PatchCorpus) -> TowerParams:
     params.shape.W1 = W1s
     params.shape.b1 = params.image.b1.copy()
     params.shape.W2 = params.image.W2.copy()
-    h_img = np.maximum(0.0, corpus.anchor_feats.astype(np.float64) @ W1)
-    h_shp = np.maximum(0.0, corpus.cand_feats.astype(np.float64) @ W1s)
+    h_img = first_layer(params.image, corpus.anchor_feats)
+    h_shp = first_layer(params.shape, corpus.cand_feats)
     h_bar = 0.5 * (h_img.mean(axis=0) + h_shp.mean(axis=0))
     center = -(h_bar @ params.image.W2)
     params.image.b2 = center.copy()

@@ -8,25 +8,46 @@ used everywhere downstream is bbox-centered with longest extent 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import MeshError
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriMesh:
+    """An immutable mesh: its fields cannot be reassigned, and its arrays
+    are read-only copies of the ones it was built from. So a table derived
+    from its geometry is computed once and held on the mesh itself
+    (normal_table) without ever going stale."""
+
     vertices: np.ndarray
     triangles: np.ndarray
     category: str = ""
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
-        if len(self.triangles) < 1:
+        vertices = np.array(self.vertices, dtype=np.float64).reshape(-1, 3)
+        triangles = np.array(self.triangles, dtype=np.int64).reshape(-1, 3)
+        if len(triangles) < 1:
             raise MeshError("mesh has no triangles")
-        if self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices):
+        if triangles.min() < 0 or triangles.max() >= len(vertices):
             raise MeshError("triangle index out of range")
+        for name, arr in (("vertices", vertices), ("triangles", triangles)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def normal_table(self) -> np.ndarray:
+        """Read-only (F + 1, 3) f32: face_normals, then a row of zeros.
+
+        A render's winning-triangle ids index it, the background's id -1
+        reading the zeros (render.normal_map). Built on first use.
+        """
+        table = np.zeros((len(self.triangles) + 1, 3), dtype=np.float32)
+        table[:-1] = face_normals(self)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass
@@ -53,7 +74,7 @@ def normalize_mesh(mesh: TriMesh) -> TriMesh:
         raise MeshError("degenerate mesh: zero extent on all axes")
     center = (lo + hi) / 2.0
     verts = (mesh.vertices - center) / longest
-    return TriMesh(verts, mesh.triangles.copy(), category=mesh.category)
+    return TriMesh(verts, mesh.triangles, category=mesh.category)
 
 
 def face_normals(mesh: TriMesh) -> np.ndarray:

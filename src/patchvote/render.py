@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RenderError
-from .mesh import TriMesh, face_normals
+from .mesh import TriMesh
 from .views import off_unit, quat_to_matrix
 
 MARGIN = 0.05
@@ -156,14 +156,13 @@ def normal_map(mesh: TriMesh, tri_ids: np.ndarray) -> NormalMap:
     A pixel is on the mask where its id is >= 0 and stores that
     triangle's canonical face normal as f32; off the mask it stores 0.
     Given the `tri_ids` of a `rasterize` result, this returns its normals
-    and mask bit for bit.
+    and mask bit for bit. The normals are one gather from the mesh's
+    normal_table, which the mesh builds once and holds.
     """
-    # one gather from the f32 face normals and a last row of zeros,
-    # which the background's id -1 indexes
-    table = np.zeros((len(mesh.triangles) + 1, 3), dtype=np.float32)
-    table[:-1] = face_normals(mesh)
     return NormalMap(
-        normals=table.take(tri_ids, axis=0), mask=tri_ids >= 0, tri_ids=tri_ids
+        normals=mesh.normal_table.take(tri_ids, axis=0),
+        mask=tri_ids >= 0,
+        tri_ids=tri_ids,
     )
 
 

@@ -106,7 +106,7 @@ def _box(cx, cy, cz, sx, sy, sz):
     return verts, np.array(tris)
 
 
-def _merge(boxes) -> TriMesh:
+def _merge(boxes, category: str) -> TriMesh:
     verts = []
     tris = []
     offset = 0
@@ -114,7 +114,7 @@ def _merge(boxes) -> TriMesh:
         verts.append(v)
         tris.append(t + offset)
         offset += len(v)
-    return TriMesh(np.vstack(verts), np.vstack(tris))
+    return TriMesh(np.vstack(verts), np.vstack(tris), category=category)
 
 
 def _check_params(spec: SynthSpec) -> None:
@@ -180,9 +180,8 @@ _BUILDERS = {"chair": _chair_boxes, "table": _table_boxes, "cabinet": _cabinet_b
 def generate_shape(spec: SynthSpec) -> TriMesh:
     """Assemble the category template and normalize; pure in the spec."""
     _check_params(spec)
-    mesh = _merge(_BUILDERS[spec.category](spec.params))
-    mesh.category = spec.category
-    return normalize_mesh(mesh)
+    boxes = _BUILDERS[spec.category](spec.params)
+    return normalize_mesh(_merge(boxes, spec.category))
 
 
 def _build_pools(seed: int) -> dict:

@@ -58,8 +58,8 @@ class TestNormalize:
             normalize_mesh(TriMesh(verts, np.array([[0, 1, 2]])))
 
     def test_category_preserved(self):
-        mesh = cube_mesh()
-        mesh.category = "chair"
+        cube = cube_mesh()
+        mesh = TriMesh(cube.vertices, cube.triangles, category="chair")
         assert normalize_mesh(mesh).category == "chair"
 
 

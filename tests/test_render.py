@@ -1,12 +1,16 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
+from patchvote import mesh as mesh_module
 from patchvote.errors import RenderError
 from patchvote.mesh import TriMesh, face_normals, normalize_mesh
 from patchvote.render import (
     SCENE_LIGHT,
     NormalMap,
     lambert,
+    normal_map,
     rasterize,
     shade,
 )
@@ -120,6 +124,50 @@ class TestRasterize:
         b = rasterize(unit_cube(), view, 64)
         np.testing.assert_array_equal(a.normals, b.normals)
         np.testing.assert_array_equal(a.mask, b.mask)
+
+
+class TestNormalTable:
+    """The f32 face-normal table is built once per mesh and held on it."""
+
+    def test_held_table_keeps_rasterize_bytes(self, monkeypatch):
+        calls = []
+        normals_of = mesh_module.face_normals
+
+        def spy(mesh):
+            calls.append(mesh)
+            return normals_of(mesh)
+
+        monkeypatch.setattr(mesh_module, "face_normals", spy)
+        cube = normalize_mesh(unit_cube())
+        # the table as normal_map built it on every call
+        fresh = np.zeros((len(cube.triangles) + 1, 3), dtype=np.float32)
+        fresh[:-1] = normals_of(cube)
+        for view in random_rotations(4, seed=5):
+            nmap = rasterize(cube, view, 48)
+            for _ in range(2):
+                again = normal_map(cube, nmap.tri_ids)
+                assert again.normals.tobytes() == nmap.normals.tobytes()
+                assert again.mask.tobytes() == nmap.mask.tobytes()
+            want = fresh.take(nmap.tri_ids, axis=0)
+            assert nmap.normals.tobytes() == want.tobytes()
+            assert nmap.mask.tobytes() == (nmap.tri_ids >= 0).tobytes()
+        assert calls == [cube]
+        assert cube.normal_table is cube.normal_table
+        assert not cube.normal_table.flags.writeable
+
+    def test_mesh_geometry_cannot_change_under_its_table(self):
+        verts = unit_cube().vertices.copy()
+        mesh = TriMesh(verts, unit_cube().triangles)
+        table = mesh.normal_table.copy()
+        verts[:] = 0.0  # the array it was built from
+        with pytest.raises(ValueError):
+            mesh.vertices[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            mesh.triangles[0, 0] = 1
+        with pytest.raises(FrozenInstanceError):
+            mesh.vertices = verts
+        assert np.abs(mesh.vertices).min() == 0.5
+        assert mesh.normal_table.tobytes() == table.tobytes()
 
 
 class TestShade:

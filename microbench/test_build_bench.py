@@ -19,6 +19,9 @@ cells of 2 px bins. Two more pooling cases run the kernel's sequential
 bin sum over longer runs on the same rects: 4 x 4 cells of 8 px bins
 (the longest run whose order matches `np.add.reduceat`) and one 32 px
 bin per rect.
+`tower_forward` runs those pooled normals, an f64 (125, 768) block, through
+the shape tower at the pipeline's hidden width, as `build_index` embeds
+each view's records: the first layer multiplies the block where it lies.
 
 The anchor-view pass is what `build_corpus` runs per anchor view: one
 `shade` call draws a noise variant per covered rect of the
@@ -30,7 +33,12 @@ import pytest
 
 from patchvote.config import Config
 from patchvote.descriptor import content_rect, coverage, sample_patches
-from patchvote.embed import image_patch_features, shape_patch_features
+from patchvote.embed import (
+    image_patch_features,
+    init_params,
+    shape_patch_features,
+    tower_forward,
+)
 from patchvote.render import lambert, normal_map, rasterize, shade
 from patchvote.synth import PARAM_RANGES, SynthSpec, generate_shape
 from patchvote.views import axis_angle_quat
@@ -39,6 +47,7 @@ CFG = Config()
 PATCHES_PER_VIEW = 128
 ANCHOR_PATCHES = 8
 VIEW = axis_angle_quat([1, 1, 0], 0.7)
+HIDDEN = 64  # lit_init's hidden width at the default pool_size 16: ceil(16 / 2)**2
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +93,14 @@ def test_pool_view(benchmark, view):
 def test_pool_view_other_bins(benchmark, view, pool):
     nmap, _, snapped, _ = view
     benchmark(shape_patch_features, nmap.normals, snapped, pool)
+
+
+def test_shape_tower_view(benchmark, view):
+    nmap, _, snapped, _ = view
+    feats = shape_patch_features(nmap.normals, snapped, CFG.pool_size)
+    p2 = CFG.pool_size**2
+    tower = init_params(p2, 3 * p2, HIDDEN, CFG.embed_dim, seed=0).shape
+    benchmark(tower_forward, tower, feats)
 
 
 def anchor_view_pass(nmap, rects, seeds):

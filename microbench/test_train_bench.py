@@ -17,8 +17,9 @@ different numbers. One epoch draws embed._ANCHORS_PER_EPOCH = 512
 anchors, mines negatives_keep = 1,024 for each, and takes 8 SGD steps
 of batch_size = 64. The shape-tower benchmark times one batch's pass
 alone: 4,800 of the corpus's f32 candidate rows, about as many as a
-bench batch references, read by the first layer in f64 row blocks on
-the way forward and again in column blocks for its weight gradient
+bench batch references, read by the first layer in row blocks, each
+widened to f64 by numpy, on the way forward and again in column blocks
+for its weight gradient
 (the copy of the output gradient, which the backward pass overwrites,
 is timed with it). The mining benchmark times one such selection
 alone: the negatives_keep = 1,024 best of one anchor's 3,900

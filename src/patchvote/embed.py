@@ -9,16 +9,17 @@ mined negatives. Gradients are derived by hand and checked against
 finite differences in the test suite.
 
 A tower's first layer reads its input in blocks (first_layer): forward,
-near-equal blocks of at most _ROW_BLOCK rows, each converted to f64 in
-one reused scratch buffer; backward, the weight gradient X.T @ dpre1 in
-column blocks of at most _COL_BLOCK input features over every row. A
-trace keeps the input as given and the backward pass reads it again, so
-`train` and experiment.lit_init hand the f32 candidate corpus itself,
-and a batch the rows it uses, to the shape tower: no f64 array the size
-of the corpus is allocated. Both kinds of block round exactly as one
-dense f64 product does. The corpus stores each anchor's labels as one
-packed bit row (see PatchCorpus), and `train` decodes an anchor's row
-into int32 ids only when it needs them.
+near-equal blocks of at most _ROW_BLOCK rows; backward, the weight
+gradient X.T @ dpre1 in column blocks of at most _COL_BLOCK input
+features over every row. An f64 block is multiplied where it lies, an
+f32 one widened, and no scratch buffer is kept. A trace keeps the input
+as given and the backward pass reads it again, so `train` and
+experiment.lit_init hand the f32 candidate corpus itself, and a batch
+the rows it uses, to the shape tower: no f64 array the size of the
+corpus is allocated. Both kinds of block round exactly as one dense f64
+product does. The corpus stores each anchor's labels as one packed bit
+row (see PatchCorpus), and `train` decodes an anchor's row into int32
+ids only when it needs them.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ MODEL_MAGIC = b"P2CM"
 MODEL_VERSION = 1
 NORM_EPS = 1e-8
 TOPK_GROUP = 64  # entries per strided group of the top-k cut (see _top_k)
-_ROW_BLOCK = 512  # most input rows per f64 scratch block of first_layer
-_COL_BLOCK = 64  # most input features per f64 scratch block of _first_layer_grad
+_ROW_BLOCK = 512  # most input rows per block of first_layer
+_COL_BLOCK = 64  # most input features per block of _first_layer_grad
 _ANCHORS_PER_EPOCH = 512  # anchors train draws per epoch, at most
 
 
@@ -152,27 +153,27 @@ def shape_patch_features(
 
 
 def _normalize_rows(pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalize rows; returns (Y, effective pre) after the epsilon fix,
-    which is made in place on `pre`."""
+    """Unit-normalize rows in place; returns (Y, row norms), Y being `pre`.
+    A row of norm below NORM_EPS first gets NORM_EPS on its first entry."""
     norms = np.linalg.norm(pre, axis=1)
     tiny = norms < NORM_EPS
     if tiny.any():
         pre[tiny, 0] += NORM_EPS
         norms = np.linalg.norm(pre, axis=1)
-    return pre / norms[:, None], pre
+    pre /= norms[:, None]
+    return pre, norms
 
 
-def _normalize_backward(dY: np.ndarray, Y: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the rows `pre` of _normalize_rows, given it w.r.t. Y.
+def _normalize_backward(dY: np.ndarray, Y: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the rows of _normalize_rows, given it w.r.t. Y and their norms.
 
     With y = u/|u|, dL/du = (dY - (dY . y) y) / |u|. It is computed in
     place: dY is overwritten with the result and returned.
     """
-    norms = np.linalg.norm(pre, axis=1, keepdims=True)
     proj = dY * Y
     np.multiply(proj.sum(axis=1, keepdims=True), Y, out=proj)
     dY -= proj
-    dY /= norms
+    dY /= norms[:, None]
     return dY
 
 
@@ -192,19 +193,17 @@ def first_layer(t: Tower, X: np.ndarray, rows: np.ndarray | None = None) -> np.n
 
     X is 2-D of any real dtype, typically the f32 candidate corpus. Its
     rows are read in near-equal blocks of at most _ROW_BLOCK rows (see
-    _spans), each converted into one reused f64 scratch buffer and
-    multiplied by W1 into its rows of the result; no f64 copy of the
-    whole input is made. Under OpenBLAS a block of 64 rows or more rounds
-    exactly as the same rows of one whole-input product, so the result
-    is that product's, bit for bit; a short tail block would not (a 1-row
-    or 7-row block of a 768-wide input rounds apart in every row).
+    _spans), each multiplied by W1 where it lies (numpy widens an f32
+    block), so no f64 copy of the whole input is made. Under OpenBLAS a
+    block of 64 rows or more rounds exactly as the same rows of one
+    whole-input product, so the result is that product's, bit for bit; a
+    short tail block would not (a 1-row or 7-row block of a 768-wide
+    input rounds apart in every row).
     """
     n = len(X) if rows is None else len(rows)
     h1 = np.empty((n, t.W1.shape[1]))
-    buf = np.empty((min(n, _ROW_BLOCK), X.shape[1]))
     for lo, hi in _spans(n, _ROW_BLOCK):
-        block = buf[: hi - lo]
-        block[...] = X[lo:hi] if rows is None else X[rows[lo:hi]]
+        block = X[lo:hi] if rows is None else X[rows[lo:hi]]
         np.matmul(block, t.W1, out=h1[lo:hi])
     h1 += t.b1
     np.maximum(h1, 0.0, out=h1)
@@ -217,17 +216,17 @@ def _first_layer_grad(
     """dW1 = X.T @ dpre1 (X[rows].T @ dpre1 given rows), (d_in, h) f64.
 
     The input features are read in near-equal column blocks of at most
-    _COL_BLOCK, each converted into one reused f64 scratch buffer of all
-    the rows. Each block is one product over every row, so every entry
-    sums the same terms in the same order as one whole-input product.
+    _COL_BLOCK over all the rows. An f64 block is multiplied where it
+    lies; astype widens an f32 one before the transpose, twice as fast as
+    np.matmul widening the transposed view. Each block is one product
+    over every row, so every entry sums the same terms in the same order
+    as one whole-input product.
     """
-    n, d_in = len(dpre1), X.shape[1]
+    d_in = X.shape[1]
     dW1 = np.empty((d_in, dpre1.shape[1]))
-    buf = np.empty(n * min(d_in, _COL_BLOCK))
     for lo, hi in _spans(d_in, _COL_BLOCK):
-        block = buf[: n * (hi - lo)].reshape(n, hi - lo)
-        block[...] = X[:, lo:hi] if rows is None else X[rows, lo:hi]
-        np.matmul(block.T, dpre1, out=dW1[lo:hi])
+        block = X[:, lo:hi] if rows is None else X[rows, lo:hi]
+        np.matmul(block.astype(np.float64, copy=False).T, dpre1, out=dW1[lo:hi])
     return dW1
 
 
@@ -237,16 +236,16 @@ class TowerTrace:
 
     The input is kept as it was given, X and its rows (None for all of
     X), not as an f64 copy: the backward pass reads it again (see
-    _first_layer_grad). The first layer's pre-activation is not kept:
-    the relu overwrites it in place, and the backward mask h1 > 0 is the
+    _first_layer_grad). Neither pre-activation is kept. The relu
+    overwrites the first in place, and the backward mask h1 > 0 is the
     predicate pre1 > 0, NaN and -0 included (both compare false on
-    either side).
+    either side); the second is normalized in place into Y.
     """
 
     X: np.ndarray
     rows: np.ndarray | None
     h1: np.ndarray  # relu(X @ W1 + b1)
-    pre2: np.ndarray  # after epsilon fix
+    norms: np.ndarray  # (n,) row norms of h1 @ W2 + b2 after the epsilon fix
     Y: np.ndarray
 
 
@@ -262,13 +261,13 @@ def tower_forward(
     h1 = first_layer(t, X, rows)
     pre2 = h1 @ t.W2
     pre2 += t.b2
-    Y, pre2 = _normalize_rows(pre2)
-    return TowerTrace(X=X, rows=rows, h1=h1, pre2=pre2, Y=Y)
+    Y, norms = _normalize_rows(pre2)
+    return TowerTrace(X=X, rows=rows, h1=h1, norms=norms, Y=Y)
 
 
 def tower_backward(t: Tower, trace: TowerTrace, dY: np.ndarray) -> Tower:
     """Gradients of the loss w.r.t. one tower's parameters; dY is overwritten."""
-    dpre2 = _normalize_backward(dY, trace.Y, trace.pre2)
+    dpre2 = _normalize_backward(dY, trace.Y, trace.norms)
     dW2 = trace.h1.T @ dpre2
     db2 = dpre2.sum(axis=0)
     dpre1 = dpre2 @ t.W2.T
@@ -596,7 +595,7 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams) -> TrainResult:
     Every shape-tower pass reads the f32 corpus.cand_feats itself: the
     epoch-start pass all of its rows, a batch the rows its labels
     reference (TrainingBatch.cand_rows). The first layer reads them in
-    f64 blocks (first_layer, _first_layer_grad), so no f64 array shaped
+    blocks (first_layer, _first_layer_grad), so no f64 array shaped
     like cand_feats is allocated, nor an f32 gather of all a batch's rows.
     The epoch-start candidate embeddings are dropped once mining and
     the health row are done.

@@ -312,8 +312,8 @@ def lit_init(cfg: Config, corpus: PatchCorpus) -> TowerParams:
     normalize step measures each patch's deviation from average
     rather than its share of the common brightness. Both mean responses
     are taken through embed.first_layer, the towers' own first layer at
-    their zero b1, which reads the f32 corpus in f64 row blocks, so no
-    f64 copy of the candidates is made.
+    their zero b1, which reads the f32 corpus in row blocks, so no f64
+    copy of the candidates is made.
     """
     pool = cfg.pool_size
     cells = pool * pool
@@ -332,11 +332,8 @@ def lit_init(cfg: Config, corpus: PatchCorpus) -> TowerParams:
     W1 = np.exp(-d2 / (2.0 * _LIT_INIT_SIGMA**2))
     W1 /= np.linalg.norm(W1, axis=0, keepdims=True)
     params.image.W1 = W1
-    W1s = np.zeros_like(params.shape.W1)
-    for c in range(3):
-        W1s[c::3, :] = SCENE_LIGHT[c] * W1
-    params.shape.W1 = W1s
-    params.shape.b1 = params.image.b1.copy()
+    # row 3 * i + c of the shape W1 is SCENE_LIGHT[c] * W1[i]
+    params.shape.W1 = (W1[:, None, :] * SCENE_LIGHT[:, None]).reshape(3 * cells, -1)
     params.shape.W2 = params.image.W2.copy()
     h_img = first_layer(params.image, corpus.anchor_feats)
     h_shp = first_layer(params.shape, corpus.cand_feats)

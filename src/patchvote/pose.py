@@ -75,12 +75,12 @@ def compose_rotation(
 
 
 def pose_forward(params: PoseHeadParams, X: np.ndarray):
-    """Raw head outputs for a feature batch: logits, unit offsets, raw offsets."""
+    """Head outputs for a feature batch: logits, unit offsets, and the raw
+    offsets' norms (see embed._normalize_rows)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     logits = X @ params.Wc + params.bc
-    raw_q = X @ params.Wq + params.bq
-    offsets, raw_q = _normalize_rows(raw_q)
-    return logits, offsets, raw_q
+    offsets, norms = _normalize_rows(X @ params.Wq + params.bq)
+    return logits, offsets, norms
 
 
 @dataclass
@@ -104,7 +104,7 @@ def pose_loss_and_grad(
     if N == 0:
         raise TrainingError("empty pose batch")
     X = data.features
-    logits, offsets, raw_q = pose_forward(params, X)
+    logits, offsets, norms = pose_forward(params, X)
 
     # cross entropy
     z = logits - logits.max(axis=1, keepdims=True)
@@ -121,7 +121,7 @@ def pose_loss_and_grad(
     qres = aligned - data.gt_offsets
     off_loss = huber(qres).sum(axis=1)
     daligned = huber_grad(qres)
-    draw = _normalize_backward(daligned * signs[:, None], offsets, raw_q)
+    draw = _normalize_backward(daligned * signs[:, None], offsets, norms)
 
     total = float((ce + off_loss).mean())
     scale = 1.0 / N

@@ -218,6 +218,28 @@ class TestGradient:
         batch = random_batch(rng)
         assert max_rel_error(params, batch, cfg) < 1e-3
 
+    def test_epsilon_fixed_row_backward_matches_oracle(self):
+        """A zero pre-normalization row goes through the backward pass
+        divided by the norm of its epsilon-fixed row, byte for byte."""
+        rng = np.random.default_rng(12)
+        t = init_params(6, 9, 5, 4, seed=3).shape
+        X = rng.random((6, 9))
+        X[2] = 0.0  # zero b1 and b2: h1 and pre2 of this row are zero
+        dY = rng.normal(size=(6, 4))
+        got = tower_backward(t, tower_forward(t, X), dY.copy())
+
+        h1 = np.maximum(X @ t.W1 + t.b1, 0.0)
+        pre = h1 @ t.W2 + t.b2
+        assert not pre[2].any()
+        pre[np.linalg.norm(pre, axis=1) < embed.NORM_EPS, 0] += embed.NORM_EPS
+        norms = np.linalg.norm(pre, axis=1, keepdims=True)
+        Y = pre / norms
+        dpre2 = (dY - (dY * Y).sum(axis=1, keepdims=True) * Y) / norms
+        dpre1 = (dpre2 @ t.W2.T) * (h1 > 0)
+        want = (X.T @ dpre1, dpre1.sum(axis=0), h1.T @ dpre2, dpre2.sum(axis=0))
+        for g, w in zip(got.arrays(), want):
+            assert g.tobytes() == w.tobytes()
+
 
 class TestLossGuards:
     def test_finite_at_the_tau_bound(self):
@@ -623,19 +645,21 @@ class TestFirstLayerBlocks:
 
     One row against many rounds apart (numpy takes another BLAS path), so
     a split that leaves a 1-row tail block fails here at block + 1 and
-    2 * block + 1 rows. The width is no multiple of the column block.
+    2 * block + 1 rows. The width is no multiple of the column block. An
+    f64 input is multiplied where it lies, an f32 one widened first.
     """
 
     WIDTH = 3 * embed._COL_BLOCK + 5
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "n",
         [1, embed._ROW_BLOCK - 1, embed._ROW_BLOCK, embed._ROW_BLOCK + 1,
          2 * embed._ROW_BLOCK + 1],
     )
-    def test_forward_and_weight_gradient_match_one_product(self, n):
+    def test_forward_and_weight_gradient_match_one_product(self, n, dtype):
         rng = np.random.default_rng(n)
-        X = rng.random((n, self.WIDTH), dtype=np.float32)
+        X = rng.random((n, self.WIDTH), dtype=dtype)
         t = Tower(
             W1=rng.normal(size=(self.WIDTH, 64)), b1=rng.normal(size=64),
             W2=rng.normal(size=(64, 8)), b2=np.zeros(8),
@@ -646,11 +670,29 @@ class TestFirstLayerBlocks:
         assert embed._first_layer_grad(X, None, dpre1).tobytes() == want.tobytes()
         # a batch reads its rows of the corpus
         rows = np.sort(rng.permutation(n + 7)[:n])
-        corpus = rng.random((n + 7, self.WIDTH), dtype=np.float32)
+        corpus = rng.random((n + 7, self.WIDTH), dtype=dtype)
         corpus[rows] = X
         assert embed.first_layer(t, corpus, rows).tobytes() == dense_first_layer(t, X).tobytes()
         got = embed._first_layer_grad(corpus, rows, dpre1)
         assert got.tobytes() == want.tobytes()
+
+    def test_f64_input_is_not_copied(self):
+        """first_layer on an f64 input allocates its (n, h) output, not a
+        copy of the (n, 768) input."""
+        X = np.random.default_rng(4).random((256, 768))
+        t = init_params(6, 768, 64, 8, seed=1).shape
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            embed.first_layer(t, X)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 0.5 * X.nbytes
 
     def test_tower_gradient_reads_the_input_again(self):
         """tower_backward's dW1 from the f32 rows equals the gradient of the

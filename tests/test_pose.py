@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from patchvote.config import Config
+from patchvote.embed import NORM_EPS
 from patchvote.errors import TrainingError
 from patchvote.pose import (
     HUBER_DELTA,
@@ -11,6 +12,7 @@ from patchvote.pose import (
     assign_rotation_bin,
     compose_rotation,
     huber,
+    huber_grad,
     init_pose_head,
     pose_forward,
     pose_loss_and_grad,
@@ -203,6 +205,28 @@ class TestPoseGradient:
         for a, n in zip(grad.arrays(), numeric):
             rel = np.abs(a - n) / np.maximum(np.abs(a) + np.abs(n), 1e-8)
             assert rel.max() < 1e-3
+
+    def test_epsilon_fixed_row_matches_oracle(self):
+        """A zero raw offset goes through the backward pass divided by the
+        norm of its epsilon-fixed row, byte for byte."""
+        rng = np.random.default_rng(22)
+        data = random_pose_dataset(rng)
+        data.features[3] = 0.0  # zero bq: this raw offset is zero
+        params = init_pose_head(5, 4, seed=8)
+        _, grad = pose_loss_and_grad(params, data)
+
+        X = data.features
+        raw = X @ params.Wq + params.bq
+        assert not raw[3].any()
+        raw[np.linalg.norm(raw, axis=1) < NORM_EPS, 0] += NORM_EPS
+        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        offsets = raw / norms
+        signs = np.where(np.sum(offsets * data.gt_offsets, axis=1) < 0, -1.0, 1.0)
+        d = huber_grad(offsets * signs[:, None] - data.gt_offsets) * signs[:, None]
+        draw = (d - (d * offsets).sum(axis=1, keepdims=True) * offsets) / norms
+        scale = 1.0 / len(X)
+        assert grad.Wq.tobytes() == (X.T @ draw * scale).tobytes()
+        assert grad.bq.tobytes() == (draw.sum(axis=0) * scale).tobytes()
 
 
 class TestPoseTraining:

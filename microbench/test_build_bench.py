@@ -33,12 +33,7 @@ import pytest
 
 from patchvote.config import Config
 from patchvote.descriptor import content_rect, coverage, sample_patches
-from patchvote.embed import (
-    image_patch_features,
-    init_params,
-    shape_patch_features,
-    tower_forward,
-)
+from patchvote.embed import image_patch_features, shape_patch_features, tower_forward
 from patchvote.render import lambert, normal_map, rasterize, shade
 from patchvote.synth import PARAM_RANGES, SynthSpec, generate_shape
 from patchvote.views import axis_angle_quat
@@ -47,7 +42,6 @@ CFG = Config()
 PATCHES_PER_VIEW = 128
 ANCHOR_PATCHES = 8
 VIEW = axis_angle_quat([1, 1, 0], 0.7)
-HIDDEN = 64  # lit_init's hidden width at the default pool_size 16: ceil(16 / 2)**2
 
 
 @pytest.fixture(scope="module")
@@ -95,12 +89,10 @@ def test_pool_view_other_bins(benchmark, view, pool):
     benchmark(shape_patch_features, nmap.normals, snapped, pool)
 
 
-def test_shape_tower_view(benchmark, view):
+def test_shape_tower_view(benchmark, view, towers):
     nmap, _, snapped, _ = view
     feats = shape_patch_features(nmap.normals, snapped, CFG.pool_size)
-    p2 = CFG.pool_size**2
-    tower = init_params(p2, 3 * p2, HIDDEN, CFG.embed_dim, seed=0).shape
-    benchmark(tower_forward, tower, feats)
+    benchmark(tower_forward, towers.shape, feats)
 
 
 def anchor_view_pass(nmap, rects, seeds):

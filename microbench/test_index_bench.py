@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from patchvote.config import Config, to_dict
-from patchvote.embed import _top_k, init_params
+from patchvote.embed import _top_k
 from patchvote.experiment import render_query
 from patchvote.index import PatchIndex, knn_query, load_index, retrieve_shape, save_index
 from patchvote.synth import PARAM_RANGES, SynthSpec, generate_shape
@@ -38,7 +38,6 @@ RECORDS = 8825
 PINNED_RECORDS = 120_000
 CATEGORIES = {0: "chair", 1: "chair", 2: "table", 3: "table", 4: "cabinet", 5: "cabinet"}
 CFG = Config()
-HIDDEN = 64  # lit_init's hidden width at the default pool_size 16: ceil(16 / 2)**2
 
 
 def random_index(records: int) -> PatchIndex:
@@ -71,14 +70,11 @@ def file_index(request) -> PatchIndex:
 
 
 @pytest.fixture(scope="module")
-def query():
+def query(towers):
     params = {k: (lo + hi) / 2 for k, (lo, hi) in PARAM_RANGES["chair"].items()}
     mesh = generate_shape(SynthSpec("chair", params))
     shaded, _ = render_query(mesh, axis_angle_quat([0, 1, 0], 0.6), CFG, seed=1)
-    model = init_params(
-        CFG.pool_size**2, 3 * CFG.pool_size**2, HIDDEN, CFG.embed_dim, seed=0
-    )
-    return shaded, model
+    return shaded, towers
 
 
 def unit_query(seed: int) -> np.ndarray:

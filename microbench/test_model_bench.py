@@ -6,30 +6,19 @@ Run from the repository root, next to the index benchmarks:
 
 The towers have the perfbench sizes under the default Config: the image
 tower maps pool_size**2 = 256 inputs and the shape tower 3 * 256 = 768
-through the 64 hidden units experiment.lit_init builds at that pool,
-one per 2 x 2 block of cells, to embed_dim = 32.
+through the hidden units experiment.lit_init builds at that pool (64,
+one per 2 x 2 block of cells) to embed_dim = 32: the `towers` fixture
+of conftest.py.
 """
 
-import pytest
-
-from patchvote.config import Config
-from patchvote.embed import init_params, load_model, save_model
-
-CFG = Config()
-HIDDEN = 64  # lit_init's hidden width at the default pool_size 16: ceil(16 / 2)**2
+from patchvote.embed import load_model, save_model
 
 
-@pytest.fixture(scope="module")
-def model():
-    p2 = CFG.pool_size**2
-    return init_params(p2, 3 * p2, HIDDEN, CFG.embed_dim, seed=0)
+def test_save_model(benchmark, towers, tmp_path):
+    benchmark(save_model, towers, str(tmp_path / "bench.p2cm"))
 
 
-def test_save_model(benchmark, model, tmp_path):
-    benchmark(save_model, model, str(tmp_path / "bench.p2cm"))
-
-
-def test_load_model(benchmark, model, tmp_path):
+def test_load_model(benchmark, towers, tmp_path):
     path = str(tmp_path / "bench.p2cm")
-    save_model(model, path)
+    save_model(towers, path)
     benchmark(load_model, path)

@@ -41,17 +41,9 @@ import numpy as np
 import pytest
 
 from patchvote.config import Config
-from patchvote.embed import (
-    PatchCorpus,
-    _top_k,
-    init_params,
-    tower_backward,
-    tower_forward,
-    train,
-)
+from patchvote.embed import PatchCorpus, _top_k, tower_backward, tower_forward, train
 
 CFG = replace(Config(), epochs=1)
-HIDDEN = 64  # lit_init's hidden width at the default pool_size 16: ceil(16 / 2)**2
 ANCHORS = 713
 CANDIDATES = 4906
 NEGATIVES = 3900
@@ -82,26 +74,25 @@ def corpus() -> PatchCorpus:
     return make_corpus(ANCHORS, CANDIDATES, NEGATIVES)
 
 
-def bench_epoch(benchmark, corpus: PatchCorpus) -> None:
-    p2 = CFG.pool_size**2
-    params = init_params(p2, 3 * p2, HIDDEN, CFG.embed_dim, seed=0)
-    # train updates the params it is given: each round starts from a copy
-    benchmark(lambda: train(corpus, CFG, params.copy()))
+def bench_epoch(benchmark, corpus: PatchCorpus, towers) -> None:
+    # train updates the towers it is given: each round starts from a copy
+    benchmark(lambda: train(corpus, CFG, towers.copy()))
 
 
-def test_train_epoch(benchmark, corpus):
-    bench_epoch(benchmark, corpus)
+def test_train_epoch(benchmark, corpus, towers):
+    bench_epoch(benchmark, corpus, towers)
 
 
-def test_train_epoch_pinned_size(benchmark):
+def test_train_epoch_pinned_size(benchmark, towers):
     bench_epoch(
-        benchmark, make_corpus(PINNED_ANCHORS, PINNED_CANDIDATES, PINNED_NEGATIVES)
+        benchmark,
+        make_corpus(PINNED_ANCHORS, PINNED_CANDIDATES, PINNED_NEGATIVES),
+        towers,
     )
 
 
-def test_shape_tower_pass(benchmark, corpus):
-    p2 = CFG.pool_size**2
-    tower = init_params(p2, 3 * p2, HIDDEN, CFG.embed_dim, seed=0).shape
+def test_shape_tower_pass(benchmark, corpus, towers):
+    tower = towers.shape
     rng = np.random.default_rng(2)
     rows = np.sort(rng.choice(CANDIDATES, BATCH_ROWS, replace=False))
     dY = rng.normal(size=(BATCH_ROWS, CFG.embed_dim))

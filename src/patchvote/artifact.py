@@ -7,11 +7,13 @@ artifact into one writable buffer, so `Reader.array` hands out views of
 its blocks in place, with no copy. A JSON document (the index manifest,
 a config file) is one UTF-8 JSON object, read by `decode_json`. Every
 short read, bad magic, trailing byte, undecodable or too deeply nested
-document, non-object root and missing or mistyped field raises
-FormatError naming the artifact and the part, as does a NaN or
-infinity in a float block read by `Reader.f4` or checked by `finite`
-(the model's tower weights, the index's embeddings); a writer's `f4`
-refuses the same blocks before any file is opened.
+document and non-object root raises FormatError naming the artifact
+and the part, as does a NaN or infinity in a float block read by
+`Reader.f4` or checked by `finite` (the model's tower weights, the
+index's embeddings); a writer's `f4` refuses the same blocks before
+any file is opened. A document's fields are checked where they are
+read: the index manifest's by `PatchIndex.category_records`, a config
+file's by `config.from_dict`.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import json
 import math
 import os
 import struct
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -134,12 +135,3 @@ def decode_json(raw: bytes, what: str) -> dict:
     if not isinstance(doc, dict):
         raise FormatError(f"{what} is not a JSON object")
     return doc
-
-
-@contextmanager
-def fields(what: str) -> Iterator[None]:
-    """Turn a missing or mistyped field of a decoded document into FormatError."""
-    try:
-        yield
-    except (KeyError, AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{what}: missing or malformed field: {exc!r}") from exc

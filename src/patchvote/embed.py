@@ -25,7 +25,7 @@ ids only when it needs them.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -462,9 +462,9 @@ class PatchCorpus:
     Candidate rows are shape-domain patches; per anchor we keep the rows
     labeled positive and the rows labeled negative by their rect
     footprint IoU with the anchor (see experiment.build_corpus).
-    Negatives here are an anchor's labeled set, capped at
-    config.NEGATIVES_POOL by build_corpus; mining trims them to
-    cfg.negatives_keep each epoch.
+    Negatives here are an anchor's labeled set, or build_corpus's seeded
+    sample of config.NEGATIVES_POOL of it: the pool from which mining
+    takes the cfg.negatives_keep hardest each epoch.
 
     Each polarity is one (A, ceil(n / 8)) uint8 matrix of np.packbits
     rows, n = len(cand_feats): bit j of row i, counted from the most
@@ -488,18 +488,18 @@ class PatchCorpus:
 
     @classmethod
     def from_lists(cls, anchor_feats, cand_feats, pos_lists, neg_lists) -> "PatchCorpus":
-        """A corpus labelled by per-anchor id lists, each packed one row at a
-        time; a row keeps a list's distinct ids, not their order."""
-        n = len(cand_feats)
-        mark = np.zeros(n, dtype=bool)
+        """A corpus labelled by per-anchor id lists, for tests and microbench.
+
+        Each polarity marks its lists in one (A, n) bool matrix, packed by
+        one np.packbits call as build_corpus packs its labels; a row keeps
+        a list's distinct ids, not their order.
+        """
 
         def pack(lists):
-            bits = np.zeros((len(lists), -(-n // 8)), dtype=np.uint8)
+            rows = np.zeros((len(lists), len(cand_feats)), dtype=bool)
             for k, ids in enumerate(lists):
-                mark[ids] = True
-                bits[k] = np.packbits(mark)
-                mark[ids] = False
-            return bits
+                rows[k, ids] = True
+            return np.packbits(rows, axis=1)
 
         return cls(anchor_feats, cand_feats, pack(pos_lists), pack(neg_lists))
 
@@ -540,12 +540,6 @@ class EpochStats(NamedTuple):
     pos_beats_neg: float  # share of anchors whose best positive beats that negative
 
 
-@dataclass
-class TrainResult:
-    params: TowerParams
-    history: list[EpochStats] = field(default_factory=list)
-
-
 def _sgd_step(params, grad, lr: float) -> None:
     """One plain SGD update, in place, of every array of params by the
     same-position array of grad; any pair of objects with `arrays()`."""
@@ -567,11 +561,11 @@ def _health(
     return float(cos.mean()), float(hard.mean()), float(np.mean(best > hard))
 
 
-def train(corpus: PatchCorpus, cfg: Config, params: TowerParams) -> TrainResult:
+def train(corpus: PatchCorpus, cfg: Config, params: TowerParams) -> list[EpochStats]:
     """Mini-batch SGD over the corpus with per-epoch hard-negative mining.
 
-    Training starts from `params`, which it updates in place and returns
-    (the pipeline starts from experiment.lit_init's towers).
+    Updates `params` in place; returns the per-epoch history (the
+    pipeline starts from experiment.lit_init's towers).
     Each epoch draws at most _ANCHORS_PER_EPOCH anchors from the
     corpus without replacement, so a large corpus acts as a rotating
     supply of fresh examples rather than a small set the towers can
@@ -660,7 +654,7 @@ def train(corpus: PatchCorpus, cfg: Config, params: TowerParams) -> TrainResult:
             _sgd_step(params, grad, cfg.learning_rate / len(batch.anchor_feats))
         history.append(EpochStats(epoch, total / len(sel), *health))
 
-    return TrainResult(params=params, history=history)
+    return history
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,10 @@ def build_corpus(
     anchor's own position are dropped rather than pushed apart,
     because shapes share exact part dimensions by construction and a
     same-position patch of a lookalike part is often inseparable.
-    An anchor's negatives are capped at config.NEGATIVES_POOL by a
-    seeded subsample.
+    An anchor with more than config.NEGATIVES_POOL negatives keeps a
+    seeded sample of that many: the pool `train` mines the
+    cfg.negatives_keep hardest from. The draw shapes training, not
+    memory; mining from every labelled negative lowered pinned recall.
 
     Candidates are the records of enumerate_view_patches over the
     canonical views; `renders` (see index.render_views) lets that pass
@@ -363,19 +365,15 @@ def train_pipeline(
     # triangle ids, from which each rebuilds the normal map it needs
     renders = render_views(db, views, cfg.render_resolution)
     corpus = build_corpus(bench, views, cfg, _CANDIDATE_PATCHES, renders=renders)
-    result = train(corpus, cfg, params=lit_init(cfg, corpus))
+    model = lit_init(cfg, corpus)
+    history = train(corpus, cfg, model)
     index_views = augment_views(
         views, index_view_jitter, cfg.seed + _INDEX_JITTER_OFFSET
     )
     index = build_index(
-        db, index_views, result.params, index_patches_per_view, cfg,
-        renders=renders,
+        db, index_views, model, index_patches_per_view, cfg, renders=renders
     )
-    return Pipeline(
-        model=result.params,
-        index=index,
-        history=result.history,
-    )
+    return Pipeline(model=model, index=index, history=history)
 
 
 def evaluate_queries(bench: Benchmark, pipe: Pipeline, cfg: Config):

@@ -70,7 +70,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .artifact import Reader, decode_json, f4, fields, finite, pack, read_file
+from .artifact import Reader, decode_json, f4, finite, pack, read_file
 from .config import Config, to_dict
 from .descriptor import content_rect, coverage, rect_windows, sample_patches
 from .embed import (
@@ -102,20 +102,25 @@ class PatchIndex:
     def __len__(self) -> int:
         return len(self.embeddings)
 
-    def category_of(self, shape_id: int) -> str:
-        """The shape's category as the manifest records it, a str."""
-        with fields("index manifest"):
-            category = self.manifest["shapes"][str(shape_id)]["category"]
-        if not isinstance(category, str):
-            raise FormatError(f"index manifest: shape {shape_id} category is not a str")
-        return category
-
     @cached_property
     def category_records(self) -> dict[str, np.ndarray]:
-        """Category -> sorted ids of the records of its shapes."""
+        """Category -> sorted ids of the records of its shapes.
+
+        Each shape's category is read from the manifest, which must list
+        it as a str; anything else is a FormatError.
+        """
         shapes: dict[str, list[int]] = {}
         for sid in np.unique(self.shape_ids).tolist():
-            shapes.setdefault(self.category_of(sid), []).append(sid)
+            try:
+                category = self.manifest["shapes"][str(sid)]["category"]
+            # indexing decoded JSON: an absent key, or a value not a dict
+            except (KeyError, TypeError) as exc:
+                raise FormatError(
+                    f"index manifest: missing or malformed field: {exc!r}"
+                ) from exc
+            if not isinstance(category, str):
+                raise FormatError(f"index manifest: shape {sid} category is not a str")
+            shapes.setdefault(category, []).append(sid)
         return {
             cat: np.flatnonzero(np.isin(self.shape_ids, sids))
             for cat, sids in shapes.items()

@@ -77,11 +77,17 @@ def normalize_mesh(mesh: TriMesh) -> TriMesh:
     return TriMesh(verts, mesh.triangles, category=mesh.category)
 
 
-def face_normals(mesh: TriMesh) -> np.ndarray:
-    """Unit per-face normals; degenerate faces get the zero vector."""
+def _face_cross(mesh: TriMesh) -> np.ndarray:
+    """Per-face (v1 - v0) x (v2 - v0): its length is twice the face's area,
+    its direction the face's normal by the winding order."""
     v = mesh.vertices
     t = mesh.triangles
-    cross = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+    return np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+
+
+def face_normals(mesh: TriMesh) -> np.ndarray:
+    """Unit per-face normals; degenerate faces get the zero vector."""
+    cross = _face_cross(mesh)
     norms = np.linalg.norm(cross, axis=1)
     out = np.zeros_like(cross)
     ok = norms > 0
@@ -90,10 +96,7 @@ def face_normals(mesh: TriMesh) -> np.ndarray:
 
 
 def face_areas(mesh: TriMesh) -> np.ndarray:
-    v = mesh.vertices
-    t = mesh.triangles
-    cross = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
-    return 0.5 * np.linalg.norm(cross, axis=1)
+    return 0.5 * np.linalg.norm(_face_cross(mesh), axis=1)
 
 
 def sample_surface_points(mesh: TriMesh, count: int, seed: int) -> SurfaceSamples:

@@ -132,16 +132,21 @@ def _check_params(spec: SynthSpec) -> None:
             raise SynthError(f"{name}={value} outside [{lo}, {hi}]")
 
 
-def _chair_boxes(p):
+def _legs(p, width, depth):
+    """Four legs at the corners of a width x depth frame, standing on y = 0."""
     lh, lt = p["leg_height"], p["leg_thickness"]
+    return [
+        _box(dx * (width - lt) / 2, lh / 2, dz * (depth - lt) / 2, lt, lh, lt)
+        for dx in (-1, 1)
+        for dz in (-1, 1)
+    ]
+
+
+def _chair_boxes(p):
+    lh = p["leg_height"]
     sw, sd, st = p["seat_width"], p["seat_depth"], p["seat_thickness"]
     bh, bt = p["back_height"], p["back_thickness"]
-    boxes = []
-    for dx in (-1, 1):
-        for dz in (-1, 1):
-            boxes.append(
-                _box(dx * (sw - lt) / 2, lh / 2, dz * (sd - lt) / 2, lt, lh, lt)
-            )
+    boxes = _legs(p, sw, sd)
     boxes.append(_box(0.0, lh + st / 2, 0.0, sw, st, sd))
     # back: one solid panel, full seat width, flush with the seat's rear edge
     boxes.append(_box(0.0, lh + st + bh / 2, -(sd - bt) / 2, sw, bh, bt))
@@ -149,14 +154,9 @@ def _chair_boxes(p):
 
 
 def _table_boxes(p):
-    lh, lt = p["leg_height"], p["leg_thickness"]
+    lh = p["leg_height"]
     tw, td, tt = p["top_width"], p["top_depth"], p["top_thickness"]
-    boxes = []
-    for dx in (-1, 1):
-        for dz in (-1, 1):
-            boxes.append(
-                _box(dx * (tw - lt) / 2, lh / 2, dz * (td - lt) / 2, lt, lh, lt)
-            )
+    boxes = _legs(p, tw, td)
     # top: one solid slab resting on the legs
     boxes.append(_box(0.0, lh + tt / 2, 0.0, tw, tt, td))
     return boxes

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patchvote.artifact import Reader, decode_json, fields, pack, read_file
+from patchvote.artifact import Reader, decode_json, pack, read_file
 from patchvote.config import Config, dumps_canonical, from_dict, load_config
 from patchvote.embed import (
     MODEL_MAGIC,
@@ -84,14 +84,6 @@ class TestFraming:
     def test_decode_json_rejects_non_objects(self, raw):
         with pytest.raises(FormatError, match="^doc is not"):
             decode_json(raw, "doc")
-
-    def test_fields_wraps_missing_and_mistyped(self):
-        with pytest.raises(FormatError, match="^doc: missing or malformed field: Key"):
-            with fields("doc"):
-                {}["n"]
-        with pytest.raises(FormatError, match="^doc: missing or malformed field: Type"):
-            with fields("doc"):
-                int([1])
 
 
 def json_values():

@@ -87,14 +87,15 @@ def test_training_readers_run_over_a_trained_corpus():
     corpus = tiny_corpus(np.random.default_rng(0))
     cfg = Config(embed_dim=4, epochs=2, batch_size=4, negatives_keep=3, seed=0)
     tracer = Tracer(probes=PROBES)
+    params = he_start(corpus, cfg)
     with tracer:
-        result = train(corpus, cfg, he_start(corpus, cfg))
+        history = train(corpus, cfg, params)
     assert dict(tracer.errors) == {}
     # two epochs of two batches of the six anchors
     assert tracer.calls["embed.nce_loss_and_grad"] == 4
-    final_loss = result.history[-1][1]
+    final_loss = history[-1][1]
     assert np.isfinite(final_loss) and final_loss > 0
-    wins = pos_beats_neg_frac(corpus, result.params, cfg) * len(corpus.anchor_feats)
+    wins = pos_beats_neg_frac(corpus, params, cfg) * len(corpus.anchor_feats)
     assert wins == round(wins) and 0 <= wins <= len(corpus.anchor_feats)
 
 

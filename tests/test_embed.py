@@ -9,6 +9,7 @@ from mpmath import mp
 from patchvote import embed
 from patchvote.config import Config, validate
 from patchvote.embed import (
+    EpochStats,
     PatchCorpus,
     Tower,
     TowerParams,
@@ -413,8 +414,9 @@ class TestTrain:
         corpus = tiny_corpus(np.random.default_rng(0))
         cfg = self.cfg(learning_rate=0.0)
         init = init_params(6, 9, 5, 4, seed=cfg.seed)
-        result = train(corpus, cfg, init.copy())
-        np.testing.assert_array_equal(flat_params(result.params), flat_params(init))
+        params = init.copy()
+        train(corpus, cfg, params)
+        np.testing.assert_array_equal(flat_params(params), flat_params(init))
 
     def test_single_anchor_step_decreases_loss(self):
         rng = np.random.default_rng(1)
@@ -426,24 +428,38 @@ class TestTrain:
         batch = runs_batch(*feats, *labels)
         before, grad = nce_loss_and_grad(params, batch, cfg)
         gnorm = np.linalg.norm(flat_params(grad))
-        result = train(corpus, cfg, params.copy())
-        after, _ = nce_loss_and_grad(result.params, batch, cfg)
+        trained = params.copy()
+        train(corpus, cfg, trained)
+        after, _ = nce_loss_and_grad(trained, batch, cfg)
         assert after < before or gnorm < 1e-12
 
     def test_deterministic_history(self):
         corpus = tiny_corpus(np.random.default_rng(2))
         cfg = self.cfg()
-        a = train(corpus, cfg, he_start(corpus, cfg))
-        b = train(corpus, cfg, he_start(corpus, cfg))
-        assert a.history == b.history
-        np.testing.assert_array_equal(flat_params(a.params), flat_params(b.params))
+        pa, pb = he_start(corpus, cfg), he_start(corpus, cfg)
+        a = train(corpus, cfg, pa)
+        b = train(corpus, cfg, pb)
+        assert a == b
+        np.testing.assert_array_equal(flat_params(pa), flat_params(pb))
+
+    def test_returns_the_history_and_trains_the_towers_given(self):
+        corpus = tiny_corpus(np.random.default_rng(12))
+        cfg = self.cfg(epochs=2)
+        params = he_start(corpus, cfg)
+        start, arrays = params.copy(), params.arrays()
+        history = train(corpus, cfg, params)
+        assert isinstance(history, list)
+        assert [type(row) for row in history] == [EpochStats] * cfg.epochs
+        # updated in place: the same arrays, now holding the trained values
+        assert all(a is b for a, b in zip(params.arrays(), arrays))
+        assert flat_params(params).tobytes() != flat_params(start).tobytes()
 
     def test_history_shape(self):
         corpus = tiny_corpus(np.random.default_rng(3))
         cfg = self.cfg(epochs=4)
-        result = train(corpus, cfg, he_start(corpus, cfg))
-        assert len(result.history) == 4
-        epochs = [row[0] for row in result.history]
+        history = train(corpus, cfg, he_start(corpus, cfg))
+        assert len(history) == 4
+        epochs = [row[0] for row in history]
         assert epochs == [0, 1, 2, 3]
 
     def test_history_health_from_epoch_start_embeddings(self):
@@ -454,10 +470,11 @@ class TestTrain:
         corpus = PatchCorpus.from_lists(anchor_feats, cand_feats, pos, neg)
         cfg = self.cfg(epochs=2)
         start = init_params(6, 9, 5, 4, seed=cfg.seed)
-        after_one = train(corpus, replace(cfg, epochs=1), start.copy()).params
-        result = train(corpus, cfg, start.copy())
-        assert result.history[0] != result.history[1]
-        for row, params in zip(result.history, (start, after_one)):
+        after_one = start.copy()
+        train(corpus, replace(cfg, epochs=1), after_one)
+        history = train(corpus, cfg, start.copy())
+        assert history[0] != history[1]
+        for row, params in zip(history, (start, after_one)):
             A = tower_forward(params.image, corpus.anchor_feats).Y
             C = tower_forward(params.shape, corpus.cand_feats).Y
             pos_cos, hard, wins = [], [], 0
@@ -517,10 +534,11 @@ class TestTrain:
             neg_counts=np.array([len(n) for n in neg]),
         )
         cfg = self.cfg(negatives_keep=6)
-        want = train(lists, cfg, he_start(lists, cfg))
-        got = train(packed, cfg, he_start(packed, cfg))
-        assert flat_params(got.params).tobytes() == flat_params(want.params).tobytes()
-        assert got.history == want.history
+        want_params, got_params = he_start(lists, cfg), he_start(packed, cfg)
+        want = train(lists, cfg, want_params)
+        got = train(packed, cfg, got_params)
+        assert flat_params(got_params).tobytes() == flat_params(want_params).tobytes()
+        assert got == want
 
     def test_epoch_draws_a_subsample_when_anchors_exceed_the_cap(self, monkeypatch):
         corpus = tiny_corpus(np.random.default_rng(11), n_anchors=9)
@@ -534,7 +552,8 @@ class TestTrain:
             return loss_and_grad(params, batch, cfg)
 
         monkeypatch.setattr(embed, "nce_loss_and_grad", spy)
-        a = train(corpus, cfg, he_start(corpus, cfg))
+        pa = he_start(corpus, cfg)
+        a = train(corpus, cfg, pa)
         # batch_size 4: each epoch is a batch of 4 anchors and one of 1
         assert [len(b) for b in batches] == [4, 1] * cfg.epochs
         for epoch in range(cfg.epochs):
@@ -542,9 +561,10 @@ class TestTrain:
             drawn = [np.flatnonzero((corpus.anchor_feats == r).all(axis=1)) for r in rows]
             assert all(len(d) == 1 for d in drawn)
             assert len(set(np.concatenate(drawn).tolist())) == 5
-        b = train(corpus, cfg, he_start(corpus, cfg))
-        assert flat_params(a.params).tobytes() == flat_params(b.params).tobytes()
-        assert a.history == b.history
+        pb = he_start(corpus, cfg)
+        b = train(corpus, cfg, pb)
+        assert flat_params(pa).tobytes() == flat_params(pb).tobytes()
+        assert a == b
 
     def test_label_rows_decode_one_row_on_access(self, monkeypatch):
         corpus = tiny_corpus(np.random.default_rng(10), n_cands=21)

@@ -430,9 +430,10 @@ class TestPipelineRendersOnce:
         """train_pipeline's steps with every pass rendering its own views."""
         db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
         corpus = build_corpus(bench, views, cfg, _CANDIDATE_PATCHES)
-        result = train(corpus, cfg, params=lit_init(cfg, corpus))
+        model = lit_init(cfg, corpus)
+        train(corpus, cfg, model)
         index_views = augment_views(views, jitter, cfg.seed + _INDEX_JITTER_OFFSET)
-        idx = build_index(db, index_views, result.params, 16, cfg)
+        idx = build_index(db, index_views, model, 16, cfg)
         path = tmp_path / "unshared.p2ci"
         save_index(idx, str(path))
         return path.read_bytes()

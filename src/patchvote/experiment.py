@@ -29,13 +29,14 @@ from .errors import NoRetrievalError, TrainingError
 from .index import (
     PatchIndex,
     Renders,
+    _record_columns,
     _render,
     build_index,
     derive_seed,
-    enumerate_view_patches,
     render_views,
     retrieve_shape,
 )
+from .mesh import TriMesh
 from .metrics import build_report, rotation_error
 from .pose import (
     POSE_BINS,
@@ -43,6 +44,7 @@ from .pose import (
     PoseHeadParams,
     assign_rotation_bin,
     compose_rotation,
+    init_pose_head,
     pose_forward,
     train_pose_head,
 )
@@ -53,7 +55,6 @@ from .views import (
     canonical_quat,
     nearest_medoid,
     perturb_quat,
-    quat_geodesic,
     random_rotations,
     rotation_grid,
 )
@@ -115,7 +116,7 @@ def _rect_iou(rects: np.ndarray, cands: np.ndarray) -> np.ndarray:
 
 
 def build_corpus(
-    bench: Benchmark,
+    db: dict[int, TriMesh],
     views: ViewSet,
     cfg: Config,
     patches_per_view: int,
@@ -123,7 +124,8 @@ def build_corpus(
 ) -> PatchCorpus:
     """Label image-domain anchors against shape-domain candidates.
 
-    Anchors are patches of shaded renders of database shapes, taken at
+    `db` maps each database shape id to its mesh, as build_index takes
+    it. Anchors are patches of shaded renders of those shapes, taken at
     views perturbed off the canonical grid by the same angular band the
     benchmark queries use (one such view per canonical view and shape),
     so training sees the same view offsets retrieval has to absorb. Each
@@ -147,8 +149,10 @@ def build_corpus(
     memory; mining from every labelled negative lowered pinned recall.
 
     Candidates are the records of enumerate_view_patches over the
-    canonical views; `renders` (see index.render_views) lets that pass
-    reuse the triangle-id maps of renders made once per pipeline. Each
+    canonical views, stacked as build_index stacks its records
+    (index._record_columns) with each view's features kept as f32;
+    `renders` (see index.render_views) lets that pass reuse the
+    triangle-id maps of renders made once per pipeline. Each
     anchor view is one pass: one `shade` call draws the noise variants
     of its rects that meet cfg.min_coverage (variant i from its own
     seed stream), one
@@ -161,22 +165,12 @@ def build_corpus(
     only an anchor whose negatives exceed the pool is visited alone, to
     clear the bits its seeded subsample drops.
     """
-    db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
-    blocks = [
-        (
-            feats.astype(np.float32),
-            np.full(len(rects), sid, dtype=np.int64),
-            np.full(len(rects), vid, dtype=np.int64),
-            rects,
-        )
-        for sid, vid, feats, rects in enumerate_view_patches(
-            db, views, patches_per_view, cfg, renders
-        )
-    ]
-    if not blocks:
+    columns = _record_columns(
+        db, views, patches_per_view, cfg, renders, lambda f: f.astype(np.float32)
+    )
+    if columns is None:
         raise TrainingError("no shape-domain candidates to train against")
-    cand_feats, cand_sids, cand_vids, cand_rects = map(np.concatenate, zip(*blocks))
-    del blocks  # the concatenation holds every candidate from here on
+    cand_feats, cand_sids, cand_vids, cand_rects = columns
     sids_sorted = sorted(db)
     rot_rng = np.random.default_rng(cfg.seed + _ANCHOR_ROT_OFFSET)
     anchor_feats, pos_bits, neg_bits = [], [], []
@@ -364,7 +358,7 @@ def train_pipeline(
     # rasterize each (shape, view) once and hand both passes its held
     # triangle ids, from which each rebuilds the normal map it needs
     renders = render_views(db, views, cfg.render_resolution)
-    corpus = build_corpus(bench, views, cfg, _CANDIDATE_PATCHES, renders=renders)
+    corpus = build_corpus(db, views, cfg, _CANDIDATE_PATCHES, renders=renders)
     model = lit_init(cfg, corpus)
     history = train(corpus, cfg, model)
     index_views = augment_views(
@@ -377,22 +371,27 @@ def train_pipeline(
 
 
 def evaluate_queries(bench: Benchmark, pipe: Pipeline, cfg: Config):
-    """Score every benchmark query; a fully excluded query scores a miss."""
-    results, gts = [], []
+    """Score every benchmark query with its category given and over all shapes.
+
+    Returns (results, results_all, gts). Both retrievals of a query read
+    one render and draw their patches from one seed, so they differ only
+    in the records searched. A fully excluded query scores a miss.
+    """
+    results, results_all, gts = [], [], []
     for q in bench.queries:
         entry = bench.shapes[q.shape_id]
         shaded, _ = render_query(entry.mesh, q.view_quat, cfg, q.aug_seed)
-        try:
-            res = retrieve_shape(
-                pipe.index, shaded, shaded.mask, pipe.model,
-                cfg.kq, cfg.kr, seed=q.aug_seed + 1, cfg=cfg,
-                category=entry.spec.category,
-            )
-        except NoRetrievalError:
-            res = []
-        results.append(res)
+        for category, out in ((entry.spec.category, results), (None, results_all)):
+            try:
+                res = retrieve_shape(
+                    pipe.index, shaded, shaded.mask, pipe.model,
+                    cfg.kq, cfg.kr, seed=q.aug_seed + 1, cfg=cfg, category=category,
+                )
+            except NoRetrievalError:
+                res = []
+            out.append(res)
         gts.append(q.gt_shape_id)
-    return results, gts
+    return results, results_all, gts
 
 
 def run_retrieval_experiment(
@@ -401,13 +400,20 @@ def run_retrieval_experiment(
     leave_out: float = 0.0,
     views_per_query: int = 5,
 ):
+    """Build the pipeline over a generated benchmark and score its queries.
+
+    The report's recall is category-conditioned retrieval, as the paper
+    serves it; its all_shapes report holds the same queries retrieved
+    over every shape. Each reads its recall off its own rows' gt_rank.
+    """
     views = select_views(cfg)
     bench = generate_benchmark(
         num_shapes, leave_out, views_per_query, cfg.seed, views.medoids
     )
     pipe = train_pipeline(bench, cfg, views)
-    results, gts = evaluate_queries(bench, pipe, cfg)
+    results, results_all, gts = evaluate_queries(bench, pipe, cfg)
     report = build_report(results, gts, config=to_dict(cfg))
+    report.all_shapes = build_report(results_all, gts, config=to_dict(cfg))
     return report, pipe, bench
 
 
@@ -461,8 +467,9 @@ def run_pose_experiment(bench: Benchmark, cfg: Config) -> PoseEvaluation:
     eval_ds, eval_rots = pose_samples(
         db, cfg, medoids, _POSE_EVAL_PER_SHAPE, cfg.seed + _POSE_EVAL_OFFSET
     )
-    result = train_pose_head(train_ds, cfg)
-    logits, offs, _ = pose_forward(result.params, eval_ds.features)
+    params = init_pose_head(train_ds.features.shape[1], cfg.seed)
+    history = train_pose_head(train_ds, cfg, params)
+    logits, offs, _ = pose_forward(params, eval_ds.features)
     pred_bins = logits.argmax(axis=1)
     accuracy = float(np.mean(pred_bins == eval_ds.gt_bins))
     errors = np.empty(len(eval_rots))
@@ -470,12 +477,12 @@ def run_pose_experiment(bench: Benchmark, cfg: Config) -> PoseEvaluation:
     for i, rot in enumerate(eval_rots):
         composed = compose_rotation(medoids, pred_bins[i], canonical_quat(offs[i]))
         errors[i] = rotation_error(composed, rot)
-        radii[i] = np.degrees(quat_geodesic(rot, medoids[eval_ds.gt_bins[i]]))
+        radii[i] = rotation_error(rot, medoids[eval_ds.gt_bins[i]])
     return PoseEvaluation(
         bin_accuracy=accuracy,
         median_error_deg=float(np.median(errors)),
         median_bin_radius_deg=float(np.median(radii)),
-        params=result.params,
+        params=params,
         medoids=medoids,
-        history=result.history,
+        history=history,
     )

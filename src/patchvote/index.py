@@ -250,6 +250,24 @@ def enumerate_view_patches(
             yield sid, vid, feats, rects
 
 
+def _record_columns(shapes, views, patches_per_view, cfg, renders, rows):
+    """The blocks of enumerate_view_patches, stacked into record columns.
+
+    Returns (rows(feats) of each view, concatenated; int64 shape ids;
+    int64 view ids; (n, 4) rects), or None when no view yields a record.
+    `rows` maps one view's f64 features to what the caller keeps of
+    them, view by view, so the f64 features of every view are never
+    held at once.
+    """
+    blocks = [
+        (rows(f), np.full(len(r), s, np.int64), np.full(len(r), v, np.int64), r)
+        for s, v, f, r in enumerate_view_patches(
+            shapes, views, patches_per_view, cfg, renders
+        )
+    ]
+    return tuple(map(np.concatenate, zip(*blocks))) if blocks else None
+
+
 def build_index(
     shapes: dict[int, TriMesh],
     views: ViewSet,
@@ -260,22 +278,18 @@ def build_index(
 ) -> PatchIndex:
     """Render, sample, and embed every shape x view into one flat index.
 
-    Each view's block goes through the shape tower in one pass; blocks
-    are embedded one at a time, so the f64 features of the whole index
-    are never held at once. Views found in `renders` are not rendered
-    again (see enumerate_view_patches).
+    Each view's block goes through the shape tower in one pass and is
+    kept as f32 unit rows (see _record_columns, which stacks the
+    corpus's candidates the same way). Views found in `renders` are not
+    rendered again (see enumerate_view_patches).
     """
     if not shapes:
         raise EmptyIndexError("no shapes to index")
-    embeddings, shape_ids, view_ids, rects = [], [], [], []
-    for sid, vid, feats, view_rects in enumerate_view_patches(
-        shapes, views, patches_per_view, cfg, renders
-    ):
-        embeddings.append(tower_forward(model.shape, feats).Y.astype(np.float32))
-        shape_ids.append(np.full(len(feats), sid, dtype=np.int64))
-        view_ids.append(np.full(len(feats), vid, dtype=np.int64))
-        rects.append(view_rects)
-    if not embeddings:
+    columns = _record_columns(
+        shapes, views, patches_per_view, cfg, renders,
+        lambda f: tower_forward(model.shape, f).Y.astype(np.float32),
+    )
+    if columns is None:
         raise EmptyIndexError("index build produced no records")
     manifest = {
         "shapes": {
@@ -287,13 +301,8 @@ def build_index(
         "config": to_dict(cfg),
         "patches_per_view": patches_per_view,
     }
-    return PatchIndex(
-        embeddings=np.vstack(embeddings),
-        shape_ids=np.concatenate(shape_ids),
-        view_ids=np.concatenate(view_ids),
-        rects=np.vstack(rects),
-        manifest=manifest,
-    )
+    # the columns in PatchIndex's field order: embeddings, shape ids, view ids, rects
+    return PatchIndex(*columns, manifest=manifest)
 
 
 def knn_query(

@@ -63,6 +63,9 @@ class MetricsReport:
     recall: dict
     mean_fscore: float | None
     config: dict = field(default_factory=dict)
+    # the same queries retrieved over every shape, with no category given
+    # (experiment.run_retrieval_experiment), as a report of their own rows
+    all_shapes: MetricsReport | None = None
 
 
 def build_report(results, gts, *, fscores=None, config=None):

@@ -10,7 +10,7 @@ SGD as the embedding towers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +34,18 @@ class PoseHeadParams:
         return (self.Wc, self.bc, self.Wq, self.bq)
 
 
-def init_pose_head(d_in: int, k: int, seed: int) -> PoseHeadParams:
+def init_pose_head(d_in: int, seed: int) -> PoseHeadParams:
+    """A head over d_in features with one logit per rotation bin (POSE_BINS).
+
+    The weights are drawn from one generator seeded with `seed`, normal
+    with variance 1 / d_in, the bin weights before the offset weights;
+    the biases start at zero.
+    """
     rng = np.random.default_rng(seed)
     s = np.sqrt(1.0 / d_in)
     return PoseHeadParams(
-        Wc=rng.normal(0.0, s, size=(d_in, k)),
-        bc=np.zeros(k),
+        Wc=rng.normal(0.0, s, size=(d_in, POSE_BINS)),
+        bc=np.zeros(POSE_BINS),
         Wq=rng.normal(0.0, s, size=(d_in, 4)),
         bq=np.zeros(4),
     )
@@ -90,12 +96,6 @@ class PoseDataset:
     gt_offsets: np.ndarray    # (N, 4) canonical unit quaternions
 
 
-@dataclass
-class PoseTrainResult:
-    params: PoseHeadParams
-    history: list[tuple[int, float]] = field(default_factory=list)
-
-
 def pose_loss_and_grad(
     params: PoseHeadParams, data: PoseDataset
 ) -> tuple[float, PoseHeadParams]:
@@ -134,14 +134,20 @@ def pose_loss_and_grad(
     return total, grad
 
 
-def train_pose_head(data: PoseDataset, cfg: Config) -> PoseTrainResult:
-    """Mini-batch SGD on the combined pose loss; seed-deterministic."""
+def train_pose_head(
+    data: PoseDataset, cfg: Config, params: PoseHeadParams
+) -> list[tuple[int, float]]:
+    """Mini-batch SGD on the combined pose loss; seed-deterministic.
+
+    Updates `params` in place, as embed.train updates the towers, and
+    returns the (epoch, mean loss) history, one row per epoch (the
+    experiment starts from init_pose_head's head).
+    """
     N = len(data.features)
     if N == 0:
         raise TrainingError("empty pose dataset")
     if data.gt_bins.min() < 0 or data.gt_bins.max() >= POSE_BINS:
         raise TrainingError(f"gt bins must lie in [0, POSE_BINS={POSE_BINS})")
-    params = init_pose_head(data.features.shape[1], POSE_BINS, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 2)
     history = []
     for epoch in range(cfg.epochs):
@@ -158,4 +164,4 @@ def train_pose_head(data: PoseDataset, cfg: Config) -> PoseTrainResult:
             total += loss * len(idx)
             _sgd_step(params, grad, cfg.learning_rate)
         history.append((epoch, total / N))
-    return PoseTrainResult(params=params, history=history)
+    return history

@@ -7,7 +7,7 @@ import pytest
 
 from patchvote import experiment as experiment_module
 from patchvote import index as index_module
-from patchvote.config import Config
+from patchvote.config import Config, to_dict
 from patchvote.descriptor import content_rect, coverage, sample_patches
 from patchvote.embed import (
     image_patch_features,
@@ -27,6 +27,7 @@ from patchvote.experiment import (
     augment_views,
     build_corpus,
     lit_init,
+    render_query,
     run_pose_experiment,
     run_retrieval_experiment,
     select_views,
@@ -37,9 +38,11 @@ from patchvote.index import (
     derive_seed,
     enumerate_view_patches,
     render_views,
+    retrieve_shape,
     save_index,
 )
 from patchvote.mesh import TriMesh
+from patchvote.metrics import build_report
 from patchvote.pose import POSE_BINS
 from patchvote.render import normal_map, rasterize, shade
 from patchvote.synth import generate_benchmark
@@ -66,6 +69,11 @@ TINY = Config(
 )
 
 
+def database(bench):
+    """The database meshes by shape id, as train_pipeline hands them over."""
+    return {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
+
+
 @pytest.fixture(scope="module")
 def tiny():
     cfg = TINY
@@ -79,9 +87,9 @@ def tiny():
 class TestCorpusMatchesIndex:
     def test_candidate_rows_are_the_index_records(self, tiny):
         cfg, views, bench = tiny
-        db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
+        db = database(bench)
         assert len(db) == 3
-        corpus = build_corpus(bench, views, cfg, PATCHES_PER_VIEW)
+        corpus = build_corpus(db, views, cfg, PATCHES_PER_VIEW)
         model = init_params(cfg.pool_size**2, 3 * cfg.pool_size**2, 8, cfg.embed_dim, 0)
         idx = build_index(db, views, model, PATCHES_PER_VIEW, cfg)
         assert len(corpus.cand_feats) == len(idx) > 0
@@ -103,7 +111,7 @@ class TestCorpusMatchesIndex:
 
     def test_labels_index_candidate_rows(self, tiny):
         cfg, views, bench = tiny
-        corpus = build_corpus(bench, views, cfg, PATCHES_PER_VIEW)
+        corpus = build_corpus(database(bench), views, cfg, PATCHES_PER_VIEW)
         n = len(corpus.cand_feats)
         assert len(corpus.anchor_feats) == len(corpus.pos_lists) > 0
         for pos, neg in zip(corpus.pos_lists, corpus.neg_lists):
@@ -338,7 +346,8 @@ class TestCorpusMatchesPerAnchorLoop:
     def test_tiny(self, tiny):
         cfg, views, bench = tiny
         want, _ = oracle_build_corpus(bench, views, cfg, PATCHES_PER_VIEW)
-        assert_same_corpus(build_corpus(bench, views, cfg, PATCHES_PER_VIEW), want)
+        got = build_corpus(database(bench), views, cfg, PATCHES_PER_VIEW)
+        assert_same_corpus(got, want)
 
     @pytest.mark.parametrize("noise", [0.0, 0.05])
     def test_stressed(self, tiny, noise, monkeypatch):
@@ -348,12 +357,12 @@ class TestCorpusMatchesPerAnchorLoop:
         want, stats = oracle_build_corpus(bench, views, cfg, 12)
         assert stats["empty"] > 0 and stats["subsampled"] > 0
         assert want.skipped_anchors > 0 and len(want.anchor_feats) > 0
-        got = build_corpus(bench, views, cfg, 12)
+        got = build_corpus(database(bench), views, cfg, 12)
         assert_same_corpus(got, want)
 
     def test_shared_renders_change_nothing(self, tiny):
         cfg, views, bench = tiny
-        db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
+        db = database(bench)
         renders = render_views(db, views, cfg.render_resolution)
         assert len(renders) == len(db) * len(views.medoids)
         res = cfg.render_resolution
@@ -362,8 +371,8 @@ class TestCorpusMatchesPerAnchorLoop:
             or (np.issubdtype(m.dtype, np.signedinteger) and m.shape == (res, res))
             for m in renders.values()
         )
-        got = build_corpus(bench, views, cfg, PATCHES_PER_VIEW, renders=renders)
-        assert_same_corpus(got, build_corpus(bench, views, cfg, PATCHES_PER_VIEW))
+        got = build_corpus(db, views, cfg, PATCHES_PER_VIEW, renders=renders)
+        assert_same_corpus(got, build_corpus(db, views, cfg, PATCHES_PER_VIEW))
 
 
 def row_of_boxes(n):
@@ -428,8 +437,8 @@ class TestHeldRenders:
 class TestPipelineRendersOnce:
     def unshared_index_bytes(self, bench, cfg, views, jitter, tmp_path):
         """train_pipeline's steps with every pass rendering its own views."""
-        db = {sid: bench.shapes[sid].mesh for sid in bench.database_ids}
-        corpus = build_corpus(bench, views, cfg, _CANDIDATE_PATCHES)
+        db = database(bench)
+        corpus = build_corpus(db, views, cfg, _CANDIDATE_PATCHES)
         model = lit_init(cfg, corpus)
         train(corpus, cfg, model)
         index_views = augment_views(views, jitter, cfg.seed + _INDEX_JITTER_OFFSET)
@@ -465,9 +474,13 @@ class TestPipelineRendersOnce:
         assert len(rendered) == len(set(rendered)) == expected
 
 
+TINY_RETRIEVAL = replace(TINY, epochs=2, kq=4, kr=6)
+
+
 def run_tiny_retrieval():
-    cfg = replace(TINY, epochs=2, kq=4, kr=6)
-    return run_retrieval_experiment(cfg, num_shapes=4, leave_out=0.25, views_per_query=1)
+    return run_retrieval_experiment(
+        TINY_RETRIEVAL, num_shapes=4, leave_out=0.25, views_per_query=1
+    )
 
 
 @pytest.fixture(scope="module")
@@ -483,6 +496,36 @@ class TestRetrievalExperiment:
         assert len(pipe.index) > 0
         again, _, _ = run_tiny_retrieval()
         assert again == report
+
+    def test_recall_both_ways_read_off_gt_rank(self, tiny_retrieval):
+        report, pipe, bench = tiny_retrieval
+        cfg = TINY_RETRIEVAL
+        for rep in (report, report.all_shapes):
+            assert len(rep.rows) == len(bench.queries)
+            for k, r in rep.recall.items():
+                hits = sum(1 <= row.gt_rank <= k for row in rep.rows)
+                assert r == hits / len(rep.rows)
+        category = {sid: e.spec.category for sid, e in bench.shapes.items()}
+        for row in report.rows:
+            assert {category[s] for s in row.ranked} == {category[row.gt_shape]}
+        # over all shapes a query's patches reach the other categories' records
+        assert any(
+            {category[s] for s in row.ranked} != {category[row.gt_shape]}
+            for row in report.all_shapes.rows
+        )
+        # the category-given report is what one retrieval per query gives
+        results = []
+        for q in bench.queries:
+            entry = bench.shapes[q.shape_id]
+            shaded, _ = render_query(entry.mesh, q.view_quat, cfg, q.aug_seed)
+            results.append(retrieve_shape(
+                pipe.index, shaded, shaded.mask, pipe.model, cfg.kq, cfg.kr,
+                seed=q.aug_seed + 1, cfg=cfg, category=entry.spec.category,
+            ))
+        want = build_report(
+            results, [q.gt_shape_id for q in bench.queries], config=to_dict(cfg)
+        )
+        assert replace(report, all_shapes=None) == want
 
     def test_queries_sit_just_off_the_pipeline_grid(self, tiny_retrieval):
         """The benchmark offsets its queries from the grid the pipeline indexes."""

@@ -198,7 +198,7 @@ class TestPoseGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(21)
         data = random_pose_dataset(rng)
-        params = init_pose_head(5, 4, seed=8)
+        params = init_pose_head(5, seed=8)
         params.bq += rng.normal(0.0, 0.1, size=4)
         _, grad = pose_loss_and_grad(params, data)
         numeric = pose_numeric_grad(params, data)
@@ -212,7 +212,7 @@ class TestPoseGradient:
         rng = np.random.default_rng(22)
         data = random_pose_dataset(rng)
         data.features[3] = 0.0  # zero bq: this raw offset is zero
-        params = init_pose_head(5, 4, seed=8)
+        params = init_pose_head(5, seed=8)
         _, grad = pose_loss_and_grad(params, data)
 
         X = data.features
@@ -234,17 +234,17 @@ class TestPoseTraining:
         rng = np.random.default_rng(5)
         data = random_pose_dataset(rng, n=40, d_in=8, k=3)
         cfg = Config(batch_size=16, seed=0, epochs=30, learning_rate=0.2)
-        result = train_pose_head(data, cfg)
-        losses = [row[1] for row in result.history]
+        history = train_pose_head(data, cfg, init_pose_head(8, seed=cfg.seed))
+        losses = [row[1] for row in history]
         assert losses[-1] < losses[0]
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         data = random_pose_dataset(rng, n=20, d_in=6, k=3)
         cfg = Config(batch_size=8, seed=1, epochs=5, learning_rate=0.1)
-        a = train_pose_head(data, cfg)
-        b = train_pose_head(data, cfg)
-        assert a.history == b.history
+        a = train_pose_head(data, cfg, init_pose_head(6, seed=cfg.seed))
+        b = train_pose_head(data, cfg, init_pose_head(6, seed=cfg.seed))
+        assert a == b
 
     @pytest.mark.parametrize("bad_bin", [POSE_BINS, -1], ids=["pose_bins", "negative"])
     def test_gt_bin_outside_the_head_rejected(self, bad_bin):
@@ -254,4 +254,27 @@ class TestPoseTraining:
         data.gt_bins[3] = bad_bin
         cfg = Config(batch_size=8, seed=1, epochs=1)
         with pytest.raises(TrainingError, match=f"POSE_BINS={POSE_BINS}"):
-            train_pose_head(data, cfg)
+            train_pose_head(data, cfg, init_pose_head(6, seed=cfg.seed))
+
+    def test_returns_the_history_and_trains_the_head_given(self):
+        rng = np.random.default_rng(8)
+        data = random_pose_dataset(rng, n=20, d_in=6, k=3)
+        cfg = Config(batch_size=8, seed=1, epochs=4, learning_rate=0.1)
+        params = init_pose_head(6, seed=cfg.seed)
+        arrays = params.arrays()
+        before = [a.copy() for a in arrays]
+        history = train_pose_head(data, cfg, params)
+        assert [epoch for epoch, _ in history] == list(range(cfg.epochs))
+        # the same arrays now hold the trained head
+        assert all(a is b for a, b in zip(params.arrays(), arrays))
+        assert all(not np.array_equal(a, b) for a, b in zip(arrays, before))
+
+
+class TestInitPoseHead:
+    def test_builds_one_logit_per_pose_bin(self):
+        params = init_pose_head(7, seed=3)
+        assert params.Wc.shape == (7, POSE_BINS)
+        assert params.bc.shape == (POSE_BINS,)
+        assert params.Wq.shape == (7, 4) and params.bq.shape == (4,)
+        logits, offsets, _ = pose_forward(params, np.ones((2, 7)))
+        assert logits.shape == (2, POSE_BINS) and offsets.shape == (2, 4)
